@@ -7,6 +7,28 @@ Kirkwood-Dirac distributions, their real (Margenau-Hill) parts, or the
 ordinary sequential-collapse (Lueders-von Neumann) probabilities. The
 nonclassicality of a distribution is the excess of Σ|Q| over 1.
 
+Every kind is one forward sweep over the chain. Operators are row-major
+vectorized, vec(x)[i·d + j] = x[i, j], so vec(A x B) = (A ⊗ Bᵀ)·vec(x) and a
+step E(x) = Σ K x K† is its superoperator S = Σ K ⊗ K̄ (d_out² × d_in²).
+Time t_k carries a stack of insertion maps x ↦ A x B, one per outcome:
+
+    kind          A       B       maps per time
+    kd_right      I       Π_b     m
+    kd_left       Π_b     I       m
+    kd_doubled    Π_a     Π'_b    m_ket·m_bra, ket index major
+    lvn           Π_b     Π_b     m
+
+(correlator tomography reuses the sweep with Hilbert-Schmidt basis elements
+in place of projectors). The live batch holds one row vec(x) per outcome
+prefix and advances by one GEMM per step against S_k·maps_k. The final trace
+is folded into the last maps (w = vec(I)ᵀ·map), so the largest live array has
+(entries / m_n)·d² complex values: 6.4 MB at 10⁵ entries and d = 4. The maps
+of one step hold m·d⁴ complex values, small for d ≤ 4 but 16 MB at d = m = 16.
+Results come out in C order over (m_0, ..., m_n); doubled kinds interleave ket
+and bra indices until one transpose restores the blocks. The backward sweep
+applies the same maps from w toward t_0 and yields the joint operators M with
+Tr[M ρ] = Q behind `joint_ops` and `classicality_witness`.
+
 Axis convention: distribution axis i belongs to time t_i (ascending order);
 doubled kinds carry the full ket block first, then the bra block. Printed,
 paper-style tables reverse to latest-time-first; that happens only at the
@@ -16,6 +38,7 @@ presentation layer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -24,14 +47,13 @@ import numpy as np
 from .channels import (
     Instrument,
     QuantumChannel,
-    adjoint_apply,
     apply_channel,
     check_density,
     compose,
     tensor_channels,
     validate_cptp,
 )
-from .linops import ValidationError, as_matrix, dagger, max_abs, spectral_norm
+from .linops import ValidationError, as_matrix, dagger, max_abs
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -181,40 +203,94 @@ def _check_schedule(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], nam
             raise ValidationError(f"{name}[{k}] acts on dim {m.dim}, process carries {d}")
 
 
+def _projectors(m: ProjectiveMeasurement) -> np.ndarray:
+    return np.stack([o.projector for o in m.outcomes])
+
+
+def _insertions(side: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Insertion maps x ↦ A x B as the (m, d², d²) stack of A ⊗ Bᵀ, built from
+    operator stacks: right (I, a_i), left (a_i, I), lvn (a_i, a_i), and doubled
+    (a_i, b_j) for every pair, i major (b defaults to a)."""
+    eye = np.eye(a.shape[-1], dtype=np.complex128)[None]
+    if side == "doubled":
+        b = a if b is None else b
+        a, b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1))
+    else:
+        a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
+    d2 = a.shape[-1] ** 2
+    return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
+
+
+def _superops(channels: Sequence[QuantumChannel]) -> list[np.ndarray]:
+    """Row-major superoperators Σ K⊗K̄, each (d_out², d_in²): vec(E(x)) = S·vec(x)."""
+    out = []
+    for c in channels:
+        k = np.stack(c.kraus)
+        out.append(np.einsum("xab,xcd->acbd", k, k.conj()).reshape(c.d_out ** 2, c.d_in ** 2))
+    return out
+
+
+def _trace_rows(maps: np.ndarray) -> np.ndarray:
+    """Rows w_i with w_i · vec(x) = Tr[a_i x b_i]: the final trace folded into the maps."""
+    return np.eye(math.isqrt(maps.shape[1])).reshape(-1) @ maps
+
+
+def _sweep(rho0: np.ndarray, supers: Sequence[np.ndarray], maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Forward kernel: every outcome tuple's trace, flat in C order (m_0, ..., m_n)."""
+    x = rho0.reshape(1, -1)
+    for superop, m_k in zip(supers, maps):
+        f = superop @ m_k
+        m, d_out2, d_in2 = f.shape
+        x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
+    return (x @ _trace_rows(maps[-1]).T).reshape(-1)
+
+
+def _backward(supers: Sequence[np.ndarray], maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Backward kernel: joint operators M at t_0 with Tr[M ρ] equal to the
+    forward trace, as a (Π_k m_k, d_0, d_0) stack in C order (m_0, ..., m_n)."""
+    r = _trace_rows(maps[-1])
+    for superop, m_k in reversed(list(zip(supers, maps))):
+        f = superop @ m_k
+        r = (r[None] @ f).reshape(-1, f.shape[2])
+    d = math.isqrt(r.shape[1])
+    return r.reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _ket_bra_order(a: np.ndarray, shapes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Split interleaved (ket_0·bra_0, ket_1·bra_1, ...) leading axes of a flat
+    doubled result into the ket block, then the bra block; trailing axes stay."""
+    nt = len(shapes)
+    a = a.reshape(tuple(x for pair in shapes for x in pair) + a.shape[1:])
+    perm = list(range(0, 2 * nt, 2)) + list(range(1, 2 * nt, 2)) + list(range(2 * nt, a.ndim))
+    return a.transpose(perm)
+
+
+def _doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
+             bra: Sequence[ProjectiveMeasurement]):
+    """Checked doubled schedules: their maps, interleaved shapes and ket-then-bra axes."""
+    _check_schedule(p, ket, "ket schedule")
+    _check_schedule(p, bra, "bra schedule")
+    maps = [_insertions("doubled", _projectors(a), _projectors(b)) for a, b in zip(ket, bra)]
+    shapes = [(len(a.outcomes), len(b.outcomes)) for a, b in zip(ket, bra)]
+    return maps, shapes, tuple(tuple(m.outcomes) for m in ket) + tuple(tuple(m.outcomes) for m in bra)
+
+
+def _single(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str,
+            side: str) -> QuasiDistribution:
+    _check_schedule(p, s)
+    values = _sweep(p.rho0, _superops(p.channels), [_insertions(side, _projectors(m)) for m in s])
+    return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s),
+                             values.reshape(tuple(len(m.outcomes) for m in s)))
+
+
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Projectors inserted on the bra side: Tr[E_n(...E_1(ρΠ_{b0})Π_{b1}...)Π_{bn}]."""
-    _check_schedule(p, s)
-    n = p.n_steps
-    values = np.zeros(tuple(len(m.outcomes) for m in s), dtype=np.complex128)
-
-    def rec(k: int, idx: tuple, state: np.ndarray):
-        for i, o in enumerate(s[k].outcomes):
-            y = state @ o.projector
-            if k == n:
-                values[idx + (i,)] = np.trace(y)
-            else:
-                rec(k + 1, idx + (i,), apply_channel(p.channels[k], y))
-
-    rec(0, (), p.rho0)
-    return QuasiDistribution("kd_right", tuple(tuple(m.outcomes) for m in s), values)
+    return _single(p, s, "kd_right", "right")
 
 
 def kd_left(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Projectors inserted on the ket side; the complex conjugate of kd_right."""
-    _check_schedule(p, s)
-    n = p.n_steps
-    values = np.zeros(tuple(len(m.outcomes) for m in s), dtype=np.complex128)
-
-    def rec(k: int, idx: tuple, state: np.ndarray):
-        for i, o in enumerate(s[k].outcomes):
-            y = o.projector @ state
-            if k == n:
-                values[idx + (i,)] = np.trace(y)
-            else:
-                rec(k + 1, idx + (i,), apply_channel(p.channels[k], y))
-
-    rec(0, (), p.rho0)
-    return QuasiDistribution("kd_left", tuple(tuple(m.outcomes) for m in s), values)
+    return _single(p, s, "kd_left", "left")
 
 
 def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
@@ -225,43 +301,14 @@ def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
     bra block recovers kd_left of the ket schedule; the diagonal (equal
     schedules and outcomes) is the sequential-collapse distribution.
     """
-    _check_schedule(p, ket, "ket schedule")
-    _check_schedule(p, bra, "bra schedule")
-    n = p.n_steps
-    kshape = tuple(len(m.outcomes) for m in ket)
-    bshape = tuple(len(m.outcomes) for m in bra)
-    values = np.zeros(kshape + bshape, dtype=np.complex128)
-
-    def rec(k: int, kidx: tuple, bidx: tuple, state: np.ndarray):
-        for i, oa in enumerate(ket[k].outcomes):
-            for j, ob in enumerate(bra[k].outcomes):
-                y = oa.projector @ state @ ob.projector
-                if k == n:
-                    values[kidx + (i,) + bidx + (j,)] = np.trace(y)
-                else:
-                    rec(k + 1, kidx + (i,), bidx + (j,), apply_channel(p.channels[k], y))
-
-    rec(0, (), (), p.rho0)
-    axes = tuple(tuple(m.outcomes) for m in ket) + tuple(tuple(m.outcomes) for m in bra)
+    maps, shapes, axes = _doubled(p, ket, bra)
+    values = _ket_bra_order(_sweep(p.rho0, _superops(p.channels), maps), shapes)
     return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times)
 
 
 def lvn(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Sequential collapse probabilities Tr[Π_{bn}E_n(...Π_{b0}ρΠ_{b0}...)Π_{bn}]."""
-    _check_schedule(p, s)
-    n = p.n_steps
-    values = np.zeros(tuple(len(m.outcomes) for m in s), dtype=np.complex128)
-
-    def rec(k: int, idx: tuple, state: np.ndarray):
-        for i, o in enumerate(s[k].outcomes):
-            y = o.projector @ state @ o.projector
-            if k == n:
-                values[idx + (i,)] = np.trace(y)
-            else:
-                rec(k + 1, idx + (i,), apply_channel(p.channels[k], y))
-
-    rec(0, (), p.rho0)
-    return QuasiDistribution("lvn", tuple(tuple(m.outcomes) for m in s), values)
+    return _single(p, s, "lvn", "lvn")
 
 
 def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
@@ -343,53 +390,24 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("joint_ops needs square channels")
     if kind == "kd_doubled":
-        ket = s
         if bra is None:
             raise ValidationError("doubled joint_ops needs a bra schedule")
-        _check_schedule(p, ket, "ket schedule")
-        _check_schedule(p, bra, "bra schedule")
+        maps, shapes, axes = _doubled(p, s, bra)
+        ops = _ket_bra_order(_backward(_superops(p.channels), maps), shapes)
+        ket_axes = p.n_times
     else:
         if kind not in ("kd_right", "kd_left"):
             raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
         _check_schedule(p, s)
-    n = p.n_steps
-    ops: dict[tuple, np.ndarray] = {}
-
-    if kind == "kd_doubled":
-        def rec(k: int, kidx: tuple, bidx: tuple, a: np.ndarray):
-            if k == 0:
-                ops[tuple(reversed(kidx)) + tuple(reversed(bidx))] = a
-                return
-            back = adjoint_apply(p.channels[k - 1], a)
-            for i, oa in enumerate(ket[k - 1].outcomes):
-                for j, ob in enumerate(bra[k - 1].outcomes):
-                    rec(k - 1, kidx + (i,), bidx + (j,), ob.projector @ back @ oa.projector)
-
-        for i, oa in enumerate(ket[n].outcomes):
-            for j, ob in enumerate(bra[n].outcomes):
-                rec(n, (i,), (j,), ob.projector @ oa.projector)
-        axes = tuple(tuple(m.outcomes) for m in ket) + tuple(tuple(m.outcomes) for m in bra)
-        out = JointMeasurementOperators("kd_doubled", axes, ops, ket_axes=p.n_times)
-    else:
-        right = kind == "kd_right"
-
-        def rec(k: int, idx: tuple, a: np.ndarray):
-            if k == 0:
-                ops[tuple(reversed(idx))] = a
-                return
-            back = adjoint_apply(p.channels[k - 1], a)
-            for i, o in enumerate(s[k - 1].outcomes):
-                rec(k - 1, idx + (i,), o.projector @ back if right else back @ o.projector)
-
-        for i, o in enumerate(s[n].outcomes):
-            rec(n, (i,), o.projector)
-        out = JointMeasurementOperators(kind, tuple(tuple(m.outcomes) for m in s), ops)
-
+        ops = _backward(_superops(p.channels), [_insertions(kind[3:], _projectors(m)) for m in s])
+        axes = tuple(tuple(m.outcomes) for m in s)
+        ket_axes = 0
     d0 = p.dims[0]
-    total = sum(ops.values())
-    if max_abs(total - np.eye(d0)) > 1e-10:
+    ops = ops.reshape(-1, d0, d0)
+    if max_abs(ops.sum(axis=0) - np.eye(d0)) > 1e-10:
         raise ValidationError("joint operators do not sum to the identity")
-    return out
+    keys = np.ndindex(tuple(len(ax) for ax in axes))
+    return JointMeasurementOperators(kind, axes, dict(zip(keys, ops)), ket_axes=ket_axes)
 
 
 @dataclass(frozen=True)
@@ -401,6 +419,12 @@ class WitnessReport:
     worst_pair: tuple | None
 
 
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a_i, b_j] for every pair, flattened i major."""
+    a, b = a[:, None], b[None]
+    return (a @ b - b @ a).reshape(-1, *a.shape[-2:])
+
+
 def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> WitnessReport:
     """Evaluate Σ|Q|−1 of kd_right and the largest commutator among the
     back-evolved measurement operators.
@@ -409,62 +433,48 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     unitary, also all pairs of single-time back-evolved projectors. A strictly
     positive nonclassicality implies some pair fails to commute; the converse
     does not hold for a fixed initial state.
+
+    ``worst_pair`` names the first pair, in visiting order, whose norm lies
+    within 1e-12·max(1, largest) of the largest norm, so pairs tied up to
+    rounding (for qubits [M, Π_0] = −[M, Π_1] exactly) resolve the same way
+    every time. Visiting order: the later tuples (b_1, ..., b_n) ascending,
+    each against the t_0 outcomes in schedule order; then, for unitary
+    chains, the time pairs k < l ascending, each with the outcomes of t_k
+    against those of t_l in schedule order.
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
     _check_schedule(p, s)
     n = p.n_steps
     value = nonclassicality(kd_right(p, s))
+    if n == 0:
+        return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
 
-    best = 0.0
-    pair: tuple | None = None
-
-    def consider(norm: float, a_desc, b_desc):
-        nonlocal best, pair
-        if norm > best or pair is None:
-            best = norm
-            pair = (a_desc, b_desc)
-
-    if n >= 1:
-        later: dict[tuple, np.ndarray] = {}
-
-        def rec(k: int, idx: tuple, a: np.ndarray):
-            if k == 1:
-                later[tuple(reversed(idx))] = adjoint_apply(p.channels[0], a)
-                return
-            back = adjoint_apply(p.channels[k - 1], a)
-            for i, o in enumerate(s[k - 1].outcomes):
-                rec(k - 1, idx + (i,), o.projector @ back)
-
-        for i, o in enumerate(s[n].outcomes):
-            rec(n, (i,), o.projector)
-
-        times_later = tuple(range(1, n + 1))
-        for idx, m_later in later.items():
-            labels_later = tuple(s[k].outcomes[i].label for k, i in zip(times_later, idx))
-            for o in s[0].outcomes:
-                norm = spectral_norm(m_later @ o.projector - o.projector @ m_later)
-                consider(norm, (times_later, labels_later), ((0,), (o.label,)))
-
+    # blocks of (commutator stack, times of side a, time of side b), in visiting order
+    maps = [_insertions("right", _projectors(m)) for m in s]
+    eye = np.eye(p.dims[0] ** 2, dtype=np.complex128)[None]
+    supers = _superops(p.channels)
+    later = _backward(supers, [eye] + maps[1:])
+    blocks = [(_commutators(later, _projectors(s[0])), tuple(range(1, n + 1)), (0,))]
     unitary_steps = all(
         len(c.kraus) == 1 and max_abs(dagger(c.kraus[0]) @ c.kraus[0] - np.eye(c.d_in)) <= 1e-9
         for c in p.channels)
-    if unitary_steps and n >= 1:
-        single: list[list[tuple[object, np.ndarray]]] = []
-        for k in range(n + 1):
-            row = []
-            for o in s[k].outcomes:
-                m = o.projector
-                for c in reversed(p.channels[:k]):
-                    m = adjoint_apply(c, m)
-                row.append((o.label, m))
-            single.append(row)
+    if unitary_steps:
+        single = [_backward(supers[:k], [eye] * k + [maps[k]]) for k in range(n + 1)]
         for k, l in itertools.combinations(range(n + 1), 2):
-            for la, ma in single[k]:
-                for lb, mb in single[l]:
-                    norm = spectral_norm(ma @ mb - mb @ ma)
-                    consider(norm, ((k,), (la,)), ((l,), (lb,)))
+            blocks.append((_commutators(single[k], single[l]), (k,), (l,)))
 
+    norms = np.linalg.norm(np.concatenate([b[0] for b in blocks]), ord=2, axis=(-2, -1))
+    best = float(norms.max())
+    pos = int(np.argmax(norms >= best - 1e-12 * max(1.0, best)))
+    for comms, ta, tb in blocks:
+        if pos < len(comms):
+            break
+        pos -= len(comms)
+    ia, ib = divmod(pos, len(s[tb[0]].outcomes))
+    idx_a = np.unravel_index(ia, tuple(len(s[k].outcomes) for k in ta))
+    labels_a = tuple(s[k].outcomes[i].label for k, i in zip(ta, idx_a))
+    pair = ((ta, labels_a), (tb, (s[tb[0]].outcomes[ib].label,)))
     return WitnessReport(nonclassicality=value, max_commutator_norm=best, worst_pair=pair)
 
 

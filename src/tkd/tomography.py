@@ -22,10 +22,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_channel, jamiolkowski
+from .channels import jamiolkowski
 from .linops import ValidationError, as_matrix, dagger, kron_chain, max_abs, partial_trace
-from .measurements import HSBasis, ProjectiveMeasurement, hs_basis, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution, kd_doubled, kd_left, kd_right, lvn
+from .measurements import HSBasis, hs_basis, spectral_measurement
+from .quasiprob import (
+    MultiTimeProcess,
+    _insertions,
+    _ket_bra_order,
+    _projectors,
+    _superops,
+    _sweep,
+    kd_doubled,
+    kd_left,
+    kd_right,
+    lvn,
+)
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
 STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "mh_doubled", "pdo")
@@ -129,11 +140,6 @@ def _bases_for(p: MultiTimeProcess, bases) -> tuple[HSBasis, ...]:
     return bases
 
 
-def _collapse(meas: ProjectiveMeasurement, x: np.ndarray) -> np.ndarray:
-    """Value-weighted collapse Σ_a a·Π_a x Π_a."""
-    return sum(o.value * (o.projector @ x @ o.projector) for o in meas.outcomes)
-
-
 def _weighted_sum(values: np.ndarray, vecs: Sequence[np.ndarray]) -> complex:
     out = values
     for v in vecs:
@@ -145,57 +151,37 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
                 kind: str = "right", method: str = "direct") -> CorrelatorTensor:
     """Basis-observable expectation tensor of a process.
 
-    ``direct`` inserts basis elements straight into the trace formula;
-    ``via_distributions`` measures each basis element projectively and takes
-    value-weighted sums of the resulting distributions. The two agree because
-    every distribution is linear in its measurement operators.
+    ``direct`` runs the forward sweep of ``tkd.quasiprob`` with basis
+    elements σ in place of projectors: x ↦ xσ (right, mh), σx (left),
+    σ_i x σ_j for every pair (doubled, ket block then bra block), and the
+    value-weighted collapse Σ_a a·Π_a x Π_a over the spectral projectors of σ
+    (lvn); mh keeps the real part of right. ``via_distributions`` measures
+    each basis element projectively and takes value-weighted sums of the
+    resulting distributions. The two agree because every distribution is
+    linear in its measurement operators.
     """
     if kind not in CORRELATOR_KINDS:
         raise ValidationError(f"unknown correlator kind {kind!r}")
     if method not in ("direct", "via_distributions"):
         raise ValidationError(f"unknown correlator method {method!r}")
     bases = _bases_for(p, bases)
-    n = p.n_steps
     shape = tuple(len(b.ops) for b in bases)
-    meas_needed = method == "via_distributions" or kind == "lvn"
     meas = None
-    if meas_needed:
+    if method == "via_distributions" or kind == "lvn":
         meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
 
     if method == "direct":
+        if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
+            maps = [np.stack([np.tensordot([o.value for o in m.outcomes],
+                                           _insertions("lvn", _projectors(m)), 1) for m in row])
+                    for row in meas]
+        else:
+            maps = [_insertions("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
+        values = _sweep(p.rho0, _superops(p.channels), maps)
         if kind == "doubled":
-            values = np.zeros(shape + shape, dtype=np.complex128)
-
-            def rec(k: int, kidx: tuple, bidx: tuple, state: np.ndarray):
-                for i, oa in enumerate(bases[k].ops):
-                    for j, ob in enumerate(bases[k].ops):
-                        y = oa @ state @ ob
-                        if k == n:
-                            values[kidx + (i,) + bidx + (j,)] = np.trace(y)
-                        else:
-                            rec(k + 1, kidx + (i,), bidx + (j,), apply_channel(p.channels[k], y))
-
-            rec(0, (), (), p.rho0)
+            values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
             return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times)
-
-        values = np.zeros(shape, dtype=np.complex128)
-
-        def step(k: int, i: int, state: np.ndarray) -> np.ndarray:
-            if kind in ("right", "mh"):
-                return state @ bases[k].ops[i]
-            if kind == "left":
-                return bases[k].ops[i] @ state
-            return _collapse(meas[k][i], state)  # lvn
-
-        def rec(k: int, idx: tuple, state: np.ndarray):
-            for i in range(shape[k]):
-                y = step(k, i, state)
-                if k == n:
-                    values[idx + (i,)] = np.trace(y)
-                else:
-                    rec(k + 1, idx + (i,), apply_channel(p.channels[k], y))
-
-        rec(0, (), p.rho0)
+        values = values.reshape(shape)
         if kind == "mh":
             values = values.real.astype(np.complex128)
         return CorrelatorTensor(kind, bases, values)

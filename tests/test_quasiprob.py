@@ -93,6 +93,39 @@ def test_doubled_block_sums_and_diagonal(case):
     assert max_abs(diag - tkd.lvn(p, ket).values.reshape(-1)) < 1e-12
 
 
+def test_rectangular_chain():
+    # qutrit at t_0, replaced by a qubit state (3 -> 2), then a qubit unitary
+    omega = tkd.random_density(2, seed=81)
+    u = tkd.haar_unitary(2, seed=82)
+    chain = [tkd.build_channel("replacement", omega=omega, d_in=3), tkd.QuantumChannel([u])]
+    p = tkd.MultiTimeProcess(tkd.random_density(3, seed=80), chain)
+    assert p.dims == (3, 2, 2)
+    ket = tkd.random_schedule(p.dims, seed=83)
+    bra = tkd.random_schedule(p.dims, seed=84)
+    nt = p.n_times
+
+    qr, ql, qd = tkd.kd_right(p, bra), tkd.kd_left(p, ket), tkd.kd_doubled(p, ket, bra)
+    assert qd.values.shape == (3, 2, 2, 3, 2, 2)
+    assert max_abs(qd.values.sum(axis=tuple(range(nt))) - qr.values) < 1e-12
+    assert max_abs(qd.values.sum(axis=tuple(range(nt, 2 * nt))) - ql.values) < 1e-12
+    assert max_abs(tkd.kd_left(p, bra).values - np.conj(qr.values)) < 1e-12
+
+    # the replacement factorizes Q into Tr[ρΠ_{b0}]·Tr[U(ωΠ_{b1})U†Π_{b2}]
+    for b0, b1, b2 in np.ndindex(qr.values.shape):
+        first = np.trace(p.rho0 @ bra[0].outcomes[b0].projector)
+        later = np.trace(u @ omega @ bra[1].outcomes[b1].projector @ np.conj(u.T)
+                         @ bra[2].outcomes[b2].projector)
+        assert abs(qr.values[b0, b1, b2] - first * later) < 1e-12
+
+    qsame = tkd.kd_doubled(p, ket, ket)
+    side = int(np.prod(qsame.values.shape[:nt]))
+    diag = qsame.values.reshape(side, side).diagonal()
+    q_lvn = tkd.lvn(p, ket)
+    assert max_abs(diag - q_lvn.values.reshape(-1)) < 1e-12
+    for q in (qr, ql, qd, qsame, q_lvn):
+        assert abs(q.total() - 1.0) < 1e-12
+
+
 def test_lvn_is_a_probability_distribution():
     p, s = corpus(1, start=3)[0]
     q = tkd.lvn(p, s)
@@ -297,6 +330,18 @@ def test_witness_commuting_instance():
     rep = tkd.classicality_witness(p, s)
     assert abs(rep.nonclassicality) < 1e-12
     assert rep.max_commutator_norm < 1e-12
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 8])
+def test_witness_ties_pick_first_pair(seed):
+    # qubits: [M, Π_0] = −[M, Π_1] exactly, so both t_0 outcomes tie for the
+    # largest norm and the first one in visiting order must win
+    p = tkd.random_process(2, 3, seed=seed, channel_kind="cptp")
+    s = tkd.random_schedule(p.dims, seed=seed + 100)
+    rep = tkd.classicality_witness(p, s)
+    (ta, _), (tb, lb) = rep.worst_pair
+    assert ta == (1, 2, 3) and tb == (0,)
+    assert lb == (s[0].outcomes[0].label,)
 
 
 def test_weak_value_instance(pauli):
