@@ -230,12 +230,12 @@ def build_channel(kind: str, **params) -> QuantumChannel:
             raise ValidationError("build_channel: u is not unitary within tol")
         return QuantumChannel([u])
     if kind == "replacement":
-        omega = _check_density(params["omega"], params.get("tol", 1e-9))
+        omega = check_density(params["omega"], params.get("tol", 1e-9))
         d_in = int(params.get("d_in", omega.shape[0]))
         return QuantumChannel(_replacement_kraus(omega, d_in))
     if kind == "measure_replace":
         instrument: Instrument = params["instrument"]
-        outputs = [_check_density(w, params.get("tol", 1e-9)) for w in params["outputs"]]
+        outputs = [check_density(w, params.get("tol", 1e-9)) for w in params["outputs"]]
         if len(outputs) != len(instrument.branches):
             raise ValidationError("one output state per instrument branch is required")
         ops = []
@@ -285,10 +285,6 @@ def _replacement_kraus(omega: np.ndarray, d_in: int) -> list[np.ndarray]:
 
 def check_density(omega, tol: float = 1e-9) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity (all within tol)."""
-    return _check_density(omega, tol)
-
-
-def _check_density(omega, tol: float) -> np.ndarray:
     omega = as_matrix(omega)
     if not is_hermitian(omega, tol):
         raise ValidationError("state is not Hermitian within tol")

@@ -16,20 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import apply_channel, identity_channel, stinespring
+from .channels import stinespring
 from .linops import (
     ValidationError,
     as_matrix,
-    basis_state,
     embed_operator,
     is_hermitian,
     kron_chain,
     partial_trace,
-    projector,
 )
-from .measurements import ProjectiveMeasurement, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution
-from .measurements import Outcome
+from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
+from .quasiprob import MultiTimeProcess, QuasiDistribution, _projectors, _superops
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -103,32 +100,39 @@ def _side_meas(ops: Sequence[np.ndarray], dims: Sequence[int], side: str) -> lis
     return meas
 
 
-def _phase(meas: ProjectiveMeasurement, sign: int, t: float) -> np.ndarray:
-    return sum(np.exp(sign * 1j * o.value * t) * o.projector for o in meas.outcomes)
+def _phases(meas: ProjectiveMeasurement, sign: int, ts) -> np.ndarray:
+    """Phase gates e^{sign·i·t·B} = Σ_b e^{sign·i·t·b} Π_b, one per t: (P, d, d)."""
+    values = np.array([o.value for o in meas.outcomes])
+    return np.einsum("pm,mij->pij", np.exp(sign * 1j * np.outer(ts, values)), _projectors(meas))
 
 
-def _split_point(point: Sequence[float], kind: str, n_times: int) -> tuple[tuple, tuple]:
-    point = tuple(float(x) for x in point)
+def _split_points(grid, kind: str, n_times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ket phases v and bra phases u of every point, each (P, n_times) and
+    empty on the side the kind leaves bare; doubled points carry v first."""
     want = 2 * n_times if kind == "doubled" else n_times
-    if len(point) != want:
-        raise ValidationError(f"{kind} point needs {want} phases, got {len(point)}")
+    points = [tuple(float(x) for x in pt) for pt in grid]
+    for pt in points:
+        if len(pt) != want:
+            raise ValidationError(f"{kind} point needs {want} phases, got {len(pt)}")
+    x = np.array(points, dtype=float).reshape(len(points), want)
     if kind == "doubled":
-        return point[:n_times], point[n_times:]
-    return (point, ()) if kind == "left" else ((), point)
+        return x[:, :n_times], x[:, n_times:]
+    return (x, x[:, :0]) if kind == "left" else (x[:, :0], x)
 
 
-def _char_point(p: MultiTimeProcess, ket_meas, bra_meas, point, kind: str) -> complex:
-    v, u = _split_point(point, kind, p.n_times)
-    n = p.n_steps
-    state = p.rho0
-    for k in range(n + 1):
-        if kind in ("left", "doubled"):
-            state = _phase(ket_meas[k], +1, v[k]) @ state
-        if kind in ("right", "doubled"):
-            state = state @ _phase(bra_meas[k], -1, u[k])
-        if k < n:
-            state = apply_channel(p.channels[k], state)
-    return complex(np.trace(state))
+def _char_values(p: MultiTimeProcess, ket_meas, bra_meas, v: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """χ at all P points in one forward pass over a (P, d, d) state stack."""
+    state = np.broadcast_to(p.rho0, (len(v),) + p.rho0.shape)
+    for k, superop in enumerate(_superops(p.channels) + [None]):
+        if ket_meas is not None:
+            state = _phases(ket_meas[k], +1, v[:, k]) @ state
+        if bra_meas is not None:
+            state = state @ _phases(bra_meas[k], -1, u[:, k])
+        if superop is not None:
+            d_out = p.dims[k + 1]
+            state = (state.reshape(-1, superop.shape[1]) @ superop.T).reshape(-1, d_out, d_out)
+    return np.trace(state, axis1=1, axis2=2)
 
 
 def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequence[float]],
@@ -150,8 +154,9 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
         if obs.bra is None:
             raise ValidationError(f"{kind} characteristic needs bra observables")
         bra_meas = _side_meas(obs.bra, p.dims, "bra")
-    values = [_char_point(p, ket_meas, bra_meas, pt, kind) for pt in grid]
-    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid), np.array(values))
+    v, u = _split_points(grid, kind, p.n_times)
+    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid),
+                       _char_values(p, ket_meas, bra_meas, v, u))
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
@@ -252,7 +257,11 @@ class CircuitResult:
     metadata: dict
 
 
-_CALIBRATION: dict = {}
+# The ancilla starts in |+⟩ and selects G₁ on |0⟩, G₂ on |1⟩, so
+# ⟨X⟩ − i⟨Y⟩ = 2·ρ_anc[0,1] = Tr[G₁ρG₂†]: readout sign −1, and a phase gate
+# e^{+iBu} in G₂ enters χ as the bra-side e^{−iBu} through G₂†.
+_GATE_PHASE_SIGN = +1
+_READOUT_SIGN = -1
 
 
 def _interleaved(phis: list[np.ndarray], walls: list[np.ndarray]) -> np.ndarray:
@@ -263,10 +272,10 @@ def _interleaved(phis: list[np.ndarray], walls: list[np.ndarray]) -> np.ndarray:
     return g
 
 
-def _ancilla_xy(p: MultiTimeProcess, obs: ObservableSchedule, point, kind: str,
-                phase_sign: int) -> tuple[float, float, dict]:
+def _ancilla_xy(p: MultiTimeProcess, obs: ObservableSchedule, point,
+                kind: str) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer."""
-    v, u = _split_point(point, kind, p.n_times)
+    (v,), (u,) = _split_points([point], kind, p.n_times)
     dils = [stinespring(c) for c in p.channels]
     d = p.dims[0]
     reg = [d] + [r for _, r, _ in dils]
@@ -278,7 +287,8 @@ def _ancilla_xy(p: MultiTimeProcess, obs: ObservableSchedule, point, kind: str,
 
     def phase_stack(ops, ts):
         meas = _side_meas(ops, p.dims, "phase")
-        return [embed_operator(_phase(m, phase_sign, t), (0,), reg) for m, t in zip(meas, ts)]
+        return [embed_operator(_phases(m, _GATE_PHASE_SIGN, [t])[0], (0,), reg)
+                for m, t in zip(meas, ts)]
 
     if kind == "right":
         g1, g2 = plain, _interleaved(phase_stack(obs.bra, u), walls)
@@ -299,27 +309,6 @@ def _ancilla_xy(p: MultiTimeProcess, obs: ObservableSchedule, point, kind: str,
     return x, y, meta
 
 
-def _reference_calibration() -> dict:
-    """Pick the gate-phase and readout signs that reproduce the direct formula
-    on a fixed reference process; cached after the first call."""
-    if _CALIBRATION:
-        return _CALIBRATION
-    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    p = MultiTimeProcess(projector(basis_state(2, 0)), [identity_channel(2)])
-    obs = ObservableSchedule(bra=(x, y))
-    point = (0.7, 1.3)
-    bra_meas = _side_meas(obs.bra, p.dims, "bra")
-    chi = _char_point(p, None, bra_meas, point, "right")
-    for phase_sign in (+1, -1):
-        ex, ey, _ = _ancilla_xy(p, obs, point, "right", phase_sign)
-        for s in (-1, +1):
-            if abs((ex + 1j * s * ey) - chi) < 1e-12:
-                _CALIBRATION.update({"gate_phase_sign": phase_sign, "readout_sign": s})
-                return _CALIBRATION
-    raise ValidationError("interferometer calibration failed against the direct formula")
-
-
 def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[float],
                 kind: str = "right", shots: int | None = None,
                 seed: int | None = None) -> CircuitResult:
@@ -328,17 +317,16 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     The ancilla starts in |+⟩ and controls which of two gate sequences acts:
     the bare dilated walls, or the walls interleaved with phase gates. CPTP
     steps run on system ⊗ environment registers via their dilations. Returns
-    ⟨X⟩ + i·s·⟨Y⟩ with the sign convention fixed by calibration; with shots,
-    also a binomial Monte-Carlo estimate and its analytic standard error.
+    ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
+    and its analytic standard error.
     """
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
     _require_square(p)
-    cal = _reference_calibration()
-    s = cal["readout_sign"]
-    x, y, meta = _ancilla_xy(p, obs, point, kind, cal["gate_phase_sign"])
+    s = _READOUT_SIGN
+    x, y, meta = _ancilla_xy(p, obs, point, kind)
     exact = complex(x + 1j * s * y)
-    meta = dict(meta, **cal)
+    meta = dict(meta, gate_phase_sign=_GATE_PHASE_SIGN, readout_sign=s)
 
     estimate = std_error = deviation = None
     if shots is not None:

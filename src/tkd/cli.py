@@ -74,11 +74,21 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[_c2(x) for x in row] for row in np.asarray(m)]
 
 
+def _number(obj, where: str, integer: bool = False):
+    """One numeric spec field: a JSON integer, or (not ``integer``) any finite
+    JSON number as a float. Booleans, strings, NaN and ±Infinity raise
+    SpecParseError naming the field."""
+    if isinstance(obj, bool) or not isinstance(obj, int if integer else (int, float)) \
+            or not (integer or abs(obj) <= sys.float_info.max):
+        want = "an integer" if integer else "a finite number"
+        raise SpecParseError(f"{where}: expected {want}, got {obj!r}")
+    return obj if integer else float(obj)
+
+
 def _parse_complex(obj, where: str) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SpecParseError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+    return complex(_number(obj[0], f"{where}[0]"), _number(obj[1], f"{where}[1]"))
 
 
 def _parse_matrix(obj, where: str) -> np.ndarray:
@@ -149,7 +159,7 @@ def _parse_channel(obj, where: str, tol: float) -> QuantumChannel:
     if kind == "replacement":
         params = {"omega": _parse_matrix(obj.get("omega"), f"{where}.omega"), "tol": tol}
         if "d_in" in obj:
-            params["d_in"] = int(obj["d_in"])
+            params["d_in"] = _number(obj["d_in"], f"{where}.d_in", integer=True)
         return build_channel("replacement", **params)
     if kind == "measure_replace":
         inst = _parse_instrument(obj.get("instrument"), f"{where}.instrument", tol)
@@ -160,9 +170,11 @@ def _parse_channel(obj, where: str, tol: float) -> QuantumChannel:
         return build_channel("measure_replace", instrument=inst, outputs=outputs, tol=tol)
     if kind == "depolarizing":
         try:
-            return build_channel("depolarizing", p=float(obj["p"]), d=int(obj["d"]))
+            p, d = obj["p"], obj["d"]
         except KeyError as e:
             raise SpecParseError(f"{where}: depolarizing needs {e.args[0]!r}") from None
+        return build_channel("depolarizing", p=_number(p, f"{where}.p"),
+                             d=_number(d, f"{where}.d", integer=True))
     raise SpecParseError(f"{where}.kind: unknown channel kind {kind!r}")
 
 
@@ -185,7 +197,7 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
             if not isinstance(e, dict) or "matrix" not in e:
                 raise SpecParseError(f"{where}.projectors[{i}]: needs a 'matrix'")
             mat = _parse_matrix(e["matrix"], f"{where}.projectors[{i}].matrix")
-            value = float(e.get("value", i))
+            value = _number(e.get("value", i), f"{where}.projectors[{i}].value")
             label = e.get("label", value)
             outs.append(Outcome(value=value, projector=mat, label=label))
         m = ProjectiveMeasurement(dim, outs, tol=tol)
@@ -204,11 +216,17 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     tol = options.get("tolerance")
     if tol is None:
         tol = float(os.environ.get(TOLERANCE_ENV, DEFAULT_TOLERANCE))
-    tol = float(tol)
+    else:
+        tol = _number(tol, "options.tolerance")
     seed = options.get("seed")
-    seed = int(seed) if seed is not None else None
+    if seed is not None:
+        seed = _number(seed, "options.seed", integer=True)
+        if seed < 0:
+            raise SpecParseError(f"options.seed: expected a non-negative integer, got {seed}")
 
     rho = _parse_matrix(data.get("initial_state"), "initial_state")
+    if rho.shape[0] != rho.shape[1]:
+        raise SpecParseError(f"initial_state: shape {rho.shape} is not square")
     raw_channels = data.get("channels")
     if not isinstance(raw_channels, list):
         raise SpecParseError("channels: expected a list")
@@ -216,8 +234,11 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     process = MultiTimeProcess(rho, channels, tol=tol)
 
     dims = data.get("dims")
-    if dims is not None and tuple(int(d) for d in dims) != process.dims:
-        raise SpecParseError(f"dims: {dims} does not match the channel chain {list(process.dims)}")
+    if dims is not None:
+        if not isinstance(dims, list):
+            raise SpecParseError(f"dims: expected a list of integers, got {dims!r}")
+        if tuple(_number(d, f"dims[{i}]", integer=True) for i, d in enumerate(dims)) != process.dims:
+            raise SpecParseError(f"dims: {dims} does not match the channel chain {list(process.dims)}")
 
     raw_scheds = data.get("schedules", {})
     if not isinstance(raw_scheds, dict):
@@ -438,7 +459,7 @@ def _cmd_state(args) -> int:
     elif args.kind == "pdo":
         y = pdo(p)
     else:
-        y = reconstruct_state(correlators(p, kind="doubled", method="direct"))
+        y = reconstruct_state(correlators(p, kind="doubled"))
     doc = _base_doc("state", bundle)
     eigs = y.eigenvalues()
     doc["state"] = {
@@ -471,26 +492,15 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
 
 def _char_setup(bundle: SpecBundle, kind: str, sched: str, bra_sched: str | None):
     """ObservableSchedule plus per-axis spectra for the requested kind."""
-    obs_main = bundle.observables[_require_named(bundle, sched)]
-    meas_main = bundle.schedules[sched]
+    spectra = [[o.value for o in m.outcomes] for m in _schedule(bundle, sched)]
+    obs_main = tuple(bundle.observables[sched])
     if kind == "right":
-        obs = ObservableSchedule(bra=tuple(obs_main))
-        spectra = [[o.value for o in m.outcomes] for m in meas_main]
-    elif kind == "left":
-        obs = ObservableSchedule(ket=tuple(obs_main))
-        spectra = [[o.value for o in m.outcomes] for m in meas_main]
-    else:
-        bname = _require_named(bundle, bra_sched or sched)
-        obs = ObservableSchedule(ket=tuple(obs_main), bra=tuple(bundle.observables[bname]))
-        spectra = [[o.value for o in m.outcomes] for m in meas_main] \
-            + [[o.value for o in m.outcomes] for m in bundle.schedules[bname]]
-    return obs, spectra
-
-
-def _require_named(bundle: SpecBundle, name: str) -> str:
-    if name not in bundle.schedules:
-        raise SpecParseError(f"schedule {name!r} not found; spec has {sorted(bundle.schedules)}")
-    return name
+        return ObservableSchedule(bra=obs_main), spectra
+    if kind == "left":
+        return ObservableSchedule(ket=obs_main), spectra
+    bname = bra_sched or sched
+    spectra += [[o.value for o in m.outcomes] for m in _schedule(bundle, bname)]
+    return ObservableSchedule(ket=obs_main, bra=tuple(bundle.observables[bname])), spectra
 
 
 def _cmd_charfn(args) -> int:

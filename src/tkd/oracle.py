@@ -1,11 +1,13 @@
-"""Brute-force reference paths for distributions and temporal states.
+"""Brute-force reference paths for distributions, correlators and temporal states.
 
 Every entry is computed from scratch: distributions by explicitly assembling
 the back-evolved joint operator for each outcome tuple and tracing it against
-the initial state; states by exhaustively summing direct-trace correlators
-over a Hilbert-Schmidt basis with plain nested kron loops. Nothing here
-shares code with the recursive or star-product paths it is used to check,
-beyond the shared dense-matrix kernel and the result containers.
+the initial state; correlators by measuring each basis element projectively
+and taking value-weighted sums of those distributions; states by exhaustively
+summing direct-trace correlators over a Hilbert-Schmidt basis with plain
+nested kron loops. Nothing here shares code with the sweep or star-product
+paths it is used to check, beyond the shared dense-matrix kernel and the
+result containers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .linops import ValidationError, dagger
 from .measurements import ProjectiveMeasurement, hs_basis, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution
-from .tomography import TemporalStateOperator
+from .tomography import CORRELATOR_KINDS, CorrelatorTensor, TemporalStateOperator
 
 _KD_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh")
 _STATE_KINDS = ("right", "left", "doubled", "mh", "lvn")
@@ -77,6 +79,56 @@ def oracle_kd(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement],
     if kind == "mh":
         values = values.real.astype(np.complex128)
     return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s), values)
+
+
+def _value_weighted(values: np.ndarray, sched: Sequence[ProjectiveMeasurement]) -> complex:
+    """Σ over outcome tuples of Q·Π_k b_k, the axes following ``sched``."""
+    for m in sched:
+        values = np.tensordot(values, np.array([o.value for o in m.outcomes]), axes=([0], [0]))
+    return complex(values)
+
+
+def oracle_correlators(p: MultiTimeProcess, kind: str = "right") -> CorrelatorTensor:
+    """Correlator tensor over Hilbert-Schmidt bases from oracle distributions.
+
+    Each basis element is measured through its spectral decomposition, and
+    each entry is the value-weighted sum of the ``oracle_kd`` distribution of
+    that schedule (doubled: of every ket and bra schedule pair). lvn entries
+    weight the diagonal of the doubled oracle with equal ket and bra schedules.
+    """
+    if kind not in CORRELATOR_KINDS:
+        raise ValidationError(f"oracle_correlators kind must be one of {CORRELATOR_KINDS}, "
+                              f"got {kind!r}")
+    bases = tuple(hs_basis(d) for d in p.dims)
+    meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
+    shape = tuple(len(b.ops) for b in bases)
+    ranges = [range(x) for x in shape]
+    nt = p.n_times
+
+    def sched(idx):
+        return [meas[k][i] for k, i in enumerate(idx)]
+
+    if kind == "doubled":
+        values = np.zeros(shape + shape, dtype=np.complex128)
+        for kidx in itertools.product(*ranges):
+            for bidx in itertools.product(*ranges):
+                ket, bra = sched(kidx), sched(bidx)
+                q = oracle_kd(p, ket, "kd_doubled", bra=bra).values
+                values[kidx + bidx] = _value_weighted(q, ket + bra)
+        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=nt)
+
+    values = np.zeros(shape, dtype=np.complex128)
+    for idx in itertools.product(*ranges):
+        s = sched(idx)
+        if kind == "lvn":
+            q = oracle_kd(p, s, "kd_doubled", bra=s).values
+            outcomes = q.shape[:nt]
+            side = int(np.prod(outcomes))
+            q = q.reshape(side, side).diagonal().reshape(outcomes)
+        else:
+            q = oracle_kd(p, s, {"right": "kd_right", "left": "kd_left", "mh": "mh"}[kind]).values
+        values[idx] = _value_weighted(q, s)
+    return CorrelatorTensor(kind, bases, values)
 
 
 def _direct_correlator(p: MultiTimeProcess, ops: Sequence[np.ndarray], kind: str) -> complex:

@@ -15,7 +15,6 @@ exposed through the API stay ascending.
 
 from __future__ import annotations
 
-import itertools
 import string
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,10 +31,6 @@ from .quasiprob import (
     _projectors,
     _superops,
     _sweep,
-    kd_doubled,
-    kd_left,
-    kd_right,
-    lvn,
 )
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
@@ -140,71 +135,32 @@ def _bases_for(p: MultiTimeProcess, bases) -> tuple[HSBasis, ...]:
     return bases
 
 
-def _weighted_sum(values: np.ndarray, vecs: Sequence[np.ndarray]) -> complex:
-    out = values
-    for v in vecs:
-        out = np.tensordot(out, v, axes=([0], [0]))
-    return complex(out)
-
-
 def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
-                kind: str = "right", method: str = "direct") -> CorrelatorTensor:
+                kind: str = "right") -> CorrelatorTensor:
     """Basis-observable expectation tensor of a process.
 
-    ``direct`` runs the forward sweep of ``tkd.quasiprob`` with basis
-    elements σ in place of projectors: x ↦ xσ (right, mh), σx (left),
-    σ_i x σ_j for every pair (doubled, ket block then bra block), and the
-    value-weighted collapse Σ_a a·Π_a x Π_a over the spectral projectors of σ
-    (lvn); mh keeps the real part of right. ``via_distributions`` measures
-    each basis element projectively and takes value-weighted sums of the
-    resulting distributions. The two agree because every distribution is
-    linear in its measurement operators.
+    Runs the forward sweep of ``tkd.quasiprob`` with basis elements σ in place
+    of projectors: x ↦ xσ (right, mh), σx (left), σ_i x σ_j for every pair
+    (doubled, ket block then bra block), and the value-weighted collapse
+    Σ_a a·Π_a x Π_a over the spectral projectors of σ (lvn); mh keeps the real
+    part of right. ``tkd.oracle.oracle_correlators`` recomputes the same tensor
+    from value-weighted sums of distributions.
     """
     if kind not in CORRELATOR_KINDS:
         raise ValidationError(f"unknown correlator kind {kind!r}")
-    if method not in ("direct", "via_distributions"):
-        raise ValidationError(f"unknown correlator method {method!r}")
     bases = _bases_for(p, bases)
-    shape = tuple(len(b.ops) for b in bases)
-    meas = None
-    if method == "via_distributions" or kind == "lvn":
+    if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
         meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
-
-    if method == "direct":
-        if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
-            maps = [np.stack([np.tensordot([o.value for o in m.outcomes],
-                                           _insertions("lvn", _projectors(m)), 1) for m in row])
-                    for row in meas]
-        else:
-            maps = [_insertions("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
-        values = _sweep(p.rho0, _superops(p.channels), maps)
-        if kind == "doubled":
-            values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
-            return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times)
-        values = values.reshape(shape)
-        if kind == "mh":
-            values = values.real.astype(np.complex128)
-        return CorrelatorTensor(kind, bases, values)
-
-    # via_distributions
+        maps = [np.stack([np.tensordot([o.value for o in m.outcomes],
+                                       _insertions("lvn", _projectors(m)), 1) for m in row])
+                for row in meas]
+    else:
+        maps = [_insertions("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
+    values = _sweep(p.rho0, _superops(p.channels), maps)
     if kind == "doubled":
-        values = np.zeros(shape + shape, dtype=np.complex128)
-        for kidx in itertools.product(*(range(s) for s in shape)):
-            ket_s = [meas[k][i] for k, i in enumerate(kidx)]
-            for bidx in itertools.product(*(range(s) for s in shape)):
-                bra_s = [meas[k][j] for k, j in enumerate(bidx)]
-                q = kd_doubled(p, ket_s, bra_s)
-                vecs = [np.array([o.value for o in ax]) for ax in q.axes]
-                values[kidx + bidx] = _weighted_sum(q.values, vecs)
+        values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
         return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times)
-
-    dist_fn = {"right": kd_right, "mh": kd_right, "left": kd_left, "lvn": lvn}[kind]
-    values = np.zeros(shape, dtype=np.complex128)
-    for idx in itertools.product(*(range(s) for s in shape)):
-        sched = [meas[k][i] for k, i in enumerate(idx)]
-        q = dist_fn(p, sched)
-        vecs = [np.array([o.value for o in ax]) for ax in q.axes]
-        values[idx] = _weighted_sum(q.values, vecs)
+    values = values.reshape(tuple(len(b.ops) for b in bases))
     if kind == "mh":
         values = values.real.astype(np.complex128)
     return CorrelatorTensor(kind, bases, values)

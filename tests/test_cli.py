@@ -207,6 +207,38 @@ def test_exit_code_parse(tmp_path, capsys):
     capsys.readouterr()
 
 
+PROJECTORS_BAD_VALUE = [
+    {"matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], "value": "q"},
+    {"matrix": [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]], "value": -1},
+]
+MALFORMED_FIELDS = [
+    ({"channels": [{"kind": "depolarizing", "p": "abc", "d": 2}]}, "channels[0].p"),
+    ({"channels": [{"kind": "depolarizing", "p": 0.1, "d": "x"}]}, "channels[0].d"),
+    ({"channels": [{"kind": "replacement", "omega": ZERO_STATE, "d_in": "x"}]},
+     "channels[0].d_in"),
+    ({"options": {"tolerance": "x"}}, "options.tolerance"),
+    ({"options": {"seed": "abc"}}, "options.seed"),
+    ({"options": {"seed": -1}}, "options.seed"),
+    ({"dims": ["a"]}, "dims[0]"),
+    ({"schedules": {"default": [{"projectors": PROJECTORS_BAD_VALUE}, {"observable": Y}]}},
+     "schedules.default[0].projectors[0].value"),
+    ({"initial_state": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "initial_state[0][0][0]"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]},
+     "initial_state[1][1][0]"),
+    ({"channels": [{"kind": "unitary", "u": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+     "channels[0].u[0][0][0]"),
+    ({"initial_state": [[[1, 0], [0, 0]]]}, "initial_state: shape (1, 2)"),
+]
+
+
+@pytest.mark.parametrize("extra,field", MALFORMED_FIELDS, ids=[f for _, f in MALFORMED_FIELDS])
+def test_malformed_field_exits_3(tmp_path, capsys, extra, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(probe_spec(**extra)))
+    assert run_command(["validate", str(path)]) == 3
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_validation(tmp_path, capsys):
     spec = probe_spec(channels=[{"kind": "kraus",
                                  "operators": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}])

@@ -1,4 +1,4 @@
-"""Property tests: the batched passes against the brute-force oracle.
+"""Property tests: the batched passes and χ against the brute-force oracle.
 
 Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps) and
 schedules draw spectra from a small value set, so degenerate observables and
@@ -43,6 +43,10 @@ def schedules(draw, dims) -> list[tkd.ProjectiveMeasurement]:
         u = tkd.haar_unitary(d, draw(SEEDS))
         out.append(tkd.spectral_measurement(u @ np.diag(spectrum) @ np.conj(u.T)))
     return out
+
+
+def _observables(sched) -> tuple[np.ndarray, ...]:
+    return tuple(m.observable() for m in sched)
 
 
 def _joint_traces(p, ops: tkd.JointMeasurementOperators) -> np.ndarray:
@@ -96,3 +100,28 @@ def test_correlators_match_direct_oracle(data):
         for idx in np.ndindex(t.values.shape):
             want = _direct_correlator_doubled(p, ops(idx[:nt]), ops(idx[nt:]))
             assert abs(t.values[idx] - want) <= TOL
+
+
+@SETTINGS
+@given(st.data())
+def test_char_fn_and_circuit_match_oracle(data):
+    p = data.draw(processes())
+    ket = data.draw(schedules(p.dims))
+    bra = data.draw(schedules(p.dims))
+    cases = (
+        ("right", tkd.ObservableSchedule(bra=_observables(bra)), tkd.oracle_kd(p, bra, "kd_right")),
+        ("left", tkd.ObservableSchedule(ket=_observables(ket)), tkd.oracle_kd(p, ket, "kd_left")),
+        ("doubled", tkd.ObservableSchedule(ket=_observables(ket), bra=_observables(bra)),
+         tkd.oracle_kd(p, ket, "kd_doubled", bra=bra)),
+    )
+    for kind, obs, q in cases:
+        width = len(q.axes)
+        phases = st.lists(st.floats(-3.0, 3.0), min_size=width, max_size=width)
+        points = [(0.0,) * width] + data.draw(st.lists(phases, min_size=1, max_size=4))
+        default = tkd.product_grid([tkd.default_nodes(q.axis_values(i)) for i in range(width)])
+        for grid in (points, default):
+            want = tkd.char_from_distribution(q, grid).values
+            assert max_abs(tkd.char_fn(p, obs, grid, kind=kind).values - want) <= TOL
+        if p.n_steps <= 2:
+            want = tkd.char_from_distribution(q, points[-1:]).values[0]
+            assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL

@@ -20,16 +20,16 @@ def swap_matrix(d: int) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["right", "left", "mh", "lvn"])
 def test_correlator_methods_agree(kind):
     p = tkd.random_process(2, 1, seed=501, channel_kind="cptp")
-    direct = tkd.correlators(p, kind=kind, method="direct")
-    via = tkd.correlators(p, kind=kind, method="via_distributions")
+    direct = tkd.correlators(p, kind=kind)
+    via = tkd.oracle_correlators(p, kind)
     assert max_abs(direct.values - via.values) < 1e-10
     assert direct.kind == kind and direct.ket_axes == 0
 
 
 def test_correlator_methods_agree_doubled():
     p = tkd.random_process(2, 1, seed=502, channel_kind="unitary")
-    direct = tkd.correlators(p, kind="doubled", method="direct")
-    via = tkd.correlators(p, kind="doubled", method="via_distributions")
+    direct = tkd.correlators(p, kind="doubled")
+    via = tkd.oracle_correlators(p, "doubled")
     assert max_abs(direct.values - via.values) < 1e-10
     assert direct.ket_axes == 2
     assert direct.values.shape == (4, 4, 4, 4)
@@ -37,8 +37,8 @@ def test_correlator_methods_agree_doubled():
 
 def test_correlators_d3():
     p = tkd.random_process(3, 1, seed=503, channel_kind="mixed")
-    direct = tkd.correlators(p, kind="right", method="direct")
-    via = tkd.correlators(p, kind="right", method="via_distributions")
+    direct = tkd.correlators(p, kind="right")
+    via = tkd.oracle_correlators(p, "right")
     assert max_abs(direct.values - via.values) < 1e-10
     assert direct.values.shape == (9, 9)
     assert abs(direct.values[0, 0] - 1.0) < 1e-12
@@ -70,8 +70,6 @@ def test_correlator_validation():
     p = tkd.random_process(2, 1, seed=1)
     with pytest.raises(ValidationError):
         tkd.correlators(p, bases=[b], kind="right")
-    with pytest.raises(ValidationError):
-        tkd.correlators(p, kind="right", method="sideways")
 
 
 @pytest.mark.parametrize("case", range(4))
