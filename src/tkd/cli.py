@@ -205,6 +205,24 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
     raise SpecParseError(f"{where}: needs 'observable' or 'projectors'")
 
 
+def _tolerance(options: dict) -> float:
+    """``options.tolerance``, else the TKD_TOLERANCE environment variable, else
+    the default; either source must hold a positive finite number."""
+    tol, where = options.get("tolerance"), "options.tolerance"
+    if tol is None:
+        raw, where = os.environ.get(TOLERANCE_ENV), TOLERANCE_ENV
+        if raw is None:
+            return DEFAULT_TOLERANCE
+        try:
+            tol = float(raw)
+        except ValueError:
+            tol = raw  # rejected below with the variable named
+    tol = _number(tol, where)
+    if tol <= 0:
+        raise SpecParseError(f"{where}: expected a positive number, got {tol}")
+    return tol
+
+
 def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     if not isinstance(data, dict):
         raise SpecParseError("spec root must be an object")
@@ -213,11 +231,7 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise SpecParseError("options: expected an object")
-    tol = options.get("tolerance")
-    if tol is None:
-        tol = float(os.environ.get(TOLERANCE_ENV, DEFAULT_TOLERANCE))
-    else:
-        tol = _number(tol, "options.tolerance")
+    tol = _tolerance(options)
     seed = options.get("seed")
     if seed is not None:
         seed = _number(seed, "options.seed", integer=True)
@@ -641,6 +655,12 @@ def _cmd_demo(args) -> int:
 # parser
 
 
+def _seed_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tkd",
                                  description="Temporal quasiprobability toolbox")
@@ -686,7 +706,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bra-schedule", default=None)
     sp.add_argument("--point", required=True, help="comma-separated phases")
     sp.add_argument("--shots", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed_arg, default=None)
 
     sp = sub.add_parser("demo", help="run a bundled worked example")
     sp.add_argument("name", choices=sorted(_DEMOS))

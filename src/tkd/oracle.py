@@ -5,9 +5,8 @@ the back-evolved joint operator for each outcome tuple and tracing it against
 the initial state; correlators by measuring each basis element projectively
 and taking value-weighted sums of those distributions; states by exhaustively
 summing direct-trace correlators over a Hilbert-Schmidt basis with plain
-nested kron loops. Nothing here shares code with the sweep or star-product
-paths it is used to check, beyond the shared dense-matrix kernel and the
-result containers.
+nested kron loops. Nothing here shares code with the sweep it is used to
+check, beyond the shared dense-matrix kernel and the result containers.
 """
 
 from __future__ import annotations

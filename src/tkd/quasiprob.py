@@ -221,13 +221,15 @@ def _insertions(side: str, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
     return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
 
 
+def _superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major superoperator Σ K⊗K̄ of one Kraus list, (d_out², d_in²): vec(E(x)) = S·vec(x)."""
+    k = np.stack(kraus)
+    d_out, d_in = k.shape[1:]
+    return np.einsum("xab,xcd->acbd", k, k.conj()).reshape(d_out ** 2, d_in ** 2)
+
+
 def _superops(channels: Sequence[QuantumChannel]) -> list[np.ndarray]:
-    """Row-major superoperators Σ K⊗K̄, each (d_out², d_in²): vec(E(x)) = S·vec(x)."""
-    out = []
-    for c in channels:
-        k = np.stack(c.kraus)
-        out.append(np.einsum("xab,xcd->acbd", k, k.conj()).reshape(c.d_out ** 2, c.d_in ** 2))
-    return out
+    return [_superop(c.kraus) for c in channels]
 
 
 def _trace_rows(maps: np.ndarray) -> np.ndarray:
@@ -495,11 +497,11 @@ def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrumen
     rho = check_density(rho)
     if m.dim != rho.shape[0]:
         raise ValidationError("measurement dim does not match the state")
-    values = np.zeros((len(m.outcomes), len(instrument.branches)), dtype=np.complex128)
-    for i, o in enumerate(m.outcomes):
-        x = rho @ o.projector
-        for k, (_, ops) in enumerate(instrument.branches):
-            values[i, k] = np.trace(sum(e @ x @ dagger(e) for e in ops))
+    if instrument.branches[0][1][0].shape[1] != rho.shape[0]:
+        raise ValidationError("instrument input dim does not match the state")
+    # Tr[M_k(x)] = vec(I)ᵀ·S_k·vec(x), for every vec(ρΠ_b) at once
+    rows = _trace_rows(np.stack([_superop(ops) for _, ops in instrument.branches]))
+    values = (rho @ _projectors(m)).reshape(len(m.outcomes), -1) @ rows.T
     branch_axis = tuple(
         Outcome(value=float(k), projector=None, label=label)
         for k, (label, _) in enumerate(instrument.branches))

@@ -1,10 +1,10 @@
 """Correlator tensors and temporal state operators.
 
 A multi-time process can be packed into a single operator on the tensor
-product of its time slots: either by folding channel Jamiolkowski operators
-onto the initial state with the star product (the Kirkwood-Dirac state), by
-taking the Hermitian part of that (the Margenau-Hill state), or by a nested
-Jordan-product recursion (the pseudo-density operator). All of them are
+product of its time slots. Each is read off the forward sweep of
+``tkd.quasiprob`` with matrix units E_ab = |a⟩⟨b| inserted at every time:
+x ↦ xE gives the Kirkwood-Dirac state, its Hermitian part the Margenau-Hill
+state, and x ↦ (Ex + xE)/2 the pseudo-density operator. All of them are
 unit-trace; traces against products of time-local operators reproduce the
 corresponding distribution or correlator.
 
@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import jamiolkowski
 from .linops import ValidationError, as_matrix, dagger, kron_chain, max_abs, partial_trace
 from .measurements import HSBasis, hs_basis, spectral_measurement
 from .quasiprob import (
@@ -199,28 +198,28 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     return TemporalStateOperator(_STATE_FROM_CORRELATOR[t.kind], t.time_dims, mat)
 
 
-def star(a: np.ndarray, b: np.ndarray, shared_dim: int) -> np.ndarray:
-    """Link product over a shared factor: a on X⊗S, b on S⊗Y gives
-    (a ⊗ I_Y)(I_X ⊗ b) on X⊗S⊗Y."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] % shared_dim or b.shape[0] % shared_dim:
-        raise ValidationError("shared_dim does not divide the factors")
-    x = a.shape[0] // shared_dim
-    y = b.shape[0] // shared_dim
-    return np.kron(a, np.eye(y)) @ np.kron(np.eye(x), b)
+def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
+    """Read a state off the forward sweep with matrix units E_ab = |a⟩⟨b|
+    inserted at every time: x ↦ xE (right) or (Ex + xE)/2 (jordan). Since
+    Tr[Υ·⊗E] = Υ[b, a], one transpose puts the b indices on the rows and the
+    a indices on the columns, latest time first."""
+    maps = []
+    for d in p.dims:
+        units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+        m = _insertions("right", units)
+        maps.append((m + _insertions("left", units)) / 2 if side == "jordan" else m)
+    n, side_dim = p.n_times, int(np.prod(p.dims))
+    values = _sweep(p.rho0, _superops(p.channels), maps).reshape([x for d in p.dims for x in (d, d)])
+    order = list(range(2 * n - 1, 0, -2)) + list(range(2 * n - 2, -1, -2))
+    return values.transpose(order).reshape(side_dim, side_dim)
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:
-    """Fold the chain's Jamiolkowski operators onto ρ with the star product."""
-    y = p.rho0
-    for c in p.channels:
-        y = star(jamiolkowski(c), y, c.d_in)
-    if kind == "kd_left":
-        y = dagger(y)
-    elif kind != "kd_right":
+    """The right read-off of the sweep (x ↦ xE); kd_left is its dagger."""
+    if kind not in ("kd_right", "kd_left"):
         raise ValidationError(f"kd_state_recursive builds kd_right/kd_left, not {kind!r}")
-    return TemporalStateOperator(kind, p.dims, y)
+    y = _state(p, "right")
+    return TemporalStateOperator(kind, p.dims, dagger(y) if kind == "kd_left" else y)
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
@@ -229,19 +228,12 @@ def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
 
 
 def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
-    """Nested Jordan products of Jamiolkowski operators onto ρ.
+    """The Jordan read-off of the sweep (x ↦ (Ex + xE)/2).
 
     Coincides with the Margenau-Hill state at two times; from three times on
     the nesting order matters and the two drift apart.
     """
-    y = p.rho0
-    pad = 1
-    for c in p.channels:
-        j = np.kron(jamiolkowski(c), np.eye(pad))
-        z = np.kron(np.eye(c.d_out), y)
-        y = (j @ z + z @ j) / 2
-        pad *= c.d_in
-    return TemporalStateOperator("pdo", p.dims, y)
+    return TemporalStateOperator("pdo", p.dims, _state(p, "jordan"))
 
 
 def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str) -> list[np.ndarray]:

@@ -217,6 +217,8 @@ MALFORMED_FIELDS = [
     ({"channels": [{"kind": "replacement", "omega": ZERO_STATE, "d_in": "x"}]},
      "channels[0].d_in"),
     ({"options": {"tolerance": "x"}}, "options.tolerance"),
+    ({"options": {"tolerance": -1}}, "options.tolerance: expected a positive number"),
+    ({"options": {"tolerance": 0}}, "options.tolerance: expected a positive number, got 0.0"),
     ({"options": {"seed": "abc"}}, "options.seed"),
     ({"options": {"seed": -1}}, "options.seed"),
     ({"dims": ["a"]}, "dims[0]"),
@@ -266,3 +268,19 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     strict.write_text(json.dumps(spec))
     assert run_command(["validate", str(strict)]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan"])
+def test_tolerance_env_rejected(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(probe_spec(options={})))
+    monkeypatch.setenv("TKD_TOLERANCE", value)
+    assert run_command(["validate", str(path)]) == 3
+    assert "TKD_TOLERANCE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-3", "x", "1.5"])
+def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
+    argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "10", "--seed", seed]
+    assert run_command(argv) == 2
+    assert "--seed" in capsys.readouterr().err

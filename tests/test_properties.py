@@ -1,9 +1,11 @@
-"""Property tests: the batched passes and χ against the brute-force oracle.
+"""Property tests: the batched passes, χ and the temporal states against the
+brute-force oracle.
 
 Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps) and
 schedules draw spectra from a small value set, so degenerate observables and
 single-outcome measurements come up. Examples are derandomized, so every run
-checks the same cases. Each check uses the contract tolerance of 1e-12.
+checks the same cases. Distributions, correlators and χ use the contract
+tolerance of 1e-12, states against the oracle that of 1e-10.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ TOL = 1e-12
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 # the oracle spends ~0.5 s per d=3, n=2 correlator tensor, so fewer examples here
 CORRELATOR_SETTINGS = settings(SETTINGS, max_examples=20)
+# a d=3, n=2 oracle state sums 729 direct correlators (~0.12 s per kind)
+STATE_SETTINGS = settings(SETTINGS, max_examples=20)
+STATE_TOL = 1e-10
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -125,3 +130,41 @@ def test_char_fn_and_circuit_match_oracle(data):
         if p.n_steps <= 2:
             want = tkd.char_from_distribution(q, points[-1:]).values[0]
             assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
+
+
+def _jordan_expansion(p) -> np.ndarray:
+    """{A_n, ...{A_1, R}...}/2^n expanded into its 2^n ordered products, with A_k
+    the Jamiolkowski operator of step k on slots (t_k, t_{k-1}) and R = ρ on t_0,
+    all padded to the full latest-first space."""
+    dims = p.dims
+    terms = [np.kron(np.eye(int(np.prod(dims[1:]))), p.rho0)]
+    for k, c in enumerate(p.channels, 1):
+        a = tkd.kron_chain([np.eye(int(np.prod(dims[k + 1:]))), tkd.jamiolkowski(c),
+                            np.eye(int(np.prod(dims[:k - 1])))])
+        terms = [a @ t for t in terms] + [t @ a for t in terms]
+    return sum(terms) / 2 ** p.n_steps
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_states_match_oracle(data):
+    p = data.draw(processes(max_steps=2))
+    right = tkd.kd_state_recursive(p)
+    mh = tkd.mh_state(p)
+    assert max_abs(right.matrix - tkd.oracle_state(p, "right").matrix) <= STATE_TOL
+    left = tkd.kd_state_recursive(p, kind="kd_left").matrix
+    assert max_abs(left - tkd.oracle_state(p, "left").matrix) <= STATE_TOL
+    assert max_abs(mh.matrix - tkd.oracle_state(p, "mh").matrix) <= STATE_TOL
+
+    pdo = tkd.pdo(p).matrix
+    assert max_abs(pdo - _jordan_expansion(p)) <= TOL
+    if p.dims[0] == 2:  # the lvn resynthesis is the pdo only for qubits
+        assert max_abs(pdo - tkd.oracle_state(p, "lvn").matrix) <= STATE_TOL
+
+    s = data.draw(schedules(p.dims))
+    q = tkd.kd_right(p, s)
+    qm = tkd.mh_from_kd(q)
+    for idx in np.ndindex(q.values.shape):
+        projs = [m.outcomes[i].projector for m, i in zip(s, idx)]
+        assert abs(tkd.born_eval(right, projs) - q.values[idx]) <= TOL
+        assert abs(tkd.born_eval(mh, projs) - qm.values[idx]) <= TOL

@@ -403,3 +403,25 @@ def test_extended_kd_marginals(pauli):
     # measurement marginal: Born probabilities at the first time
     for i, o in enumerate(m.outcomes):
         assert abs(q.values[i, :].sum() - np.trace(rho @ o.projector)) < 1e-12
+
+
+@pytest.mark.parametrize("d_out", [3, 2])
+def test_extended_kd_matches_branch_loop(d_out):
+    # reference: Tr[Σ_e e(ρΠ_b)e†] outcome by outcome and branch by branch
+    for seed in range(10):
+        rng = np.random.default_rng(720 + seed)
+        rho = tkd.random_density(3, rng)
+        m = tkd.random_schedule([3], rng)[0]
+        g = rng.normal(size=(4 * d_out, 3)) + 1j * rng.normal(size=(4 * d_out, 3))
+        kraus = [k for k in np.linalg.qr(g)[0].reshape(4, d_out, 3)]
+        inst = tkd.Instrument([("a", kraus[:1]), ("b", kraus[1:3]), ("c", kraus[3:])])
+        q = tkd.extended_kd(rho, m, inst)
+        want = [[np.trace(sum(e @ rho @ o.projector @ np.conj(e.T) for e in ops))
+                 for _, ops in inst.branches] for o in m.outcomes]
+        assert max_abs(q.values - np.array(want)) < 1e-14
+
+
+def test_extended_kd_dim_mismatch(pauli):
+    inst = tkd.Instrument([("a", [np.diag([1.0, 0, 0])]), ("b", [np.diag([0, 1.0, 1.0])])])
+    with pytest.raises(ValidationError, match="instrument"):
+        tkd.extended_kd(np.eye(2) / 2, tkd.spectral_measurement(pauli["Z"]), inst)

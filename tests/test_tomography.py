@@ -257,8 +257,3 @@ def test_eigenvalues_and_state_validation():
         tkd.TemporalStateOperator("bogus", (2, 2), np.eye(4) / 4)
     with pytest.raises(ValidationError):
         tkd.TemporalStateOperator("kd_right", (2, 3), y.matrix)
-
-
-def test_star_shared_dim_validation():
-    with pytest.raises(ValidationError):
-        tkd.star(np.eye(4), np.eye(4), 3)
