@@ -62,11 +62,12 @@ class ObservableSchedule:
 @dataclass(frozen=True)
 class CharSamples:
     """χ values over a list of phase points (doubled points carry the ket
-    v-block first, then the bra u-block)."""
+    v-block first, then the bra u-block). ``tol`` bounds |χ(0) − 1|."""
 
     kind: str
     grid: tuple[tuple[float, ...], ...]
     values: np.ndarray
+    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if self.kind not in CHAR_KINDS:
@@ -80,7 +81,7 @@ class CharSamples:
         if len(widths) > 1:
             raise ValidationError("grid points differ in arity")
         for pt, v in zip(grid, self.values):
-            if all(x == 0.0 for x in pt) and abs(v - 1.0) > 1e-10:
+            if all(x == 0.0 for x in pt) and abs(v - 1.0) > self.tol:
                 raise ValidationError(f"value at the zero point is {v}, not 1")
 
 
@@ -156,7 +157,7 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
         bra_meas = _side_meas(obs.bra, p.dims, "bra")
     v, u = _split_points(grid, kind, p.n_times)
     return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid),
-                       _char_values(p, ket_meas, bra_meas, v, u))
+                       _char_values(p, ket_meas, bra_meas, v, u), tol=p.tol)
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
@@ -179,7 +180,8 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
         for s, bv, x in zip(signs, vals, pt):
             t = np.tensordot(t, np.exp(s * 1j * bv * float(x)), axes=([0], [0]))
         out.append(complex(t))
-    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid), np.array(out))
+    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid), np.array(out),
+                       tol=q.tol)
 
 
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
@@ -239,7 +241,7 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
     out_axes = tuple(
         tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
     kind = {"right": "kd_right", "left": "kd_left", "doubled": "kd_doubled"}[samples.kind]
-    return QuasiDistribution(kind, out_axes, tensor, ket_axes=ket_axes)
+    return QuasiDistribution(kind, out_axes, tensor, ket_axes=ket_axes, tol=samples.tol)
 
 
 @dataclass(frozen=True)

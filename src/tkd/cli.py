@@ -2,16 +2,21 @@
 
 Reads JSON process specifications, dispatches the library computations, and
 emits deterministic JSON result documents (complex scalars as [re, im]
-pairs, matrices as row-major nested arrays). Exit codes: 2 for bad usage,
-3 for a spec file that does not parse, 4 for numerical validation failures.
+pairs, matrices as row-major nested arrays). Documents are written by
+``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` and formats complex arrays one row template at a time.
+Exit codes: 2 for bad usage, 3 for a spec file that does not parse, 4 for
+numerical validation failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -70,8 +75,65 @@ def _c2(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[_c2(x) for x in row] for row in np.asarray(m)]
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _pair_row(width: int, level: int) -> str:
+    """``%s`` template of a row of ``width`` [re, im] pairs whose '[' sits at ``level``."""
+    if not width:
+        return "[]"
+    i1 = "\n" + "  " * (level + 1)
+    i2 = i1 + "  "
+    pair = f"[{i2}%s,{i2}%s{i1}]"
+    return "[" + i1 + ("," + i1).join([pair] * width) + i1[:-2] + "]"
+
+
+def _array(a: np.ndarray, level: int) -> str:
+    """A complex array as nested [re, im] pairs, laid out as ``_render`` lays out lists."""
+    text = list(map(repr, np.ascontiguousarray(a).reshape(-1).view(np.float64).tolist()))
+    if not np.isfinite(a).all():
+        text = [_NONFINITE.get(x, x) for x in text]
+    *outer, width = a.shape
+    row, step = _pair_row(width, level + len(outer)), 2 * width
+    items = [row % tuple(text[i:i + step]) for i in range(0, len(text), step)] \
+        if width else [row] * math.prod(outer)
+    for k in reversed(range(len(outer))):  # wrap rows into the leading axes, innermost first
+        n, ind = outer[k], "\n" + "  " * (level + k + 1)
+        items = [f"[{ind}" + f",{ind}".join(items[i:i + n]) + ind[:-2] + "]"
+                 for i in range(0, len(items), n)] if n else ["[]"] * math.prod(outer[:k])
+    return items[0]
+
+
+def _render(o, level: int = 0) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, with complex ``np.ndarray``
+    leaves (ndim ≥ 1) written as nested [re, im] pairs."""
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim:
+        return _array(o, level)
+    ind = "\n" + "  " * (level + 1)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + ind + ("," + ind).join([_render(x, level + 1) for x in o]) + ind[:-2] + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + ind + ("," + ind).join(
+            [json.encoder.encode_basestring_ascii(k) + ": " + _render(v, level + 1)
+             for k, v in sorted(o.items())]) + ind[:-2] + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _number(obj, where: str, integer: bool = False):
@@ -333,7 +395,7 @@ def _dist_json(q: QuasiDistribution) -> dict:
         "shape": list(q.values.shape),
         "ket_axes": q.ket_axes,
         "axes": _axes_json(q),
-        "values": [_c2(z) for z in q.values.reshape(-1)],
+        "values": q.values.reshape(-1),
         "ordering": "row-major over ascending-time axes (lexicographic outcome tuples)",
     }
 
@@ -346,7 +408,7 @@ def _write_output(text: str, out: str | None):
 
 
 def _emit(doc: dict, out: str | None) -> int:
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    _write_output(_render(doc) + "\n", out)
     return 0
 
 
@@ -480,10 +542,10 @@ def _cmd_state(args) -> int:
         "kind": y.kind,
         "dims": list(y.dims),
         "factor_order": "latest time first" + (", ket block then bra block" if y.doubled else ""),
-        "matrix": _matrix_json(y.matrix),
+        "matrix": y.matrix,
         "trace": _c2(np.trace(y.matrix)),
         "hermiticity_defect": float(max_abs(y.matrix - dagger(y.matrix))),
-        "eigenvalues": [_c2(z) for z in eigs],
+        "eigenvalues": eigs.astype(np.complex128),
         "min_real_eigenvalue": float(np.min(np.asarray(eigs).real)),
     }
     return _emit(doc, args.out)
@@ -530,9 +592,9 @@ def _cmd_charfn(args) -> int:
     doc = _base_doc("charfn", bundle)
     doc["characteristic"] = {
         "kind": samples.kind,
-        "grid": [list(pt) for pt in samples.grid],
+        "grid": samples.grid,
         "grid_source": source,
-        "values": [_c2(z) for z in samples.values],
+        "values": samples.values,
     }
     if source == "default":
         q = invert_char(samples, spectra)
@@ -553,12 +615,11 @@ def _cmd_circuit_sim(args) -> int:
     doc = _base_doc("circuit-sim", bundle)
     doc["circuit"] = {
         "kind": res.kind,
-        "point": list(res.point),
+        "point": res.point,
         "exact": _c2(res.exact),
         "direct_formula": _c2(ref),
         "circuit_defect": float(abs(res.exact - ref)),
-        "metadata": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in res.metadata.items()},
+        "metadata": res.metadata,
         "shots": res.shots,
         "seed": seed,
     }
@@ -661,6 +722,7 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tkd",
                                  description="Temporal quasiprobability toolbox")

@@ -64,7 +64,7 @@ def oracle_kd(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement],
                         @ s[k - 1].outcomes[kidx[k - 1]].projector
                 values[kidx + bidx] = np.trace(a @ p.rho0)
         axes = tuple(tuple(m.outcomes) for m in s) + tuple(tuple(m.outcomes) for m in bra)
-        return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times)
+        return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times, tol=p.tol)
 
     shape = tuple(len(m.outcomes) for m in s)
     values = np.zeros(shape, dtype=np.complex128)
@@ -77,7 +77,7 @@ def oracle_kd(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement],
         values[idx] = np.trace(a @ p.rho0)
     if kind == "mh":
         values = values.real.astype(np.complex128)
-    return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s), values)
+    return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s), values, tol=p.tol)
 
 
 def _value_weighted(values: np.ndarray, sched: Sequence[ProjectiveMeasurement]) -> complex:
@@ -114,7 +114,7 @@ def oracle_correlators(p: MultiTimeProcess, kind: str = "right") -> CorrelatorTe
                 ket, bra = sched(kidx), sched(bidx)
                 q = oracle_kd(p, ket, "kd_doubled", bra=bra).values
                 values[kidx + bidx] = _value_weighted(q, ket + bra)
-        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=nt)
+        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=nt, tol=p.tol)
 
     values = np.zeros(shape, dtype=np.complex128)
     for idx in itertools.product(*ranges):
@@ -127,7 +127,7 @@ def oracle_correlators(p: MultiTimeProcess, kind: str = "right") -> CorrelatorTe
         else:
             q = oracle_kd(p, s, {"right": "kd_right", "left": "kd_left", "mh": "mh"}[kind]).values
         values[idx] = _value_weighted(q, s)
-    return CorrelatorTensor(kind, bases, values)
+    return CorrelatorTensor(kind, bases, values, tol=p.tol)
 
 
 def _direct_correlator(p: MultiTimeProcess, ops: Sequence[np.ndarray], kind: str) -> complex:
@@ -186,7 +186,7 @@ def oracle_state(p: MultiTimeProcess, kind: str = "right") -> TemporalStateOpera
                     block = np.kron(block, bases[k].ops[bidx[k]])
                 acc += t * block
         acc /= float(np.prod(p.dims)) ** 2
-        return TemporalStateOperator("kd_doubled", p.dims, acc)
+        return TemporalStateOperator("kd_doubled", p.dims, acc, tol=p.tol)
 
     side = int(np.prod(p.dims))
     acc = np.zeros((side, side), dtype=np.complex128)
@@ -201,4 +201,4 @@ def oracle_state(p: MultiTimeProcess, kind: str = "right") -> TemporalStateOpera
             block = np.kron(block, bases[k].ops[idx[k]])
         acc += t * block
     acc /= float(np.prod(p.dims))
-    return TemporalStateOperator(_STATE_NAME[kind], p.dims, acc)
+    return TemporalStateOperator(_STATE_NAME[kind], p.dims, acc, tol=p.tol)

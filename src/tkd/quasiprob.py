@@ -156,12 +156,16 @@ class QuasiDistribution:
     ``axes[i]`` lists the outcomes along axis i; ``ket_axes`` counts the
     leading axes that form the ket block of a doubled kind (0 otherwise, and
     possibly 0 for a doubled kind whose block structure was reduced away).
+    ``tol`` bounds the normalization defect and the lvn range; the imaginary
+    residue of the real kinds is held to tol/100. Producers pass the tolerance
+    of the process they evaluate.
     """
 
     kind: str
     axes: tuple[tuple[Outcome, ...], ...]
     values: np.ndarray
     ket_axes: int = 0
+    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -175,14 +179,14 @@ class QuasiDistribution:
         if self.kind not in DOUBLED_KINDS and self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
         total = complex(self.values.sum())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > self.tol:
             raise ValidationError(f"distribution sums to {total}, not 1")
         if self.kind in ("mh", "mh_doubled", "lvn"):
-            if float(np.max(np.abs(self.values.imag))) > 1e-12:
+            if float(np.max(np.abs(self.values.imag))) > self.tol / 100:
                 raise ValidationError(f"{self.kind} entries must be real")
         if self.kind == "lvn":
             re = self.values.real
-            if re.min() < -1e-10 or re.max() > 1.0 + 1e-10:
+            if re.min() < -self.tol or re.max() > 1.0 + self.tol:
                 raise ValidationError("lvn entries must lie in [0, 1]")
 
     def axis_labels(self, i: int) -> tuple[Hashable, ...]:
@@ -282,7 +286,7 @@ def _single(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str,
     _check_schedule(p, s)
     values = _sweep(p.rho0, _superops(p.channels), [_insertions(side, _projectors(m)) for m in s])
     return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s),
-                             values.reshape(tuple(len(m.outcomes) for m in s)))
+                             values.reshape(tuple(len(m.outcomes) for m in s)), tol=p.tol)
 
 
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
@@ -305,7 +309,7 @@ def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
     """
     maps, shapes, axes = _doubled(p, ket, bra)
     values = _ket_bra_order(_sweep(p.rho0, _superops(p.channels), maps), shapes)
-    return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times)
+    return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times, tol=p.tol)
 
 
 def lvn(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
@@ -318,7 +322,8 @@ def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
     if q.kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"mh_from_kd expects a kd kind, got {q.kind!r}")
     kind = "mh_doubled" if q.kind == "kd_doubled" else "mh"
-    return QuasiDistribution(kind, q.axes, q.values.real.astype(np.complex128), ket_axes=q.ket_axes)
+    return QuasiDistribution(kind, q.axes, q.values.real.astype(np.complex128),
+                             ket_axes=q.ket_axes, tol=q.tol)
 
 
 def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:
@@ -332,7 +337,7 @@ def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:
     values = q.values.sum(axis=drop) if drop else q.values.copy()
     axes = tuple(q.axes[i] for i in keep)
     ket_axes = sum(1 for i in keep if i < q.ket_axes)
-    return QuasiDistribution(q.kind, axes, values, ket_axes=ket_axes)
+    return QuasiDistribution(q.kind, axes, values, ket_axes=ket_axes, tol=q.tol)
 
 
 def coarse_grain(q: QuasiDistribution, partition: Sequence[Sequence[tuple]]) -> QuasiDistribution:
@@ -354,7 +359,7 @@ def coarse_grain(q: QuasiDistribution, partition: Sequence[Sequence[tuple]]) -> 
     values = np.array([sum(q.values[t] for t in sorted(cell)) for cell in cells],
                       dtype=np.complex128)
     axis = tuple(Outcome(value=float(i), projector=None, label=i) for i in range(len(cells)))
-    return QuasiDistribution(q.kind, (axis,), values, ket_axes=0)
+    return QuasiDistribution(q.kind, (axis,), values, tol=q.tol)
 
 
 def nonclassicality(q: QuasiDistribution, variant: str = "linear") -> float:
@@ -406,7 +411,7 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
         ket_axes = 0
     d0 = p.dims[0]
     ops = ops.reshape(-1, d0, d0)
-    if max_abs(ops.sum(axis=0) - np.eye(d0)) > 1e-10:
+    if max_abs(ops.sum(axis=0) - np.eye(d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
     keys = np.ndindex(tuple(len(ax) for ax in axes))
     return JointMeasurementOperators(kind, axes, dict(zip(keys, ops)), ket_axes=ket_axes)
@@ -494,7 +499,7 @@ def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> 
 def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrument) -> QuasiDistribution:
     """Joint quasiprobability of a projective outcome and an instrument branch:
     Q(b, k) = Tr[M_k(ρ Π_b)], the bra-side insertion at a single time."""
-    rho = check_density(rho)
+    rho = check_density(rho, instrument.tol)
     if m.dim != rho.shape[0]:
         raise ValidationError("measurement dim does not match the state")
     if instrument.branches[0][1][0].shape[1] != rho.shape[0]:
@@ -505,7 +510,8 @@ def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrumen
     branch_axis = tuple(
         Outcome(value=float(k), projector=None, label=label)
         for k, (label, _) in enumerate(instrument.branches))
-    return QuasiDistribution("kd_right", (tuple(m.outcomes), branch_axis), values)
+    return QuasiDistribution("kd_right", (tuple(m.outcomes), branch_axis), values,
+                             tol=instrument.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ exposed through the API stay ascending.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, dagger, kron_chain, max_abs, partial_trace
+from .linops import ValidationError, as_matrix, dagger, max_abs, partial_trace
 from .measurements import HSBasis, hs_basis, spectral_measurement
 from .quasiprob import (
     MultiTimeProcess,
@@ -40,12 +40,15 @@ HERMITIAN_STATE_KINDS = ("mh", "mh_doubled", "pdo")
 @dataclass(frozen=True)
 class CorrelatorTensor:
     """Expectation tensor T over Hilbert-Schmidt basis choices, one axis per
-    time slot (doubled kinds: ket block then bra block)."""
+    time slot (doubled kinds: ket block then bra block). ``tol`` bounds the
+    identity entry's distance from 1; mh and lvn imaginary parts are held to
+    tol/100."""
 
     kind: str
     bases: tuple[HSBasis, ...]
     values: np.ndarray
     ket_axes: int = 0
+    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if self.kind not in CORRELATOR_KINDS:
@@ -64,10 +67,10 @@ class CorrelatorTensor:
         elif self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
         top = complex(self.values[(0,) * len(shape)])
-        if abs(top - 1.0) > 1e-10:
+        if abs(top - 1.0) > self.tol:
             raise ValidationError(f"identity correlator is {top}, not 1")
         if self.kind in ("mh", "lvn"):
-            if float(np.max(np.abs(self.values.imag))) > 1e-12:
+            if float(np.max(np.abs(self.values.imag))) > self.tol / 100:
                 raise ValidationError(f"{self.kind} correlators must be real")
 
     @property
@@ -79,11 +82,14 @@ class CorrelatorTensor:
 @dataclass(frozen=True)
 class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
-    while matrix factors run latest-first (doubled: ket block, then bra)."""
+    while matrix factors run latest-first (doubled: ket block, then bra).
+    ``tol`` bounds the trace defect and, for Hermitian kinds, the
+    Hermiticity defect."""
 
     kind: str
     dims: tuple[int, ...]
     matrix: np.ndarray
+    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
@@ -97,9 +103,9 @@ class TemporalStateOperator:
         if m.shape != (d, d):
             raise ValidationError(f"state matrix is {m.shape}, dims imply {(d, d)}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"state trace is {tr}, not 1")
-        if self.kind in HERMITIAN_STATE_KINDS and max_abs(m - dagger(m)) > 1e-10:
+        if self.kind in HERMITIAN_STATE_KINDS and max_abs(m - dagger(m)) > self.tol:
             raise ValidationError(f"{self.kind} state must be Hermitian")
 
     @property
@@ -158,11 +164,11 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     values = _sweep(p.rho0, _superops(p.channels), maps)
     if kind == "doubled":
         values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
-        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times)
+        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times, tol=p.tol)
     values = values.reshape(tuple(len(b.ops) for b in bases))
     if kind == "mh":
         values = values.real.astype(np.complex128)
-    return CorrelatorTensor(kind, bases, values)
+    return CorrelatorTensor(kind, bases, values, tol=p.tol)
 
 
 _STATE_FROM_CORRELATOR = {
@@ -195,7 +201,7 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     mat = np.einsum(sub + "->" + rows + cols, t.values, *stacks, optimize=True)
     side = int(np.prod([b.dim for b in t.bases]))
     mat = mat.reshape(side, side) / side
-    return TemporalStateOperator(_STATE_FROM_CORRELATOR[t.kind], t.time_dims, mat)
+    return TemporalStateOperator(_STATE_FROM_CORRELATOR[t.kind], t.time_dims, mat, tol=t.tol)
 
 
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
@@ -219,12 +225,12 @@ def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalS
     if kind not in ("kd_right", "kd_left"):
         raise ValidationError(f"kd_state_recursive builds kd_right/kd_left, not {kind!r}")
     y = _state(p, "right")
-    return TemporalStateOperator(kind, p.dims, dagger(y) if kind == "kd_left" else y)
+    return TemporalStateOperator(kind, p.dims, dagger(y) if kind == "kd_left" else y, tol=p.tol)
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
     y = kd_state_recursive(p).matrix
-    return TemporalStateOperator("mh", p.dims, (y + dagger(y)) / 2)
+    return TemporalStateOperator("mh", p.dims, (y + dagger(y)) / 2, tol=p.tol)
 
 
 def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
@@ -233,7 +239,7 @@ def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
     Coincides with the Margenau-Hill state at two times; from three times on
     the nesting order matters and the two drift apart.
     """
-    return TemporalStateOperator("pdo", p.dims, _state(p, "jordan"))
+    return TemporalStateOperator("pdo", p.dims, _state(p, "jordan"), tol=p.tol)
 
 
 def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str) -> list[np.ndarray]:
@@ -249,7 +255,10 @@ def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str)
 def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
               bra_projectors: Sequence[np.ndarray] | None = None) -> complex:
     """Tr[Υ·(⊗ factors)] with one operator per time (ascending order in the
-    arguments). Doubled states take separate ket and bra operator lists."""
+    arguments). Doubled states take separate ket and bra operator lists.
+
+    One contraction of Υ's row and column legs against the factors, F[j, i]
+    with Υ[i, j] on every leg; the D×D product is never formed."""
     factors = _factors_for(y, projectors, "ket")
     if y.doubled:
         if bra_projectors is None:
@@ -257,7 +266,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
         factors = factors + _factors_for(y, bra_projectors, "bra")
     elif bra_projectors is not None:
         raise ValidationError(f"{y.kind} state takes a single operator list")
-    return complex(np.trace(y.matrix @ kron_chain(factors)))
+    legs = string.ascii_letters[: 2 * len(factors)]
+    rows, cols = legs[: len(factors)], legs[len(factors):]
+    sub = ",".join([rows + cols] + [c + r for r, c in zip(rows, cols)])
+    return complex(np.einsum(sub, y.matrix.reshape(y.factor_dims * 2), *factors))
 
 
 def reduce_state(y: TemporalStateOperator, keep_times: Sequence[int]) -> TemporalStateOperator:
@@ -273,7 +285,7 @@ def reduce_state(y: TemporalStateOperator, keep_times: Sequence[int]) -> Tempora
         pos = pos + [nt + q for q in pos]
     mat = partial_trace(y.matrix, list(y.factor_dims), sorted(pos))
     new_dims = tuple(y.dims[k] for k in times)
-    return TemporalStateOperator(y.kind, new_dims, mat)
+    return TemporalStateOperator(y.kind, new_dims, mat, tol=y.tol)
 
 
 def trace_ket_block(y: TemporalStateOperator) -> TemporalStateOperator:
@@ -284,7 +296,7 @@ def trace_ket_block(y: TemporalStateOperator) -> TemporalStateOperator:
     nt = y.n_times
     mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt, 2 * nt)))
     kind = "kd_right" if y.kind == "kd_doubled" else "mh"
-    return TemporalStateOperator(kind, y.dims, mat)
+    return TemporalStateOperator(kind, y.dims, mat, tol=y.tol)
 
 
 def trace_bra_block(y: TemporalStateOperator) -> TemporalStateOperator:
@@ -293,4 +305,4 @@ def trace_bra_block(y: TemporalStateOperator) -> TemporalStateOperator:
     nt = y.n_times
     mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt)))
     kind = "kd_left" if y.kind == "kd_doubled" else "mh"
-    return TemporalStateOperator(kind, y.dims, mat)
+    return TemporalStateOperator(kind, y.dims, mat, tol=y.tol)

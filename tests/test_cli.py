@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest  # type: ignore
 
-from tkd.cli import run_command
+from tkd.cli import _emit, run_command
 
 I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -284,3 +284,75 @@ def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
     argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "10", "--seed", seed]
     assert run_command(argv) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def _as_pairs(o):
+    """The document as the stdlib sees it: complex arrays become [re, im] pair lists."""
+    if isinstance(o, np.ndarray):
+        return np.stack([o.real, o.imag], axis=-1).tolist()
+    if isinstance(o, dict):
+        return {k: _as_pairs(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_as_pairs(x) for x in o]
+    return o
+
+
+def test_emit_matches_stdlib_indent_encoder(capsys):
+    special = np.array([complex("nan+infj"), complex(float("-inf"), -0.0),
+                        complex(5e-324, 1e308), complex(-0.0, 0.1), 1 / 3 - 2e-17j])
+    doc = {
+        "special": special,
+        "matrix": np.arange(6, dtype=np.complex128).reshape(2, 3) * (0.1 - 0.7j),
+        "cube": special[:4].reshape(2, 1, 2),
+        "empty": np.zeros(0, dtype=np.complex128),
+        "empty_rows": np.zeros((2, 0), dtype=np.complex128),
+        "no_rows": np.zeros((0, 3), dtype=np.complex128),
+        "one": np.array([1 + 1j]),
+        "strided": special[::2],
+        "labels": ["\u00e9t\u00e9", "\U0001f600", 'q"\\\n\t', ""],
+        "nested": {"z": {"b": (1, 2.5, (None, True, False)), "a": []}, "y": {}, "x": ()},
+        "scalars": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308,
+                    np.float64(0.1), 10 ** 20, -3, 0],
+        "none": None,
+    }
+    assert _emit(doc, None) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(_as_pairs(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_rejects_unknown_leaves(capsys):
+    for leaf in (np.zeros(2), np.complex128(1.0), {1, 2}):
+        with pytest.raises(TypeError):
+            _emit({"x": leaf}, None)
+    capsys.readouterr()
+
+
+CANONICAL = [
+    *(["state", "--kind", k] for k in ("kd-right", "kd-left", "doubled", "mh", "pdo")),
+    ["dist", "--kind", "doubled", "--bra-schedule", "alt"],
+    ["charfn"],
+    ["charfn", "--kind", "doubled", "--bra-schedule", "alt"],
+    ["charfn", "--points", "0.3,0.4;0.0,0.0;-0.0,5e-324"],
+    ["witness"],
+    ["nonclassicality", "--variant", "log"],
+]
+
+
+@pytest.mark.parametrize("argv", CANONICAL, ids=[" ".join(a) for a in CANONICAL])
+def test_documents_are_canonical_indented_json(spec_file, capsys, argv):
+    assert run_command([argv[0], spec_file] + argv[1:]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_usage_error_leaves_the_parser_reusable(spec_file, capsys):
+    argv = ["dist", spec_file, "--kind", "doubled", "--bra-schedule", "alt"]
+    assert run_command(argv) == 0
+    before = capsys.readouterr().out
+    assert run_command(["dist"]) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: spec" in err
+    assert run_command(["dist"]) == 2
+    assert capsys.readouterr().err == err
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == before

@@ -425,3 +425,31 @@ def test_extended_kd_dim_mismatch(pauli):
     inst = tkd.Instrument([("a", [np.diag([1.0, 0, 0])]), ("b", [np.diag([0, 1.0, 1.0])])])
     with pytest.raises(ValidationError, match="instrument"):
         tkd.extended_kd(np.eye(2) / 2, tkd.spectral_measurement(pauli["Z"]), inst)
+
+
+def test_results_follow_the_process_tolerance():
+    # a unitary scaled by 1+5e-8 is accepted at tol=1e-6; two such steps push
+    # every total to 1 + 2e-7, which the result containers must accept at the
+    # process tolerance, not at their 1e-10 defaults
+    u = tkd.haar_unitary(2, seed=730) * (1 + 5e-8)
+    ch = tkd.build_channel("unitary", u=u, tol=1e-6)
+    p = tkd.MultiTimeProcess(tkd.random_density(2, seed=731), [ch, ch], tol=1e-6)
+    s = tkd.random_schedule(p.dims, seed=732)
+    q = tkd.kd_right(p, s)
+    assert 1e-7 < abs(q.total() - 1.0) < 1e-6
+    assert q.tol == 1e-6
+    for d in (tkd.kd_left(p, s), tkd.lvn(p, s), tkd.mh_from_kd(q),
+              tkd.kd_doubled(p, s, s), tkd.marginalize(q, [0])):
+        assert d.tol == 1e-6
+    for y in (tkd.kd_state_recursive(p), tkd.mh_state(p), tkd.pdo(p),
+              tkd.reconstruct_state(tkd.correlators(p, kind="doubled"))):
+        assert 1e-7 < abs(np.trace(y.matrix) - 1.0) < 1e-6
+    obs = tkd.ObservableSchedule(bra=tuple(m.observable() for m in s))
+    grid = tkd.product_grid([tkd.default_nodes([o.value for o in m.outcomes]) for m in s])
+    chi = tkd.char_fn(p, obs, grid)
+    assert chi.tol == 1e-6
+    inv = tkd.invert_char(chi, [[o.value for o in m.outcomes] for m in s])
+    assert max_abs(inv.values - q.values) < 1e-10
+    tkd.joint_ops(p, s)
+    with pytest.raises(ValidationError, match="sums to"):
+        tkd.QuasiDistribution("kd_right", q.axes, q.values)  # default bound 1e-10

@@ -257,3 +257,40 @@ def test_eigenvalues_and_state_validation():
         tkd.TemporalStateOperator("bogus", (2, 2), np.eye(4) / 4)
     with pytest.raises(ValidationError):
         tkd.TemporalStateOperator("kd_right", (2, 3), y.matrix)
+
+
+def _rect_process(seed):
+    """Three times on dims (2, 3, 2): random isometry steps 2 → 3 → 2."""
+    rng = np.random.default_rng(seed)
+    chain = []
+    for d_in, d_out in ((2, 3), (3, 2)):
+        g = rng.normal(size=(2 * d_out, d_in)) + 1j * rng.normal(size=(2 * d_out, d_in))
+        chain.append(tkd.QuantumChannel(list(np.linalg.qr(g)[0].reshape(2, d_out, d_in))))
+    return tkd.MultiTimeProcess(tkd.random_density(2, rng), chain), rng
+
+
+def _born_kron(y, ket, bra=()):
+    """Reference: Tr[Υ·kron(factors)], factors latest time first, ket block then bra."""
+    factors = list(reversed(ket)) + list(reversed(bra))
+    return complex(np.trace(y.matrix @ tkd.kron_chain(factors)))
+
+
+@pytest.mark.parametrize("rect", [False, True])
+def test_born_eval_matches_kron_formula(rect):
+    if rect:
+        p, rng = _rect_process(515)
+    else:
+        p, rng = tkd.random_process(2, 2, seed=516, channel_kind="mixed"), np.random.default_rng(517)
+
+    def ops():
+        return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in p.dims]
+
+    for y in (tkd.kd_state_recursive(p), tkd.mh_state(p), tkd.pdo(p)):
+        for _ in range(3):
+            f = ops()
+            assert abs(tkd.born_eval(y, f) - _born_kron(y, f)) < 1e-12
+    yd = tkd.reconstruct_state(tkd.correlators(p, kind="doubled"))
+    assert yd.factor_dims == tuple(reversed(p.dims)) * 2
+    for _ in range(3):
+        ket, bra = ops(), ops()
+        assert abs(tkd.born_eval(yd, ket, bra) - _born_kron(yd, ket, bra)) < 1e-12
