@@ -48,13 +48,14 @@ from .quasiprob import (
     mh_from_kd,
     nonclassicality,
 )
-from .tomography import correlators, kd_state_recursive, mh_state, pdo, reconstruct_state
+from .tomography import kd_state_recursive, mh_state, pdo
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "TKD_TOLERANCE"
 
 _DIST_KINDS = ("right", "left", "doubled", "mh", "lvn")
-_STATE_CLI_KINDS = ("kd-right", "kd-left", "doubled", "mh", "pdo")
+_STATE_CLI_KINDS = {"kd-right": "kd_right", "kd-left": "kd_left", "doubled": "kd_doubled",
+                    "mh": "mh", "pdo": "pdo"}
 _DEMOS = {
     "xy-qubit": "xy_qubit.json",
     "replacement": "replacement.json",
@@ -525,17 +526,13 @@ def _cmd_witness(args) -> int:
 
 def _cmd_state(args) -> int:
     bundle = load_spec(args.spec)
-    p = bundle.process
-    if args.kind == "kd-right":
-        y = kd_state_recursive(p)
-    elif args.kind == "kd-left":
-        y = kd_state_recursive(p, kind="kd_left")
-    elif args.kind == "mh":
+    p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
+    if kind == "mh":
         y = mh_state(p)
-    elif args.kind == "pdo":
+    elif kind == "pdo":
         y = pdo(p)
     else:
-        y = reconstruct_state(correlators(p, kind="doubled"))
+        y = kd_state_recursive(p, kind=kind)
     doc = _base_doc("state", bundle)
     eigs = y.eigenvalues()
     doc["state"] = {
@@ -560,6 +557,8 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
             raise SpecParseError(f"points[{i}]: {chunk!r} is not a comma-separated tuple")
         if len(pt) != width:
             raise SpecParseError(f"points[{i}]: needs {width} phases, got {len(pt)}")
+        if not all(math.isfinite(v) for v in pt):
+            raise SpecParseError(f"points[{i}]: phases must be finite, got {chunk!r}")
         pts.append(pt)
     if not pts:
         raise SpecParseError("points: empty")

@@ -4,9 +4,10 @@ A multi-time process can be packed into a single operator on the tensor
 product of its time slots. Each is read off the forward sweep of
 ``tkd.quasiprob`` with matrix units E_ab = |a⟩⟨b| inserted at every time:
 x ↦ xE gives the Kirkwood-Dirac state, its Hermitian part the Margenau-Hill
-state, and x ↦ (Ex + xE)/2 the pseudo-density operator. All of them are
-unit-trace; traces against products of time-local operators reproduce the
-corresponding distribution or correlator.
+state, x ↦ (Ex + xE)/2 the pseudo-density operator, and x ↦ ExE' the doubled
+Kirkwood-Dirac state. All of them are unit-trace; traces against products of
+time-local operators reproduce the corresponding distribution or correlator.
+Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check.
 
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
@@ -33,8 +34,8 @@ from .quasiprob import (
 )
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
-STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "mh_doubled", "pdo")
-HERMITIAN_STATE_KINDS = ("mh", "mh_doubled", "pdo")
+STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
+HERMITIAN_STATE_KINDS = ("mh", "pdo")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class TemporalStateOperator:
 
     @property
     def doubled(self) -> bool:
-        return self.kind in ("kd_doubled", "mh_doubled")
+        return self.kind == "kd_doubled"
 
     @property
     def n_times(self) -> int:
@@ -206,25 +207,27 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
 
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     """Read a state off the forward sweep with matrix units E_ab = |a⟩⟨b|
-    inserted at every time: x ↦ xE (right) or (Ex + xE)/2 (jordan). Since
-    Tr[Υ·⊗E] = Υ[b, a], one transpose puts the b indices on the rows and the
-    a indices on the columns, latest time first."""
+    inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE' for
+    every pair (doubled). Tr[Υ·⊗E] = Υ[b, a] (doubled: Υ[b…, b'…; a…, a'…]), so
+    one transpose takes each time's unit indices (a, b) or (a, b, a', b') to b
+    (then b') on the rows and a (then a') on the columns, latest time first."""
     maps = []
     for d in p.dims:
         units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
-        m = _insertions("right", units)
+        m = _insertions("doubled" if side == "doubled" else "right", units)
         maps.append((m + _insertions("left", units)) / 2 if side == "jordan" else m)
-    n, side_dim = p.n_times, int(np.prod(p.dims))
-    values = _sweep(p.rho0, _superops(p.channels), maps).reshape([x for d in p.dims for x in (d, d)])
-    order = list(range(2 * n - 1, 0, -2)) + list(range(2 * n - 2, -1, -2))
+    legs = (1, 3, 0, 2) if side == "doubled" else (1, 0)
+    order = [len(legs) * k + j for j in legs for k in range(p.n_times - 1, -1, -1)]
+    side_dim = int(np.prod(p.dims)) ** (len(legs) // 2)
+    values = _sweep(p.rho0, _superops(p.channels), maps).reshape([d for d in p.dims for _ in legs])
     return values.transpose(order).reshape(side_dim, side_dim)
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:
-    """The right read-off of the sweep (x ↦ xE); kd_left is its dagger."""
-    if kind not in ("kd_right", "kd_left"):
-        raise ValidationError(f"kd_state_recursive builds kd_right/kd_left, not {kind!r}")
-    y = _state(p, "right")
+    """The right read-off of the sweep (x ↦ xE), kd_left its dagger, kd_doubled x ↦ ExE'."""
+    if kind not in ("kd_right", "kd_left", "kd_doubled"):
+        raise ValidationError(f"kd_state_recursive builds kd_right/kd_left/kd_doubled, not {kind!r}")
+    y = _state(p, "doubled" if kind == "kd_doubled" else "right")
     return TemporalStateOperator(kind, p.dims, dagger(y) if kind == "kd_left" else y, tol=p.tol)
 
 
@@ -295,8 +298,7 @@ def trace_ket_block(y: TemporalStateOperator) -> TemporalStateOperator:
         raise ValidationError(f"{y.kind} has no ket block")
     nt = y.n_times
     mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt, 2 * nt)))
-    kind = "kd_right" if y.kind == "kd_doubled" else "mh"
-    return TemporalStateOperator(kind, y.dims, mat, tol=y.tol)
+    return TemporalStateOperator("kd_right", y.dims, mat, tol=y.tol)
 
 
 def trace_bra_block(y: TemporalStateOperator) -> TemporalStateOperator:
@@ -304,5 +306,4 @@ def trace_bra_block(y: TemporalStateOperator) -> TemporalStateOperator:
         raise ValidationError(f"{y.kind} has no bra block")
     nt = y.n_times
     mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt)))
-    kind = "kd_left" if y.kind == "kd_doubled" else "mh"
-    return TemporalStateOperator(kind, y.dims, mat, tol=y.tol)
+    return TemporalStateOperator("kd_left", y.dims, mat, tol=y.tol)

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest  # type: ignore
 
+import tkd
 from tkd.cli import _emit, run_command
+from tkd.linops import max_abs
 
 I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -120,6 +122,34 @@ def test_state_documents(spec_file, capsys):
     doc = run_json(capsys, ["state", spec_file, "--kind", "doubled"])
     assert doc["state"]["kind"] == "kd_doubled"
     assert len(doc["state"]["matrix"]) == 16
+
+
+def _pairs(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _nearest_gap(a, b) -> float:
+    """Largest distance from a point of either multiset to its nearest point in the other."""
+    gaps = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
+def test_doubled_state_document_matches_tomography(tmp_path, capsys):
+    p = tkd.random_process(2, 2, seed=611, channel_kind="mixed")
+    spec = probe_spec(dims=list(p.dims), initial_state=_pairs(p.rho0),
+                      channels=[{"kind": "kraus", "operators": [_pairs(k) for k in c.kraus]}
+                                for c in p.channels],
+                      schedules={"default": [{"observable": o} for o in (X, Y, Z)]})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec))
+    st = run_json(capsys, ["state", str(path), "--kind", "doubled"])["state"]
+    assert st["kind"] == "kd_doubled" and st["dims"] == [2, 2, 2]
+    m = np.asarray(st["matrix"]) @ [1, 1j]
+    tomo = tkd.reconstruct_state(tkd.correlators(p, kind="doubled")).matrix
+    assert max_abs(m - tomo) <= 1e-12
+    assert max_abs(m - tkd.oracle_state(p, "doubled").matrix) <= 1e-10
+    # near-tied eigenvalues swap places under np.sort_complex, so compare multisets
+    assert _nearest_gap(np.asarray(st["eigenvalues"]) @ [1, 1j], np.linalg.eigvals(tomo)) <= 1e-10
 
 
 def test_charfn_round_trip(spec_file, capsys):
@@ -284,6 +314,15 @@ def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
     argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "10", "--seed", seed]
     assert run_command(argv) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phase", ["nan", "-inf", "1e999"])
+@pytest.mark.parametrize("flag", ["--points", "--point"])
+def test_non_finite_phase_exits_3(spec_file, capsys, flag, phase):
+    command = "charfn" if flag == "--points" else "circuit-sim"
+    assert run_command([command, spec_file, f"{flag}={phase},0"]) == 3
+    err = capsys.readouterr().err
+    assert "points[0]" in err and phase in err
 
 
 def _as_pairs(o):

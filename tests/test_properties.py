@@ -168,3 +168,50 @@ def test_states_match_oracle(data):
         projs = [m.outcomes[i].projector for m, i in zip(s, idx)]
         assert abs(tkd.born_eval(right, projs) - q.values[idx]) <= TOL
         assert abs(tkd.born_eval(mh, projs) - qm.values[idx]) <= TOL
+
+
+def _small_doubled(p) -> bool:
+    """Doubled states are (Π d)² wide; keep them to qubits, or d=3 with one step."""
+    return p.dims[0] == 2 or p.n_steps <= 1
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_tomography_matches_the_read_off(data):
+    p = data.draw(processes(max_steps=2))
+    read_off = {"right": tkd.kd_state_recursive(p), "left": tkd.kd_state_recursive(p, kind="kd_left"),
+                "mh": tkd.mh_state(p)}
+    if p.dims[0] == 2:  # the lvn resynthesis is the pdo only for qubits
+        read_off["lvn"] = tkd.pdo(p)
+    if _small_doubled(p):
+        read_off["doubled"] = tkd.kd_state_recursive(p, kind="kd_doubled")
+    for kind, y in read_off.items():
+        t = tkd.reconstruct_state(tkd.correlators(p, kind=kind))
+        assert t.kind == y.kind
+        assert max_abs(t.matrix - y.matrix) <= STATE_TOL
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_born_rule_on_doubled_and_pdo_states(data):
+    p = data.draw(processes(max_steps=2))
+    ket = data.draw(schedules(p.dims))
+    bra = data.draw(schedules(p.dims))
+
+    def projs(sched, idx):
+        return [m.outcomes[i].projector for m, i in zip(sched, idx)]
+
+    if _small_doubled(p):
+        yd = tkd.kd_state_recursive(p, kind="kd_doubled")
+        q = tkd.kd_doubled(p, ket, bra).values
+        seq = tkd.lvn(p, ket).values
+        for i in np.ndindex(seq.shape):
+            assert abs(tkd.born_eval(yd, projs(ket, i), projs(ket, i)) - seq[i]) <= TOL
+            for j in np.ndindex(q.shape[p.n_times:]):
+                assert abs(tkd.born_eval(yd, projs(ket, i), projs(bra, j)) - q[i + j]) <= TOL
+
+    if p.n_times <= 2:  # the pdo and the mh distribution drift apart from three times on
+        y = tkd.pdo(p)
+        qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
+        for i in np.ndindex(qm.shape):
+            assert abs(tkd.born_eval(y, projs(ket, i)) - qm[i]) <= TOL
