@@ -6,6 +6,11 @@ the process trace, invertible back to the distribution on a suitable phase
 grid, and measurable as ⟨X⟩, ⟨Y⟩ of an ancilla that coherently switches
 between two gate sequences. Phase gates use spectral sums of the observable,
 so outcome values match the projective measurements everywhere else.
+
+The interferometer runs on a live ancilla ⊗ system register. Each step's
+environment is attached just before its dilation unitary and traced out
+right after it; no later gate touches that register again, so this is exact
+and no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
 """
 
 from __future__ import annotations
@@ -17,14 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import stinespring
-from .linops import (
-    ValidationError,
-    as_matrix,
-    embed_operator,
-    is_hermitian,
-    kron_chain,
-    partial_trace,
-)
+from .linops import ValidationError, as_matrix, is_hermitian, partial_trace
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _projectors, _superops
 
@@ -85,11 +83,6 @@ class CharSamples:
                 raise ValidationError(f"value at the zero point is {v}, not 1")
 
 
-def _require_square(p: MultiTimeProcess):
-    if any(c.d_in != c.d_out for c in p.channels):
-        raise ValidationError("characteristic functions need square step dims")
-
-
 def _side_meas(ops: Sequence[np.ndarray], dims: Sequence[int], side: str) -> list[ProjectiveMeasurement]:
     if len(ops) != len(dims):
         raise ValidationError(f"{side} side has {len(ops)} observables for {len(dims)} times")
@@ -99,6 +92,25 @@ def _side_meas(ops: Sequence[np.ndarray], dims: Sequence[int], side: str) -> lis
             raise ValidationError(f"{side} observable {k} is {o.shape}, time dim is {d}")
         meas.append(spectral_measurement(o))
     return meas
+
+
+def _kind_meas(p: MultiTimeProcess, obs: ObservableSchedule, kind: str):
+    """Ket and bra measurements the kind inserts, None on the side it leaves
+    bare; raises when the kind, the step dims or a needed side is wrong."""
+    if kind not in CHAR_KINDS:
+        raise ValidationError(f"unknown characteristic kind {kind!r}")
+    if any(c.d_in != c.d_out for c in p.channels):
+        raise ValidationError("characteristic functions need square step dims")
+    ket_meas = bra_meas = None
+    if kind in ("left", "doubled"):
+        if obs.ket is None:
+            raise ValidationError(f"{kind} characteristic needs ket observables")
+        ket_meas = _side_meas(obs.ket, p.dims, "ket")
+    if kind in ("right", "doubled"):
+        if obs.bra is None:
+            raise ValidationError(f"{kind} characteristic needs bra observables")
+        bra_meas = _side_meas(obs.bra, p.dims, "bra")
+    return ket_meas, bra_meas
 
 
 def _phases(meas: ProjectiveMeasurement, sign: int, ts) -> np.ndarray:
@@ -143,18 +155,7 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     right: Tr[E_n(...E_1(ρ e^{−iB₀u₀}) e^{−iB₁u₁}...) e^{−iB_nu_n}];
     left inserts e^{+iA_kv_k} on the ket side; doubled does both.
     """
-    if kind not in CHAR_KINDS:
-        raise ValidationError(f"unknown characteristic kind {kind!r}")
-    _require_square(p)
-    ket_meas = bra_meas = None
-    if kind in ("left", "doubled"):
-        if obs.ket is None:
-            raise ValidationError(f"{kind} characteristic needs ket observables")
-        ket_meas = _side_meas(obs.ket, p.dims, "ket")
-    if kind in ("right", "doubled"):
-        if obs.bra is None:
-            raise ValidationError(f"{kind} characteristic needs bra observables")
-        bra_meas = _side_meas(obs.bra, p.dims, "bra")
+    ket_meas, bra_meas = _kind_meas(p, obs, kind)
     v, u = _split_points(grid, kind, p.n_times)
     return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid),
                        _char_values(p, ket_meas, bra_meas, v, u), tol=p.tol)
@@ -266,49 +267,31 @@ _GATE_PHASE_SIGN = +1
 _READOUT_SIGN = -1
 
 
-def _interleaved(phis: list[np.ndarray], walls: list[np.ndarray]) -> np.ndarray:
-    """Φ_n W_n Φ_{n-1} ... W_1 Φ_0 (walls indexed 1..n)."""
-    g = phis[0]
-    for w, phi in zip(walls, phis[1:]):
-        g = phi @ w @ g
-    return g
-
-
-def _ancilla_xy(p: MultiTimeProcess, obs: ObservableSchedule, point,
+def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, point,
                 kind: str) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer."""
     (v,), (u,) = _split_points([point], kind, p.n_times)
-    dils = [stinespring(c) for c in p.channels]
     d = p.dims[0]
-    reg = [d] + [r for _, r, _ in dils]
-    walls = [embed_operator(w, (0, k + 1), reg) for k, (w, _, _) in enumerate(dils)]
-    big = int(np.prod(reg))
-    plain = np.eye(big, dtype=np.complex128)
-    for w in walls:
-        plain = w @ plain
 
-    def phase_stack(ops, ts):
-        meas = _side_meas(ops, p.dims, "phase")
-        return [embed_operator(_phases(m, _GATE_PHASE_SIGN, [t])[0], (0,), reg)
-                for m, t in zip(meas, ts)]
+    def gates(meas, ts):
+        if meas is None:
+            return [np.eye(d, dtype=np.complex128)] * p.n_times
+        return [_phases(m, _GATE_PHASE_SIGN, [t])[0] for m, t in zip(meas, ts)]
 
-    if kind == "right":
-        g1, g2 = plain, _interleaved(phase_stack(obs.bra, u), walls)
-    elif kind == "left":
-        g1, g2 = _interleaved(phase_stack(obs.ket, v), walls), plain
-    else:
-        g1 = _interleaved(phase_stack(obs.ket, v), walls)
-        g2 = _interleaved(phase_stack(obs.bra, u), walls)
-
-    plus = np.full((2, 2), 0.5, dtype=np.complex128)
-    rho_full = kron_chain([plus, p.rho0] + [env for _, _, env in dils])
-    ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
-    out = ctrl @ rho_full @ ctrl.conj().T
-    anc = partial_trace(out, [2, big], [0])
+    dils = [stinespring(c) for c in p.channels]
+    rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
+    for g1, g2, dil in zip(gates(ket_meas, v), gates(bra_meas, u), dils + [None]):
+        ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
+        rho = ctrl @ rho @ ctrl.conj().T
+        if dil is not None:
+            w, r, env = dil
+            wall = np.kron(np.eye(2), w)
+            rho = partial_trace(wall @ np.kron(rho, env) @ wall.conj().T, [2, d, r], [0, 1])
+    anc = partial_trace(rho, [2, d], [0])
     x = float(2 * anc[0, 1].real)
     y = float(-2 * anc[0, 1].imag)
-    meta = {"env_dims": tuple(r for _, r, _ in dils), "register": tuple([2] + reg)}
-    return x, y, meta
+    env_dims = tuple(r for _, r, _ in dils)
+    return x, y, {"env_dims": env_dims, "register": (2, d) + env_dims}
 
 
 def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[float],
@@ -317,16 +300,19 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     """Simulate the ancilla interferometer for χ at one phase point.
 
     The ancilla starts in |+⟩ and controls which of two gate sequences acts:
-    the bare dilated walls, or the walls interleaved with phase gates. CPTP
-    steps run on system ⊗ environment registers via their dilations. Returns
+    G₁ on |0⟩, G₂ on |1⟩, each the dilation walls W_k interleaved with phase
+    gates, or bare walls on the side the kind leaves bare. The circuit
+    factors as C_n (I⊗W_n) C_{n-1} … (I⊗W_1) C_0 with C_k the controlled
+    phase gates, and every environment register meets only its own wall.
+    So the simulation keeps ancilla ⊗ system live, attaching each fresh
+    environment before its wall and tracing it out after. ``metadata``
+    names the full register (2, d, r_1, …, r_n). Returns
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
     """
-    if kind not in CHAR_KINDS:
-        raise ValidationError(f"unknown characteristic kind {kind!r}")
-    _require_square(p)
+    ket_meas, bra_meas = _kind_meas(p, obs, kind)
     s = _READOUT_SIGN
-    x, y, meta = _ancilla_xy(p, obs, point, kind)
+    x, y, meta = _ancilla_xy(p, ket_meas, bra_meas, point, kind)
     exact = complex(x + 1j * s * y)
     meta = dict(meta, gate_phase_sign=_GATE_PHASE_SIGN, readout_sign=s)
 

@@ -606,7 +606,10 @@ def _cmd_charfn(args) -> int:
 def _cmd_circuit_sim(args) -> int:
     bundle = load_spec(args.spec)
     obs, spectra = _char_setup(bundle, args.kind, args.schedule, args.bra_schedule)
-    point = _parse_points(args.point, len(spectra))[0]
+    points = _parse_points(args.point, len(spectra))
+    if len(points) > 1:
+        raise SpecParseError(f"point: one phase tuple expected, got {len(points)}")
+    point = points[0]
     seed = args.seed if args.seed is not None else bundle.seed
     res = circuit_sim(bundle.process, obs, point, kind=args.kind,
                       shots=args.shots, seed=seed)

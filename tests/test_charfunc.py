@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest  # type: ignore
 
@@ -228,3 +230,64 @@ def test_circuit_metadata_and_calibration():
     assert res.metadata["readout_sign"] == -1
     assert res.metadata["register"][0] == 2
     assert res.metadata["env_dims"] == (2,)
+
+
+@pytest.mark.parametrize("kind,obs", [
+    ("right", tkd.ObservableSchedule(ket=(np.eye(2), np.eye(2)))),
+    ("left", tkd.ObservableSchedule(bra=(np.eye(2), np.eye(2)))),
+])
+def test_missing_side_is_rejected(kind, obs):
+    p = tkd.random_process(2, 1, seed=615)
+    with pytest.raises(ValidationError, match="observables"):
+        tkd.char_fn(p, obs, [(0.1, 0.2)], kind=kind)
+    with pytest.raises(ValidationError, match="observables"):
+        tkd.circuit_sim(p, obs, (0.1, 0.2), kind=kind)
+
+
+def _chain(d: int, n: int, seed: int) -> tkd.MultiTimeProcess:
+    """n depolarizing steps (5 Kraus operators each) at d=2, random CPTP steps at d=3."""
+    rng = np.random.default_rng(seed)
+    if d == 2:
+        steps = [tkd.build_channel("depolarizing", p=0.3, d=2)] * n
+    else:
+        steps = [tkd.random_channel(d, rng, env_dim=3) for _ in range(n)]
+    return tkd.MultiTimeProcess(tkd.random_density(d, rng), steps)
+
+
+def _both_sides(p, seed: int) -> tkd.ObservableSchedule:
+    ket = tkd.random_schedule(p.dims, seed=seed)
+    bra = tkd.random_schedule(p.dims, seed=seed + 1)
+    return tkd.ObservableSchedule(ket=schedule_observables(ket), bra=schedule_observables(bra))
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (2, 6), (2, 8), (3, 3), (3, 4)])
+def test_circuit_long_chains(d, n):
+    # the live register stays ancilla ⊗ system, so long dilated chains stay cheap
+    p = _chain(d, n, seed=616 + n)
+    obs = _both_sides(p, seed=620 + n)
+    for kind in ("right", "left", "doubled"):
+        width = 2 * p.n_times if kind == "doubled" else p.n_times
+        pt = random_points(width, 1, seed=n)[1]
+        want = tkd.char_fn(p, obs, [pt], kind=kind).values[0]
+        assert abs(tkd.circuit_sim(p, obs, pt, kind=kind).exact - want) < 1e-12
+
+
+def test_circuit_metadata_names_the_full_register():
+    p = _chain(2, 8, seed=630)
+    obs = _both_sides(p, seed=631)
+    res = tkd.circuit_sim(p, obs, (0.2,) * (2 * p.n_times), kind="doubled")
+    assert res.metadata["register"] == (2, 2) + (5,) * 8
+    assert res.metadata["env_dims"] == (5,) * 8
+
+
+def test_circuit_memory_stays_bounded():
+    # the full register at n=4 has side 2·2·5⁴ = 2500 (100 MB per complex matrix)
+    p = _chain(2, 4, seed=632)
+    obs = _both_sides(p, seed=633)
+    tracemalloc.start()
+    try:
+        tkd.circuit_sim(p, obs, (0.4,) * (2 * p.n_times), kind="doubled")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -316,6 +316,15 @@ def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_circuit_sim_rejects_several_points(spec_file, capsys):
+    argv = ["circuit-sim", spec_file, "--point", "0.7,1.3;0.1,0.2;9,9"]
+    assert run_command(argv) == 3
+    assert "point" in capsys.readouterr().err
+    one = run_json(capsys, ["circuit-sim", spec_file, "--point", "0.7,1.3"])
+    assert run_json(capsys, ["circuit-sim", spec_file, "--point", "0.7,1.3;"]) == one
+    assert one["circuit"]["point"] == [0.7, 1.3]
+
+
 @pytest.mark.parametrize("phase", ["nan", "-inf", "1e999"])
 @pytest.mark.parametrize("flag", ["--points", "--point"])
 def test_non_finite_phase_exits_3(spec_file, capsys, flag, phase):

@@ -127,9 +127,8 @@ def test_char_fn_and_circuit_match_oracle(data):
         for grid in (points, default):
             want = tkd.char_from_distribution(q, grid).values
             assert max_abs(tkd.char_fn(p, obs, grid, kind=kind).values - want) <= TOL
-        if p.n_steps <= 2:
-            want = tkd.char_from_distribution(q, points[-1:]).values[0]
-            assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
+        want = tkd.char_from_distribution(q, points[-1:]).values[0]
+        assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
 
 
 def _jordan_expansion(p) -> np.ndarray:
