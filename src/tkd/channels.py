@@ -5,11 +5,19 @@ positivity is automatic from the Kraus form, trace preservation is a
 numerical check (`validate_cptp`). Channels are applied to arbitrary
 matrices, not only density operators: quasiprobability evaluation feeds
 them products like ρΠ and Π ρ Π'.
+
+A `QuantumChannel` is immutable: it holds read-only copies of the Kraus
+operators it was given, and builds what is derived from them at most once,
+on first use: its row-major superoperator (`superop`, the `kraus_superop`
+of its Kraus list), its Stinespring dilation (`dilation`) and whether it is
+a single unitary (`unitary`). An `Instrument` likewise holds read-only
+copies of its branch operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +27,11 @@ from .linops import (
     as_matrix,
     basis_state,
     dagger,
+    frozen_matrix,
     hermitian_eig,
     is_hermitian,
     max_abs,
+    readonly,
 )
 
 
@@ -37,7 +47,7 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = tuple(as_matrix(k) for k in kraus)
+        ops = tuple(frozen_matrix(k) for k in kraus)
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
         if len({k.shape for k in ops}) != 1:
@@ -51,6 +61,31 @@ class QuantumChannel:
     @property
     def d_out(self) -> int:
         return self.kraus[0].shape[0]
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """`kraus_superop` of this channel's Kraus operators."""
+        return readonly(kraus_superop(self.kraus))
+
+    @cached_property
+    def dilation(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """`stinespring` of this channel at its default tolerance."""
+        u, r, env = stinespring(self)
+        return readonly(u), r, readonly(env)
+
+    @cached_property
+    def unitary(self) -> bool:
+        """True when the channel is one Kraus operator, unitary within 1e-9."""
+        k = self.kraus[0]
+        return len(self.kraus) == 1 and k.shape[0] == k.shape[1] \
+            and max_abs(dagger(k) @ k - np.eye(k.shape[1])) <= 1e-9
+
+
+def kraus_superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major superoperator Σ K⊗K̄ of one Kraus list, (d_out², d_in²): vec(E(x)) = S·vec(x)."""
+    k = np.stack(kraus)
+    d_out, d_in = k.shape[1:]
+    return np.einsum("xab,xcd->acbd", k, k.conj()).reshape(d_out ** 2, d_in ** 2)
 
 
 @dataclass(frozen=True)
@@ -69,7 +104,7 @@ class Instrument:
     def __init__(self, branches, tol: float = 1e-9):
         packed = []
         for label, ops in branches:
-            ops = tuple(as_matrix(k) for k in ops)
+            ops = tuple(frozen_matrix(k) for k in ops)
             if not ops:
                 raise ValidationError(f"instrument branch {label!r} has no operators")
             packed.append((label, ops))

@@ -11,20 +11,27 @@ The interferometer runs on a live ancilla ⊗ system register. Each step's
 environment is attached just before its dilation unitary and traced out
 right after it; no later gate touches that register again, so this is exact
 and no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
+
+Nothing here rebuilds an operator that depends on one input object alone.
+An `ObservableSchedule` holds read-only copies of its observables and builds
+their spectral measurements once per side (`ket_measurements`,
+`bra_measurements`); the direct pass reads each channel's cached `superop`,
+the interferometer its cached `dilation`, and the phase gates each
+measurement's cached `projectors`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .channels import stinespring
-from .linops import ValidationError, as_matrix, is_hermitian, partial_trace
+from .linops import ValidationError, frozen_matrix, is_hermitian, partial_trace
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution, _projectors, _superops
+from .quasiprob import MultiTimeProcess, QuasiDistribution
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -44,7 +51,7 @@ class ObservableSchedule:
         for side, ops in (("ket", self.ket), ("bra", self.bra)):
             if ops is None:
                 continue
-            ops = tuple(as_matrix(o) for o in ops)
+            ops = tuple(frozen_matrix(o) for o in ops)
             for k, o in enumerate(ops):
                 if not is_hermitian(o, self.tol):
                     raise ValidationError(f"{side} observable {k} is not Hermitian")
@@ -55,6 +62,15 @@ class ObservableSchedule:
     @property
     def n_times(self) -> int:
         return len(self.ket if self.ket is not None else self.bra)
+
+    @cached_property
+    def ket_measurements(self) -> tuple[ProjectiveMeasurement, ...] | None:
+        """Spectral measurements of the ket observables (None without a ket side)."""
+        return None if self.ket is None else tuple(spectral_measurement(o) for o in self.ket)
+
+    @cached_property
+    def bra_measurements(self) -> tuple[ProjectiveMeasurement, ...] | None:
+        return None if self.bra is None else tuple(spectral_measurement(o) for o in self.bra)
 
 
 @dataclass(frozen=True)
@@ -83,15 +99,15 @@ class CharSamples:
                 raise ValidationError(f"value at the zero point is {v}, not 1")
 
 
-def _side_meas(ops: Sequence[np.ndarray], dims: Sequence[int], side: str) -> list[ProjectiveMeasurement]:
+def _side_meas(obs: ObservableSchedule, dims: Sequence[int], side: str):
+    """The cached measurements of one side, once its observables fit the dims."""
+    ops = getattr(obs, side)
     if len(ops) != len(dims):
         raise ValidationError(f"{side} side has {len(ops)} observables for {len(dims)} times")
-    meas = []
     for k, (o, d) in enumerate(zip(ops, dims)):
         if o.shape != (d, d):
             raise ValidationError(f"{side} observable {k} is {o.shape}, time dim is {d}")
-        meas.append(spectral_measurement(o))
-    return meas
+    return getattr(obs, f"{side}_measurements")
 
 
 def _kind_meas(p: MultiTimeProcess, obs: ObservableSchedule, kind: str):
@@ -105,18 +121,18 @@ def _kind_meas(p: MultiTimeProcess, obs: ObservableSchedule, kind: str):
     if kind in ("left", "doubled"):
         if obs.ket is None:
             raise ValidationError(f"{kind} characteristic needs ket observables")
-        ket_meas = _side_meas(obs.ket, p.dims, "ket")
+        ket_meas = _side_meas(obs, p.dims, "ket")
     if kind in ("right", "doubled"):
         if obs.bra is None:
             raise ValidationError(f"{kind} characteristic needs bra observables")
-        bra_meas = _side_meas(obs.bra, p.dims, "bra")
+        bra_meas = _side_meas(obs, p.dims, "bra")
     return ket_meas, bra_meas
 
 
 def _phases(meas: ProjectiveMeasurement, sign: int, ts) -> np.ndarray:
     """Phase gates e^{sign·i·t·B} = Σ_b e^{sign·i·t·b} Π_b, one per t: (P, d, d)."""
     values = np.array([o.value for o in meas.outcomes])
-    return np.einsum("pm,mij->pij", np.exp(sign * 1j * np.outer(ts, values)), _projectors(meas))
+    return np.einsum("pm,mij->pij", np.exp(sign * 1j * np.outer(ts, values)), meas.projectors)
 
 
 def _split_points(grid, kind: str, n_times: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +153,7 @@ def _char_values(p: MultiTimeProcess, ket_meas, bra_meas, v: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
     """χ at all P points in one forward pass over a (P, d, d) state stack."""
     state = np.broadcast_to(p.rho0, (len(v),) + p.rho0.shape)
-    for k, superop in enumerate(_superops(p.channels) + [None]):
+    for k, superop in enumerate([c.superop for c in p.channels] + [None]):
         if ket_meas is not None:
             state = _phases(ket_meas[k], +1, v[:, k]) @ state
         if bra_meas is not None:
@@ -278,7 +294,7 @@ def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, point,
             return [np.eye(d, dtype=np.complex128)] * p.n_times
         return [_phases(m, _GATE_PHASE_SIGN, [t])[0] for m, t in zip(meas, ts)]
 
-    dils = [stinespring(c) for c in p.channels]
+    dils = [c.dilation for c in p.channels]
     rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
     for g1, g2, dil in zip(gates(ket_meas, v), gates(bra_meas, u), dils + [None]):
         ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)

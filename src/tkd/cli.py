@@ -5,7 +5,8 @@ emits deterministic JSON result documents (complex scalars as [re, im]
 pairs, matrices as row-major nested arrays). Documents are written by
 ``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and formats complex arrays one row template at a time.
-Exit codes: 2 for bad usage, 3 for a spec file that does not parse, 4 for
+Exit codes: 2 for bad usage, 3 for a spec file that does not parse or a
+``state`` request too large for the machine's physical memory, 4 for
 numerical validation failures.
 """
 
@@ -52,6 +53,10 @@ from .tomography import kd_state_recursive, mh_state, pdo
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "TKD_TOLERANCE"
+# peak resident bytes per matrix entry of one `state` run (the sweep, the
+# matrix, the eigenvalue copy and the rendered document): 390-530 B measured
+# on requests of 2^16 and 2^20 entries
+_STATE_BYTES_PER_ENTRY = 512
 
 _DIST_KINDS = ("right", "left", "doubled", "mh", "lvn")
 _STATE_CLI_KINDS = {"kd-right": "kd_right", "kd-left": "kd_left", "doubled": "kd_doubled",
@@ -65,6 +70,18 @@ _DEMOS = {
 
 class SpecParseError(Exception):
     pass
+
+
+class SizeLimitError(Exception):
+    """A request whose estimated memory exceeds the machine's physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +544,12 @@ def _cmd_witness(args) -> int:
 def _cmd_state(args) -> int:
     bundle = load_spec(args.spec)
     p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
+    side = math.prod(p.dims) ** (2 if kind == "kd_doubled" else 1)
+    need, have = side * side * _STATE_BYTES_PER_ENTRY, _physical_memory()
+    if have is not None and need > have:
+        raise SizeLimitError(
+            f"state --kind {args.kind}: estimated {side * side} matrix entries ({side}x{side}), "
+            f"about {need / 2**30:.1f} GiB, exceed the {have / 2**30:.1f} GiB of physical memory")
     if kind == "mh":
         y = mh_state(p)
     elif kind == "pdo":
@@ -789,6 +812,9 @@ def run_command(argv) -> int:
         return args.fn(args)
     except SpecParseError as e:
         print(f"tkd: spec error: {e}", file=sys.stderr)
+        return 3
+    except SizeLimitError as e:
+        print(f"tkd: refused: {e}", file=sys.stderr)
         return 3
     except ValidationError as e:
         print(f"tkd: validation error: {e}", file=sys.stderr)

@@ -25,6 +25,34 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def frozen_matrix(a) -> np.ndarray:
+    """A read-only complex128 copy of ``a``: what the package's immutable
+    objects hold, so that no later write (theirs or the caller's) can make an
+    operator they derived and cached go stale."""
+    return readonly(as_matrix(a).copy())
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
+    a.setflags(write=False)
+    return a
+
+
+def insertion_maps(side: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Insertion maps x ↦ A x B as the (m, d², d²) stack of row-major
+    superoperators A ⊗ Bᵀ (vec(A x B) = (A ⊗ Bᵀ)·vec(x) with vec(x)[i·d + j] =
+    x[i, j]), built from operator stacks: right (I, a_i), left (a_i, I), lvn
+    (a_i, a_i), and doubled (a_i, b_j) for every pair, i major (b defaults to a)."""
+    eye = np.eye(a.shape[-1], dtype=np.complex128)[None]
+    if side == "doubled":
+        b = a if b is None else b
+        a, b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1))
+    else:
+        a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
+    d2 = a.shape[-1] ** 2
+    return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a.T)
 

@@ -5,12 +5,18 @@ clustered spectral decomposition, so degenerate observables yield fewer
 outcomes than the dimension. Outcomes are identified by a hashable `label`
 (the eigenvalue for spectral measurements, a per-site tuple for product
 measurements); labels are what downstream distribution axes index by.
+
+Outcomes and bases hold read-only copies of the operators they are given. A
+`ProjectiveMeasurement` builds its projector stack and its right, left and
+lvn insertion maps once, on first use, and `hs_basis(d)` returns one shared
+basis per dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -19,9 +25,12 @@ from .linops import (
     ValidationError,
     as_matrix,
     dagger,
+    frozen_matrix,
     hermitian_eig,
+    insertion_maps,
     kron_chain,
     max_abs,
+    readonly,
 )
 
 
@@ -36,6 +45,10 @@ class Outcome:
     value: float
     projector: np.ndarray | None
     label: Hashable
+
+    def __post_init__(self):
+        if self.projector is not None:
+            object.__setattr__(self, "projector", frozen_matrix(self.projector))
 
     def __repr__(self):  # keep array noise out of test failure output
         return f"Outcome(value={self.value!r}, label={self.label!r})"
@@ -72,6 +85,26 @@ class ProjectiveMeasurement:
     def observable(self) -> np.ndarray:
         """Σ value·projector."""
         return sum(o.value * o.projector for o in self.outcomes)
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The outcome projectors stacked in outcome order, (m, d, d)."""
+        return readonly(np.stack([o.projector for o in self.outcomes]))
+
+    @cached_property
+    def right_maps(self) -> np.ndarray:
+        """Bra-side insertions x ↦ xΠ_b as an (m, d², d²) stack (see `insertion_maps`)."""
+        return readonly(insertion_maps("right", self.projectors))
+
+    @cached_property
+    def left_maps(self) -> np.ndarray:
+        """Ket-side insertions x ↦ Π_b x."""
+        return readonly(insertion_maps("left", self.projectors))
+
+    @cached_property
+    def lvn_maps(self) -> np.ndarray:
+        """Collapse insertions x ↦ Π_b x Π_b."""
+        return readonly(insertion_maps("lvn", self.projectors))
 
 
 def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> ProjectiveMeasurement:
@@ -115,7 +148,7 @@ class HSBasis:
     ops: tuple[np.ndarray, ...]
 
     def __init__(self, dim: int, ops: Sequence[np.ndarray], tol: float = 1e-9):
-        ops = tuple(as_matrix(o) for o in ops)
+        ops = tuple(frozen_matrix(o) for o in ops)
         d = int(dim)
         if len(ops) != d * d:
             raise ValidationError(f"need {d * d} basis operators, got {len(ops)}")
@@ -133,9 +166,11 @@ class HSBasis:
         object.__setattr__(self, "ops", ops)
 
 
+@cache
 def hs_basis(d: int) -> HSBasis:
     """Generalized Pauli basis: identity, then the Gell-Mann family scaled to
-    Tr(σμσν) = d·δμν.
+    Tr(σμσν) = d·δμν. Built once per d; every call returns the same
+    (read-only) instance.
 
     Canonical order: I; symmetric pairs (j,k), j<k lexicographic; antisymmetric
     pairs in the same order; diagonal ladder l = 1..d−1. For d = 2 this is

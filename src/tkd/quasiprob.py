@@ -29,6 +29,14 @@ and bra indices until one transpose restores the blocks. The backward sweep
 applies the same maps from w toward t_0 and yields the joint operators M with
 Tr[M ρ] = Q behind `joint_ops` and `classicality_witness`.
 
+No pass rebuilds an operator that depends on one input object alone: each
+`QuantumChannel` builds its superoperator once (`superop`), each
+`ProjectiveMeasurement` its projector stack and its right, left and lvn maps
+(`projectors`, `right_maps`, ...). Those objects, and `MultiTimeProcess`,
+hold read-only copies of the arrays they were given, so a cached operator
+cannot go stale. Only the doubled maps, which pair two measurements, are
+built per call.
+
 Axis convention: distribution axis i belongs to time t_i (ascending order);
 doubled kinds carry the full ket block first, then the bra block. Printed,
 paper-style tables reverse to latest-time-first; that happens only at the
@@ -37,7 +45,6 @@ presentation layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
@@ -50,10 +57,11 @@ from .channels import (
     apply_channel,
     check_density,
     compose,
+    kraus_superop,
     tensor_channels,
     validate_cptp,
 )
-from .linops import ValidationError, as_matrix, dagger, max_abs
+from .linops import ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -84,7 +92,7 @@ class MultiTimeProcess:
             if not rep.trace_preserving:
                 raise ValidationError(f"channel {i} is not trace preserving, defect {rep.defect:.3e}")
             d = c.d_out
-        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "rho0", frozen_matrix(rho0))
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "tol", tol)
 
@@ -207,56 +215,27 @@ def _check_schedule(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], nam
             raise ValidationError(f"{name}[{k}] acts on dim {m.dim}, process carries {d}")
 
 
-def _projectors(m: ProjectiveMeasurement) -> np.ndarray:
-    return np.stack([o.projector for o in m.outcomes])
-
-
-def _insertions(side: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Insertion maps x ↦ A x B as the (m, d², d²) stack of A ⊗ Bᵀ, built from
-    operator stacks: right (I, a_i), left (a_i, I), lvn (a_i, a_i), and doubled
-    (a_i, b_j) for every pair, i major (b defaults to a)."""
-    eye = np.eye(a.shape[-1], dtype=np.complex128)[None]
-    if side == "doubled":
-        b = a if b is None else b
-        a, b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1))
-    else:
-        a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
-    d2 = a.shape[-1] ** 2
-    return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
-
-
-def _superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-major superoperator Σ K⊗K̄ of one Kraus list, (d_out², d_in²): vec(E(x)) = S·vec(x)."""
-    k = np.stack(kraus)
-    d_out, d_in = k.shape[1:]
-    return np.einsum("xab,xcd->acbd", k, k.conj()).reshape(d_out ** 2, d_in ** 2)
-
-
-def _superops(channels: Sequence[QuantumChannel]) -> list[np.ndarray]:
-    return [_superop(c.kraus) for c in channels]
-
-
 def _trace_rows(maps: np.ndarray) -> np.ndarray:
     """Rows w_i with w_i · vec(x) = Tr[a_i x b_i]: the final trace folded into the maps."""
     return np.eye(math.isqrt(maps.shape[1])).reshape(-1) @ maps
 
 
-def _sweep(rho0: np.ndarray, supers: Sequence[np.ndarray], maps: Sequence[np.ndarray]) -> np.ndarray:
+def _sweep(p: MultiTimeProcess, maps: Sequence[np.ndarray]) -> np.ndarray:
     """Forward kernel: every outcome tuple's trace, flat in C order (m_0, ..., m_n)."""
-    x = rho0.reshape(1, -1)
-    for superop, m_k in zip(supers, maps):
-        f = superop @ m_k
+    x = p.rho0.reshape(1, -1)
+    for c, m_k in zip(p.channels, maps):
+        f = c.superop @ m_k
         m, d_out2, d_in2 = f.shape
         x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
     return (x @ _trace_rows(maps[-1]).T).reshape(-1)
 
 
-def _backward(supers: Sequence[np.ndarray], maps: Sequence[np.ndarray]) -> np.ndarray:
+def _backward(p: MultiTimeProcess, maps: Sequence[np.ndarray]) -> np.ndarray:
     """Backward kernel: joint operators M at t_0 with Tr[M ρ] equal to the
     forward trace, as a (Π_k m_k, d_0, d_0) stack in C order (m_0, ..., m_n)."""
     r = _trace_rows(maps[-1])
-    for superop, m_k in reversed(list(zip(supers, maps))):
-        f = superop @ m_k
+    for c, m_k in reversed(list(zip(p.channels, maps))):
+        f = c.superop @ m_k
         r = (r[None] @ f).reshape(-1, f.shape[2])
     d = math.isqrt(r.shape[1])
     return r.reshape(-1, d, d).transpose(0, 2, 1)
@@ -276,7 +255,7 @@ def _doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
     """Checked doubled schedules: their maps, interleaved shapes and ket-then-bra axes."""
     _check_schedule(p, ket, "ket schedule")
     _check_schedule(p, bra, "bra schedule")
-    maps = [_insertions("doubled", _projectors(a), _projectors(b)) for a, b in zip(ket, bra)]
+    maps = [insertion_maps("doubled", a.projectors, b.projectors) for a, b in zip(ket, bra)]
     shapes = [(len(a.outcomes), len(b.outcomes)) for a, b in zip(ket, bra)]
     return maps, shapes, tuple(tuple(m.outcomes) for m in ket) + tuple(tuple(m.outcomes) for m in bra)
 
@@ -284,7 +263,7 @@ def _doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
 def _single(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str,
             side: str) -> QuasiDistribution:
     _check_schedule(p, s)
-    values = _sweep(p.rho0, _superops(p.channels), [_insertions(side, _projectors(m)) for m in s])
+    values = _sweep(p, [getattr(m, f"{side}_maps") for m in s])
     return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s),
                              values.reshape(tuple(len(m.outcomes) for m in s)), tol=p.tol)
 
@@ -308,7 +287,7 @@ def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
     schedules and outcomes) is the sequential-collapse distribution.
     """
     maps, shapes, axes = _doubled(p, ket, bra)
-    values = _ket_bra_order(_sweep(p.rho0, _superops(p.channels), maps), shapes)
+    values = _ket_bra_order(_sweep(p, maps), shapes)
     return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times, tol=p.tol)
 
 
@@ -400,13 +379,13 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
         if bra is None:
             raise ValidationError("doubled joint_ops needs a bra schedule")
         maps, shapes, axes = _doubled(p, s, bra)
-        ops = _ket_bra_order(_backward(_superops(p.channels), maps), shapes)
+        ops = _ket_bra_order(_backward(p, maps), shapes)
         ket_axes = p.n_times
     else:
         if kind not in ("kd_right", "kd_left"):
             raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
         _check_schedule(p, s)
-        ops = _backward(_superops(p.channels), [_insertions(kind[3:], _projectors(m)) for m in s])
+        ops = _backward(p, [getattr(m, f"{kind[3:]}_maps") for m in s])
         axes = tuple(tuple(m.outcomes) for m in s)
         ket_axes = 0
     d0 = p.dims[0]
@@ -426,12 +405,6 @@ class WitnessReport:
     worst_pair: tuple | None
 
 
-def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a_i, b_j] for every pair, flattened i major."""
-    a, b = a[:, None], b[None]
-    return (a @ b - b @ a).reshape(-1, *a.shape[-2:])
-
-
 def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> WitnessReport:
     """Evaluate Σ|Q|−1 of kd_right and the largest commutator among the
     back-evolved measurement operators.
@@ -448,40 +421,71 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     each against the t_0 outcomes in schedule order; then, for unitary
     chains, the time pairs k < l ascending, each with the outcomes of t_k
     against those of t_l in schedule order.
+
+    Q itself comes off the same backward stack, Q[b0, b'] = Tr[ρ Π_b0 M_b'].
+    Spectral norms are taken only where the Frobenius norm leaves room for
+    the maximum: ‖C‖₂ ≤ ‖C‖_F, and the largest ‖C‖_F/√d bounds it from below.
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
     _check_schedule(p, s)
-    n = p.n_steps
-    value = nonclassicality(kd_right(p, s))
+    n, d = p.n_steps, p.dims[0]
+    sizes = [len(m.outcomes) for m in s]
+    later = _backward(p, [np.eye(d * d, dtype=np.complex128)[None]] + [m.right_maps for m in s[1:]])
+    q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
+        @ later.transpose(0, 2, 1).reshape(len(later), -1).T
+    total = complex(q.sum())
+    if abs(total - 1.0) > p.tol:  # the check kd_right's distribution makes
+        raise ValidationError(f"distribution sums to {total}, not 1")
+    value = float(np.sum(np.abs(q))) - 1.0
     if n == 0:
         return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
 
-    # blocks of (commutator stack, times of side a, time of side b), in visiting order
-    maps = [_insertions("right", _projectors(m)) for m in s]
-    eye = np.eye(p.dims[0] ** 2, dtype=np.complex128)[None]
-    supers = _superops(p.channels)
-    later = _backward(supers, [eye] + maps[1:])
-    blocks = [(_commutators(later, _projectors(s[0])), tuple(range(1, n + 1)), (0,))]
-    unitary_steps = all(
-        len(c.kraus) == 1 and max_abs(dagger(c.kraus[0]) @ c.kraus[0] - np.eye(c.d_in)) <= 1e-9
-        for c in p.channels)
-    if unitary_steps:
-        single = [_backward(supers[:k], [eye] * k + [maps[k]]) for k in range(n + 1)]
-        for k, l in itertools.combinations(range(n + 1), 2):
-            blocks.append((_commutators(single[k], single[l]), (k,), (l,)))
+    # the projectors of every time back-evolved to t_0 (unitary chains;
+    # otherwise t_0's only), on trace rows: Tr[x·Π] = vec(Πᵀ)·vec(x)
+    unitary = all(c.unitary for c in p.channels)
+    single = s[0].projectors
+    if unitary:
+        rows = s[n].projectors.transpose(0, 2, 1).reshape(-1, d * d)
+        for k in range(n, 0, -1):
+            rows = np.concatenate([s[k - 1].projectors.transpose(0, 2, 1).reshape(-1, d * d),
+                                   rows @ p.channels[k - 1].superop])
+        single = rows.reshape(-1, d, d).transpose(0, 2, 1)
 
-    norms = np.linalg.norm(np.concatenate([b[0] for b in blocks]), ord=2, axis=(-2, -1))
+    # the commutators in visiting order: each later joint operator against
+    # the t_0 projectors (broadcast), then (unitary chains) the gathered
+    # single-time pairs, projectors i of t_k against j of t_l for k < l
+    nl, m0 = len(later), sizes[0]
+    time = np.repeat(np.arange(n + 1), sizes)
+    i, j = np.nonzero(time[:, None] < time[None, :]) if unitary else (np.zeros(0, int),) * 2
+    order = np.lexsort((j, i, time[j], time[i]))
+    i, j = i[order], j[order]
+    comms = np.empty((nl * m0 + len(i), d, d), dtype=np.complex128)
+    for c, a, b in ((comms[:nl * m0].reshape(nl, m0, d, d), later[:, None], single[None, :m0]),
+                    (comms[nl * m0:], single[i], single[j])):
+        np.matmul(a, b, out=c)
+        c -= b @ a
+
+    fro = np.linalg.norm(comms, axis=(1, 2))
+    low = float(fro.max()) / math.sqrt(d) * (1 - 1e-9)  # ≤ the largest spectral norm
+    need = np.flatnonzero(fro * (1 + 1e-9) >= low - 1e-12 * max(1.0, low))
+    norms = np.full(len(comms), -np.inf)
+    norms[need] = np.linalg.norm(comms[need], ord=2, axis=(1, 2))
     best = float(norms.max())
     pos = int(np.argmax(norms >= best - 1e-12 * max(1.0, best)))
-    for comms, ta, tb in blocks:
-        if pos < len(comms):
-            break
-        pos -= len(comms)
-    ia, ib = divmod(pos, len(s[tb[0]].outcomes))
-    idx_a = np.unravel_index(ia, tuple(len(s[k].outcomes) for k in ta))
-    labels_a = tuple(s[k].outcomes[i].label for k, i in zip(ta, idx_a))
-    pair = ((ta, labels_a), (tb, (s[tb[0]].outcomes[ib].label,)))
+
+    start = np.cumsum([0] + sizes)  # time k's projectors sit at start[k] onwards
+
+    def side(x):  # (times, labels) of single-time operator x
+        k = int(time[x])
+        return (k,), (s[k].outcomes[x - start[k]].label,)
+
+    if pos < nl * m0:
+        idx = np.unravel_index(pos // m0, sizes[1:])
+        labels = tuple(m.outcomes[x].label for m, x in zip(s[1:], idx))
+        pair = ((tuple(range(1, n + 1)), labels), side(pos % m0))
+    else:
+        pair = (side(i[pos - nl * m0]), side(j[pos - nl * m0]))
     return WitnessReport(nonclassicality=value, max_commutator_norm=best, worst_pair=pair)
 
 
@@ -505,8 +509,8 @@ def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrumen
     if instrument.branches[0][1][0].shape[1] != rho.shape[0]:
         raise ValidationError("instrument input dim does not match the state")
     # Tr[M_k(x)] = vec(I)ᵀ·S_k·vec(x), for every vec(ρΠ_b) at once
-    rows = _trace_rows(np.stack([_superop(ops) for _, ops in instrument.branches]))
-    values = (rho @ _projectors(m)).reshape(len(m.outcomes), -1) @ rows.T
+    rows = _trace_rows(np.stack([kraus_superop(ops) for _, ops in instrument.branches]))
+    values = (rho @ m.projectors).reshape(len(m.outcomes), -1) @ rows.T
     branch_axis = tuple(
         Outcome(value=float(k), projector=None, label=label)
         for k, (label, _) in enumerate(instrument.branches))

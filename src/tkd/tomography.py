@@ -22,16 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, dagger, max_abs, partial_trace
+from .linops import ValidationError, as_matrix, dagger, insertion_maps, max_abs, partial_trace
 from .measurements import HSBasis, hs_basis, spectral_measurement
-from .quasiprob import (
-    MultiTimeProcess,
-    _insertions,
-    _ket_bra_order,
-    _projectors,
-    _superops,
-    _sweep,
-)
+from .quasiprob import MultiTimeProcess, _ket_bra_order, _sweep
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
 STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
@@ -157,12 +150,11 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     bases = _bases_for(p, bases)
     if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
         meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
-        maps = [np.stack([np.tensordot([o.value for o in m.outcomes],
-                                       _insertions("lvn", _projectors(m)), 1) for m in row])
+        maps = [np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in row])
                 for row in meas]
     else:
-        maps = [_insertions("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
-    values = _sweep(p.rho0, _superops(p.channels), maps)
+        maps = [insertion_maps("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
+    values = _sweep(p, maps)
     if kind == "doubled":
         values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
         return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times, tol=p.tol)
@@ -214,12 +206,12 @@ def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     maps = []
     for d in p.dims:
         units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
-        m = _insertions("doubled" if side == "doubled" else "right", units)
-        maps.append((m + _insertions("left", units)) / 2 if side == "jordan" else m)
+        m = insertion_maps("doubled" if side == "doubled" else "right", units)
+        maps.append((m + insertion_maps("left", units)) / 2 if side == "jordan" else m)
     legs = (1, 3, 0, 2) if side == "doubled" else (1, 0)
     order = [len(legs) * k + j for j in legs for k in range(p.n_times - 1, -1, -1)]
     side_dim = int(np.prod(p.dims)) ** (len(legs) // 2)
-    values = _sweep(p.rho0, _superops(p.channels), maps).reshape([d for d in p.dims for _ in legs])
+    values = _sweep(p, maps).reshape([d for d in p.dims for _ in legs])
     return values.transpose(order).reshape(side_dim, side_dim)
 
 

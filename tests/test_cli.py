@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest  # type: ignore
@@ -404,3 +406,58 @@ def test_usage_error_leaves_the_parser_reusable(spec_file, capsys):
     assert capsys.readouterr().err == err
     assert run_command(argv) == 0
     assert capsys.readouterr().out == before
+
+
+def _qutrit_spec(tmp_path, n_times: int) -> str:
+    p = tkd.random_process(3, n_times - 1, seed=640, channel_kind="mixed")
+    obs = [{"observable": _pairs(tkd.random_hermitian(3, seed=641 + k))} for k in range(n_times)]
+    spec = probe_spec(dims=list(p.dims), initial_state=_pairs(p.rho0),
+                      channels=[{"kind": "kraus", "operators": [_pairs(k) for k in c.kraus]}
+                                for c in p.channels],
+                      schedules={"default": obs})
+    path = tmp_path / f"qutrit{n_times}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _refused_at_once(capsys, argv) -> str:
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = run_command(argv)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000
+    assert elapsed < 5.0
+    return capsys.readouterr().err
+
+
+def test_state_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatch):
+    # the doubled state of d=3 at four times is 6561x6561: about 22 GiB to
+    # compute and render, minutes of allocation on an 8 GiB machine
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
+    err = _refused_at_once(capsys, ["state", _qutrit_spec(tmp_path, 4), "--kind", "doubled"])
+    assert "doubled" in err and "43046721" in err and "20.5 GiB" in err and "8.0 GiB" in err
+
+
+def test_state_size_guard_reads_the_machine(tmp_path, capsys):
+    if tkd.cli._physical_memory() is None:
+        pytest.skip("platform reports no physical memory size")
+    # d=3 at six times doubled: 729^4 entries, far past any machine
+    err = _refused_at_once(capsys, ["state", _qutrit_spec(tmp_path, 6), "--kind", "doubled"])
+    assert "282429536481" in err
+
+
+def test_state_size_guard_serves_what_fits(tmp_path, capsys, monkeypatch):
+    path = _qutrit_spec(tmp_path, 4)
+    need = 81 * 81 * tkd.cli._STATE_BYTES_PER_ENTRY  # kd-right is 81x81
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need)
+    assert run_json(capsys, ["state", path, "--kind", "kd-right"])["state"]["dims"] == [3] * 4
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need - 1)
+    assert run_command(["state", path, "--kind", "kd-right"]) == 3
+    assert "6561" in capsys.readouterr().err
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: None)
+    assert run_json(capsys, ["state", path, "--kind", "kd-right"])["state"]["dims"] == [3] * 4

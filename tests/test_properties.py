@@ -10,6 +10,8 @@ tolerance of 1e-12, states against the oracle that of 1e-10.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,3 +216,125 @@ def test_born_rule_on_doubled_and_pdo_states(data):
         qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
         for i in np.ndindex(qm.shape):
             assert abs(tkd.born_eval(y, projs(ket, i)) - qm[i]) <= TOL
+
+
+def _witness_reference(p, s) -> tuple[float, tuple]:
+    """The documented witness as a plain loop: back-evolve with adjoint_apply,
+    take the spectral norm of every pair in visiting order, and return the
+    largest norm with the first pair within 1e-12·max(1, largest) of it."""
+    n = p.n_steps
+    found = []
+    for idx in np.ndindex(*(len(m.outcomes) for m in s[1:])):
+        later = np.eye(p.dims[-1])  # E_1†(Π_b1·E_2†(...E_n†(Π_bn)))
+        for k in range(n, 0, -1):
+            later = tkd.adjoint_apply(p.channels[k - 1], s[k].outcomes[idx[k - 1]].projector @ later)
+        labels = tuple(m.outcomes[i].label for m, i in zip(s[1:], idx))
+        for o in s[0].outcomes:
+            c = later @ o.projector - o.projector @ later
+            found.append((np.linalg.norm(c, ord=2),
+                          ((tuple(range(1, n + 1)), labels), ((0,), (o.label,)))))
+    if all(len(c.kraus) == 1 for c in p.channels):  # one TP Kraus operator is a unitary
+
+        def back(op, k):
+            for c in reversed(p.channels[:k]):
+                op = tkd.adjoint_apply(c, op)
+            return op
+
+        for k in range(n + 1):
+            for l in range(k + 1, n + 1):
+                for a in s[k].outcomes:
+                    for b in s[l].outcomes:
+                        x, y = back(a.projector, k), back(b.projector, l)
+                        found.append((np.linalg.norm(x @ y - y @ x, ord=2),
+                                      (((k,), (a.label,)), ((l,), (b.label,)))))
+    best = max(norm for norm, _ in found)
+    return best, next(pair for norm, pair in found if norm >= best - 1e-12 * max(1.0, best))
+
+
+@st.composite
+def commuting_instances(draw):
+    """Unitaries and observables diagonal in one shared basis (the computational
+    one, or a Haar-rotated one where every commutator is rounding noise)."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    v = tkd.haar_unitary(d, rng) if draw(st.booleans()) else np.eye(d)
+
+    def diagonal(entries):
+        return v @ np.diag(entries) @ np.conj(v.T)
+
+    chain = [tkd.QuantumChannel([diagonal(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))])
+             for _ in range(n)]
+    values = st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.5]), min_size=d, max_size=d)
+    s = [tkd.spectral_measurement(diagonal(draw(values))) for _ in range(n + 1)]
+    return tkd.MultiTimeProcess(tkd.random_density(d, rng), chain), s
+
+
+def _plane(i: int, j: int) -> np.ndarray:
+    """A qutrit observable with eigenvalues 1, 2, 3, Hadamard-rotated in the (i, j) plane."""
+    u = np.eye(3, dtype=np.complex128)
+    u[np.ix_([i, j], [i, j])] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return u @ np.diag([1.0, 2.0, 3.0]) @ np.conj(u.T)
+
+
+_W3 = np.exp(2j * np.pi / 3)
+# per dimension: a few unitary steps, and observables that commute or clash exactly
+STRUCTURED = {
+    2: ({"I": np.eye(2), "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "S": np.diag([1, 1j])},
+        {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+         "Z": np.diag([1.0, -1.0])}),
+    3: ({"I": np.eye(3), "P": np.roll(np.eye(3), 1, axis=0),
+         "F": np.array([[1, 1, 1], [1, _W3, _W3 ** 2], [1, _W3 ** 2, _W3]]) / np.sqrt(3)},
+        {"Z": np.diag([1.0, 2.0, 3.0]), "R01": _plane(0, 1), "R02": _plane(0, 2),
+         "R12": _plane(1, 2)}),
+}
+
+
+@st.composite
+def structured_instances(draw):
+    """Qubit Clifford steps with Pauli measurements, or qutrit shift and Fourier
+    steps with plane-rotated measurements: many commutator norms tie exactly,
+    across time pairs too, so the visiting order decides ``worst_pair``."""
+    d = draw(st.sampled_from(sorted(STRUCTURED)))
+    steps, observables = STRUCTURED[d]
+    n = draw(st.integers(1, 3 if d == 2 else 2))
+    chain = draw(st.lists(st.sampled_from(sorted(steps)), min_size=n, max_size=n))
+    obs = draw(st.lists(st.sampled_from(sorted(observables)), min_size=n + 1, max_size=n + 1))
+    p = tkd.MultiTimeProcess(tkd.random_density(d, draw(SEEDS)),
+                             [tkd.QuantumChannel([steps[u]]) for u in chain])
+    return p, [tkd.spectral_measurement(observables[x]) for x in obs]
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.data())
+def test_witness_matches_reference_loop(data):
+    kind = data.draw(st.sampled_from(["random", "commuting", "structured"]))
+    if kind == "random":
+        p = data.draw(processes())
+        s = data.draw(schedules(p.dims))
+    else:
+        p, s = data.draw(commuting_instances() if kind == "commuting" else structured_instances())
+    rep = tkd.classicality_witness(p, s)
+    want = float(np.sum(np.abs(tkd.oracle_kd(p, s, "kd_right").values))) - 1.0
+    assert abs(rep.nonclassicality - want) <= TOL
+    if p.n_steps == 0:
+        assert rep.max_commutator_norm == 0.0 and rep.worst_pair is None
+        return
+    best, pair = _witness_reference(p, s)
+    assert abs(rep.max_commutator_norm - best) <= TOL
+    assert rep.worst_pair == pair
+
+
+def test_witness_visiting_order_on_exact_ties():
+    # every two-step qutrit chain of shift and Fourier steps, under every choice
+    # of plane-rotated measurements: ties across time pairs are common here
+    steps, observables = STRUCTURED[3]
+    rho = tkd.random_density(3, 5)
+    for chain in itertools.product("FP", repeat=2):
+        p = tkd.MultiTimeProcess(rho, [tkd.QuantumChannel([steps[u]]) for u in chain])
+        for obs in itertools.product(sorted(observables), repeat=3):
+            s = [tkd.spectral_measurement(observables[x]) for x in obs]
+            rep = tkd.classicality_witness(p, s)
+            best, pair = _witness_reference(p, s)
+            assert abs(rep.max_commutator_norm - best) <= TOL
+            assert rep.worst_pair == pair, (chain, obs)

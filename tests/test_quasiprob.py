@@ -453,3 +453,20 @@ def test_results_follow_the_process_tolerance():
     tkd.joint_ops(p, s)
     with pytest.raises(ValidationError, match="sums to"):
         tkd.QuasiDistribution("kd_right", q.axes, q.values)  # default bound 1e-10
+
+
+def test_witness_refuses_what_kd_right_refuses():
+    # each step scaled by 1+3e-8 passes the CPTP check at tol=1e-7, but three
+    # of them push the total to 1 + 1.8e-7: the witness must reject the same
+    # process and schedule that kd_right rejects, with the same message
+    u = tkd.haar_unitary(2, seed=730) * (1 + 3e-8)
+    ch = tkd.build_channel("unitary", u=u, tol=1e-6)
+    p = tkd.MultiTimeProcess(tkd.random_density(2, seed=731), [ch] * 3, tol=1e-7)
+    s = tkd.random_schedule(p.dims, seed=732)
+    with pytest.raises(ValidationError, match="distribution sums to"):
+        tkd.kd_right(p, s)
+    with pytest.raises(ValidationError, match="distribution sums to"):
+        tkd.classicality_witness(p, s)
+    loose = tkd.MultiTimeProcess(p.rho0, p.channels, tol=1e-6)
+    assert tkd.classicality_witness(loose, s).nonclassicality == pytest.approx(
+        tkd.nonclassicality(tkd.kd_right(loose, s)), abs=1e-12)
