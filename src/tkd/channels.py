@@ -16,7 +16,7 @@ copies of its branch operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -35,7 +35,7 @@ from .linops import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Kraus representation of a completely positive map d_in → d_out.
 
@@ -69,8 +69,24 @@ class QuantumChannel:
 
     @cached_property
     def dilation(self) -> tuple[np.ndarray, int, np.ndarray]:
-        """`stinespring` of this channel at its default tolerance."""
-        u, r, env = stinespring(self)
+        """Stinespring dilation (u, env_dim, env_state) of a square channel, u
+        unitary on H_sys ⊗ H_env when the channel is trace preserving; it makes
+        no check of its own, so it serves the tolerance the caller validated at.
+
+        The isometry sits in the env-|0⟩ columns, V[i·r + x, j] = K_x[i, j] at
+        column j·r, and the vacant columns are the orthonormal complement that
+        QR of [V | I] gives, so repeated builds dilate identically.
+        """
+        if self.d_in != self.d_out:
+            raise ValidationError("stinespring needs a square channel")
+        d, r = self.d_in, len(self.kraus)
+        v = np.stack(self.kraus, axis=1).reshape(d * r, d)
+        q = np.linalg.qr(np.hstack([v, np.eye(d * r)]))[0]
+        u = np.empty((d * r, d * r), dtype=np.complex128)
+        u[:, ::r] = v
+        u[:, np.arange(d * r) % r > 0] = q[:, d:]
+        env = np.zeros((r, r), dtype=np.complex128)
+        env[0, 0] = 1.0
         return readonly(u), r, readonly(env)
 
     @cached_property
@@ -94,12 +110,12 @@ class CptpReport:
     defect: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Labeled CP trace-nonincreasing branches M_k whose total map is CPTP."""
 
     branches: tuple[tuple[object, tuple[np.ndarray, ...]], ...]
-    tol: float = field(default=1e-9, compare=False)
+    tol: float = 1e-9
 
     def __init__(self, branches, tol: float = 1e-9):
         packed = []
@@ -199,53 +215,14 @@ def jamiolkowski(c: QuantumChannel) -> np.ndarray:
 
 
 def stinespring(c: QuantumChannel, tol: float = 1e-9) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dilation (u, env_dim, env_state) with u unitary on H_sys ⊗ H_env.
-
-    Tracing the environment out of u (x ⊗ |0⟩⟨0|) u† recovers the channel.
-    The isometry columns are V|j⟩ = Σ_x (K_x|j⟩) ⊗ |x⟩ and the completion of
-    the remaining columns is a deterministic Gram-Schmidt sweep over canonical
-    basis vectors, so repeated runs dilate identically.
-    """
-    if c.d_in != c.d_out:
-        raise ValidationError("stinespring needs a square channel")
+    """The channel's cached `dilation` (u, env_dim, env_state), once it is
+    trace preserving within ``tol`` (the dilation itself refuses non-square
+    channels). Tracing the environment out of u (x ⊗ |0⟩⟨0|) u† recovers the
+    channel."""
     rep = validate_cptp(c, tol)
     if not rep.trace_preserving:
         raise ValidationError(f"stinespring needs a trace-preserving channel, defect {rep.defect:.3e}")
-    d, r = c.d_in, len(c.kraus)
-    full = d * r
-    u = np.zeros((full, full), dtype=np.complex128)
-    for j in range(d):
-        col = np.zeros(full, dtype=np.complex128)
-        for x, k in enumerate(c.kraus):
-            kj = k[:, j]
-            col[x::r] = kj  # sys index i at position i*r + x
-        u[:, j * r] = col  # |j⟩⊗|0⟩ sits at column j*r
-    filled = [j * r for j in range(d)]
-    vacant = [p for p in range(full) if p not in filled]
-    basis_cols = [u[:, p] for p in filled]
-    cursor = 0
-    for p in vacant:
-        while True:
-            if cursor >= full:
-                raise ValidationError("stinespring completion ran out of candidates")
-            cand = np.zeros(full, dtype=np.complex128)
-            cand[cursor] = 1.0
-            cursor += 1
-            for b in basis_cols:
-                cand = cand - np.vdot(b, cand) * b
-            norm = float(np.linalg.norm(cand))
-            if norm > 1e-6:
-                cand = cand / norm
-                # second orthogonalization pass for numerical hygiene
-                for b in basis_cols:
-                    cand = cand - np.vdot(b, cand) * b
-                cand = cand / np.linalg.norm(cand)
-                break
-        u[:, p] = cand
-        basis_cols.append(cand)
-    env_state = np.zeros((r, r), dtype=np.complex128)
-    env_state[0, 0] = 1.0
-    return u, r, env_state
+    return c.dilation
 
 
 def build_channel(kind: str, **params) -> QuantumChannel:

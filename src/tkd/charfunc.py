@@ -23,7 +23,7 @@ measurement's cached `projectors`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -36,14 +36,14 @@ from .quasiprob import MultiTimeProcess, QuasiDistribution
 CHAR_KINDS = ("right", "left", "doubled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSchedule:
     """Hermitian observables per time: bra side (B_k, right-hand phases),
     ket side (A_k, left-hand phases), or both for the doubled kind."""
 
     ket: tuple[np.ndarray, ...] | None = None
     bra: tuple[np.ndarray, ...] | None = None
-    tol: float = field(default=1e-9, compare=False)
+    tol: float = 1e-9
 
     def __post_init__(self):
         if self.ket is None and self.bra is None:
@@ -73,7 +73,7 @@ class ObservableSchedule:
         return None if self.bra is None else tuple(spectral_measurement(o) for o in self.bra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharSamples:
     """χ values over a list of phase points (doubled points carry the ket
     v-block first, then the bra u-block). ``tol`` bounds |χ(0) − 1|."""
@@ -81,7 +81,7 @@ class CharSamples:
     kind: str
     grid: tuple[tuple[float, ...], ...]
     values: np.ndarray
-    tol: float = field(default=1e-10, compare=False)
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in CHAR_KINDS:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .channels import Instrument, QuantumChannel, build_channel, validate_cptp
 from .charfunc import (
+    CHAR_KINDS,
     ObservableSchedule,
     char_fn,
     circuit_sim,
@@ -187,19 +188,11 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _label_json(label):
-    if isinstance(label, (str, int, float)):
-        return label
-    if isinstance(label, tuple):
-        return [_label_json(x) for x in label]
-    return str(label)
-
-
 # ---------------------------------------------------------------------------
 # spec files
 
 
-@dataclass
+@dataclass(eq=False)
 class SpecBundle:
     label: str
     sha256: str
@@ -272,13 +265,19 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
         entries = obj["projectors"]
         if not isinstance(entries, list) or not entries:
             raise SpecParseError(f"{where}.projectors: expected a list")
-        outs = []
+        outs, seen = [], {}
         for i, e in enumerate(entries):
             if not isinstance(e, dict) or "matrix" not in e:
                 raise SpecParseError(f"{where}.projectors[{i}]: needs a 'matrix'")
             mat = _parse_matrix(e["matrix"], f"{where}.projectors[{i}].matrix")
             value = _number(e.get("value", i), f"{where}.projectors[{i}].value")
-            label = e.get("label", value)
+            label, lwhere = e.get("label", value), f"{where}.projectors[{i}].label"
+            if isinstance(label, bool) or not isinstance(label, (str, int, float)) \
+                    or isinstance(label, float) and not math.isfinite(label):
+                raise SpecParseError(f"{lwhere}: expected a string or finite number, got {label!r}")
+            if label in seen:
+                raise SpecParseError(f"{lwhere}: {label!r} repeats projectors[{seen[label]}]")
+            seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
         m = ProjectiveMeasurement(dim, outs, tol=tol)
         return m, m.observable()
@@ -371,10 +370,11 @@ def load_spec(path: str) -> SpecBundle:
     return load_spec_bytes(raw, path)
 
 
-def _schedule(bundle: SpecBundle, name: str) -> list[ProjectiveMeasurement]:
-    if name not in bundle.schedules:
-        raise SpecParseError(f"schedule {name!r} not found; spec has {sorted(bundle.schedules)}")
-    return bundle.schedules[name]
+def _schedule(table: dict, name: str) -> list:
+    """Entry ``name`` of ``bundle.schedules`` or ``bundle.observables`` (same keys)."""
+    if name not in table:
+        raise SpecParseError(f"schedule {name!r} not found; spec has {sorted(table)}")
+    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def _axes_json(q: QuasiDistribution) -> list:
             "axis": i,
             "time": time,
             "block": block,
-            "labels": [_label_json(o.label) for o in ax],
+            "labels": [o.label for o in ax],
             "values": [float(o.value) for o in ax],
         })
     return out
@@ -418,15 +418,12 @@ def _dist_json(q: QuasiDistribution) -> dict:
     }
 
 
-def _write_output(text: str, out: str | None):
+def _emit(doc: dict, out: str | None) -> int:
+    text = _render(doc) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _emit(doc: dict, out: str | None) -> int:
-    _write_output(_render(doc) + "\n", out)
     return 0
 
 
@@ -445,104 +442,97 @@ def _write_table(q: QuasiDistribution, path: str):
     lines = ["\t".join(cols + ["re", "im"])]
     for idx in np.ndindex(q.values.shape):
         z = complex(q.values[idx])
-        cells = [str(_label_json(q.axes[a][idx[a]].label)) for a in order]
+        cells = [str(q.axes[a][idx[a]].label) for a in order]
         lines.append("\t".join(cells + [repr(z.real), repr(z.imag)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _compute_dist(bundle: SpecBundle, kind: str, sched: str, bra_sched: str | None) -> QuasiDistribution:
-    s = _schedule(bundle, sched)
+def _compute_dist(p: MultiTimeProcess, kind: str, s, bra=None) -> QuasiDistribution:
+    """The ``kind`` distribution of ``p`` under schedule ``s`` (``bra`` for doubled)."""
     if kind == "doubled":
-        b = _schedule(bundle, bra_sched or sched)
-        return kd_doubled(bundle.process, s, b)
+        return kd_doubled(p, s, bra)
     if kind == "right":
-        return kd_right(bundle.process, s)
+        return kd_right(p, s)
     if kind == "left":
-        return kd_left(bundle.process, s)
+        return kd_left(p, s)
     if kind == "mh":
-        return mh_from_kd(kd_right(bundle.process, s))
-    return lvn(bundle.process, s)
+        return mh_from_kd(kd_right(p, s))
+    return lvn(p, s)
+
+
+def _named(table: dict, args) -> list:
+    """The --schedule entry of ``table``, then for --kind doubled the --bra-schedule one."""
+    bra = [args.bra_schedule or args.schedule] if args.kind == "doubled" else []
+    return [_schedule(table, name) for name in [args.schedule] + bra]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_validate(args) -> int:
-    bundle = load_spec(args.spec)
-    p = bundle.process
-    rho = p.rho0
+def _cmd_validate(bundle: SpecBundle, args) -> dict:
+    rho = bundle.process.rho0
     eigs = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    doc = _base_doc("validate", bundle)
-    doc["initial_state"] = {
-        "dim": rho.shape[0],
-        "trace_defect": float(abs(np.trace(rho) - 1.0)),
-        "hermiticity_defect": float(max_abs(rho - dagger(rho))),
-        "min_eigenvalue": float(eigs[0]),
+    return {
+        "initial_state": {
+            "dim": rho.shape[0],
+            "trace_defect": float(abs(np.trace(rho) - 1.0)),
+            "hermiticity_defect": float(max_abs(rho - dagger(rho))),
+            "min_eigenvalue": float(eigs[0]),
+        },
+        "channels": [{
+            "index": i,
+            "kraus_count": len(c.kraus),
+            "d_in": c.d_in,
+            "d_out": c.d_out,
+            "cptp_defect": float(validate_cptp(c, bundle.tol).defect),
+        } for i, c in enumerate(bundle.process.channels)],
+        "schedules": {
+            name: [{
+                "time": k,
+                "outcomes": len(m.outcomes),
+                "completeness_defect": float(max_abs(
+                    sum(o.projector for o in m.outcomes) - np.eye(m.dim))),
+            } for k, m in enumerate(ms)]
+            for name, ms in bundle.schedules.items()
+        },
     }
-    doc["channels"] = [{
-        "index": i,
-        "kraus_count": len(c.kraus),
-        "d_in": c.d_in,
-        "d_out": c.d_out,
-        "cptp_defect": float(validate_cptp(c, bundle.tol).defect),
-    } for i, c in enumerate(p.channels)]
-    doc["schedules"] = {
-        name: [{
-            "time": k,
-            "outcomes": len(m.outcomes),
-            "completeness_defect": float(max_abs(
-                sum(o.projector for o in m.outcomes) - np.eye(m.dim))),
-        } for k, m in enumerate(ms)]
-        for name, ms in bundle.schedules.items()
-    }
-    return _emit(doc, args.out)
 
 
-def _cmd_dist(args) -> int:
-    bundle = load_spec(args.spec)
-    q = _compute_dist(bundle, args.kind, args.schedule, args.bra_schedule)
-    doc = _base_doc("dist", bundle)
-    doc["distribution"] = _dist_json(q)
-    doc["diagnostics"] = {
-        "total": _c2(q.total()),
-        "normalization_defect": float(abs(q.total() - 1.0)),
-        "nonclassicality_linear": nonclassicality(q),
-    }
+def _cmd_dist(bundle: SpecBundle, args) -> dict:
+    q = _compute_dist(bundle.process, args.kind, *_named(bundle.schedules, args))
     if args.table:
         _write_table(q, args.table)
-    return _emit(doc, args.out)
+    return {
+        "distribution": _dist_json(q),
+        "diagnostics": {
+            "total": _c2(q.total()),
+            "normalization_defect": float(abs(q.total() - 1.0)),
+            "nonclassicality_linear": nonclassicality(q),
+        },
+    }
 
 
-def _cmd_nonclassicality(args) -> int:
-    bundle = load_spec(args.spec)
-    q = _compute_dist(bundle, args.kind, args.schedule, args.bra_schedule)
-    doc = _base_doc("nonclassicality", bundle)
-    doc["kind"] = q.kind
-    doc["variant"] = args.variant
-    doc["value"] = float(nonclassicality(q, args.variant))
-    return _emit(doc, args.out)
+def _cmd_nonclassicality(bundle: SpecBundle, args) -> dict:
+    q = _compute_dist(bundle.process, args.kind, *_named(bundle.schedules, args))
+    return {"kind": q.kind, "variant": args.variant,
+            "value": float(nonclassicality(q, args.variant))}
 
 
-def _cmd_witness(args) -> int:
-    bundle = load_spec(args.spec)
-    rep = classicality_witness(bundle.process, _schedule(bundle, args.schedule))
-    doc = _base_doc("witness", bundle)
-    doc["nonclassicality"] = float(rep.nonclassicality)
-    doc["max_commutator_norm"] = float(rep.max_commutator_norm)
-    if rep.worst_pair is None:
-        doc["worst_pair"] = None
-    else:
+def _cmd_witness(bundle: SpecBundle, args) -> dict:
+    rep = classicality_witness(bundle.process, _schedule(bundle.schedules, args.schedule))
+    worst = None
+    if rep.worst_pair is not None:
         (ta, la), (tb, lb) = rep.worst_pair
-        doc["worst_pair"] = {
-            "a": {"times": list(ta), "labels": [_label_json(x) for x in la]},
-            "b": {"times": list(tb), "labels": [_label_json(x) for x in lb]},
+        worst = {
+            "a": {"times": list(ta), "labels": list(la)},
+            "b": {"times": list(tb), "labels": list(lb)},
         }
-    return _emit(doc, args.out)
+    return {"nonclassicality": float(rep.nonclassicality),
+            "max_commutator_norm": float(rep.max_commutator_norm), "worst_pair": worst}
 
 
-def _cmd_state(args) -> int:
-    bundle = load_spec(args.spec)
+def _cmd_state(bundle: SpecBundle, args) -> dict:
     p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
     side = math.prod(p.dims) ** (2 if kind == "kd_doubled" else 1)
     need, have = side * side * _STATE_BYTES_PER_ENTRY, _physical_memory()
@@ -556,9 +546,8 @@ def _cmd_state(args) -> int:
         y = pdo(p)
     else:
         y = kd_state_recursive(p, kind=kind)
-    doc = _base_doc("state", bundle)
     eigs = y.eigenvalues()
-    doc["state"] = {
+    return {"state": {
         "kind": y.kind,
         "dims": list(y.dims),
         "factor_order": "latest time first" + (", ket block then bra block" if y.doubled else ""),
@@ -567,8 +556,7 @@ def _cmd_state(args) -> int:
         "hermiticity_defect": float(max_abs(y.matrix - dagger(y.matrix))),
         "eigenvalues": eigs.astype(np.complex128),
         "min_real_eigenvalue": float(np.min(np.asarray(eigs).real)),
-    }
-    return _emit(doc, args.out)
+    }}
 
 
 def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
@@ -588,22 +576,18 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def _char_setup(bundle: SpecBundle, kind: str, sched: str, bra_sched: str | None):
-    """ObservableSchedule plus per-axis spectra for the requested kind."""
-    spectra = [[o.value for o in m.outcomes] for m in _schedule(bundle, sched)]
-    obs_main = tuple(bundle.observables[sched])
-    if kind == "right":
-        return ObservableSchedule(bra=obs_main), spectra
-    if kind == "left":
-        return ObservableSchedule(ket=obs_main), spectra
-    bname = bra_sched or sched
-    spectra += [[o.value for o in m.outcomes] for m in _schedule(bundle, bname)]
-    return ObservableSchedule(ket=obs_main, bra=tuple(bundle.observables[bname])), spectra
+def _char_setup(bundle: SpecBundle, args):
+    """The kind's ObservableSchedule and the measurements it inserts, one tuple per side
+    (ket first): phase widths, inversion spectra and round-trip reference come from these."""
+    named = _named(bundle.observables, args)
+    obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
+                             bra=None if args.kind == "left" else named[-1])
+    return obs, [ms for ms in (obs.ket_measurements, obs.bra_measurements) if ms is not None]
 
 
-def _cmd_charfn(args) -> int:
-    bundle = load_spec(args.spec)
-    obs, spectra = _char_setup(bundle, args.kind, args.schedule, args.bra_schedule)
+def _cmd_charfn(bundle: SpecBundle, args) -> dict:
+    obs, sides = _char_setup(bundle, args)
+    spectra = [[o.value for o in m.outcomes] for ms in sides for m in ms]
     if args.points:
         grid = _parse_points(args.points, len(spectra))
         source = "explicit"
@@ -611,25 +595,18 @@ def _cmd_charfn(args) -> int:
         grid = product_grid([default_nodes(sp) for sp in spectra])
         source = "default"
     samples = char_fn(bundle.process, obs, grid, kind=args.kind)
-    doc = _base_doc("charfn", bundle)
-    doc["characteristic"] = {
-        "kind": samples.kind,
-        "grid": samples.grid,
-        "grid_source": source,
-        "values": samples.values,
-    }
+    ch = {"kind": samples.kind, "grid": samples.grid, "grid_source": source,
+          "values": samples.values}
     if source == "default":
         q = invert_char(samples, spectra)
-        direct = _compute_dist(bundle, args.kind, args.schedule, args.bra_schedule)
-        doc["characteristic"]["inversion_round_trip_defect"] = float(
-            np.max(np.abs(q.values - direct.values)))
-    return _emit(doc, args.out)
+        direct = _compute_dist(bundle.process, args.kind, *sides)
+        ch["inversion_round_trip_defect"] = float(np.max(np.abs(q.values - direct.values)))
+    return {"characteristic": ch}
 
 
-def _cmd_circuit_sim(args) -> int:
-    bundle = load_spec(args.spec)
-    obs, spectra = _char_setup(bundle, args.kind, args.schedule, args.bra_schedule)
-    points = _parse_points(args.point, len(spectra))
+def _cmd_circuit_sim(bundle: SpecBundle, args) -> dict:
+    obs, sides = _char_setup(bundle, args)
+    points = _parse_points(args.point, sum(map(len, sides)))
     if len(points) > 1:
         raise SpecParseError(f"point: one phase tuple expected, got {len(points)}")
     point = points[0]
@@ -637,8 +614,7 @@ def _cmd_circuit_sim(args) -> int:
     res = circuit_sim(bundle.process, obs, point, kind=args.kind,
                       shots=args.shots, seed=seed)
     ref = char_fn(bundle.process, obs, [point], kind=args.kind).values[0]
-    doc = _base_doc("circuit-sim", bundle)
-    doc["circuit"] = {
+    circuit = {
         "kind": res.kind,
         "point": res.point,
         "exact": _c2(res.exact),
@@ -649,10 +625,9 @@ def _cmd_circuit_sim(args) -> int:
         "seed": seed,
     }
     if res.estimate is not None:
-        doc["circuit"]["estimate"] = _c2(res.estimate)
-        doc["circuit"]["std_error"] = res.std_error
-        doc["circuit"]["deviation"] = res.deviation
-    return _emit(doc, args.out)
+        circuit.update(estimate=_c2(res.estimate), std_error=res.std_error,
+                       deviation=res.deviation)
+    return {"circuit": circuit}
 
 
 # ---------------------------------------------------------------------------
@@ -675,39 +650,31 @@ def _table_dev(q: QuasiDistribution, ref: list) -> float:
     return float(max(abs(z - complex(a, b)) for z, (a, b) in zip(flat, ref)))
 
 
-def _cmd_demo(args) -> int:
-    bundle = _load_demo(args.name)
+def _cmd_demo(bundle: SpecBundle, args) -> dict:
     p = bundle.process
     s = bundle.schedules["default"]
-    doc = _base_doc("demo", bundle)
-    doc["demo"] = args.name
+    q = kd_right(p, s)
+    doc = {"demo": args.name, "distribution": _dist_json(q), "nonclassicality": nonclassicality(q)}
 
     if args.name == "xy-qubit":
-        q = kd_right(p, s)
-        doc["distribution"] = _dist_json(q)
-        doc["nonclassicality"] = nonclassicality(q)
         doc["reference"] = {"table": _XY_TABLE, "nonclassicality": _SQRT2_MINUS_1}
         doc["max_table_deviation"] = _table_dev(q, _XY_TABLE)
         doc["nonclassicality_deviation"] = abs(doc["nonclassicality"] - _SQRT2_MINUS_1)
-        return _emit(doc, args.out)
+        return doc
 
     if args.name == "replacement":
-        q = kd_right(p, s)
         p0 = np.array([np.trace(p.rho0 @ o.projector) for o in s[0].outcomes])
         omega = p.state_at(1)
         p1 = np.array([np.trace(omega @ o.projector) for o in s[1].outcomes])
         product = np.real(np.outer(p0, p1))
-        doc["distribution"] = _dist_json(q)
         doc["marginal_t0"] = [float(x) for x in p0.real]
         doc["marginal_t1"] = [float(x) for x in p1.real]
         doc["factorization_defect"] = float(np.max(np.abs(q.values - product)))
-        doc["nonclassicality"] = nonclassicality(q)
         doc["reference"] = {"table": [[0.25, 0.0]] * 4, "nonclassicality": 0.0}
         doc["max_table_deviation"] = _table_dev(q, [[0.25, 0.0]] * 4)
-        return _emit(doc, args.out)
+        return doc
 
     # measure-replace
-    q = kd_right(p, s)
     inst = _parse_instrument(bundle.data["channels"][0]["instrument"],
                              "channels[0].instrument", bundle.tol)
     outputs = [_parse_matrix(m, f"channels[0].outputs[{i}]")
@@ -721,9 +688,7 @@ def _cmd_demo(args) -> int:
             raise ValidationError("demo outputs do not match the t1 projectors one-to-one")
         perm.append(hits[0])
     aligned = ext.values[:, perm]
-    doc["distribution"] = _dist_json(q)
     doc["extended_kd"] = _dist_json(ext)
-    doc["nonclassicality"] = nonclassicality(q)
     doc["extended_nonclassicality"] = nonclassicality(ext)
     doc["equality_gap"] = abs(nonclassicality(q) - nonclassicality(ext))
     doc["table_gap_after_alignment"] = float(np.max(np.abs(q.values - aligned)))
@@ -734,7 +699,7 @@ def _cmd_demo(args) -> int:
     }
     doc["max_table_deviation"] = _table_dev(q, _MR_PROCESS_TABLE)
     doc["max_extended_table_deviation"] = _table_dev(ext, _MR_EXTENDED_TABLE)
-    return _emit(doc, args.out)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -753,44 +718,37 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Temporal quasiprobability toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def spec_cmd(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def spec_cmd(name, fn, help, kinds=None):
+        """A subcommand on a spec file; ``kinds`` adds --kind, --schedule and --bra-schedule."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("spec", help="process specification file (JSON)")
         sp.add_argument("-o", "--out", default=None, help="write the document here instead of stdout")
+        if kinds:
+            sp.add_argument("--kind", choices=kinds, default="right")
+            sp.add_argument("--schedule", default="default")
+            sp.add_argument("--bra-schedule", default=None, help="bra side for --kind doubled")
         sp.set_defaults(fn=fn)
         return sp
 
-    spec_cmd("validate", _cmd_validate, help="run all structural and numerical checks")
+    spec_cmd("validate", _cmd_validate, "run all structural and numerical checks")
 
-    sp = spec_cmd("dist", _cmd_dist, help="evaluate a temporal distribution")
-    sp.add_argument("--kind", choices=_DIST_KINDS, default="right")
-    sp.add_argument("--schedule", default="default")
-    sp.add_argument("--bra-schedule", default=None, help="bra side for --kind doubled")
+    sp = spec_cmd("dist", _cmd_dist, "evaluate a temporal distribution", _DIST_KINDS)
     sp.add_argument("--table", default=None, help="also write a flat delimited table here")
 
-    sp = spec_cmd("nonclassicality", _cmd_nonclassicality, help="Σ|Q|-1 or log Σ|Q|")
-    sp.add_argument("--kind", choices=_DIST_KINDS, default="right")
-    sp.add_argument("--schedule", default="default")
-    sp.add_argument("--bra-schedule", default=None)
+    sp = spec_cmd("nonclassicality", _cmd_nonclassicality, "Σ|Q|-1 or log Σ|Q|", _DIST_KINDS)
     sp.add_argument("--variant", choices=("linear", "log"), default="linear")
 
-    sp = spec_cmd("witness", _cmd_witness, help="nonclassicality vs back-evolved commutators")
+    sp = spec_cmd("witness", _cmd_witness, "nonclassicality vs back-evolved commutators")
     sp.add_argument("--schedule", default="default")
 
-    sp = spec_cmd("state", _cmd_state, help="temporal state operator with eigenvalue summary")
+    sp = spec_cmd("state", _cmd_state, "temporal state operator with eigenvalue summary")
     sp.add_argument("--kind", choices=_STATE_CLI_KINDS, default="kd-right")
 
-    sp = spec_cmd("charfn", _cmd_charfn, help="characteristic function samples")
-    sp.add_argument("--kind", choices=("right", "left", "doubled"), default="right")
-    sp.add_argument("--schedule", default="default")
-    sp.add_argument("--bra-schedule", default=None)
+    sp = spec_cmd("charfn", _cmd_charfn, "characteristic function samples", CHAR_KINDS)
     sp.add_argument("--points", default=None,
                     help="semicolon-separated comma tuples; default: inversion grid")
 
-    sp = spec_cmd("circuit-sim", _cmd_circuit_sim, help="ancilla interferometer at one point")
-    sp.add_argument("--kind", choices=("right", "left", "doubled"), default="right")
-    sp.add_argument("--schedule", default="default")
-    sp.add_argument("--bra-schedule", default=None)
+    sp = spec_cmd("circuit-sim", _cmd_circuit_sim, "ancilla interferometer at one point", CHAR_KINDS)
     sp.add_argument("--point", required=True, help="comma-separated phases")
     sp.add_argument("--shots", type=int, default=None)
     sp.add_argument("--seed", type=_seed_arg, default=None)
@@ -804,12 +762,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
+    """Run one ``tkd`` command line: each ``_cmd_*`` adds its entries to the
+    `_base_doc` header of the loaded spec or demo. Returns the exit code."""
     try:
         args = _build_parser().parse_args(list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        bundle = _load_demo(args.name) if args.command == "demo" else load_spec(args.spec)
+        doc = _base_doc(args.command, bundle)
+        doc.update(args.fn(bundle, args))
+        return _emit(doc, args.out)
     except SpecParseError as e:
         print(f"tkd: spec error: {e}", file=sys.stderr)
         return 3

@@ -54,7 +54,7 @@ class Outcome:
         return f"Outcome(value={self.value!r}, label={self.label!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     dim: int
     outcomes: tuple[Outcome, ...]
@@ -140,7 +140,7 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement]) -> ProjectiveM
     return ProjectiveMeasurement(dim, outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HSBasis:
     """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν."""
 

@@ -46,7 +46,7 @@ presentation layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -73,13 +73,13 @@ KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "mh_doubled", "lvn")
 DOUBLED_KINDS = ("kd_doubled", "mh_doubled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTimeProcess:
     """ρ at t_0 plus the CPTP steps E_{t_1←t_0}, ..., E_{t_n←t_{n-1}}."""
 
     rho0: np.ndarray
     channels: tuple[QuantumChannel, ...]
-    tol: float = field(default=1e-9, compare=False)
+    tol: float = 1e-9
 
     def __init__(self, rho0, channels: Sequence[QuantumChannel] = (), tol: float = 1e-9):
         rho0 = check_density(rho0, tol)
@@ -157,7 +157,7 @@ def tensor_schedule(s1: Sequence[ProjectiveMeasurement],
     return [product_measurement([a, b]) for a, b in zip(s1, s2)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """Complex tensor over outcome tuples, normalized to total 1.
 
@@ -173,7 +173,7 @@ class QuasiDistribution:
     axes: tuple[tuple[Outcome, ...], ...]
     values: np.ndarray
     ket_axes: int = 0
-    tol: float = field(default=1e-10, compare=False)
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -351,7 +351,7 @@ def nonclassicality(q: QuasiDistribution, variant: str = "linear") -> float:
     raise ValidationError(f"unknown nonclassicality variant {variant!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointMeasurementOperators:
     """Heisenberg-picture operators on H_{t0} whose traces against ρ give Q."""
 

@@ -17,7 +17,7 @@ exposed through the API stay ascending.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
 HERMITIAN_STATE_KINDS = ("mh", "pdo")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorTensor:
     """Expectation tensor T over Hilbert-Schmidt basis choices, one axis per
     time slot (doubled kinds: ket block then bra block). ``tol`` bounds the
@@ -42,7 +42,7 @@ class CorrelatorTensor:
     bases: tuple[HSBasis, ...]
     values: np.ndarray
     ket_axes: int = 0
-    tol: float = field(default=1e-10, compare=False)
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in CORRELATOR_KINDS:
@@ -73,7 +73,7 @@ class CorrelatorTensor:
         return tuple(b.dim for b in block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
@@ -83,7 +83,7 @@ class TemporalStateOperator:
     kind: str
     dims: tuple[int, ...]
     matrix: np.ndarray
-    tol: float = field(default=1e-10, compare=False)
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
@@ -252,8 +252,8 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
     """Tr[Υ·(⊗ factors)] with one operator per time (ascending order in the
     arguments). Doubled states take separate ket and bra operator lists.
 
-    One contraction of Υ's row and column legs against the factors, F[j, i]
-    with Υ[i, j] on every leg; the D×D product is never formed."""
+    Each factor F[c, r] is contracted with its row and column legs of
+    Υ[r…, c…] in turn, by `np.tensordot`; the D×D product is never formed."""
     factors = _factors_for(y, projectors, "ket")
     if y.doubled:
         if bra_projectors is None:
@@ -261,10 +261,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
         factors = factors + _factors_for(y, bra_projectors, "bra")
     elif bra_projectors is not None:
         raise ValidationError(f"{y.kind} state takes a single operator list")
-    legs = string.ascii_letters[: 2 * len(factors)]
-    rows, cols = legs[: len(factors)], legs[len(factors):]
-    sub = ",".join([rows + cols] + [c + r for r, c in zip(rows, cols)])
-    return complex(np.einsum(sub, y.matrix.reshape(y.factor_dims * 2), *factors))
+    t = y.matrix.reshape(y.factor_dims * 2)
+    for f in factors:
+        t = np.tensordot(f, t, axes=([1, 0], [0, t.ndim // 2]))
+    return complex(t)
 
 
 def reduce_state(y: TemporalStateOperator, keep_times: Sequence[int]) -> TemporalStateOperator:

@@ -122,3 +122,19 @@ def test_projector_and_basis_inputs_are_copied():
     ops[1][...] = 0.0
     assert m.projectors[0, 0, 0] == 1.0 and m.outcomes[0].projector[0, 0] == 1.0
     assert basis.ops[1][0, 1] == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda raw: _build(raw)[0],
+    lambda raw: _build(raw)[0].channels[0],
+    lambda raw: _build(raw)[1][0],
+    lambda raw: _build(raw)[3],
+    lambda raw: tkd.kd_right(*_build(raw)[:2]),
+], ids=["MultiTimeProcess", "QuantumChannel", "ProjectiveMeasurement", "ObservableSchedule",
+        "QuasiDistribution"])
+def test_array_holders_compare_by_identity(make):
+    raw = _raw()
+    obj, copy_ = make(raw), make(raw)
+    assert obj == obj and obj in [obj]
+    assert obj != copy_ and obj not in [copy_]
+    assert len({obj, copy_, obj}) == 2

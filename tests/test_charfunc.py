@@ -194,6 +194,24 @@ def test_circuit_doubled_kind():
         assert abs(tkd.circuit_sim(p, obs, pt, kind="doubled").exact - want) < 1e-8
 
 
+def test_circuit_accepts_what_the_process_tolerance_accepts():
+    # trace preserving only to 1e-7: valid at tol 1e-6, which circuit_sim must honour
+    near_tp = tkd.QuantumChannel([np.sqrt(1 - 1e-7) * np.eye(2)])
+    p = tkd.MultiTimeProcess(tkd.random_density(2, seed=620), [near_tp, near_tp], tol=1e-6)
+    s = tkd.random_schedule(p.dims, seed=621)
+    ops = schedule_observables(s)
+    obs = tkd.ObservableSchedule(ket=ops, bra=ops)
+    for kind in ("right", "left", "doubled"):
+        width = 2 * p.n_times if kind == "doubled" else p.n_times
+        pts = random_points(width, 4, seed=622)
+        chi = tkd.char_fn(p, obs, pts, kind=kind)
+        for pt, want in zip(pts, chi.values):
+            assert abs(tkd.circuit_sim(p, obs, pt, kind=kind).exact - want) <= 1e-12
+    with pytest.raises(ValidationError):
+        tkd.stinespring(near_tp)  # the default tolerance still refuses it
+    assert tkd.stinespring(near_tp, tol=1e-6) is near_tp.dilation
+
+
 def test_circuit_d3():
     p = tkd.random_process(3, 1, seed=608, channel_kind="cptp")
     s = tkd.random_schedule(p.dims, seed=609)

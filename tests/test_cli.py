@@ -17,6 +17,9 @@ X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 Y = [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]
 Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 ZERO_STATE = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+ONE_STATE = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+MINUS = [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]
 
 
 def probe_spec(**extra) -> dict:
@@ -170,6 +173,27 @@ def test_charfn_round_trip(spec_file, capsys):
     assert np.allclose(ch["values"][1], [1.0, 0.0], atol=1e-12)
 
 
+# projector schedules whose outcome order differs from the spectral one that
+# charfn inserts: values written in descending order, and two equal values
+ROUND_TRIP_SCHEDULES = {
+    "descending": [{"projectors": [{"matrix": PLUS, "value": 1}, {"matrix": MINUS, "value": -1}]},
+                   {"projectors": [{"matrix": ONE_STATE, "value": 2},
+                                   {"matrix": ZERO_STATE, "value": 0.5}]}],
+    "equal values": [{"projectors": [{"matrix": PLUS, "value": 0, "label": "plus"},
+                                     {"matrix": MINUS, "value": 0, "label": "minus"}]},
+                     {"observable": Z}],
+}
+
+
+@pytest.mark.parametrize("kind", ["right", "left", "doubled"])
+@pytest.mark.parametrize("schedule", sorted(ROUND_TRIP_SCHEDULES))
+def test_charfn_round_trip_on_projector_schedules(tmp_path, capsys, schedule, kind):
+    path = tmp_path / "projectors.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": ROUND_TRIP_SCHEDULES[schedule]})))
+    ch = run_json(capsys, ["charfn", str(path), "--kind", kind])["characteristic"]
+    assert ch["inversion_round_trip_defect"] <= 1e-12
+
+
 def test_circuit_sim_document(spec_file, capsys):
     argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "40000"]
     doc = run_json(capsys, argv)
@@ -183,6 +207,18 @@ def test_circuit_sim_document(spec_file, capsys):
     out2 = capsys.readouterr().out
     assert code == 0
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out2
+
+
+def test_circuit_sim_at_the_spec_tolerance(tmp_path, capsys):
+    # a step trace preserving only to 1e-7, accepted at options.tolerance 1e-6
+    k = np.sqrt(1 - 1e-7)
+    near_tp = {"kind": "kraus", "operators": [[[[k, 0], [0, 0]], [[0, 0], [k, 0]]]]}
+    spec = probe_spec(channels=[near_tp], options={"tolerance": 1e-6})
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(spec))
+    for kind, point in (("right", "0.7,1.3"), ("left", "0.7,1.3"), ("doubled", "0.7,1.3,0.2,0.9")):
+        argv = ["circuit-sim", str(path), "--kind", kind, "--point", point]
+        assert run_json(capsys, argv)["circuit"]["circuit_defect"] <= 1e-12
 
 
 def test_output_file_option(spec_file, capsys, tmp_path):
@@ -239,10 +275,9 @@ def test_exit_code_parse(tmp_path, capsys):
     capsys.readouterr()
 
 
-PROJECTORS_BAD_VALUE = [
-    {"matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], "value": "q"},
-    {"matrix": [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]], "value": -1},
-]
+PROJECTORS_BAD_VALUE = [{"matrix": PLUS, "value": "q"}, {"matrix": MINUS, "value": -1}]
+PROJECTORS_LIST_LABEL = [{"matrix": PLUS, "label": [1, 2]}, {"matrix": MINUS}]
+PROJECTORS_SAME_LABEL = [{"matrix": PLUS, "label": "x"}, {"matrix": MINUS, "label": "x"}]
 MALFORMED_FIELDS = [
     ({"channels": [{"kind": "depolarizing", "p": "abc", "d": 2}]}, "channels[0].p"),
     ({"channels": [{"kind": "depolarizing", "p": 0.1, "d": "x"}]}, "channels[0].d"),
@@ -256,6 +291,10 @@ MALFORMED_FIELDS = [
     ({"dims": ["a"]}, "dims[0]"),
     ({"schedules": {"default": [{"projectors": PROJECTORS_BAD_VALUE}, {"observable": Y}]}},
      "schedules.default[0].projectors[0].value"),
+    ({"schedules": {"default": [{"projectors": PROJECTORS_LIST_LABEL}, {"observable": Y}]}},
+     "schedules.default[0].projectors[0].label"),
+    ({"schedules": {"default": [{"observable": X}, {"projectors": PROJECTORS_SAME_LABEL}]}},
+     "schedules.default[1].projectors[1].label"),
     ({"initial_state": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "initial_state[0][0][0]"),
     ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]},
      "initial_state[1][1][0]"),
