@@ -86,17 +86,33 @@ class CharSamples:
     def __post_init__(self):
         if self.kind not in CHAR_KINDS:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
-        grid = tuple(tuple(float(x) for x in pt) for pt in self.grid)
-        object.__setattr__(self, "grid", grid)
+        x = _grid_array(self.grid)
+        object.__setattr__(self, "grid", tuple(map(tuple, x.tolist())))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128).reshape(-1))
-        if len(self.values) != len(grid):
+        if len(self.values) != len(x):
             raise ValidationError("one value per grid point required")
-        widths = {len(pt) for pt in grid}
-        if len(widths) > 1:
-            raise ValidationError("grid points differ in arity")
-        for pt, v in zip(grid, self.values):
-            if all(x == 0.0 for x in pt) and abs(v - 1.0) > self.tol:
-                raise ValidationError(f"value at the zero point is {v}, not 1")
+        bad = ~x.any(axis=1) & (np.abs(self.values - 1.0) > self.tol)
+        if bad.any():
+            raise ValidationError(f"value at the zero point is {self.values[bad.argmax()]}, not 1")
+
+
+def _grid_array(grid, width: int | None = None,
+                message: str = "grid points differ in arity") -> np.ndarray:
+    """The phase grid as a (P, w) float64 array; a float64 matrix is taken as
+    it is. Every other phase goes through float(), so None, complex and nested
+    phases raise TypeError. The first point whose arity is not ``width``
+    (default: the first point's) raises ``message``, formatted with that arity."""
+    if isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.ndim == 2:
+        widths = grid.shape[1:]
+    else:
+        grid = [tuple(map(float, pt)) for pt in grid]
+        widths = [len(pt) for pt in grid]
+    if width is None:
+        width = widths[0] if widths else 0
+    for w in widths:
+        if w != width:
+            raise ValidationError(message.format(w))
+    return np.asarray(grid, dtype=np.float64).reshape(len(grid), width)
 
 
 def _side_meas(obs: ObservableSchedule, dims: Sequence[int], side: str):
@@ -135,18 +151,15 @@ def _phases(meas: ProjectiveMeasurement, sign: int, ts) -> np.ndarray:
     return np.einsum("pm,mij->pij", np.exp(sign * 1j * np.outer(ts, values)), meas.projectors)
 
 
-def _split_points(grid, kind: str, n_times: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ket phases v and bra phases u of every point, each (P, n_times) and
-    empty on the side the kind leaves bare; doubled points carry v first."""
+def _split_points(grid, kind: str, n_times: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid as a (P, w) array, then the ket phases v and bra phases u of
+    every point, each (P, n_times) and empty on the side the kind leaves bare;
+    doubled points carry v first."""
     want = 2 * n_times if kind == "doubled" else n_times
-    points = [tuple(float(x) for x in pt) for pt in grid]
-    for pt in points:
-        if len(pt) != want:
-            raise ValidationError(f"{kind} point needs {want} phases, got {len(pt)}")
-    x = np.array(points, dtype=float).reshape(len(points), want)
+    x = _grid_array(grid, want, f"{kind} point needs {want} phases, got {{}}")
     if kind == "doubled":
-        return x[:, :n_times], x[:, n_times:]
-    return (x, x[:, :0]) if kind == "left" else (x[:, :0], x)
+        return x, x[:, :n_times], x[:, n_times:]
+    return (x, x, x[:, :0]) if kind == "left" else (x, x[:, :0], x)
 
 
 def _char_values(p: MultiTimeProcess, ket_meas, bra_meas, v: np.ndarray,
@@ -172,9 +185,8 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     left inserts e^{+iA_kv_k} on the ket side; doubled does both.
     """
     ket_meas, bra_meas = _kind_meas(p, obs, kind)
-    v, u = _split_points(grid, kind, p.n_times)
-    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid),
-                       _char_values(p, ket_meas, bra_meas, v, u), tol=p.tol)
+    x, v, u = _split_points(grid, kind, p.n_times)
+    return CharSamples(kind, x, _char_values(p, ket_meas, bra_meas, v, u), tol=p.tol)
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
@@ -189,16 +201,14 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
     else:
         signs = [+1 if i < q.ket_axes else -1 for i in range(len(q.axes))]
     vals = [q.axis_values(i) for i in range(len(q.axes))]
+    points = _grid_array(grid, len(q.axes), f"point needs {len(q.axes)} phases, got {{}}")
     out = []
-    for pt in grid:
-        if len(pt) != len(q.axes):
-            raise ValidationError(f"point needs {len(q.axes)} phases, got {len(pt)}")
+    for pt in points:
         t = q.values
         for s, bv, x in zip(signs, vals, pt):
-            t = np.tensordot(t, np.exp(s * 1j * bv * float(x)), axes=([0], [0]))
+            t = np.tensordot(t, np.exp(s * 1j * bv * x), axes=([0], [0]))
         out.append(complex(t))
-    return CharSamples(kind, tuple(tuple(float(x) for x in pt) for pt in grid), np.array(out),
-                       tol=q.tol)
+    return CharSamples(kind, points, np.array(out), tol=q.tol)
 
 
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
@@ -286,7 +296,7 @@ _READOUT_SIGN = -1
 def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, point,
                 kind: str) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer."""
-    (v,), (u,) = _split_points([point], kind, p.n_times)
+    _, (v,), (u,) = _split_points([point], kind, p.n_times)
     d = p.dims[0]
 
     def gates(meas, ts):

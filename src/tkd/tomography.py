@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, dagger, insertion_maps, max_abs, partial_trace
+from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs,
+                     partial_trace, readonly)
 from .measurements import HSBasis, hs_basis, spectral_measurement
 from .quasiprob import MultiTimeProcess, _ket_bra_order, _sweep
 
@@ -78,7 +80,7 @@ class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
     ``tol`` bounds the trace defect and, for Hermitian kinds, the
-    Hermiticity defect."""
+    Hermiticity defect. ``matrix`` is a read-only copy of the array given."""
 
     kind: str
     dims: tuple[int, ...]
@@ -89,7 +91,7 @@ class TemporalStateOperator:
         if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        m = as_matrix(self.matrix)
+        m = frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         d = int(np.prod(self.dims))
         if self.doubled:
@@ -115,6 +117,14 @@ class TemporalStateOperator:
         """Per-factor dims in matrix order (latest time first)."""
         rev = tuple(reversed(self.dims))
         return rev + rev if self.doubled else rev
+
+    @cached_property
+    def _paired(self) -> np.ndarray:
+        """Υ[r…, c…] as one C-contiguous copy with axes (c_0, r_0, c_1, r_1, …)
+        in matrix factor order, so factor k's legs form one d_k² axis pair."""
+        m = len(self.factor_dims)
+        t = self.matrix.reshape(self.factor_dims * 2)
+        return readonly(np.ascontiguousarray(t.transpose([a for k in range(m) for a in (m + k, k)])))
 
     def eigenvalues(self) -> np.ndarray:
         if self.kind in HERMITIAN_STATE_KINDS:
@@ -203,11 +213,12 @@ def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     every pair (doubled). Tr[Υ·⊗E] = Υ[b, a] (doubled: Υ[b…, b'…; a…, a'…]), so
     one transpose takes each time's unit indices (a, b) or (a, b, a', b') to b
     (then b') on the rows and a (then a') on the columns, latest time first."""
-    maps = []
-    for d in p.dims:
+    by_dim = {}
+    for d in set(p.dims):
         units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
         m = insertion_maps("doubled" if side == "doubled" else "right", units)
-        maps.append((m + insertion_maps("left", units)) / 2 if side == "jordan" else m)
+        by_dim[d] = (m + insertion_maps("left", units)) / 2 if side == "jordan" else m
+    maps = [by_dim[d] for d in p.dims]
     legs = (1, 3, 0, 2) if side == "doubled" else (1, 0)
     order = [len(legs) * k + j for j in legs for k in range(p.n_times - 1, -1, -1)]
     side_dim = int(np.prod(p.dims)) ** (len(legs) // 2)
@@ -252,8 +263,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
     """Tr[Υ·(⊗ factors)] with one operator per time (ascending order in the
     arguments). Doubled states take separate ket and bra operator lists.
 
-    Each factor F[c, r] is contracted with its row and column legs of
-    Υ[r…, c…] in turn, by `np.tensordot`; the D×D product is never formed."""
+    Each factor F[c, r], flattened, is contracted in turn with its (c, r) leg
+    pair of the state's paired copy, one vector-matrix product per factor; the
+    D×D product is never formed. The paired copy is built on the first call
+    and kept on the state, so a state that is evaluated holds its matrix twice."""
     factors = _factors_for(y, projectors, "ket")
     if y.doubled:
         if bra_projectors is None:
@@ -261,10 +274,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
         factors = factors + _factors_for(y, bra_projectors, "bra")
     elif bra_projectors is not None:
         raise ValidationError(f"{y.kind} state takes a single operator list")
-    t = y.matrix.reshape(y.factor_dims * 2)
+    z = y._paired
     for f in factors:
-        t = np.tensordot(f, t, axes=([1, 0], [0, t.ndim // 2]))
-    return complex(t)
+        z = f.reshape(-1) @ z.reshape(f.size, -1)
+    return complex(z[0])
 
 
 def reduce_state(y: TemporalStateOperator, keep_times: Sequence[int]) -> TemporalStateOperator:

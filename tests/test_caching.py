@@ -138,3 +138,53 @@ def test_array_holders_compare_by_identity(make):
     assert obj == obj and obj in [obj]
     assert obj != copy_ and obj not in [copy_]
     assert len({obj, copy_, obj}) == 2
+
+
+STATE_PRODUCERS = {
+    "kd_state_recursive right": lambda p: tkd.kd_state_recursive(p),
+    "kd_state_recursive left": lambda p: tkd.kd_state_recursive(p, kind="kd_left"),
+    "kd_state_recursive doubled": lambda p: tkd.kd_state_recursive(p, kind="kd_doubled"),
+    "mh_state": tkd.mh_state,
+    "pdo": tkd.pdo,
+    "reconstruct_state": lambda p: tkd.reconstruct_state(tkd.correlators(p, kind="doubled")),
+    "reduce_state": lambda p: tkd.reduce_state(tkd.kd_state_recursive(p), [0, 2]),
+    "trace_ket_block": lambda p: tkd.trace_ket_block(tkd.kd_state_recursive(p, kind="kd_doubled")),
+    "trace_bra_block": lambda p: tkd.trace_bra_block(tkd.kd_state_recursive(p, kind="kd_doubled")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_PRODUCERS))
+def test_state_matrices_are_read_only(name):
+    y = STATE_PRODUCERS[name](_build(_raw())[0])
+    with pytest.raises(ValueError):
+        y.matrix[0, 0] = 7.0
+
+
+def _born_args(y, rng):
+    ket = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in y.dims]
+    bra = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in y.dims]
+    return (ket, bra) if y.doubled else (ket,)
+
+
+@pytest.mark.parametrize("kind", ["kd_right", "kd_doubled"])
+def test_mutating_the_array_a_state_was_built_from_changes_no_born_eval(kind):
+    p = _build(_raw())[0]
+    given = np.array(tkd.kd_state_recursive(p, kind=kind).matrix)
+    y, y_late = (tkd.TemporalStateOperator(kind, p.dims, given) for _ in range(2))
+    fresh = tkd.TemporalStateOperator(kind, p.dims, given.copy())
+    args = _born_args(y, np.random.default_rng(3))
+    tkd.born_eval(y, *args)  # y builds its paired copy before the write, y_late after it
+    given[...] = 0.0
+    want = tkd.born_eval(fresh, *args)
+    assert tkd.born_eval(y, *args) == want
+    assert tkd.born_eval(y_late, *args) == want
+
+
+@pytest.mark.parametrize("name", sorted(STATE_PRODUCERS))
+def test_repeated_born_eval_is_bit_identical(name):
+    p = _build(_raw())[0]
+    y, fresh = STATE_PRODUCERS[name](p), STATE_PRODUCERS[name](p)
+    args = _born_args(y, np.random.default_rng(5))
+    first = tkd.born_eval(y, *args)
+    assert tkd.born_eval(y, *args) == first
+    assert tkd.born_eval(fresh, *args) == first

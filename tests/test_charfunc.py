@@ -98,6 +98,84 @@ def test_char_samples_validation():
         tkd.CharSamples("right", [(1.0,)], np.array([1.0, 2.0]))
 
 
+def _qubit_pair():
+    """A two-time qubit process with Z on both sides: two phases per point, four doubled."""
+    z = np.diag([1.0, -1.0])
+    return tkd.random_process(2, 1, seed=1), tkd.ObservableSchedule(ket=(z, z), bra=(z, z))
+
+
+@pytest.mark.parametrize("phase", [None, 1j, 0.5 + 0j, np.array([1.0, 2.0]), [0.5], "x"],
+                         ids=["none", "complex", "real complex", "array", "list", "str"])
+def test_grid_phases_go_through_float(phase):
+    p, obs = _qubit_pair()
+    with pytest.raises((TypeError, ValueError)) as err:
+        tkd.char_fn(p, obs, [(0.0, 0.0), (0.1, phase)])
+    with pytest.raises((TypeError, ValueError)) as err_samples:
+        tkd.CharSamples("right", [(0.0, 0.0), (0.1, phase)], np.array([1.0, 0.5]))
+    want = ValueError if isinstance(phase, str) else TypeError  # float("x") is a ValueError
+    assert err.type is want and err_samples.type is want
+    assert not isinstance(err.value, ValidationError)
+
+
+def test_grid_arity_errors():
+    p, obs = _qubit_pair()
+    for kind, grid, message in (
+            ("right", [(0.0, 0.0, 0.0)], "right point needs 2 phases, got 3"),
+            ("right", [(0.0, 0.0), (1.0,)], "right point needs 2 phases, got 1"),  # ragged
+            ("left", [(1.0,), (0.0, 0.0)], "left point needs 2 phases, got 1"),
+            ("doubled", [(0.0, 0.0, 0.0, 0.0), (1.0, 2.0)], "doubled point needs 4 phases, got 2")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            tkd.char_fn(p, obs, grid, kind=kind)
+    with pytest.raises(ValidationError, match="^grid points differ in arity$"):
+        tkd.CharSamples("right", [(0.0, 0.0), (1.0,)], np.array([1.0, 0.5]))
+    q = tkd.kd_right(p, [tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 2)
+    with pytest.raises(ValidationError, match="^point needs 2 phases, got 1$"):
+        tkd.char_from_distribution(q, [(0.0, 0.0), (1.0,)])
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_zero_point_anywhere_must_carry_one(position):
+    grid = [(0.5, 1.0), (0.25, 0.0), (1.0, -2.0)]
+    grid.insert(position, (0.0, -0.0))
+    values = np.full(4, 0.5 + 0.5j)
+    values[position] = 1.0
+    assert tkd.CharSamples("right", grid, values).values[position] == 1.0
+    values[position] = 0.5
+    with pytest.raises(ValidationError, match=r"^value at the zero point is \(0\.5\+0j\), not 1$"):
+        tkd.CharSamples("right", grid, values)
+    values[position] = 1.0 + 1e-9
+    with pytest.raises(ValidationError):
+        tkd.CharSamples("right", grid, values, tol=1e-10)
+    assert tkd.CharSamples("right", grid, values, tol=1e-8).grid[position] == (0.0, -0.0)
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 1], [2, 3]],
+    ((0, 1), (2.5, 3)),
+    np.array([[0, 1], [2, 3]]),
+    np.array([[0.0, 1.0], [2.5, 3.0]]),
+    [np.array([0.0, 1.0]), (np.float32(2.5), np.int64(3))],
+], ids=["list", "tuple", "int array", "float64 array", "numpy scalars"])
+def test_grids_hold_python_floats(grid):
+    p, obs = _qubit_pair()
+    want = [[float(x) for x in pt] for pt in grid]
+    for samples in (tkd.char_fn(p, obs, grid),
+                    tkd.CharSamples("right", grid, np.array([1.0, 0.5]))):
+        assert isinstance(samples.grid, tuple) and all(isinstance(pt, tuple) for pt in samples.grid)
+        assert [list(pt) for pt in samples.grid] == want
+        assert all(type(x) is float for pt in samples.grid for x in pt)
+
+
+def test_empty_grid():
+    p, obs = _qubit_pair()
+    for samples in (tkd.char_fn(p, obs, []), tkd.char_fn(p, obs, [], kind="doubled"),
+                    tkd.CharSamples("right", [], np.array([]))):
+        assert samples.grid == () and samples.values.shape == (0,)
+        assert samples.values.dtype == np.complex128
+    with pytest.raises(ValidationError):
+        tkd.CharSamples("right", [], np.array([1.0]))
+
+
 def test_default_nodes():
     nodes = tkd.default_nodes([-1.0, 1.0])
     assert np.allclose(nodes, [0.0, np.pi / 3])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import tkd
 from tkd.linops import max_abs
 from tkd.oracle import _direct_correlator, _direct_correlator_doubled
+from test_tomography import _born_kron
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -216,6 +217,37 @@ def test_born_rule_on_doubled_and_pdo_states(data):
         qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
         for i in np.ndindex(qm.shape):
             assert abs(tkd.born_eval(y, projs(ket, i)) - qm[i]) <= TOL
+
+
+@st.composite
+def rect_processes(draw) -> tkd.MultiTimeProcess:
+    """Two or three times with per-time dims drawn from {1, 2, 3}; each step is
+    a random isometry d_in → d_out split into d_in Kraus operators."""
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(SEEDS))
+    chain = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        g = rng.normal(size=(d_in * d_out, d_in)) + 1j * rng.normal(size=(d_in * d_out, d_in))
+        chain.append(tkd.QuantumChannel(list(np.linalg.qr(g)[0].reshape(d_in, d_out, d_in))))
+    return tkd.MultiTimeProcess(tkd.random_density(dims[0], rng), chain)
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_born_eval_matches_the_kron_formula(data):
+    p = data.draw(st.one_of(processes(max_steps=2), rect_processes()))
+    rng = np.random.default_rng(data.draw(SEEDS))
+
+    def ops():  # general non-Hermitian factors, one per time
+        return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in p.dims]
+
+    for y in (tkd.kd_state_recursive(p), tkd.kd_state_recursive(p, kind="kd_left"), tkd.pdo(p)):
+        f = ops()
+        assert abs(tkd.born_eval(y, f) - _born_kron(y, f)) <= TOL
+    if np.prod(p.dims) <= 12:  # the kron reference is (Π d)² wide on a doubled state
+        yd = tkd.kd_state_recursive(p, kind="kd_doubled")
+        ket, bra = ops(), ops()
+        assert abs(tkd.born_eval(yd, ket, bra) - _born_kron(yd, ket, bra)) <= TOL
 
 
 def _witness_reference(p, s) -> tuple[float, tuple]:
