@@ -1,37 +1,35 @@
 """Characteristic functions of temporal quasiprobabilities.
 
 χ is the Fourier transform of a temporal distribution over its outcome
-values. It is directly computable by inserting phase gates e^{∓iB_ku_k} into
-the process trace, invertible back to the distribution on a suitable phase
-grid, and measurable as ⟨X⟩, ⟨Y⟩ of an ancilla that coherently switches
-between two gate sequences. Phase gates use spectral sums of the observable,
-so outcome values match the projective measurements everywhere else.
+values: the process trace with phase gates e^{+iA_kv_k} (ket side) or
+e^{−iB_ku_k} (bra side) where the distributions insert projectors. Phase
+gates are spectral sums of the observable, so outcome values match the
+projective measurements everywhere else. χ is thus one more choice of
+insertions for the forward sweep of `quasiprob`, one phase-gate map per
+distinct node of each time's axis: a grid that holds every combination of
+its per-axis nodes, in any order, takes one sweep over their product, and
+any other grid one sweep per point. χ inverts back to the distribution on a
+suitable product grid, and an ancilla that coherently switches between two
+gate sequences measures it as ⟨X⟩, ⟨Y⟩.
 
-The interferometer runs on a live ancilla ⊗ system register. Each step's
-environment is attached just before its dilation unitary and traced out
-right after it; no later gate touches that register again, so this is exact
-and no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
-
-Nothing here rebuilds an operator that depends on one input object alone.
-An `ObservableSchedule` holds read-only copies of its observables and builds
-their spectral measurements once per side (`ket_measurements`,
-`bra_measurements`); the direct pass reads each channel's cached `superop`,
-the interferometer its cached `dilation`, and the phase gates each
-measurement's cached `projectors`.
+The interferometer keeps ancilla ⊗ system live: each step's environment is
+attached just before its dilation unitary and traced out right after it, so
+no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, frozen_matrix, is_hermitian, partial_trace
+from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, partial_trace
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution
+from .quasiprob import MultiTimeProcess, QuasiDistribution, _ket_bra_order, _sweep
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -39,7 +37,9 @@ CHAR_KINDS = ("right", "left", "doubled")
 @dataclass(frozen=True, eq=False)
 class ObservableSchedule:
     """Hermitian observables per time: bra side (B_k, right-hand phases),
-    ket side (A_k, left-hand phases), or both for the doubled kind."""
+    ket side (A_k, left-hand phases), or both for the doubled kind. A side
+    holds the read-only Hermitian parts (o + o†)/2 of observables Hermitian
+    within ``tol``, so every accepted observable decomposes."""
 
     ket: tuple[np.ndarray, ...] | None = None
     bra: tuple[np.ndarray, ...] | None = None
@@ -51,11 +51,11 @@ class ObservableSchedule:
         for side, ops in (("ket", self.ket), ("bra", self.bra)):
             if ops is None:
                 continue
-            ops = tuple(frozen_matrix(o) for o in ops)
+            ops = tuple(as_matrix(o) for o in ops)
             for k, o in enumerate(ops):
                 if not is_hermitian(o, self.tol):
                     raise ValidationError(f"{side} observable {k} is not Hermitian")
-            object.__setattr__(self, side, ops)
+            object.__setattr__(self, side, tuple(frozen_matrix((o + o.conj().T) / 2) for o in ops))
         if self.ket is not None and self.bra is not None and len(self.ket) != len(self.bra):
             raise ValidationError("ket and bra sides differ in length")
 
@@ -75,8 +75,8 @@ class ObservableSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CharSamples:
-    """χ values over a list of phase points (doubled points carry the ket
-    v-block first, then the bra u-block). ``tol`` bounds |χ(0) − 1|."""
+    """Finite χ values over a list of phase points (doubled points carry the
+    ket v-block first, then the bra u-block). ``tol`` bounds |χ(0) − 1|."""
 
     kind: str
     grid: tuple[tuple[float, ...], ...]
@@ -91,6 +91,8 @@ class CharSamples:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128).reshape(-1))
         if len(self.values) != len(x):
             raise ValidationError("one value per grid point required")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("χ values must be finite")
         bad = ~x.any(axis=1) & (np.abs(self.values - 1.0) > self.tol)
         if bad.any():
             raise ValidationError(f"value at the zero point is {self.values[bad.argmax()]}, not 1")
@@ -98,83 +100,90 @@ class CharSamples:
 
 def _grid_array(grid, width: int | None = None,
                 message: str = "grid points differ in arity") -> np.ndarray:
-    """The phase grid as a (P, w) float64 array; a float64 matrix is taken as
-    it is. Every other phase goes through float(), so None, complex and nested
-    phases raise TypeError. The first point whose arity is not ``width``
-    (default: the first point's) raises ``message``, formatted with that arity."""
-    if isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.ndim == 2:
-        widths = grid.shape[1:]
+    """The phase grid as a (P, w) float64 array. A grid numpy reads as a real
+    numeric matrix converts at once; any other goes phase by phase through
+    float(), so None and nested phases raise TypeError. Complex phases raise
+    TypeError either way. The first point whose arity is not ``width``
+    (default: the first point's) raises ``message``, formatted with it."""
+    try:
+        a = np.asarray(grid)
+    except ValueError:  # ragged
+        a = np.empty(0, dtype=object)
+    if a.ndim == 2 and a.dtype.kind in "biuf":
+        grid, widths = a.astype(np.float64, copy=False), a.shape[1:]
     else:
+        grid = [tuple(pt) for pt in grid]
+        if a.dtype.kind == "c" or any(np.iscomplexobj(t) for pt in grid for t in pt):
+            raise TypeError("phases must be real")
         grid = [tuple(map(float, pt)) for pt in grid]
         widths = [len(pt) for pt in grid]
-    if width is None:
-        width = widths[0] if widths else 0
+    width = (widths[0] if widths else 0) if width is None else width
     for w in widths:
         if w != width:
             raise ValidationError(message.format(w))
     return np.asarray(grid, dtype=np.float64).reshape(len(grid), width)
 
 
-def _side_meas(obs: ObservableSchedule, dims: Sequence[int], side: str):
-    """The cached measurements of one side, once its observables fit the dims."""
-    ops = getattr(obs, side)
-    if len(ops) != len(dims):
-        raise ValidationError(f"{side} side has {len(ops)} observables for {len(dims)} times")
-    for k, (o, d) in enumerate(zip(ops, dims)):
-        if o.shape != (d, d):
-            raise ValidationError(f"{side} observable {k} is {o.shape}, time dim is {d}")
-    return getattr(obs, f"{side}_measurements")
+def _grid_nodes(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The sorted distinct nodes of each axis of a (P, w) grid and, if the grid
+    holds every combination of them (in any order, repeats allowed), each
+    point's flat C-order index into their product; None otherwise."""
+    if len(x) <= 1:  # each axis holds the one point's node
+        return list(x.T), np.zeros(len(x), dtype=np.intp)
+    xs = np.sort(x, axis=0)
+    first = np.concatenate([np.ones_like(xs[:1], dtype=bool), xs[1:] != xs[:-1]])
+    nodes = [col[keep] for col, keep in zip(xs.T, first.T)]
+    shape = tuple(map(len, nodes))
+    if math.prod(shape) > len(x):  # some combination must be missing
+        return nodes, None
+    flat = np.ravel_multi_index([np.searchsorted(nd, col) for nd, col in zip(nodes, x.T)], shape)
+    return nodes, flat if np.bincount(flat, minlength=math.prod(shape)).all() else None
 
 
-def _kind_meas(p: MultiTimeProcess, obs: ObservableSchedule, kind: str):
-    """Ket and bra measurements the kind inserts, None on the side it leaves
-    bare; raises when the kind, the step dims or a needed side is wrong."""
+def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
+    """The ket and bra measurements the kind inserts (None on a bare side) and
+    the grid as a (P, w) array at the kind's width, all checked."""
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("characteristic functions need square step dims")
-    ket_meas = bra_meas = None
-    if kind in ("left", "doubled"):
-        if obs.ket is None:
-            raise ValidationError(f"{kind} characteristic needs ket observables")
-        ket_meas = _side_meas(obs, p.dims, "ket")
-    if kind in ("right", "doubled"):
-        if obs.bra is None:
-            raise ValidationError(f"{kind} characteristic needs bra observables")
-        bra_meas = _side_meas(obs, p.dims, "bra")
-    return ket_meas, bra_meas
+    meas = [None, None]
+    for i, side in enumerate(("ket", "bra")):
+        if kind == ("right", "left")[i]:  # the side this kind leaves bare
+            continue
+        ops = getattr(obs, side)
+        if ops is None:
+            raise ValidationError(f"{kind} characteristic needs {side} observables")
+        if len(ops) != p.n_times:
+            raise ValidationError(f"{side} side has {len(ops)} observables for {p.n_times} times")
+        for k, (o, d) in enumerate(zip(ops, p.dims)):
+            if o.shape != (d, d):
+                raise ValidationError(f"{side} observable {k} is {o.shape}, time dim is {d}")
+        meas[i] = getattr(obs, f"{side}_measurements")
+    want = 2 * p.n_times if kind == "doubled" else p.n_times
+    return (*meas, _grid_array(grid, want, f"{kind} point needs {want} phases, got {{}}"))
 
 
-def _phases(meas: ProjectiveMeasurement, sign: int, ts) -> np.ndarray:
-    """Phase gates e^{sign·i·t·B} = Σ_b e^{sign·i·t·b} Π_b, one per t: (P, d, d)."""
+def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np.ndarray:
+    """Σ_b e^{sign·i·t·b} stack_b, one per t: the phase gates e^{sign·i·t·B} from
+    the projectors, or their insertion maps from the maps of the projectors."""
     values = np.array([o.value for o in meas.outcomes])
-    return np.einsum("pm,mij->pij", np.exp(sign * 1j * np.outer(ts, values)), meas.projectors)
+    return np.einsum("pm,m...->p...", np.exp(sign * 1j * np.outer(ts, values)), stack)
 
 
-def _split_points(grid, kind: str, n_times: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid as a (P, w) array, then the ket phases v and bra phases u of
-    every point, each (P, n_times) and empty on the side the kind leaves bare;
-    doubled points carry v first."""
-    want = 2 * n_times if kind == "doubled" else n_times
-    x = _grid_array(grid, want, f"{kind} point needs {want} phases, got {{}}")
-    if kind == "doubled":
-        return x, x[:, :n_times], x[:, n_times:]
-    return (x, x, x[:, :0]) if kind == "left" else (x, x[:, :0], x)
-
-
-def _char_values(p: MultiTimeProcess, ket_meas, bra_meas, v: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """χ at all P points in one forward pass over a (P, d, d) state stack."""
-    state = np.broadcast_to(p.rho0, (len(v),) + p.rho0.shape)
-    for k, superop in enumerate([c.superop for c in p.channels] + [None]):
-        if ket_meas is not None:
-            state = _phases(ket_meas[k], +1, v[:, k]) @ state
-        if bra_meas is not None:
-            state = state @ _phases(bra_meas[k], -1, u[:, k])
-        if superop is not None:
-            d_out = p.dims[k + 1]
-            state = (state.reshape(-1, superop.shape[1]) @ superop.T).reshape(-1, d_out, d_out)
-    return np.trace(state, axis1=1, axis2=2)
+def _char_sweep(p: MultiTimeProcess, ket_meas, bra_meas, nodes) -> np.ndarray:
+    """χ on the product of the per-axis phase nodes, flat in C order over the axes, from
+    one sweep whose maps at each time are phase-weighted sums of cached projector maps."""
+    v, u = nodes[:p.n_times], nodes[-p.n_times:]
+    maps = []
+    for k in range(p.n_times):
+        ket = None if ket_meas is None else _phases(ket_meas[k], +1, v[k], ket_meas[k].left_maps)
+        bra = None if bra_meas is None else _phases(bra_meas[k], -1, u[k], bra_meas[k].right_maps)
+        maps.append(ket if bra is None else bra if ket is None else
+                    (ket[:, None] @ bra[None]).reshape((-1,) + ket.shape[1:]))
+    if ket_meas is None or bra_meas is None:
+        return _sweep(p, maps)
+    return _ket_bra_order(_sweep(p, maps), [(len(a), len(b)) for a, b in zip(v, u)]).reshape(-1)
 
 
 def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequence[float]],
@@ -183,10 +192,16 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
 
     right: Tr[E_n(...E_1(ρ e^{−iB₀u₀}) e^{−iB₁u₁}...) e^{−iB_nu_n}];
     left inserts e^{+iA_kv_k} on the ket side; doubled does both.
+
+    The phase gates are insertion maps of the shared forward sweep. A grid
+    holding every combination of its per-axis nodes, in any order, takes one
+    sweep over the node product; any other grid takes one sweep per point.
     """
-    ket_meas, bra_meas = _kind_meas(p, obs, kind)
-    x, v, u = _split_points(grid, kind, p.n_times)
-    return CharSamples(kind, x, _char_values(p, ket_meas, bra_meas, v, u), tol=p.tol)
+    ket_meas, bra_meas, x = _kind_inputs(p, obs, kind, grid)
+    nodes, flat = _grid_nodes(x)
+    values = (_char_sweep(p, ket_meas, bra_meas, nodes)[flat] if flat is not None else
+              np.array([_char_sweep(p, ket_meas, bra_meas, pt[:, None])[0] for pt in x]))
+    return CharSamples(kind, x, values, tol=p.tol)
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
@@ -214,11 +229,7 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
     """m equispaced phase nodes u_j = j·π/(1 + max|b−b'|) for m distinct outcomes."""
     vals = sorted(set(float(b) for b in spectrum))
-    m = len(vals)
-    if m == 1:
-        return np.zeros(1)
-    theta = np.pi / (1.0 + (vals[-1] - vals[0]))
-    return theta * np.arange(m)
+    return np.pi / (1.0 + (vals[-1] - vals[0])) * np.arange(len(vals))  # [0.] for one outcome
 
 
 def product_grid(per_axis_nodes: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
@@ -229,30 +240,21 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
     """Recover the distribution from χ on a full product grid.
 
     Per axis the grid must hold exactly as many distinct nodes as there are
-    outcomes; each axis contributes a Vandermonde-type factor [e^{∓iu_j·b}]
-    that is solved independently. Rejects condition numbers above 1e6.
+    outcomes, and each node combination exactly once, in any order; each axis
+    contributes a Vandermonde-type factor [e^{∓iu_j·b}] that is solved
+    independently. Rejects condition numbers above 1e6.
     """
     axes = len(spectra)
-    if samples.grid and len(samples.grid[0]) != axes:
-        raise ValidationError(f"grid points carry {len(samples.grid[0])} phases for {axes} spectra")
-    nodes = [sorted(set(pt[i] for pt in samples.grid)) for i in range(axes)]
+    nodes, flat = _grid_nodes(
+        _grid_array(samples.grid, axes, f"grid points carry {{}} phases for {axes} spectra"))
     spect = [sorted(set(float(b) for b in s)) for s in spectra]
-    shape = tuple(len(nd) for nd in nodes)
+    shape = tuple(len(sp) for sp in spect)
     for i, (nd, sp) in enumerate(zip(nodes, spect)):
         if len(nd) != len(sp):
-            raise ValidationError(
-                f"axis {i} has {len(nd)} grid nodes for {len(sp)} outcomes")
-    if len(samples.grid) != int(np.prod(shape)):
+            raise ValidationError(f"axis {i} has {len(nd)} grid nodes for {len(sp)} outcomes")
+    if flat is None or len(flat) != math.prod(shape):
         raise ValidationError("grid is not a full per-axis product")
-    lookup = [{x: j for j, x in enumerate(nd)} for nd in nodes]
-    tensor = np.zeros(shape, dtype=np.complex128)
-    filled = np.zeros(shape, dtype=bool)
-    for pt, val in zip(samples.grid, samples.values):
-        idx = tuple(lookup[i][pt[i]] for i in range(axes))
-        tensor[idx] = val
-        filled[idx] = True
-    if not filled.all():
-        raise ValidationError("grid is missing product combinations")
+    tensor = samples.values[np.argsort(flat)].reshape(shape)
 
     ket_axes = axes // 2 if samples.kind == "doubled" else 0
     for i in range(axes):
@@ -265,8 +267,7 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
         solved = np.linalg.solve(f, moved.reshape(shape[i], -1)).reshape(moved.shape)
         tensor = np.moveaxis(solved, 0, i)
 
-    out_axes = tuple(
-        tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
+    out_axes = tuple(tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
     kind = {"right": "kd_right", "left": "kd_left", "doubled": "kd_doubled"}[samples.kind]
     return QuasiDistribution(kind, out_axes, tensor, ket_axes=ket_axes, tol=samples.tol)
 
@@ -293,20 +294,19 @@ _GATE_PHASE_SIGN = +1
 _READOUT_SIGN = -1
 
 
-def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, point,
-                kind: str) -> tuple[float, float, dict]:
-    """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer."""
-    _, (v,), (u,) = _split_points([point], kind, p.n_times)
-    d = p.dims[0]
+def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, grid) -> tuple[float, float, dict]:
+    """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer at
+    the one point of a (1, w) grid."""
+    nodes, _ = _grid_nodes(grid)
+    n, d = p.n_times, p.dims[0]
 
     def gates(meas, ts):
-        if meas is None:
-            return [np.eye(d, dtype=np.complex128)] * p.n_times
-        return [_phases(m, _GATE_PHASE_SIGN, [t])[0] for m, t in zip(meas, ts)]
+        return ([np.eye(d, dtype=np.complex128)] * n if meas is None else
+                [_phases(m, _GATE_PHASE_SIGN, t, m.projectors)[0] for m, t in zip(meas, ts)])
 
     dils = [c.dilation for c in p.channels]
     rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
-    for g1, g2, dil in zip(gates(ket_meas, v), gates(bra_meas, u), dils + [None]):
+    for g1, g2, dil in zip(gates(ket_meas, nodes[:n]), gates(bra_meas, nodes[-n:]), dils + [None]):
         ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
         rho = ctrl @ rho @ ctrl.conj().T
         if dil is not None:
@@ -314,8 +314,7 @@ def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, point,
             wall = np.kron(np.eye(2), w)
             rho = partial_trace(wall @ np.kron(rho, env) @ wall.conj().T, [2, d, r], [0, 1])
     anc = partial_trace(rho, [2, d], [0])
-    x = float(2 * anc[0, 1].real)
-    y = float(-2 * anc[0, 1].imag)
+    x, y = float(2 * anc[0, 1].real), float(-2 * anc[0, 1].imag)
     env_dims = tuple(r for _, r, _ in dils)
     return x, y, {"env_dims": env_dims, "register": (2, d) + env_dims}
 
@@ -336,9 +335,9 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
     """
-    ket_meas, bra_meas = _kind_meas(p, obs, kind)
+    ket_meas, bra_meas, grid = _kind_inputs(p, obs, kind, [point])
     s = _READOUT_SIGN
-    x, y, meta = _ancilla_xy(p, ket_meas, bra_meas, point, kind)
+    x, y, meta = _ancilla_xy(p, ket_meas, bra_meas, grid)
     exact = complex(x + 1j * s * y)
     meta = dict(meta, gate_phase_sign=_GATE_PHASE_SIGN, readout_sign=s)
 

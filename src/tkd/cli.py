@@ -581,7 +581,7 @@ def _char_setup(bundle: SpecBundle, args):
     (ket first): phase widths, inversion spectra and round-trip reference come from these."""
     named = _named(bundle.observables, args)
     obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
-                             bra=None if args.kind == "left" else named[-1])
+                             bra=None if args.kind == "left" else named[-1], tol=bundle.tol)
     return obs, [ms for ms in (obs.ket_measurements, obs.bra_measurements) if ms is not None]
 
 

@@ -10,20 +10,26 @@ nonclassicality of a distribution is the excess of Σ|Q| over 1.
 Every kind is one forward sweep over the chain. Operators are row-major
 vectorized, vec(x)[i·d + j] = x[i, j], so vec(A x B) = (A ⊗ Bᵀ)·vec(x) and a
 step E(x) = Σ K x K† is its superoperator S = Σ K ⊗ K̄ (d_out² × d_in²).
-Time t_k carries a stack of insertion maps x ↦ A x B, one per outcome:
+Time t_k carries a stack of insertion maps x ↦ A x B, one per outcome (one
+per phase node for the characteristic function χ):
 
-    kind          A       B       maps per time
-    kd_right      I       Π_b     m
-    kd_left       Π_b     I       m
-    kd_doubled    Π_a     Π'_b    m_ket·m_bra, ket index major
-    lvn           Π_b     Π_b     m
+    kind          A           B           maps per time
+    kd_right      I           Π_b         m
+    kd_left       Π_b         I           m
+    kd_doubled    Π_a         Π'_b        m_ket·m_bra, ket index major
+    lvn           Π_b         Π_b         m
+    χ right       I           e^{−iB u}   one per phase node u
+    χ left        e^{+iA v}   I           one per phase node v
+    χ doubled     e^{+iA v}   e^{−iB u}   v nodes·u nodes, v major
 
 (correlator tomography reuses the sweep with Hilbert-Schmidt basis elements
-in place of projectors). The live batch holds one row vec(x) per outcome
-prefix and advances by one GEMM per step against S_k·maps_k. The final trace
-is folded into the last maps (w = vec(I)ᵀ·map), so the largest live array has
-(entries / m_n)·d² complex values: 6.4 MB at 10⁵ entries and d = 4. The maps
-of one step hold m·d⁴ complex values, small for d ≤ 4 but 16 MB at d = m = 16.
+in place of projectors; `charfunc` sums a measurement's projector maps with
+weights e^{∓itb} into the phase-gate rows). The live batch holds one row
+vec(x) per outcome prefix and advances by one GEMM per step against
+S_k·maps_k. The final trace is folded into the last maps (w = vec(I)ᵀ·map),
+so the largest live array has (entries / m_n)·d² complex values: 6.4 MB at
+10⁵ entries and d = 4. The maps of one step hold m·d⁴ complex values, small
+for d ≤ 4 but 16 MB at d = m = 16.
 Results come out in C order over (m_0, ..., m_n); doubled kinds interleave ket
 and bra indices until one transpose restores the blocks. The backward sweep
 applies the same maps from w toward t_0 and yields the joint operators M with
@@ -165,8 +171,9 @@ class QuasiDistribution:
     leading axes that form the ket block of a doubled kind (0 otherwise, and
     possibly 0 for a doubled kind whose block structure was reduced away).
     ``tol`` bounds the normalization defect and the lvn range; the imaginary
-    residue of the real kinds is held to tol/100. Producers pass the tolerance
-    of the process they evaluate.
+    residue of the real kinds is held to tol/100. Every check fails on NaN, so
+    a non-finite entry anywhere is refused. Producers pass the tolerance of the
+    process they evaluate.
     """
 
     kind: str
@@ -186,15 +193,15 @@ class QuasiDistribution:
             raise ValidationError("ket_axes out of range")
         if self.kind not in DOUBLED_KINDS and self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
-        total = complex(self.values.sum())
-        if abs(total - 1.0) > self.tol:
+        total = complex(self.values.sum())  # NaN or inf anywhere leaves it non-finite
+        if not abs(total - 1.0) <= self.tol:
             raise ValidationError(f"distribution sums to {total}, not 1")
         if self.kind in ("mh", "mh_doubled", "lvn"):
-            if float(np.max(np.abs(self.values.imag))) > self.tol / 100:
+            if not float(np.max(np.abs(self.values.imag))) <= self.tol / 100:
                 raise ValidationError(f"{self.kind} entries must be real")
         if self.kind == "lvn":
             re = self.values.real
-            if re.min() < -self.tol or re.max() > 1.0 + self.tol:
+            if not (re.min() >= -self.tol and re.max() <= 1.0 + self.tol):
                 raise ValidationError("lvn entries must lie in [0, 1]")
 
     def axis_labels(self, i: int) -> tuple[Hashable, ...]:

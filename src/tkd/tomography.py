@@ -38,7 +38,7 @@ class CorrelatorTensor:
     """Expectation tensor T over Hilbert-Schmidt basis choices, one axis per
     time slot (doubled kinds: ket block then bra block). ``tol`` bounds the
     identity entry's distance from 1; mh and lvn imaginary parts are held to
-    tol/100."""
+    tol/100. Non-finite values are refused."""
 
     kind: str
     bases: tuple[HSBasis, ...]
@@ -62,6 +62,8 @@ class CorrelatorTensor:
                     raise ValidationError("ket and bra blocks disagree on dimensions")
         elif self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("correlator values must be finite")
         top = complex(self.values[(0,) * len(shape)])
         if abs(top - 1.0) > self.tol:
             raise ValidationError(f"identity correlator is {top}, not 1")
@@ -80,7 +82,8 @@ class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
     ``tol`` bounds the trace defect and, for Hermitian kinds, the
-    Hermiticity defect. ``matrix`` is a read-only copy of the array given."""
+    Hermiticity defect. ``matrix`` is a read-only copy of the array given,
+    which must be finite."""
 
     kind: str
     dims: tuple[int, ...]
@@ -98,6 +101,8 @@ class TemporalStateOperator:
             d *= d
         if m.shape != (d, d):
             raise ValidationError(f"state matrix is {m.shape}, dims imply {(d, d)}")
+        if not np.isfinite(m).all():
+            raise ValidationError("state matrix must be finite")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"state trace is {tr}, not 1")

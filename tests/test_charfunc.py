@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest  # type: ignore
@@ -104,15 +105,25 @@ def _qubit_pair():
     return tkd.random_process(2, 1, seed=1), tkd.ObservableSchedule(ket=(z, z), bra=(z, z))
 
 
-@pytest.mark.parametrize("phase", [None, 1j, 0.5 + 0j, np.array([1.0, 2.0]), [0.5], "x"],
-                         ids=["none", "complex", "real complex", "array", "list", "str"])
-def test_grid_phases_go_through_float(phase):
+PHASES = [None, 1j, 0.5 + 0j, np.complex128(0.5), np.array([1.0, 2.0]), [0.5], "x"]
+
+
+@pytest.mark.parametrize("grid", [[(0.0, 0.0), (0.1, phase)] for phase in PHASES]
+                         + [np.array([[0.0, 0.0], [0.1, 0.5]], dtype=np.complex128)],
+                         ids=["none", "complex", "real complex", "numpy complex", "array", "list",
+                              "str", "complex array"])
+def test_grid_phases_go_through_float(grid):
     p, obs = _qubit_pair()
-    with pytest.raises((TypeError, ValueError)) as err:
-        tkd.char_fn(p, obs, [(0.0, 0.0), (0.1, phase)])
-    with pytest.raises((TypeError, ValueError)) as err_samples:
-        tkd.CharSamples("right", [(0.0, 0.0), (0.1, phase)], np.array([1.0, 0.5]))
-    want = ValueError if isinstance(phase, str) else TypeError  # float("x") is a ValueError
+    # recorded, not raised: a complex phase must fail on its own, not through a
+    # ComplexWarning that only an error filter would turn into an exception
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises((TypeError, ValueError)) as err:
+            tkd.char_fn(p, obs, grid)
+        with pytest.raises((TypeError, ValueError)) as err_samples:
+            tkd.CharSamples("right", grid, np.array([1.0, 0.5]))
+    assert not caught
+    want = ValueError if isinstance(grid[1][1], str) else TypeError  # float("x") is a ValueError
     assert err.type is want and err_samples.type is want
     assert not isinstance(err.value, ValidationError)
 
@@ -174,6 +185,67 @@ def test_empty_grid():
         assert samples.values.dtype == np.complex128
     with pytest.raises(ValidationError):
         tkd.CharSamples("right", [], np.array([1.0]))
+
+
+# seeded d=2 chains of 1-3 steps and d=3 chains of 1-2 steps, per chain kind
+SWEEP_CASES = [(d, n, chain) for d, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+               for chain in ("unitary", "cptp", "mixed")]
+
+
+def _char_case(d: int, n: int, chain: str, kind: str):
+    """A seeded process, the kind's ObservableSchedule and its oracle distribution."""
+    seed = 700 + 10 * d + n + 100 * ("unitary", "cptp", "mixed").index(chain)
+    p = tkd.random_process(d, n, seed=seed, channel_kind=chain)
+    ket = tkd.random_schedule(p.dims, seed=seed + 1)
+    bra = tkd.random_schedule(p.dims, seed=seed + 2)
+    if kind == "right":
+        return p, tkd.ObservableSchedule(bra=schedule_observables(bra)), tkd.oracle_kd(p, bra)
+    if kind == "left":
+        return p, tkd.ObservableSchedule(ket=schedule_observables(ket)), \
+            tkd.oracle_kd(p, ket, "kd_left")
+    obs = tkd.ObservableSchedule(ket=schedule_observables(ket), bra=schedule_observables(bra))
+    return p, obs, tkd.oracle_kd(p, ket, "kd_doubled", bra=bra)
+
+
+def _grids(q, seed: int) -> dict:
+    """The default inversion grid shuffled, with a repeat, with a hole; scattered
+    points; one point; no points."""
+    rng = np.random.default_rng(seed)
+    width = len(q.axes)
+    default = tkd.product_grid([tkd.default_nodes(q.axis_values(i)) for i in range(width)])
+    shuffled = [default[i] for i in rng.permutation(len(default))]
+    repeated = list(shuffled)
+    repeated.insert(int(rng.integers(len(default) + 1)), shuffled[int(rng.integers(len(default)))])
+    scattered = [tuple(rng.uniform(-3.0, 3.0, width)) for _ in range(5)]
+    return {"default shuffled": shuffled, "one point repeated": repeated,
+            "one point missing": shuffled[:-1],
+            "scattered": scattered, "single point": scattered[:1], "empty": []}
+
+
+@pytest.mark.parametrize("kind", ["right", "left", "doubled"])
+@pytest.mark.parametrize("d,n,chain", SWEEP_CASES)
+def test_char_sweep_matches_oracle_on_every_grid_shape(d, n, chain, kind):
+    p, obs, q = _char_case(d, n, chain, kind)
+    for name, grid in _grids(q, seed=d + 10 * n).items():
+        chi = tkd.char_fn(p, obs, grid, kind=kind)
+        assert chi.kind == kind and len(chi.values) == len(grid), name
+        want = tkd.char_from_distribution(q, grid).values
+        assert max_abs(chi.values - want) <= 1e-12, name
+
+
+def test_product_grid_takes_one_sweep_and_other_grids_one_per_point(monkeypatch):
+    from tkd import charfunc
+    p, obs, q = _char_case(2, 2, "mixed", "doubled")
+    grids = _grids(q, seed=3)
+    calls = []
+    sweep = charfunc._sweep
+    monkeypatch.setattr(charfunc, "_sweep", lambda *a: calls.append(1) or sweep(*a))
+    for name, want in (("default shuffled", 1), ("one point repeated", 1),
+                       ("one point missing", len(grids["one point missing"])),
+                       ("scattered", 5), ("single point", 1)):
+        calls.clear()
+        tkd.char_fn(p, obs, grids[name], kind="doubled")
+        assert len(calls) == want, name
 
 
 def test_default_nodes():
@@ -240,6 +312,11 @@ def test_inversion_grid_shape_errors(xy_process, pauli):
     pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 1.0)]
     samples = tkd.char_fn(p, obs, pts)
     with pytest.raises(ValidationError):
+        tkd.invert_char(samples, [[-1.0, 1.0], [-1.0, 1.0]])
+    # right node counts and point count, but (0, 1) twice and (1, 1) missing
+    pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+    samples = tkd.char_fn(p, obs, pts)
+    with pytest.raises(ValidationError, match="^grid is not a full per-axis product$"):
         tkd.invert_char(samples, [[-1.0, 1.0], [-1.0, 1.0]])
 
 

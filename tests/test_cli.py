@@ -221,6 +221,25 @@ def test_circuit_sim_at_the_spec_tolerance(tmp_path, capsys):
         assert run_json(capsys, argv)["circuit"]["circuit_defect"] <= 1e-12
 
 
+# projectors Hermitian only to 1e-7 (each is idempotent, they are orthogonal
+# and sum to the identity exactly), accepted at options.tolerance 1e-6
+NEAR_HERMITIAN = [{"projectors": [{"matrix": [[[1, 0], [1e-7, 0]], [[0, 0], [0, 0]]], "value": 1},
+                                  {"matrix": [[[0, 0], [-1e-7, 0]], [[0, 0], [1, 0]]], "value": -1}]}] * 2
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["dist"], ["charfn"], ["charfn", "--kind", "doubled"],
+                                  ["circuit-sim", "--point", "0.7,1.3"]],
+                         ids=["validate", "dist", "charfn", "charfn doubled", "circuit-sim"])
+def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv):
+    path = tmp_path / "near_hermitian.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": NEAR_HERMITIAN},
+                                          options={"tolerance": 1e-6})))
+    doc = run_json(capsys, [argv[0], str(path)] + argv[1:])
+    assert doc["tolerance"] == 1e-6
+    if argv[0] == "charfn":
+        assert doc["characteristic"]["inversion_round_trip_defect"] <= 1e-12
+
+
 def test_output_file_option(spec_file, capsys, tmp_path):
     out = tmp_path / "doc.json"
     code = run_command(["validate", spec_file, "-o", str(out)])

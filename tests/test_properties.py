@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest  # type: ignore
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def processes(draw, max_steps: int = 3) -> tkd.MultiTimeProcess:
-    d = draw(st.sampled_from([2, 3]))
+def processes(draw, max_steps: int = 3, dims=(2, 3)) -> tkd.MultiTimeProcess:
+    d = draw(st.sampled_from(dims))
     rng = np.random.default_rng(draw(SEEDS))
     n = draw(st.sampled_from(range(max_steps, -1, -1)))
     chain = []
@@ -370,3 +371,92 @@ def test_witness_visiting_order_on_exact_ties():
             best, pair = _witness_reference(p, s)
             assert abs(rep.max_commutator_norm - best) <= TOL
             assert rep.worst_pair == pair, (chain, obs)
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_averaged_side_traces_of_the_doubled_state_give_the_pdo(data):
+    # at each time keep the ket or the bra factor of the doubled state; the
+    # average over all 2^n choices is the process's pdo (the paper's unification)
+    p = data.draw(processes(dims=(2,)))
+    y = tkd.kd_state_recursive(p, kind="kd_doubled")
+    nt = p.n_times
+    t = y.matrix.reshape(y.factor_dims * 2)
+    rows, cols = list(range(2 * nt)), list(range(2 * nt, 4 * nt))
+    total = 0
+    for keep_bra in itertools.product((False, True), repeat=nt):
+        # factor j < nt is the ket factor of time nt-1-j, factor nt + j its bra factor
+        kept = [nt + j if keep_bra[nt - 1 - j] else j for j in range(nt)]
+        legs = [cols[f] if f in kept else f for f in rows]  # traced: column leg = row leg
+        total = total + np.einsum(t, rows + legs, kept + [cols[f] for f in kept])
+    side = int(np.prod(p.dims))
+    assert max_abs(total.reshape(side, side) / 2 ** nt - tkd.pdo(p).matrix) <= TOL
+
+
+def _interleaved_kron(a: tkd.TemporalStateOperator, b: tkd.TemporalStateOperator) -> np.ndarray:
+    """a ⊗ b with the factors of each time next to each other (a's first), the
+    factor order of the tensor-product process's states."""
+    n = a.n_times
+    t = np.kron(a.matrix, b.matrix).reshape(a.factor_dims + b.factor_dims + a.factor_dims
+                                             + b.factor_dims)
+    legs = [x for j in range(n) for x in (j, n + j)]
+    side = a.matrix.shape[0] * b.matrix.shape[0]
+    return t.transpose(legs + [2 * n + x for x in legs]).reshape(side, side)
+
+
+@STATE_SETTINGS
+@given(st.integers(0, 2), SEEDS, SEEDS)
+def test_kd_states_of_parallel_processes_factor(n, seed_p, seed_q):
+    # the spatiotemporal product: the KD state of two processes run side by side
+    # is the kron of their KD states, time by time
+    p = tkd.random_process(2, n, seed=seed_p, channel_kind="mixed")
+    q = tkd.random_process(2, n, seed=seed_q, channel_kind="cptp")
+    pq = tkd.tensor_process(p, q)
+    for kind in ("kd_right", "kd_left"):
+        want = _interleaved_kron(tkd.kd_state_recursive(p, kind), tkd.kd_state_recursive(q, kind))
+        assert max_abs(tkd.kd_state_recursive(pq, kind).matrix - want) <= TOL
+
+
+def test_mh_and_pdo_states_of_parallel_processes_do_not_factor():
+    # Jordan-product insertions do not split across the two sites
+    p = tkd.random_process(2, 1, seed=71, channel_kind="mixed")
+    q = tkd.random_process(2, 1, seed=72, channel_kind="cptp")
+    pq = tkd.tensor_process(p, q)
+    for state in (tkd.mh_state, tkd.pdo):
+        assert max_abs(state(pq).matrix - _interleaved_kron(state(p), state(q))) > 1e-3
+
+
+def _containers():
+    """Each result container as (values, rebuild from values), on a seeded qubit pair."""
+    p = tkd.random_process(2, 1, seed=81, channel_kind="mixed")
+    s = tkd.random_schedule(p.dims, seed=82)
+    out = {}
+    for q in (tkd.kd_right(p, s), tkd.mh_from_kd(tkd.kd_right(p, s)), tkd.lvn(p, s)):
+        out[f"distribution {q.kind}"] = (q.values, lambda v, q=q: tkd.QuasiDistribution(
+            q.kind, q.axes, v, tol=q.tol))
+    for y in (tkd.kd_state_recursive(p), tkd.pdo(p)):
+        out[f"state {y.kind}"] = (y.matrix, lambda v, y=y: tkd.TemporalStateOperator(
+            y.kind, y.dims, v, tol=y.tol))
+    for t in (tkd.correlators(p), tkd.correlators(p, kind="mh")):
+        out[f"correlators {t.kind}"] = (t.values, lambda v, t=t: tkd.CorrelatorTensor(
+            t.kind, t.bases, v, tol=t.tol))
+    grid = [(0.0, 0.0), (0.5, 0.0), (0.0, 1.5), (0.25, -1.0)]
+    chi = tkd.char_fn(p, tkd.ObservableSchedule(bra=_observables(s)), grid)
+    out["char samples"] = (chi.values, lambda v: tkd.CharSamples("right", grid, v, tol=chi.tol))
+    return out
+
+
+CONTAINERS = _containers()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "imaginary nan", "imaginary inf"])
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_containers_refuse_non_finite_values_anywhere(name, bad):
+    values, build = CONTAINERS[name]
+    build(values)  # the finite original is accepted
+    for idx in np.ndindex(values.shape):
+        v = np.array(values, dtype=np.complex128)
+        v[idx] = bad
+        with pytest.raises(tkd.ValidationError):
+            build(v)
