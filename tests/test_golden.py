@@ -1,0 +1,56 @@
+"""Byte stability of CLI documents against checked-in golden files.
+
+Each golden file in tests/data holds the exact stdout of one command: the
+three demos, and dist, charfn and state on `qubit_two_times.json` (a
+two-time qubit process with one random Kraus step). Spec paths are given
+relative to tests/data, so the documents' ``spec`` field does not depend on
+the checkout location. Regenerate with ``python tests/test_golden.py`` and
+record the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest  # type: ignore
+
+DATA = Path(__file__).parent / "data"
+SPEC = "qubit_two_times.json"
+GOLDEN = {
+    "demo_xy-qubit.json": ["demo", "xy-qubit"],
+    "demo_replacement.json": ["demo", "replacement"],
+    "demo_measure-replace.json": ["demo", "measure-replace"],
+    "dist_right.json": ["dist", SPEC],
+    "dist_doubled.json": ["dist", SPEC, "--kind", "doubled", "--bra-schedule", "alt"],
+    "charfn_right.json": ["charfn", SPEC],
+    "charfn_doubled.json": ["charfn", SPEC, "--kind", "doubled", "--bra-schedule", "alt"],
+    "state_kd-right.json": ["state", SPEC, "--kind", "kd-right"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_bytes_match_golden(name, capsys, monkeypatch):
+    from tkd.cli import run_command
+
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("TKD_TOLERANCE", raising=False)
+    assert run_command(GOLDEN[name]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+if __name__ == "__main__":  # rewrite every golden file from the current code
+    import contextlib
+    import io
+    import os
+
+    sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
+    from tkd.cli import run_command
+
+    os.chdir(DATA)
+    os.environ.pop("TKD_TOLERANCE", None)
+    for name, argv in GOLDEN.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_command(argv) == 0, name
+        (DATA / name).write_bytes(out.getvalue().encode())
