@@ -29,7 +29,7 @@ import numpy as np
 
 from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, partial_trace
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution, _ket_bra_order, _sweep
+from .quasiprob import MultiTimeProcess, QuasiDistribution, _sweep
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -174,16 +174,10 @@ def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np
 def _char_sweep(p: MultiTimeProcess, ket_meas, bra_meas, nodes) -> np.ndarray:
     """χ on the product of the per-axis phase nodes, flat in C order over the axes, from
     one sweep whose maps at each time are phase-weighted sums of cached projector maps."""
-    v, u = nodes[:p.n_times], nodes[-p.n_times:]
-    maps = []
-    for k in range(p.n_times):
-        ket = None if ket_meas is None else _phases(ket_meas[k], +1, v[k], ket_meas[k].left_maps)
-        bra = None if bra_meas is None else _phases(bra_meas[k], -1, u[k], bra_meas[k].right_maps)
-        maps.append(ket if bra is None else bra if ket is None else
-                    (ket[:, None] @ bra[None]).reshape((-1,) + ket.shape[1:]))
-    if ket_meas is None or bra_meas is None:
-        return _sweep(p, maps)
-    return _ket_bra_order(_sweep(p, maps), [(len(a), len(b)) for a, b in zip(v, u)]).reshape(-1)
+    n = p.n_times
+    sides = ((ket_meas, +1, "left_maps", nodes[:n]), (bra_meas, -1, "right_maps", nodes[-n:]))
+    return _sweep(p, *[[_phases(m, sign, t, getattr(m, maps)) for m, t in zip(ms, ts)]
+                       for ms, sign, maps, ts in sides if ms is not None]).reshape(-1)
 
 
 def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequence[float]],

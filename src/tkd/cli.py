@@ -6,8 +6,8 @@ pairs, matrices as row-major nested arrays). Documents are written by
 ``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and formats complex arrays one row template at a time.
 Exit codes: 2 for bad usage, 3 for a spec file that does not parse or a
-``state`` request too large for the machine's physical memory, 4 for
-numerical validation failures.
+``state``, ``dist`` or ``nonclassicality`` request too large for the
+machine's physical memory, 4 for numerical validation failures.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .charfunc import (
     invert_char,
     product_grid,
 )
-from .linops import ValidationError, dagger, max_abs
+from .linops import ValidationError, dagger, is_hermitian, max_abs
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import (
     MultiTimeProcess,
@@ -54,10 +54,12 @@ from .tomography import kd_state_recursive, mh_state, pdo
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "TKD_TOLERANCE"
-# peak resident bytes per matrix entry of one `state` run (the sweep, the
-# matrix, the eigenvalue copy and the rendered document): 390-530 B measured
-# on requests of 2^16 and 2^20 entries
+# peak resident bytes per entry of one run (growth of ru_maxrss over a warmed-up
+# process, requests of 2^16 and 2^20 entries): `state` 390-530 B per matrix entry
+# (sweep, matrix, eigenvalue copy, rendered document); per distribution entry of
+# qubit chains, kinds right/mh/doubled, `dist` 310-440 B and `nonclassicality` 32-51 B
 _STATE_BYTES_PER_ENTRY = 512
+_DIST_BYTES_PER_ENTRY = {"dist": 512, "nonclassicality": 64}
 
 _DIST_KINDS = ("right", "left", "doubled", "mh", "lvn")
 _STATE_CLI_KINDS = {"kd-right": "kd_right", "kd-left": "kd_left", "doubled": "kd_doubled",
@@ -83,6 +85,14 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _size_guard(what: str, entries: int, bytes_per_entry: int, noun: str):
+    """Refuse a request whose estimated memory exceeds physical memory."""
+    need, have = entries * bytes_per_entry, _physical_memory()
+    if have is not None and need > have:
+        raise SizeLimitError(f"{what}: estimated {entries} {noun}, about {need / 2**30:.1f} GiB, "
+                             f"exceed the {have / 2**30:.1f} GiB of physical memory")
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +206,12 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
 class SpecBundle:
     label: str
     sha256: str
-    data: dict
     process: MultiTimeProcess
     schedules: dict[str, list[ProjectiveMeasurement]]
     observables: dict[str, list[np.ndarray]]
     tol: float
     seed: int | None
+    instruments: dict[str, tuple[Instrument, list[np.ndarray]]]  # measure_replace parts by field
 
 
 def _parse_instrument(obj, where: str, tol: float) -> Instrument:
@@ -217,7 +227,8 @@ def _parse_instrument(obj, where: str, tol: float) -> Instrument:
     return Instrument(branches, tol=tol)
 
 
-def _parse_channel(obj, where: str, tol: float) -> QuantumChannel:
+def _parse_channel(obj, where: str, tol: float, instruments: dict) -> QuantumChannel:
+    """A measure_replace channel also leaves its instrument and outputs in ``instruments[where]``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError(f"{where}: expected an object with a 'kind'")
     kind = obj["kind"]
@@ -240,6 +251,7 @@ def _parse_channel(obj, where: str, tol: float) -> QuantumChannel:
         if not isinstance(outs, list):
             raise SpecParseError(f"{where}.outputs: expected a list of matrices")
         outputs = [_parse_matrix(m, f"{where}.outputs[{i}]") for i, m in enumerate(outs)]
+        instruments[where] = (inst, outputs)
         return build_channel("measure_replace", instrument=inst, outputs=outputs, tol=tol)
     if kind == "depolarizing":
         try:
@@ -259,8 +271,10 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
         h = _parse_matrix(obj["observable"], f"{where}.observable")
         if h.shape != (dim, dim):
             raise SpecParseError(f"{where}.observable: shape {h.shape}, expected {(dim, dim)}")
-        m = spectral_measurement(h)
-        return m, h
+        if not is_hermitian(h, tol):
+            raise ValidationError(f"{where}.observable: not Hermitian within {tol}")
+        h = (h + dagger(h)) / 2  # bit-identical for exactly Hermitian input
+        return spectral_measurement(h), h
     if "projectors" in obj:
         entries = obj["projectors"]
         if not isinstance(entries, list) or not entries:
@@ -323,7 +337,8 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     raw_channels = data.get("channels")
     if not isinstance(raw_channels, list):
         raise SpecParseError("channels: expected a list")
-    channels = [_parse_channel(c, f"channels[{i}]", tol) for i, c in enumerate(raw_channels)]
+    instruments: dict = {}
+    channels = [_parse_channel(c, f"channels[{i}]", tol, instruments) for i, c in enumerate(raw_channels)]
     process = MultiTimeProcess(rho, channels, tol=tol)
 
     dims = data.get("dims")
@@ -349,8 +364,8 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
             obs.append(h)
         schedules[name] = ms
         observables[name] = obs
-    return SpecBundle(label=label, sha256=sha, data=data, process=process,
-                      schedules=schedules, observables=observables, tol=tol, seed=seed)
+    return SpecBundle(label=label, sha256=sha, process=process, schedules=schedules,
+                      observables=observables, tol=tol, seed=seed, instruments=instruments)
 
 
 def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
@@ -429,16 +444,10 @@ def _emit(doc: dict, out: str | None) -> int:
 
 def _write_table(q: QuasiDistribution, path: str):
     """Flat delimited export, one outcome tuple per row, latest time first."""
-    nt = len(q.axes) - q.ket_axes if q.ket_axes else len(q.axes)
-    cols = []
-    if q.ket_axes:
-        cols += [f"ket_t{nt - 1 - i}" for i in range(q.ket_axes)]
-        cols += [f"bra_t{nt - 1 - i}" for i in range(len(q.axes) - q.ket_axes)]
-        order = list(range(q.ket_axes - 1, -1, -1)) + \
-            list(range(len(q.axes) - 1, q.ket_axes - 1, -1))
-    else:
-        cols = [f"t{len(q.axes) - 1 - i}" for i in range(len(q.axes))]
-        order = list(range(len(q.axes) - 1, -1, -1))
+    blocks = [("ket_", range(q.ket_axes)), ("bra_", range(q.ket_axes, len(q.axes)))] \
+        if q.ket_axes else [("", range(len(q.axes)))]
+    order = [a for _, axes in blocks for a in reversed(axes)]
+    cols = [f"{name}t{a - axes.start}" for name, axes in blocks for a in reversed(axes)]
     lines = ["\t".join(cols + ["re", "im"])]
     for idx in np.ndindex(q.values.shape):
         z = complex(q.values[idx])
@@ -451,13 +460,8 @@ def _compute_dist(p: MultiTimeProcess, kind: str, s, bra=None) -> QuasiDistribut
     """The ``kind`` distribution of ``p`` under schedule ``s`` (``bra`` for doubled)."""
     if kind == "doubled":
         return kd_doubled(p, s, bra)
-    if kind == "right":
-        return kd_right(p, s)
-    if kind == "left":
-        return kd_left(p, s)
-    if kind == "mh":
-        return mh_from_kd(kd_right(p, s))
-    return lvn(p, s)
+    q = {"right": kd_right, "left": kd_left, "mh": kd_right, "lvn": lvn}[kind](p, s)
+    return mh_from_kd(q) if kind == "mh" else q
 
 
 def _named(table: dict, args) -> list:
@@ -499,8 +503,18 @@ def _cmd_validate(bundle: SpecBundle, args) -> dict:
     }
 
 
+def _requested_dist(bundle: SpecBundle, args) -> QuasiDistribution:
+    """The --kind distribution of the named schedules, refused before any
+    sweep if its Π m_k entries (both schedules for doubled) cannot fit."""
+    scheds = _named(bundle.schedules, args)
+    entries = math.prod(len(m.outcomes) for s in scheds for m in s)
+    _size_guard(f"{args.command} --kind {args.kind}", entries, _DIST_BYTES_PER_ENTRY[args.command],
+                "distribution entries")
+    return _compute_dist(bundle.process, args.kind, *scheds)
+
+
 def _cmd_dist(bundle: SpecBundle, args) -> dict:
-    q = _compute_dist(bundle.process, args.kind, *_named(bundle.schedules, args))
+    q = _requested_dist(bundle, args)
     if args.table:
         _write_table(q, args.table)
     return {
@@ -514,7 +528,7 @@ def _cmd_dist(bundle: SpecBundle, args) -> dict:
 
 
 def _cmd_nonclassicality(bundle: SpecBundle, args) -> dict:
-    q = _compute_dist(bundle.process, args.kind, *_named(bundle.schedules, args))
+    q = _requested_dist(bundle, args)
     return {"kind": q.kind, "variant": args.variant,
             "value": float(nonclassicality(q, args.variant))}
 
@@ -535,11 +549,8 @@ def _cmd_witness(bundle: SpecBundle, args) -> dict:
 def _cmd_state(bundle: SpecBundle, args) -> dict:
     p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
     side = math.prod(p.dims) ** (2 if kind == "kd_doubled" else 1)
-    need, have = side * side * _STATE_BYTES_PER_ENTRY, _physical_memory()
-    if have is not None and need > have:
-        raise SizeLimitError(
-            f"state --kind {args.kind}: estimated {side * side} matrix entries ({side}x{side}), "
-            f"about {need / 2**30:.1f} GiB, exceed the {have / 2**30:.1f} GiB of physical memory")
+    _size_guard(f"state --kind {args.kind}", side * side, _STATE_BYTES_PER_ENTRY,
+                f"matrix entries ({side}x{side})")
     if kind == "mh":
         y = mh_state(p)
     elif kind == "pdo":
@@ -675,10 +686,7 @@ def _cmd_demo(bundle: SpecBundle, args) -> dict:
         return doc
 
     # measure-replace
-    inst = _parse_instrument(bundle.data["channels"][0]["instrument"],
-                             "channels[0].instrument", bundle.tol)
-    outputs = [_parse_matrix(m, f"channels[0].outputs[{i}]")
-               for i, m in enumerate(bundle.data["channels"][0]["outputs"])]
+    inst, outputs = bundle.instruments["channels[0]"]
     ext = extended_kd(p.rho0, s[0], inst)
     # align: match each t1 outcome's projector to the branch output it selects
     perm = []

@@ -38,17 +38,14 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def insertion_maps(side: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def insertion_maps(side: str, a: np.ndarray) -> np.ndarray:
     """Insertion maps x ↦ A x B as the (m, d², d²) stack of row-major
     superoperators A ⊗ Bᵀ (vec(A x B) = (A ⊗ Bᵀ)·vec(x) with vec(x)[i·d + j] =
-    x[i, j]), built from operator stacks: right (I, a_i), left (a_i, I), lvn
-    (a_i, a_i), and doubled (a_i, b_j) for every pair, i major (b defaults to a)."""
+    x[i, j]), one per operator a_i of the stack: right (I, a_i), left (a_i, I)
+    and lvn (a_i, a_i). Two-sided insertions pair a left and a right stack
+    inside the sweep of `tkd.quasiprob`."""
     eye = np.eye(a.shape[-1], dtype=np.complex128)[None]
-    if side == "doubled":
-        b = a if b is None else b
-        a, b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1))
-    else:
-        a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
+    a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
     d2 = a.shape[-1] ** 2
     return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
 

@@ -10,41 +10,41 @@ nonclassicality of a distribution is the excess of Σ|Q| over 1.
 Every kind is one forward sweep over the chain. Operators are row-major
 vectorized, vec(x)[i·d + j] = x[i, j], so vec(A x B) = (A ⊗ Bᵀ)·vec(x) and a
 step E(x) = Σ K x K† is its superoperator S = Σ K ⊗ K̄ (d_out² × d_in²).
-Time t_k carries a stack of insertion maps x ↦ A x B, one per outcome (one
-per phase node for the characteristic function χ):
+Time t_k carries one stack of insertion maps per side the kind inserts on
+(x ↦ Ax ket side, x ↦ xB bra side; lvn puts both in one map), with one map
+per outcome, or per phase node of the characteristic function χ:
 
-    kind          A           B           maps per time
-    kd_right      I           Π_b         m
-    kd_left       Π_b         I           m
-    kd_doubled    Π_a         Π'_b        m_ket·m_bra, ket index major
-    lvn           Π_b         Π_b         m
-    χ right       I           e^{−iB u}   one per phase node u
-    χ left        e^{+iA v}   I           one per phase node v
-    χ doubled     e^{+iA v}   e^{−iB u}   v nodes·u nodes, v major
+    kind          A (ket)     B (bra)     stacks per time
+    kd_right      I           Π_b         one
+    kd_left       Π_a         I           one
+    kd_doubled    Π_a         Π'_b        two: ket, then bra
+    lvn           Π_b         Π_b         one, both sides per map
+    χ right       I           e^{−iB u}   one, a map per phase node u
+    χ left        e^{+iA v}   I           one, a map per phase node v
+    χ doubled     e^{+iA v}   e^{−iB u}   two: v nodes, then u nodes
 
 (correlator tomography reuses the sweep with Hilbert-Schmidt basis elements
 in place of projectors; `charfunc` sums a measurement's projector maps with
-weights e^{∓itb} into the phase-gate rows). The live batch holds one row
+weights e^{∓itb} into the phase-gate rows). The kernel pairs two stacks into
+the m_ket·m_bra maps x ↦ AxB, ket index major. The live batch holds one row
 vec(x) per outcome prefix and advances by one GEMM per step against
 S_k·maps_k. The final trace is folded into the last maps (w = vec(I)ᵀ·map),
 so the largest live array has (entries / m_n)·d² complex values: 6.4 MB at
 10⁵ entries and d = 4. The maps of one step hold m·d⁴ complex values, small
-for d ≤ 4 but 16 MB at d = m = 16.
-Results come out in C order over (m_0, ..., m_n); doubled kinds interleave ket
-and bra indices until one transpose restores the blocks. The backward sweep
-applies the same maps from w toward t_0 and yields the joint operators M with
-Tr[M ρ] = Q behind `joint_ops` and `classicality_witness`.
+for d ≤ 4 but 16 MB at d = m = 16. The backward sweep applies the same maps
+from w toward t_0 and yields the joint operators M with Tr[M ρ] = Q behind
+`joint_ops` and `classicality_witness`.
 
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
 `ProjectiveMeasurement` its projector stack and its right, left and lvn maps
 (`projectors`, `right_maps`, ...). Those objects, and `MultiTimeProcess`,
 hold read-only copies of the arrays they were given, so a cached operator
-cannot go stale. Only the doubled maps, which pair two measurements, are
-built per call.
+cannot go stale. Only the paired maps of two-sided kinds, which join two
+measurements, are built per call, inside the kernel.
 
-Axis convention: distribution axis i belongs to time t_i (ascending order);
-doubled kinds carry the full ket block first, then the bra block. Printed,
+Axis convention: both kernels give axis i to time t_i (ascending order);
+two-sided kinds carry the full ket block first, then the bra block. Printed,
 paper-style tables reverse to latest-time-first; that happens only at the
 presentation layer.
 """
@@ -67,7 +67,7 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs
+from .linops import ValidationError, as_matrix, dagger, frozen_matrix, max_abs
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -227,62 +227,76 @@ def _trace_rows(maps: np.ndarray) -> np.ndarray:
     return np.eye(math.isqrt(maps.shape[1])).reshape(-1) @ maps
 
 
-def _sweep(p: MultiTimeProcess, maps: Sequence[np.ndarray]) -> np.ndarray:
-    """Forward kernel: every outcome tuple's trace, flat in C order (m_0, ..., m_n)."""
+def _paired(stacks) -> list[np.ndarray]:
+    """One map stack per time: the single side's, or every ket·bra product of
+    two sides, ket index major (ket maps x ↦ Ax and bra maps x ↦ xB commute)."""
+    return list(stacks[0]) if len(stacks) == 1 else \
+        [(a[:, None] @ b[None]).reshape((-1,) + a.shape[1:]) for a, b in zip(*stacks)]
+
+
+def _blocks(flat: np.ndarray, stacks) -> np.ndarray:
+    """A kernel result, flat in the C order of the paired stacks, with one axis
+    per time and side: ket block first, then bra block; trailing axes stay."""
+    nb, nt = len(stacks), len(stacks[0])
+    a = flat.reshape([len(m) for pair in zip(*stacks) for m in pair] + list(flat.shape[1:]))
+    return a.transpose([nb * k + b for b in range(nb) for k in range(nt)] + list(range(nb * nt, a.ndim)))
+
+
+def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Forward kernel: the trace of every outcome tuple, one axis per time.
+    ``stacks`` is one map stack per time, or two (ket side, then bra side)."""
+    maps = _paired(stacks)
     x = p.rho0.reshape(1, -1)
     for c, m_k in zip(p.channels, maps):
         f = c.superop @ m_k
         m, d_out2, d_in2 = f.shape
         x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
-    return (x @ _trace_rows(maps[-1]).T).reshape(-1)
+    return _blocks((x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
 
 
-def _backward(p: MultiTimeProcess, maps: Sequence[np.ndarray]) -> np.ndarray:
+def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Backward kernel: joint operators M at t_0 with Tr[M ρ] equal to the
-    forward trace, as a (Π_k m_k, d_0, d_0) stack in C order (m_0, ..., m_n)."""
+    forward trace, with the axes of `_sweep` followed by (d_0, d_0)."""
+    maps = _paired(stacks)
     r = _trace_rows(maps[-1])
     for c, m_k in reversed(list(zip(p.channels, maps))):
         f = c.superop @ m_k
         r = (r[None] @ f).reshape(-1, f.shape[2])
     d = math.isqrt(r.shape[1])
-    return r.reshape(-1, d, d).transpose(0, 2, 1)
+    return _blocks(r.reshape(-1, d, d).transpose(0, 2, 1), stacks)
 
 
-def _ket_bra_order(a: np.ndarray, shapes: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Split interleaved (ket_0·bra_0, ket_1·bra_1, ...) leading axes of a flat
-    doubled result into the ket block, then the bra block; trailing axes stay."""
-    nt = len(shapes)
-    a = a.reshape(tuple(x for pair in shapes for x in pair) + a.shape[1:])
-    perm = list(range(0, 2 * nt, 2)) + list(range(1, 2 * nt, 2)) + list(range(2 * nt, a.ndim))
-    return a.transpose(perm)
+def _insertions(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
+                bra: Sequence[ProjectiveMeasurement] | None = None):
+    """The checked insertion stacks of a distribution kind (kd_doubled: ``s``
+    on the ket side, ``bra`` on the bra side), its axes and its ket_axes."""
+    if kind == "kd_doubled":
+        if bra is None:
+            raise ValidationError("kd_doubled needs a bra schedule")
+        sides = ((s, "left", "ket schedule"), (bra, "right", "bra schedule"))
+    else:
+        sides = ((s, kind.removeprefix("kd_"), "schedule"),)
+    for sched, _, name in sides:
+        _check_schedule(p, sched, name)
+    stacks = [[getattr(m, f"{side}_maps") for m in sched] for sched, side, _ in sides]
+    axes = tuple(tuple(m.outcomes) for sched, _, _ in sides for m in sched)
+    return stacks, axes, p.n_times if len(sides) == 2 else 0
 
 
-def _doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
-             bra: Sequence[ProjectiveMeasurement]):
-    """Checked doubled schedules: their maps, interleaved shapes and ket-then-bra axes."""
-    _check_schedule(p, ket, "ket schedule")
-    _check_schedule(p, bra, "bra schedule")
-    maps = [insertion_maps("doubled", a.projectors, b.projectors) for a, b in zip(ket, bra)]
-    shapes = [(len(a.outcomes), len(b.outcomes)) for a, b in zip(ket, bra)]
-    return maps, shapes, tuple(tuple(m.outcomes) for m in ket) + tuple(tuple(m.outcomes) for m in bra)
-
-
-def _single(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str,
-            side: str) -> QuasiDistribution:
-    _check_schedule(p, s)
-    values = _sweep(p, [getattr(m, f"{side}_maps") for m in s])
-    return QuasiDistribution(kind, tuple(tuple(m.outcomes) for m in s),
-                             values.reshape(tuple(len(m.outcomes) for m in s)), tol=p.tol)
+def _distribution(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
+                  bra: Sequence[ProjectiveMeasurement] | None = None) -> QuasiDistribution:
+    stacks, axes, ket_axes = _insertions(p, kind, s, bra)
+    return QuasiDistribution(kind, axes, _sweep(p, *stacks), ket_axes=ket_axes, tol=p.tol)
 
 
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Projectors inserted on the bra side: Tr[E_n(...E_1(ρΠ_{b0})Π_{b1}...)Π_{bn}]."""
-    return _single(p, s, "kd_right", "right")
+    return _distribution(p, "kd_right", s)
 
 
 def kd_left(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Projectors inserted on the ket side; the complex conjugate of kd_right."""
-    return _single(p, s, "kd_left", "left")
+    return _distribution(p, "kd_left", s)
 
 
 def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
@@ -293,14 +307,12 @@ def kd_doubled(p: MultiTimeProcess, ket: Sequence[ProjectiveMeasurement],
     bra block recovers kd_left of the ket schedule; the diagonal (equal
     schedules and outcomes) is the sequential-collapse distribution.
     """
-    maps, shapes, axes = _doubled(p, ket, bra)
-    values = _ket_bra_order(_sweep(p, maps), shapes)
-    return QuasiDistribution("kd_doubled", axes, values, ket_axes=p.n_times, tol=p.tol)
+    return _distribution(p, "kd_doubled", ket, bra)
 
 
 def lvn(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
     """Sequential collapse probabilities Tr[Π_{bn}E_n(...Π_{b0}ρΠ_{b0}...)Π_{bn}]."""
-    return _single(p, s, "lvn", "lvn")
+    return _distribution(p, "lvn", s)
 
 
 def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
@@ -382,21 +394,11 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("joint_ops needs square channels")
-    if kind == "kd_doubled":
-        if bra is None:
-            raise ValidationError("doubled joint_ops needs a bra schedule")
-        maps, shapes, axes = _doubled(p, s, bra)
-        ops = _ket_bra_order(_backward(p, maps), shapes)
-        ket_axes = p.n_times
-    else:
-        if kind not in ("kd_right", "kd_left"):
-            raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
-        _check_schedule(p, s)
-        ops = _backward(p, [getattr(m, f"{kind[3:]}_maps") for m in s])
-        axes = tuple(tuple(m.outcomes) for m in s)
-        ket_axes = 0
+    if kind not in ("kd_right", "kd_left", "kd_doubled"):
+        raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
+    stacks, axes, ket_axes = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
-    ops = ops.reshape(-1, d0, d0)
+    ops = _backward(p, *stacks).reshape(-1, d0, d0)
     if max_abs(ops.sum(axis=0) - np.eye(d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
     keys = np.ndindex(tuple(len(ax) for ax in axes))
@@ -439,6 +441,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     n, d = p.n_steps, p.dims[0]
     sizes = [len(m.outcomes) for m in s]
     later = _backward(p, [np.eye(d * d, dtype=np.complex128)[None]] + [m.right_maps for m in s[1:]])
+    later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
     total = complex(q.sum())

@@ -26,7 +26,7 @@ import numpy as np
 from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs,
                      partial_trace, readonly)
 from .measurements import HSBasis, hs_basis, spectral_measurement
-from .quasiprob import MultiTimeProcess, _ket_bra_order, _sweep
+from .quasiprob import MultiTimeProcess, _sweep
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
 STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
@@ -165,18 +165,16 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     bases = _bases_for(p, bases)
     if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
         meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
-        maps = [np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in row])
-                for row in meas]
+        stacks = [[np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in row])
+                   for row in meas]]
     else:
-        maps = [insertion_maps("right" if kind == "mh" else kind, np.stack(b.ops)) for b in bases]
-    values = _sweep(p, maps)
-    if kind == "doubled":
-        values = _ket_bra_order(values, [(len(b.ops),) * 2 for b in bases])
-        return CorrelatorTensor("doubled", bases + bases, values, ket_axes=p.n_times, tol=p.tol)
-    values = values.reshape(tuple(len(b.ops) for b in bases))
+        sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
+        stacks = [[insertion_maps(side, np.stack(b.ops)) for b in bases] for side in sides]
+    values = _sweep(p, *stacks)
     if kind == "mh":
         values = values.real.astype(np.complex128)
-    return CorrelatorTensor(kind, bases, values, tol=p.tol)
+    return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
+                            tol=p.tol)
 
 
 _STATE_FROM_CORRELATOR = {
@@ -199,10 +197,7 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     letters = iter(string.ascii_lowercase + string.ascii_uppercase)
     mu = [next(letters) for _ in range(axes)]
     ij = [(next(letters), next(letters)) for _ in range(axes)]
-    if t.ket_axes:
-        order = list(range(t.ket_axes - 1, -1, -1)) + list(range(axes - 1, t.ket_axes - 1, -1))
-    else:
-        order = list(range(axes - 1, -1, -1))
+    order = list(range(t.ket_axes - 1, -1, -1)) + list(range(axes - 1, t.ket_axes - 1, -1))
     rows = "".join(ij[a][0] for a in order)
     cols = "".join(ij[a][1] for a in order)
     sub = ",".join(["".join(mu)] + [mu[a] + ij[a][0] + ij[a][1] for a in range(axes)])
@@ -214,21 +209,23 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
 
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     """Read a state off the forward sweep with matrix units E_ab = |a⟩⟨b|
-    inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE' for
-    every pair (doubled). Tr[Υ·⊗E] = Υ[b, a] (doubled: Υ[b…, b'…; a…, a'…]), so
-    one transpose takes each time's unit indices (a, b) or (a, b, a', b') to b
-    (then b') on the rows and a (then a') on the columns, latest time first."""
+    inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE'
+    (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[b, a] (doubled: Υ[b…, b'…;
+    a…, a'…]), so one transpose over the sweep's (block, time, leg) axes puts
+    leg b on the rows and leg a on the columns, block by block, latest time first."""
     by_dim = {}
     for d in set(p.dims):
         units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
-        m = insertion_maps("doubled" if side == "doubled" else "right", units)
-        by_dim[d] = (m + insertion_maps("left", units)) / 2 if side == "jordan" else m
-    maps = [by_dim[d] for d in p.dims]
-    legs = (1, 3, 0, 2) if side == "doubled" else (1, 0)
-    order = [len(legs) * k + j for j in legs for k in range(p.n_times - 1, -1, -1)]
-    side_dim = int(np.prod(p.dims)) ** (len(legs) // 2)
-    values = _sweep(p, maps).reshape([d for d in p.dims for _ in legs])
-    return values.transpose(order).reshape(side_dim, side_dim)
+        right = insertion_maps("right", units)
+        left = None if side == "right" else insertion_maps("left", units)
+        by_dim[d] = [left, right] if side == "doubled" else \
+            [(right + left) / 2 if side == "jordan" else right]
+    nb, nt = len(by_dim[p.dims[0]]), p.n_times
+    values = _sweep(p, *zip(*[by_dim[d] for d in p.dims]))
+    order = [2 * (b * nt + k) + leg for leg in (1, 0) for b in range(nb) for k in reversed(range(nt))]
+    side_dim = int(np.prod(p.dims)) ** nb
+    return values.reshape([d for _ in range(nb) for d in p.dims for _ in "ab"]).transpose(order) \
+        .reshape(side_dim, side_dim)
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:

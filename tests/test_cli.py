@@ -225,19 +225,35 @@ def test_circuit_sim_at_the_spec_tolerance(tmp_path, capsys):
 # and sum to the identity exactly), accepted at options.tolerance 1e-6
 NEAR_HERMITIAN = [{"projectors": [{"matrix": [[[1, 0], [1e-7, 0]], [[0, 0], [0, 0]]], "value": 1},
                                   {"matrix": [[[0, 0], [-1e-7, 0]], [[0, 0], [1, 0]]], "value": -1}]}] * 2
+# the same schedule as observables Hermitian only to 2e-7
+NEAR_HERMITIAN_OBSERVABLE = [{"observable": [[[1, 0], [2e-7, 0]], [[0, 0], [-1, 0]]]}] * 2
+TOLERANCE_COMMANDS = {"validate": ["validate"], "dist": ["dist"], "charfn": ["charfn"],
+                      "charfn doubled": ["charfn", "--kind", "doubled"],
+                      "circuit-sim": ["circuit-sim", "--point", "0.7,1.3"]}
 
 
-@pytest.mark.parametrize("argv", [["validate"], ["dist"], ["charfn"], ["charfn", "--kind", "doubled"],
-                                  ["circuit-sim", "--point", "0.7,1.3"]],
-                         ids=["validate", "dist", "charfn", "charfn doubled", "circuit-sim"])
-def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, schedule", [
+    pytest.param(argv, sched, id=name + suffix)
+    for suffix, sched in (("", NEAR_HERMITIAN), (" observable", NEAR_HERMITIAN_OBSERVABLE))
+    for name, argv in TOLERANCE_COMMANDS.items()])
+def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv, schedule):
     path = tmp_path / "near_hermitian.json"
-    path.write_text(json.dumps(probe_spec(schedules={"default": NEAR_HERMITIAN},
+    path.write_text(json.dumps(probe_spec(schedules={"default": schedule},
                                           options={"tolerance": 1e-6})))
     doc = run_json(capsys, [argv[0], str(path)] + argv[1:])
     assert doc["tolerance"] == 1e-6
     if argv[0] == "charfn":
         assert doc["characteristic"]["inversion_round_trip_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
+def test_observable_beyond_the_spec_tolerance_names_its_field(tmp_path, capsys, command):
+    far = [{"observable": Z}, {"observable": [[[1, 0], [1e-5, 0]], [[0, 0], [-1, 0]]]}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": far}, options={"tolerance": 1e-6})))
+    argv = TOLERANCE_COMMANDS[command]
+    assert run_command([argv[0], str(path)] + argv[1:]) == 4
+    assert "schedules.default[1].observable: not Hermitian within 1e-06" in capsys.readouterr().err
 
 
 def test_output_file_option(spec_file, capsys, tmp_path):
@@ -478,7 +494,7 @@ def _qutrit_spec(tmp_path, n_times: int) -> str:
     return str(path)
 
 
-def _refused_at_once(capsys, argv) -> str:
+def _refused_at_once(capsys, argv, seconds: float = 5.0) -> str:
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -489,7 +505,7 @@ def _refused_at_once(capsys, argv) -> str:
         tracemalloc.stop()
     assert code == 3
     assert peak < 1_000_000
-    assert elapsed < 5.0
+    assert elapsed < seconds
     return capsys.readouterr().err
 
 
@@ -519,3 +535,31 @@ def test_state_size_guard_serves_what_fits(tmp_path, capsys, monkeypatch):
     assert "6561" in capsys.readouterr().err
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: None)
     assert run_json(capsys, ["state", path, "--kind", "kd-right"])["state"]["dims"] == [3] * 4
+
+
+@pytest.mark.parametrize("command, gib", [("dist", "32768.0"), ("nonclassicality", "4096.0")])
+def test_distribution_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatch, command, gib):
+    # d=4 at nine times doubled: 4^18 entries
+    p = tkd.random_process(4, 8, seed=650, channel_kind="mixed")
+    obs = [{"observable": _pairs(tkd.random_hermitian(4, seed=651 + k))} for k in range(9)]
+    spec = probe_spec(dims=list(p.dims), initial_state=_pairs(p.rho0),
+                      channels=[{"kind": "kraus", "operators": [_pairs(k) for k in c.kraus]}
+                                for c in p.channels],
+                      schedules={"default": obs})
+    path = tmp_path / "ququart9.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
+    err = _refused_at_once(capsys, [command, str(path), "--kind", "doubled"], seconds=1.0)
+    assert f"{command} --kind doubled: estimated 68719476736 distribution entries" in err
+    assert f"about {gib} GiB, exceed the 8.0 GiB" in err
+
+
+@pytest.mark.parametrize("command", ["dist", "nonclassicality"])
+def test_distribution_size_guard_serves_what_fits(spec_file, capsys, monkeypatch, command):
+    argv = [command, spec_file, "--kind", "doubled", "--bra-schedule", "alt"]
+    need = 16 * tkd.cli._DIST_BYTES_PER_ENTRY[command]  # 2·2 ket times 2·2 bra outcomes
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need)
+    run_json(capsys, argv)
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need - 1)
+    assert run_command(argv) == 3
+    assert "estimated 16 distribution entries" in capsys.readouterr().err
