@@ -1,8 +1,11 @@
 """Byte stability of CLI documents against checked-in golden files.
 
 Each golden file in tests/data holds the exact stdout of one command: the
-three demos, and dist, charfn and state on `qubit_two_times.json` (a
-two-time qubit process with one random Kraus step). Spec paths are given
+three demos; dist, charfn, state and witness on `qubit_two_times.json` (a
+two-time qubit process with one random Kraus step); and witness on
+`qubit_three_times_unitary.json` (a three-time qubit process with two
+seeded Haar-unitary steps, where the witness also compares the projectors of
+every time back-evolved to t_0). Spec paths are given
 relative to tests/data, so the documents' ``spec`` field does not depend on
 the checkout location. Regenerate with ``python tests/test_golden.py`` and
 record the reason in CHANGES.md.
@@ -26,6 +29,8 @@ GOLDEN = {
     "charfn_right.json": ["charfn", SPEC],
     "charfn_doubled.json": ["charfn", SPEC, "--kind", "doubled", "--bra-schedule", "alt"],
     "state_kd-right.json": ["state", SPEC, "--kind", "kd-right"],
+    "witness.json": ["witness", SPEC],
+    "witness_unitary.json": ["witness", "qubit_three_times_unitary.json"],
 }
 
 
