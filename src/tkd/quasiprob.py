@@ -431,36 +431,35 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     chains, the time pairs k < l ascending, each with the outcomes of t_k
     against those of t_l in schedule order.
 
-    Q itself comes off the same backward stack, Q[b0, b'] = Tr[ρ Π_b0 M_b'].
+    One backward sweep with the identity at t_0 gives the later joint
+    operators M_b'; Q[b0, b'] = Tr[ρ Π_b0 M_b'] is checked by the
+    `QuasiDistribution` it fills, as kd_right's is. On a unitary chain the
+    single-time operator E_1†(...E_k†(Π_bk)) is the marginal of M over every
+    later time but t_k, since Σ_b Π_b = I and each step's adjoint is unital.
     Spectral norms are taken only where the Frobenius norm leaves room for
     the maximum: ‖C‖₂ ≤ ‖C‖_F, and the largest ‖C‖_F/√d bounds it from below.
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
-    _check_schedule(p, s)
+    (maps,), axes, _ = _insertions(p, "kd_right", s)
     n, d = p.n_steps, p.dims[0]
-    sizes = [len(m.outcomes) for m in s]
-    later = _backward(p, [np.eye(d * d, dtype=np.complex128)[None]] + [m.right_maps for m in s[1:]])
+    sizes = [len(ax) for ax in axes]
+    later = _backward(p, [np.eye(d * d, dtype=np.complex128)[None]] + maps[1:])
     later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
-    total = complex(q.sum())
-    if abs(total - 1.0) > p.tol:  # the check kd_right's distribution makes
-        raise ValidationError(f"distribution sums to {total}, not 1")
-    value = float(np.sum(np.abs(q))) - 1.0
+    value = nonclassicality(QuasiDistribution("kd_right", axes, q.reshape(sizes), tol=p.tol))
     if n == 0:
         return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
 
-    # the projectors of every time back-evolved to t_0 (unitary chains;
-    # otherwise t_0's only), on trace rows: Tr[x·Π] = vec(Πᵀ)·vec(x)
+    # the projectors of t_0, then (unitary chains) those of every later time
+    # back-evolved to t_0, as marginals of the later joint operators
     unitary = all(c.unitary for c in p.channels)
     single = s[0].projectors
     if unitary:
-        rows = s[n].projectors.transpose(0, 2, 1).reshape(-1, d * d)
-        for k in range(n, 0, -1):
-            rows = np.concatenate([s[k - 1].projectors.transpose(0, 2, 1).reshape(-1, d * d),
-                                   rows @ p.channels[k - 1].superop])
-        single = rows.reshape(-1, d, d).transpose(0, 2, 1)
+        stack = later.reshape(sizes[1:] + [d, d])
+        single = np.concatenate([single] + [stack.sum(axis=tuple(a for a in range(n) if a != k))
+                                            for k in range(n)])
 
     # the commutators in visiting order: each later joint operator against
     # the t_0 projectors (broadcast), then (unitary chains) the gathered
