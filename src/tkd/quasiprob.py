@@ -33,7 +33,10 @@ so the largest live array has (entries / m_n)·d² complex values: 6.4 MB at
 10⁵ entries and d = 4. The maps of one step hold m·d⁴ complex values, small
 for d ≤ 4 but 16 MB at d = m = 16. The backward sweep applies the same maps
 from w toward t_0 and yields the joint operators M with Tr[M ρ] = Q behind
-`joint_ops` and `classicality_witness`.
+`joint_ops` and `classicality_witness`. The witness runs it once, with the
+identity at t_0, and reads the back-evolved projectors of each later time off
+that stack as marginals over the other later times: Σ_b Π_b = I, and the
+adjoint of a trace-preserving step is unital.
 
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
