@@ -6,8 +6,9 @@ pairs, matrices as row-major nested arrays). Documents are written by
 ``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and formats complex arrays one row template at a time.
 Exit codes: 2 for bad usage, 3 for a spec file that does not parse or a
-``state``, ``dist`` or ``nonclassicality`` request too large for the
-machine's physical memory, 4 for numerical validation failures.
+``state``, ``dist``, ``nonclassicality``, ``witness`` or ``charfn`` request
+too large for the machine's physical memory, 4 for numerical validation
+failures.
 """
 
 from __future__ import annotations
@@ -54,12 +55,17 @@ from .tomography import kd_state_recursive, mh_state, pdo
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "TKD_TOLERANCE"
-# peak resident bytes per entry of one run (growth of ru_maxrss over a warmed-up
-# process, requests of 2^16 and 2^20 entries): `state` 390-530 B per matrix entry
-# (sweep, matrix, eigenvalue copy, rendered document); per distribution entry of
-# qubit chains, kinds right/mh/doubled, `dist` 310-440 B and `nonclassicality` 32-51 B
-_STATE_BYTES_PER_ENTRY = 512
-_DIST_BYTES_PER_ENTRY = {"dist": 512, "nonclassicality": 64}
+# peak resident bytes per entry of one run of each command (growth of ru_maxrss
+# over a warmed-up process, requests of 2^16 and 2^20 entries unless noted):
+# `state` 390-530 B per matrix entry (sweep, matrix, eigenvalue copy, rendered
+# document); per distribution entry of qubit chains, kinds right/mh/doubled,
+# `dist` 310-440 B and `nonclassicality` 32-51 B; `witness` 38-61 B per entry
+# of its commutator stack (Π m_k·d², d = 2, 3, 4, unitary and Kraus chains,
+# 2^12 to 2^20 entries); `charfn` 1.4-2.5 kB per point of its default grid
+# (2^12 to 2^16 points, all kinds), growing by about 95 B per grid axis from 8
+# to 16 axes, so 4 kB covers grids of up to about 32 axes, and a wider grid
+# has at least 2^32 points
+_BYTES_PER_ENTRY = {"state": 512, "dist": 512, "nonclassicality": 64, "witness": 64, "charfn": 4096}
 
 _DIST_KINDS = ("right", "left", "doubled", "mh", "lvn")
 _STATE_CLI_KINDS = {"kd-right": "kd_right", "kd-left": "kd_left", "doubled": "kd_doubled",
@@ -508,7 +514,7 @@ def _requested_dist(bundle: SpecBundle, args) -> QuasiDistribution:
     sweep if its Π m_k entries (both schedules for doubled) cannot fit."""
     scheds = _named(bundle.schedules, args)
     entries = math.prod(len(m.outcomes) for s in scheds for m in s)
-    _size_guard(f"{args.command} --kind {args.kind}", entries, _DIST_BYTES_PER_ENTRY[args.command],
+    _size_guard(f"{args.command} --kind {args.kind}", entries, _BYTES_PER_ENTRY[args.command],
                 "distribution entries")
     return _compute_dist(bundle.process, args.kind, *scheds)
 
@@ -534,7 +540,10 @@ def _cmd_nonclassicality(bundle: SpecBundle, args) -> dict:
 
 
 def _cmd_witness(bundle: SpecBundle, args) -> dict:
-    rep = classicality_witness(bundle.process, _schedule(bundle.schedules, args.schedule))
+    s, d = _schedule(bundle.schedules, args.schedule), bundle.process.dims[0]
+    entries = math.prod(len(m.outcomes) for m in s) * d * d
+    _size_guard("witness", entries, _BYTES_PER_ENTRY["witness"], "commutator matrix entries")
+    rep = classicality_witness(bundle.process, s)
     worst = None
     if rep.worst_pair is not None:
         (ta, la), (tb, lb) = rep.worst_pair
@@ -549,7 +558,7 @@ def _cmd_witness(bundle: SpecBundle, args) -> dict:
 def _cmd_state(bundle: SpecBundle, args) -> dict:
     p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
     side = math.prod(p.dims) ** (2 if kind == "kd_doubled" else 1)
-    _size_guard(f"state --kind {args.kind}", side * side, _STATE_BYTES_PER_ENTRY,
+    _size_guard(f"state --kind {args.kind}", side * side, _BYTES_PER_ENTRY["state"],
                 f"matrix entries ({side}x{side})")
     if kind == "mh":
         y = mh_state(p)
@@ -603,7 +612,10 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
         grid = _parse_points(args.points, len(spectra))
         source = "explicit"
     else:
-        grid = product_grid([default_nodes(sp) for sp in spectra])
+        nodes = [default_nodes(sp) for sp in spectra]
+        _size_guard(f"charfn --kind {args.kind}", math.prod(map(len, nodes)),
+                    _BYTES_PER_ENTRY["charfn"], "default grid points")
+        grid = product_grid(nodes)
         source = "default"
     samples = char_fn(bundle.process, obs, grid, kind=args.kind)
     ch = {"kind": samples.kind, "grid": samples.grid, "grid_source": source,

@@ -482,14 +482,15 @@ def test_usage_error_leaves_the_parser_reusable(spec_file, capsys):
     assert capsys.readouterr().out == before
 
 
-def _qutrit_spec(tmp_path, n_times: int) -> str:
-    p = tkd.random_process(3, n_times - 1, seed=640, channel_kind="mixed")
-    obs = [{"observable": _pairs(tkd.random_hermitian(3, seed=641 + k))} for k in range(n_times)]
+def _chain_spec(tmp_path, n_times: int, d: int = 3, seed: int = 640) -> str:
+    """A seeded spec: a mixed unitary/Kraus chain with one random observable per time."""
+    p = tkd.random_process(d, n_times - 1, seed=seed, channel_kind="mixed")
+    obs = [{"observable": _pairs(tkd.random_hermitian(d, seed=seed + 1 + k))} for k in range(n_times)]
     spec = probe_spec(dims=list(p.dims), initial_state=_pairs(p.rho0),
                       channels=[{"kind": "kraus", "operators": [_pairs(k) for k in c.kraus]}
                                 for c in p.channels],
                       schedules={"default": obs})
-    path = tmp_path / f"qutrit{n_times}.json"
+    path = tmp_path / f"d{d}_times{n_times}.json"
     path.write_text(json.dumps(spec))
     return str(path)
 
@@ -513,7 +514,7 @@ def test_state_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatc
     # the doubled state of d=3 at four times is 6561x6561: about 22 GiB to
     # compute and render, minutes of allocation on an 8 GiB machine
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
-    err = _refused_at_once(capsys, ["state", _qutrit_spec(tmp_path, 4), "--kind", "doubled"])
+    err = _refused_at_once(capsys, ["state", _chain_spec(tmp_path, 4), "--kind", "doubled"])
     assert "doubled" in err and "43046721" in err and "20.5 GiB" in err and "8.0 GiB" in err
 
 
@@ -521,13 +522,13 @@ def test_state_size_guard_reads_the_machine(tmp_path, capsys):
     if tkd.cli._physical_memory() is None:
         pytest.skip("platform reports no physical memory size")
     # d=3 at six times doubled: 729^4 entries, far past any machine
-    err = _refused_at_once(capsys, ["state", _qutrit_spec(tmp_path, 6), "--kind", "doubled"])
+    err = _refused_at_once(capsys, ["state", _chain_spec(tmp_path, 6), "--kind", "doubled"])
     assert "282429536481" in err
 
 
 def test_state_size_guard_serves_what_fits(tmp_path, capsys, monkeypatch):
-    path = _qutrit_spec(tmp_path, 4)
-    need = 81 * 81 * tkd.cli._STATE_BYTES_PER_ENTRY  # kd-right is 81x81
+    path = _chain_spec(tmp_path, 4)
+    need = 81 * 81 * tkd.cli._BYTES_PER_ENTRY["state"]  # kd-right is 81x81
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need)
     assert run_json(capsys, ["state", path, "--kind", "kd-right"])["state"]["dims"] == [3] * 4
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need - 1)
@@ -540,16 +541,9 @@ def test_state_size_guard_serves_what_fits(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command, gib", [("dist", "32768.0"), ("nonclassicality", "4096.0")])
 def test_distribution_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatch, command, gib):
     # d=4 at nine times doubled: 4^18 entries
-    p = tkd.random_process(4, 8, seed=650, channel_kind="mixed")
-    obs = [{"observable": _pairs(tkd.random_hermitian(4, seed=651 + k))} for k in range(9)]
-    spec = probe_spec(dims=list(p.dims), initial_state=_pairs(p.rho0),
-                      channels=[{"kind": "kraus", "operators": [_pairs(k) for k in c.kraus]}
-                                for c in p.channels],
-                      schedules={"default": obs})
-    path = tmp_path / "ququart9.json"
-    path.write_text(json.dumps(spec))
+    path = _chain_spec(tmp_path, 9, d=4, seed=650)
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
-    err = _refused_at_once(capsys, [command, str(path), "--kind", "doubled"], seconds=1.0)
+    err = _refused_at_once(capsys, [command, path, "--kind", "doubled"], seconds=1.0)
     assert f"{command} --kind doubled: estimated 68719476736 distribution entries" in err
     assert f"about {gib} GiB, exceed the 8.0 GiB" in err
 
@@ -557,9 +551,39 @@ def test_distribution_size_guard_refuses_before_allocating(tmp_path, capsys, mon
 @pytest.mark.parametrize("command", ["dist", "nonclassicality"])
 def test_distribution_size_guard_serves_what_fits(spec_file, capsys, monkeypatch, command):
     argv = [command, spec_file, "--kind", "doubled", "--bra-schedule", "alt"]
-    need = 16 * tkd.cli._DIST_BYTES_PER_ENTRY[command]  # 2·2 ket times 2·2 bra outcomes
+    need = 16 * tkd.cli._BYTES_PER_ENTRY[command]  # 2·2 ket times 2·2 bra outcomes
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need)
     run_json(capsys, argv)
     monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need - 1)
     assert run_command(argv) == 3
     assert "estimated 16 distribution entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n_times, extra, message", [
+    # d=4 at nine times: the doubled default grid has 4^18 points
+    ("charfn", 9, ["--kind", "doubled"],
+     "charfn --kind doubled: estimated 68719476736 default grid points, about 262144.0 GiB"),
+    # d=4 at thirteen times: 4^13 commutators of 4x4 entries
+    ("witness", 13, [], "witness: estimated 1073741824 commutator matrix entries, about 64.0 GiB"),
+], ids=["charfn", "witness"])
+def test_witness_and_charfn_size_guards_refuse_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                  command, n_times, extra, message):
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
+    argv = [command, _chain_spec(tmp_path, n_times, d=4, seed=650)] + extra
+    err = _refused_at_once(capsys, argv, seconds=1.0)
+    assert message + ", exceed the 8.0 GiB" in err
+
+
+@pytest.mark.parametrize("command, extra, noun", [
+    ("witness", [], "commutator matrix entries"),  # 2·2 outcomes, d² = 4
+    ("charfn", ["--kind", "doubled", "--bra-schedule", "alt"], "default grid points"),  # 2^4 nodes
+], ids=["witness", "charfn"])
+def test_witness_and_charfn_size_guards_serve_what_fits(spec_file, capsys, monkeypatch,
+                                                        command, extra, noun):
+    argv = [command, spec_file] + extra
+    need = 16 * tkd.cli._BYTES_PER_ENTRY[command]
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need)
+    run_json(capsys, argv)
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: need - 1)
+    assert run_command(argv) == 3
+    assert f"estimated 16 {noun}" in capsys.readouterr().err
