@@ -3,7 +3,8 @@ brute-force oracle.
 
 Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps) and
 schedules draw spectra from a small value set, so degenerate observables and
-single-outcome measurements come up. Examples are derandomized, so every run
+single-outcome measurements come up; the witness is also checked on seeded
+unitary chains of up to eight steps. Examples are derandomized, so every run
 checks the same cases. Distributions, correlators and χ use the contract
 tolerance of 1e-12, states against the oracle that of 1e-10.
 """
@@ -371,6 +372,19 @@ def test_witness_visiting_order_on_exact_ties():
             best, pair = _witness_reference(p, s)
             assert abs(rep.max_commutator_norm - best) <= TOL
             assert rep.worst_pair == pair, (chain, obs)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (4, 4)])
+def test_witness_matches_reference_loop_at_the_regime_edge(d, n):
+    # on a unitary chain each single-time operator sums the later joint
+    # operators over every other later time: these sizes sum the most terms
+    for seed in (900, 1900, 2900):
+        p = tkd.random_process(d, n, seed=seed + 10 * d + n, channel_kind="unitary")
+        s = tkd.random_schedule(p.dims, seed=seed + 10 * d + n + 1)
+        rep = tkd.classicality_witness(p, s)
+        best, pair = _witness_reference(p, s)
+        assert abs(rep.max_commutator_norm - best) <= TOL
+        assert rep.worst_pair == pair, seed
 
 
 @STATE_SETTINGS
