@@ -323,8 +323,7 @@ def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
     if q.kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"mh_from_kd expects a kd kind, got {q.kind!r}")
     kind = "mh_doubled" if q.kind == "kd_doubled" else "mh"
-    return QuasiDistribution(kind, q.axes, q.values.real.astype(np.complex128),
-                             ket_axes=q.ket_axes, tol=q.tol)
+    return QuasiDistribution(kind, q.axes, q.values.real, ket_axes=q.ket_axes, tol=q.tol)
 
 
 def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:

@@ -172,7 +172,7 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
         stacks = [[insertion_maps(side, np.stack(b.ops)) for b in bases] for side in sides]
     values = _sweep(p, *stacks)
     if kind == "mh":
-        values = values.real.astype(np.complex128)
+        values = values.real
     return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
                             tol=p.tol)
 
