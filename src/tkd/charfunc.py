@@ -198,17 +198,18 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     return CharSamples(kind, x, values, tol=p.tol)
 
 
+def _axis_signs(kind: str, ket_axes: int, n_axes: int) -> list[int]:
+    """Per χ axis, +1 on the ket side (e^{+iav}) and −1 on the bra side (e^{−ibu}):
+    the first ``ket_axes`` axes, and every axis of kind left, are ket-side."""
+    return [+1 if i < ket_axes or kind == "left" else -1 for i in range(n_axes)]
+
+
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
     """Fourier sum Σ Q·e^{+i a·v − i b·u} over the distribution's outcome values."""
     kind = {"kd_right": "right", "kd_left": "left", "kd_doubled": "doubled"}.get(q.kind)
     if kind is None:
         raise ValidationError(f"no characteristic kind for {q.kind!r}")
-    # ket-side insertions carry e^{+iav}, bra-side e^{-ibu}; kd_left axes are
-    # all ket-side even though the kind stores no ket block
-    if kind == "left":
-        signs = [+1] * len(q.axes)
-    else:
-        signs = [+1 if i < q.ket_axes else -1 for i in range(len(q.axes))]
+    signs = _axis_signs(kind, q.ket_axes, len(q.axes))
     vals = [q.axis_values(i) for i in range(len(q.axes))]
     points = _grid_array(grid, len(q.axes), f"point needs {len(q.axes)} phases, got {{}}")
     out = []
@@ -251,8 +252,7 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
     tensor = samples.values[np.argsort(flat)].reshape(shape)
 
     ket_axes = axes // 2 if samples.kind == "doubled" else 0
-    for i in range(axes):
-        sign = +1 if (i < ket_axes or samples.kind == "left") else -1
+    for i, sign in enumerate(_axis_signs(samples.kind, ket_axes, axes)):
         f = np.exp(sign * 1j * np.outer(nodes[i], spect[i]))
         cond = float(np.linalg.cond(f))
         if cond > 1e6:
