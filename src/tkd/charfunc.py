@@ -19,7 +19,6 @@ no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, partial_trace
+from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, partial_trace, readonly
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
-from .quasiprob import MultiTimeProcess, QuasiDistribution, _sweep
+from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -75,19 +74,20 @@ class ObservableSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CharSamples:
-    """Finite χ values over a list of phase points (doubled points carry the
-    ket v-block first, then the bra u-block). ``tol`` bounds |χ(0) − 1|."""
+    """Finite χ values over phase points, held as the rows of a read-only (P, w) float64
+    copy ``grid`` (doubled points carry the ket v-block first, then the bra
+    u-block). ``tol`` bounds |χ(0) − 1|."""
 
     kind: str
-    grid: tuple[tuple[float, ...], ...]
+    grid: np.ndarray
     values: np.ndarray
     tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in CHAR_KINDS:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
-        x = _grid_array(self.grid)
-        object.__setattr__(self, "grid", tuple(map(tuple, x.tolist())))
+        x = readonly(_grid_array(self.grid).copy())
+        object.__setattr__(self, "grid", x)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128).reshape(-1))
         if len(self.values) != len(x):
             raise ValidationError("one value per grid point required")
@@ -140,28 +140,28 @@ def _grid_nodes(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
     return nodes, flat if np.bincount(flat, minlength=math.prod(shape)).all() else None
 
 
+def _axis_signs(kind: str, ket_axes: int, n_axes: int) -> list[int]:
+    """Per χ axis, +1 on the ket side (e^{+iav}) and −1 on the bra side (e^{−ibu}):
+    the first ``ket_axes`` axes, and every axis of kind left, are ket-side."""
+    return [+1 if i < ket_axes or kind == "left" else -1 for i in range(n_axes)]
+
+
 def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
-    """The ket and bra measurements the kind inserts (None on a bare side) and
-    the grid as a (P, w) array at the kind's width, all checked."""
+    """One (measurement, maps, sign) per χ axis, ket block first, with the maps and
+    schedule checks of the kind's KD distribution and the signs of its Fourier sum;
+    and the grid as a (P, w) array at the kind's width."""
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("characteristic functions need square step dims")
-    meas = [None, None]
-    for i, side in enumerate(("ket", "bra")):
-        if kind == ("right", "left")[i]:  # the side this kind leaves bare
-            continue
-        ops = getattr(obs, side)
-        if ops is None:
-            raise ValidationError(f"{kind} characteristic needs {side} observables")
-        if len(ops) != p.n_times:
-            raise ValidationError(f"{side} side has {len(ops)} observables for {p.n_times} times")
-        for k, (o, d) in enumerate(zip(ops, p.dims)):
-            if o.shape != (d, d):
-                raise ValidationError(f"{side} observable {k} is {o.shape}, time dim is {d}")
-        meas[i] = getattr(obs, f"{side}_measurements")
-    want = 2 * p.n_times if kind == "doubled" else p.n_times
-    return (*meas, _grid_array(grid, want, f"{kind} point needs {want} phases, got {{}}"))
+    sides = [side for side, bare in (("ket", "right"), ("bra", "left")) if kind != bare]
+    meas = [getattr(obs, f"{side}_measurements") for side in sides]
+    if None in meas:
+        raise ValidationError(f"{kind} characteristic needs {sides[meas.index(None)]} observables")
+    stacks, axes, ket_axes = _insertions(p, "kd_" + kind, *meas)
+    inputs = list(zip([m for ms in meas for m in ms], [maps for st in stacks for maps in st],
+                      _axis_signs(kind, ket_axes, len(axes))))
+    return inputs, _grid_array(grid, len(axes), f"{kind} point needs {len(axes)} phases, got {{}}")
 
 
 def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np.ndarray:
@@ -171,13 +171,12 @@ def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np
     return np.einsum("pm,m...->p...", np.exp(sign * 1j * np.outer(ts, values)), stack)
 
 
-def _char_sweep(p: MultiTimeProcess, ket_meas, bra_meas, nodes) -> np.ndarray:
+def _char_sweep(p: MultiTimeProcess, inputs, nodes) -> np.ndarray:
     """χ on the product of the per-axis phase nodes, flat in C order over the axes, from
     one sweep whose maps at each time are phase-weighted sums of cached projector maps."""
+    rows = [_phases(m, sign, t, maps) for (m, maps, sign), t in zip(inputs, nodes)]
     n = p.n_times
-    sides = ((ket_meas, +1, "left_maps", nodes[:n]), (bra_meas, -1, "right_maps", nodes[-n:]))
-    return _sweep(p, *[[_phases(m, sign, t, getattr(m, maps)) for m, t in zip(ms, ts)]
-                       for ms, sign, maps, ts in sides if ms is not None]).reshape(-1)
+    return _sweep(p, *[rows[i:i + n] for i in range(0, len(rows), n)]).reshape(-1)
 
 
 def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequence[float]],
@@ -191,23 +190,17 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     holding every combination of its per-axis nodes, in any order, takes one
     sweep over the node product; any other grid takes one sweep per point.
     """
-    ket_meas, bra_meas, x = _kind_inputs(p, obs, kind, grid)
+    inputs, x = _kind_inputs(p, obs, kind, grid)
     nodes, flat = _grid_nodes(x)
-    values = (_char_sweep(p, ket_meas, bra_meas, nodes)[flat] if flat is not None else
-              np.array([_char_sweep(p, ket_meas, bra_meas, pt[:, None])[0] for pt in x]))
+    values = (_char_sweep(p, inputs, nodes)[flat] if flat is not None else
+              np.array([_char_sweep(p, inputs, pt[:, None])[0] for pt in x]))
     return CharSamples(kind, x, values, tol=p.tol)
-
-
-def _axis_signs(kind: str, ket_axes: int, n_axes: int) -> list[int]:
-    """Per χ axis, +1 on the ket side (e^{+iav}) and −1 on the bra side (e^{−ibu}):
-    the first ``ket_axes`` axes, and every axis of kind left, are ket-side."""
-    return [+1 if i < ket_axes or kind == "left" else -1 for i in range(n_axes)]
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
     """Fourier sum Σ Q·e^{+i a·v − i b·u} over the distribution's outcome values."""
-    kind = {"kd_right": "right", "kd_left": "left", "kd_doubled": "doubled"}.get(q.kind)
-    if kind is None:
+    kind = q.kind.removeprefix("kd_")
+    if kind not in CHAR_KINDS:
         raise ValidationError(f"no characteristic kind for {q.kind!r}")
     signs = _axis_signs(kind, q.ket_axes, len(q.axes))
     vals = [q.axis_values(i) for i in range(len(q.axes))]
@@ -227,8 +220,13 @@ def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
     return np.pi / (1.0 + (vals[-1] - vals[0])) * np.arange(len(vals))  # [0.] for one outcome
 
 
-def product_grid(per_axis_nodes: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-    return [tuple(float(x) for x in pt) for pt in itertools.product(*per_axis_nodes)]
+def product_grid(per_axis_nodes: Sequence[Sequence[float]]) -> np.ndarray:
+    """Every combination of the per-axis nodes as the rows of a read-only (P, w)
+    float64 array, in C order over the axes (the last varies fastest)."""
+    nodes = [np.array([float(x) for x in nd]) for nd in per_axis_nodes]
+    count = math.prod(map(len, nodes))  # one point of no phases for no axes
+    columns = np.array(np.meshgrid(*nodes, indexing="ij")).reshape(len(nodes), count)
+    return readonly(np.ascontiguousarray(columns.T))
 
 
 def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> QuasiDistribution:
@@ -262,8 +260,8 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
         tensor = np.moveaxis(solved, 0, i)
 
     out_axes = tuple(tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
-    kind = {"right": "kd_right", "left": "kd_left", "doubled": "kd_doubled"}[samples.kind]
-    return QuasiDistribution(kind, out_axes, tensor, ket_axes=ket_axes, tol=samples.tol)
+    return QuasiDistribution("kd_" + samples.kind, out_axes, tensor, ket_axes=ket_axes,
+                             tol=samples.tol)
 
 
 @dataclass(frozen=True)
@@ -288,19 +286,20 @@ _GATE_PHASE_SIGN = +1
 _READOUT_SIGN = -1
 
 
-def _ancilla_xy(p: MultiTimeProcess, ket_meas, bra_meas, grid) -> tuple[float, float, dict]:
+def _ancilla_xy(p: MultiTimeProcess, inputs, grid) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer at
     the one point of a (1, w) grid."""
     nodes, _ = _grid_nodes(grid)
     n, d = p.n_times, p.dims[0]
 
-    def gates(meas, ts):
-        return ([np.eye(d, dtype=np.complex128)] * n if meas is None else
-                [_phases(m, _GATE_PHASE_SIGN, t, m.projectors)[0] for m, t in zip(meas, ts)])
+    def gates(side):  # G1 from the ket-side (+1) axes, G2 from the bra-side (−1) ones
+        return [_phases(m, _GATE_PHASE_SIGN, t, m.projectors)[0]
+                for (m, _, sign), t in zip(inputs, nodes) if sign == side] or \
+            [np.eye(d, dtype=np.complex128)] * n
 
     dils = [c.dilation for c in p.channels]
     rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
-    for g1, g2, dil in zip(gates(ket_meas, nodes[:n]), gates(bra_meas, nodes[-n:]), dils + [None]):
+    for g1, g2, dil in zip(gates(+1), gates(-1), dils + [None]):
         ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
         rho = ctrl @ rho @ ctrl.conj().T
         if dil is not None:
@@ -329,9 +328,9 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
     """
-    ket_meas, bra_meas, grid = _kind_inputs(p, obs, kind, [point])
+    inputs, grid = _kind_inputs(p, obs, kind, [point])
     s = _READOUT_SIGN
-    x, y, meta = _ancilla_xy(p, ket_meas, bra_meas, grid)
+    x, y, meta = _ancilla_xy(p, inputs, grid)
     exact = complex(x + 1j * s * y)
     meta = dict(meta, gate_phase_sign=_GATE_PHASE_SIGN, readout_sign=s)
 

@@ -5,10 +5,10 @@ emits deterministic JSON result documents (complex scalars as [re, im]
 pairs, matrices as row-major nested arrays). Documents are written by
 ``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and formats complex arrays one row template at a time.
-Exit codes: 2 for bad usage, 3 for a spec file that does not parse or a
-``state``, ``dist``, ``nonclassicality``, ``witness`` or ``charfn`` request
-too large for the machine's physical memory, 4 for numerical validation
-failures.
+Exit codes: 2 for bad usage or an output file that cannot be written, 3 for
+a spec file that does not parse or a ``state``, ``dist``, ``nonclassicality``,
+``witness`` or ``charfn`` request too large for the machine's physical
+memory, 4 for numerical validation failures.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .quasiprob import (
     kd_left,
     kd_right,
     lvn,
-    marginalize,
     mh_from_kd,
     nonclassicality,
 )
@@ -61,8 +60,8 @@ TOLERANCE_ENV = "TKD_TOLERANCE"
 # document); per distribution entry of qubit chains, kinds right/mh/doubled,
 # `dist` 310-440 B and `nonclassicality` 32-51 B; `witness` 38-61 B per entry
 # of its commutator stack (Π m_k·d², d = 2, 3, 4, unitary and Kraus chains,
-# 2^12 to 2^20 entries); `charfn` 1.4-2.5 kB per point of its default grid
-# (2^12 to 2^16 points, all kinds), growing by about 95 B per grid axis from 8
+# 2^12 to 2^20 entries); `charfn` 1.35-2.3 kB per point of its default grid
+# (2^12 to 2^16 points, all kinds), growing by about 105 B per grid axis from 8
 # to 16 axes, so 4 kB covers grids of up to about 32 axes, and a wider grid
 # has at least 2^32 points
 _BYTES_PER_ENTRY = {"state": 512, "dist": 512, "nonclassicality": 64, "witness": 64, "charfn": 4096}
@@ -83,6 +82,10 @@ class SpecParseError(Exception):
 
 class SizeLimitError(Exception):
     """A request whose estimated memory exceeds the machine's physical memory."""
+
+
+class OutputError(Exception):
+    """An ``-o`` or ``--table`` path that cannot be written."""
 
 
 def _physical_memory() -> int | None:
@@ -439,10 +442,17 @@ def _dist_json(q: QuasiDistribution) -> dict:
     }
 
 
+def _write_text(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise OutputError(f"{path}: {e.strerror or e}") from None
+
+
 def _emit(doc: dict, out: str | None) -> int:
     text = _render(doc) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -459,7 +469,7 @@ def _write_table(q: QuasiDistribution, path: str):
         z = complex(q.values[idx])
         cells = [str(q.axes[a][idx[a]].label) for a in order]
         lines.append("\t".join(cells + [repr(z.real), repr(z.imag)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _compute_dist(p: MultiTimeProcess, kind: str, s, bra=None) -> QuasiDistribution:
@@ -618,7 +628,7 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
         grid = product_grid(nodes)
         source = "default"
     samples = char_fn(bundle.process, obs, grid, kind=args.kind)
-    ch = {"kind": samples.kind, "grid": samples.grid, "grid_source": source,
+    ch = {"kind": samples.kind, "grid": samples.grid.tolist(), "grid_source": source,
           "values": samples.values}
     if source == "default":
         q = invert_char(samples, spectra)
@@ -799,6 +809,9 @@ def run_command(argv) -> int:
     except SizeLimitError as e:
         print(f"tkd: refused: {e}", file=sys.stderr)
         return 3
+    except OutputError as e:
+        print(f"tkd: cannot write output: {e}", file=sys.stderr)
+        return 2
     except ValidationError as e:
         print(f"tkd: validation error: {e}", file=sys.stderr)
         return 4

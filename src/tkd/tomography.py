@@ -26,7 +26,7 @@ import numpy as np
 from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs,
                      partial_trace, readonly)
 from .measurements import HSBasis, hs_basis, spectral_measurement
-from .quasiprob import MultiTimeProcess, _sweep
+from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
 STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
@@ -137,18 +137,6 @@ class TemporalStateOperator:
         return np.sort_complex(np.linalg.eigvals(self.matrix))
 
 
-def _bases_for(p: MultiTimeProcess, bases) -> tuple[HSBasis, ...]:
-    if bases is None:
-        return tuple(hs_basis(d) for d in p.dims)
-    bases = tuple(bases)
-    if len(bases) != p.n_times:
-        raise ValidationError(f"{len(bases)} bases for {p.n_times} times")
-    for k, (b, d) in enumerate(zip(bases, p.dims)):
-        if b.dim != d:
-            raise ValidationError(f"basis {k} acts on dim {b.dim}, process carries {d}")
-    return bases
-
-
 def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
                 kind: str = "right") -> CorrelatorTensor:
     """Basis-observable expectation tensor of a process.
@@ -162,7 +150,8 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     """
     if kind not in CORRELATOR_KINDS:
         raise ValidationError(f"unknown correlator kind {kind!r}")
-    bases = _bases_for(p, bases)
+    bases = tuple(hs_basis(d) for d in p.dims) if bases is None else tuple(bases)
+    _check_schedule(p, bases, "bases")
     if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
         meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
         stacks = [[np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in row])
@@ -175,15 +164,6 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
         values = values.real
     return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
                             tol=p.tol)
-
-
-_STATE_FROM_CORRELATOR = {
-    "right": "kd_right",
-    "left": "kd_left",
-    "doubled": "kd_doubled",
-    "mh": "mh",
-    "lvn": "pdo",
-}
 
 
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
@@ -204,7 +184,8 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     mat = np.einsum(sub + "->" + rows + cols, t.values, *stacks, optimize=True)
     side = int(np.prod([b.dim for b in t.bases]))
     mat = mat.reshape(side, side) / side
-    return TemporalStateOperator(_STATE_FROM_CORRELATOR[t.kind], t.time_dims, mat, tol=t.tol)
+    kind = {"mh": "mh", "lvn": "pdo"}.get(t.kind, "kd_" + t.kind)
+    return TemporalStateOperator(kind, t.time_dims, mat, tol=t.tol)
 
 
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:

@@ -157,7 +157,8 @@ def test_zero_point_anywhere_must_carry_one(position):
     values[position] = 1.0 + 1e-9
     with pytest.raises(ValidationError):
         tkd.CharSamples("right", grid, values, tol=1e-10)
-    assert tkd.CharSamples("right", grid, values, tol=1e-8).grid[position] == (0.0, -0.0)
+    kept = tkd.CharSamples("right", grid, values, tol=1e-8).grid[position]
+    assert kept.tolist() == [0.0, -0.0] and np.signbit(kept).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("grid", [
@@ -168,21 +169,25 @@ def test_zero_point_anywhere_must_carry_one(position):
     [np.array([0.0, 1.0]), (np.float32(2.5), np.int64(3))],
 ], ids=["list", "tuple", "int array", "float64 array", "numpy scalars"])
 def test_grids_hold_python_floats(grid):
+    # held as a read-only (P, w) float64 copy whose rows list back to Python floats
     p, obs = _qubit_pair()
     want = [[float(x) for x in pt] for pt in grid]
     for samples in (tkd.char_fn(p, obs, grid),
                     tkd.CharSamples("right", grid, np.array([1.0, 0.5]))):
-        assert isinstance(samples.grid, tuple) and all(isinstance(pt, tuple) for pt in samples.grid)
-        assert [list(pt) for pt in samples.grid] == want
-        assert all(type(x) is float for pt in samples.grid for x in pt)
+        assert isinstance(samples.grid, np.ndarray) and samples.grid.dtype == np.float64
+        assert samples.grid.shape == (2, 2) and not samples.grid.flags.writeable
+        assert samples.grid.tolist() == want
+        assert all(type(x) is float for pt in samples.grid.tolist() for x in pt)
+        if isinstance(grid, np.ndarray):
+            assert not np.shares_memory(samples.grid, grid)
 
 
 def test_empty_grid():
     p, obs = _qubit_pair()
-    for samples in (tkd.char_fn(p, obs, []), tkd.char_fn(p, obs, [], kind="doubled"),
-                    tkd.CharSamples("right", [], np.array([]))):
-        assert samples.grid == () and samples.values.shape == (0,)
-        assert samples.values.dtype == np.complex128
+    for samples, width in ((tkd.char_fn(p, obs, []), 2), (tkd.char_fn(p, obs, [], kind="doubled"), 4),
+                           (tkd.CharSamples("right", [], np.array([])), 0)):
+        assert samples.grid.shape == (0, width) and samples.grid.dtype == np.float64
+        assert samples.values.shape == (0,) and samples.values.dtype == np.complex128
     with pytest.raises(ValidationError):
         tkd.CharSamples("right", [], np.array([1.0]))
 
@@ -255,7 +260,8 @@ def test_default_nodes():
     nodes3 = tkd.default_nodes([0.0, 1.0, 3.0])
     assert np.allclose(nodes3, [0.0, np.pi / 4, np.pi / 2])
     grid = tkd.product_grid([[0.0, 1.0], [0.0, 2.0]])
-    assert grid == [(0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
+    assert grid.dtype == np.float64 and not grid.flags.writeable
+    assert grid.tolist() == [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0], [1.0, 2.0]]
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -415,6 +421,29 @@ def test_missing_side_is_rejected(kind, obs):
         tkd.char_fn(p, obs, [(0.1, 0.2)], kind=kind)
     with pytest.raises(ValidationError, match="observables"):
         tkd.circuit_sim(p, obs, (0.1, 0.2), kind=kind)
+
+
+Z2, Z3 = np.diag([1.0, -1.0]), np.diag([1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("kind,obs,message", [
+    ("right", tkd.ObservableSchedule(bra=(Z2,) * 3), "schedule has 3 entries for 2 times"),
+    ("left", tkd.ObservableSchedule(ket=(Z2,) * 3), "schedule has 3 entries for 2 times"),
+    ("doubled", tkd.ObservableSchedule(ket=(Z2,) * 3, bra=(Z2,) * 3),
+     "ket schedule has 3 entries for 2 times"),
+    ("right", tkd.ObservableSchedule(bra=(Z2, Z3)), r"schedule\[1\] acts on dim 3, process carries 2"),
+    ("left", tkd.ObservableSchedule(ket=(Z3, Z2)), r"schedule\[0\] acts on dim 3, process carries 2"),
+    ("doubled", tkd.ObservableSchedule(ket=(Z2, Z2), bra=(Z3, Z2)),
+     r"bra schedule\[0\] acts on dim 3, process carries 2"),
+], ids=["right count", "left count", "doubled count", "right dim", "left dim", "doubled dim"])
+def test_schedule_misfits_are_refused(kind, obs, message):
+    # χ checks its observables as the kind's KD distribution checks its schedules
+    p = tkd.random_process(2, 1, seed=640)
+    point = (0.1,) * (2 * p.n_times if kind == "doubled" else p.n_times)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        tkd.char_fn(p, obs, [point], kind=kind)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        tkd.circuit_sim(p, obs, point, kind=kind)
 
 
 def _chain(d: int, n: int, seed: int) -> tkd.MultiTimeProcess:

@@ -264,6 +264,18 @@ def test_output_file_option(spec_file, capsys, tmp_path):
     assert json.loads(out.read_text())["command"] == "validate"
 
 
+@pytest.mark.parametrize("argv", [["dist", "SPEC", "--table"], ["demo", "xy-qubit", "-o"]],
+                         ids=["--table", "-o"])
+@pytest.mark.parametrize("target", ["missing dir", "a directory"])
+def test_unwritable_output_exits_2(spec_file, capsys, tmp_path, argv, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing dir" else tmp_path
+    argv = [spec_file if a == "SPEC" else a for a in argv] + [str(path)]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tkd: cannot write output: {path}: ") and err.count("\n") == 1
+
+
 def test_demo_xy(capsys):
     doc = run_json(capsys, ["demo", "xy-qubit"])
     assert doc["max_table_deviation"] < 1e-12

@@ -1,12 +1,19 @@
 """The package's public surface: ``tkd.__all__`` is exactly what ``tkd/__init__.py``
-imports, so a deleted function cannot leave a stale export behind."""
+imports, so a deleted function cannot leave a stale export behind, and every
+name the benchmark in ``perfbench/`` calls or traces still exists."""
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import tkd
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def _imported_public_names() -> list[str]:
@@ -28,3 +35,30 @@ def test_all_equals_imported_names():
     imported = _imported_public_names()
     assert len(imported) == len(set(imported))
     assert sorted(tkd.__all__) == sorted(imported)
+
+
+def test_benchmark_entry_points_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_layertrace", PERFBENCH / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    traced = [(f"tkd.{mod}", attr) for targets in layertrace.LAYERS.values() for mod, attr in targets]
+
+    called = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "tkd":
+            called.add(("tkd", node.attr))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                and isinstance(node.value.value, ast.Name) and node.value.value.id == "tkd" \
+                and node.value.attr == "cli":
+            called.add(("tkd.cli", node.attr))
+    assert ("tkd.cli", "run_command") in called and ("tkd", "char_fn") in called
+
+    def resolves(module: str, dotted: str) -> bool:
+        try:
+            functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+        except AttributeError:
+            return False
+        return True
+
+    assert [name for name in traced + sorted(called) if not resolves(*name)] == []

@@ -72,6 +72,15 @@ def test_correlator_validation():
         tkd.correlators(p, bases=[b], kind="right")
 
 
+@pytest.mark.parametrize("kind", tkd.tomography.CORRELATOR_KINDS)
+def test_correlators_refuse_misfit_bases(kind):
+    p = tkd.random_process(2, 1, seed=1)
+    with pytest.raises(ValidationError, match=r"^bases\[1\] acts on dim 3, process carries 2$"):
+        tkd.correlators(p, [tkd.hs_basis(2), tkd.hs_basis(3)], kind=kind)
+    with pytest.raises(ValidationError, match="^bases has 3 entries for 2 times$"):
+        tkd.correlators(p, [tkd.hs_basis(2)] * 3, kind=kind)
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_reconstruction_matches_recursion(case):
     p = corpus(4)[case][0]
