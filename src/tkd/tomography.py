@@ -11,12 +11,12 @@ Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check.
 
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
-exposed through the API stay ascending.
+exposed through the API stay ascending. That layout is written once in
+``_matrix`` (read-off, resynthesis) and once in ``_reduced`` (partial traces).
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -166,47 +166,46 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
                             tol=p.tol)
 
 
+def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
+    """The D×D matrix of a tensor with one (row, column) leg pair per (block,
+    time), ascending. Rows and columns each run over the ket block, then the
+    bra block (doubled), latest time first."""
+    nt = len(dims)
+    t = t.reshape([d for _ in range(blocks) for d in dims for _ in "rc"])
+    order = [2 * (b * nt + k) + leg for leg in (0, 1) for b in range(blocks) for k in reversed(range(nt))]
+    side = int(np.prod(dims)) ** blocks
+    return t.transpose(order).reshape(side, side)
+
+
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
-    """Bloch-style resynthesis Υ = (1/Π_k d_k) Σ T ⊗σ (doubled: 1/Π_k d_k²).
+    """Bloch-style resynthesis Υ = (1/Π_k d_k) Σ T ⊗σ (doubled: 1/Π_k d_k²),
+    contracting T one axis at a time against that axis's basis stack.
 
     The prefactor carries one power of d per tensor axis, which is what makes
     traces against basis products return the stored correlators.
     """
-    axes = len(t.bases)
-    stacks = [np.stack(b.ops) for b in t.bases]
-    letters = iter(string.ascii_lowercase + string.ascii_uppercase)
-    mu = [next(letters) for _ in range(axes)]
-    ij = [(next(letters), next(letters)) for _ in range(axes)]
-    order = list(range(t.ket_axes - 1, -1, -1)) + list(range(axes - 1, t.ket_axes - 1, -1))
-    rows = "".join(ij[a][0] for a in order)
-    cols = "".join(ij[a][1] for a in order)
-    sub = ",".join(["".join(mu)] + [mu[a] + ij[a][0] + ij[a][1] for a in range(axes)])
-    mat = np.einsum(sub + "->" + rows + cols, t.values, *stacks, optimize=True)
+    z = t.values
+    for b in t.bases:
+        z = np.tensordot(z, np.stack(b.ops), axes=([0], [0]))
     side = int(np.prod([b.dim for b in t.bases]))
-    mat = mat.reshape(side, side) / side
+    mat = _matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side
     kind = {"mh": "mh", "lvn": "pdo"}.get(t.kind, "kd_" + t.kind)
     return TemporalStateOperator(kind, t.time_dims, mat, tol=t.tol)
 
 
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
-    """Read a state off the forward sweep with matrix units E_ab = |a⟩⟨b|
+    """Read a state off the forward sweep with matrix units E_cr = |c⟩⟨r|
     inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE'
-    (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[b, a] (doubled: Υ[b…, b'…;
-    a…, a'…]), so one transpose over the sweep's (block, time, leg) axes puts
-    leg b on the rows and leg a on the columns, block by block, latest time first."""
+    (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[r…, c…], so unit (r, c)
+    of each time gives that time's (row, column) leg pair."""
     by_dim = {}
     for d in set(p.dims):
-        units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+        units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d).transpose(0, 2, 1)
         right = insertion_maps("right", units)
         left = None if side == "right" else insertion_maps("left", units)
         by_dim[d] = [left, right] if side == "doubled" else \
             [(right + left) / 2 if side == "jordan" else right]
-    nb, nt = len(by_dim[p.dims[0]]), p.n_times
-    values = _sweep(p, *zip(*[by_dim[d] for d in p.dims]))
-    order = [2 * (b * nt + k) + leg for leg in (1, 0) for b in range(nb) for k in reversed(range(nt))]
-    side_dim = int(np.prod(p.dims)) ** nb
-    return values.reshape([d for _ in range(nb) for d in p.dims for _ in "ab"]).transpose(order) \
-        .reshape(side_dim, side_dim)
+    return _matrix(_sweep(p, *zip(*[by_dim[d] for d in p.dims])), p.dims, 1 + (side == "doubled"))
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:
@@ -218,7 +217,7 @@ def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalS
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
-    y = kd_state_recursive(p).matrix
+    y = _state(p, "right")
     return TemporalStateOperator("mh", p.dims, (y + dagger(y)) / 2, tol=p.tol)
 
 
@@ -263,20 +262,23 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
     return complex(z[0])
 
 
+def _reduced(y: TemporalStateOperator, kind: str, blocks, times: Sequence[int]) -> TemporalStateOperator:
+    """Keep the factors of the given (block, time) pairs and trace out the
+    rest; block 0 is a single-block state's only block, or the ket block."""
+    nt = y.n_times
+    keep = [b * nt + nt - 1 - k for b in blocks for k in times]
+    mat = partial_trace(y.matrix, list(y.factor_dims), keep)
+    return TemporalStateOperator(kind, tuple(y.dims[k] for k in times), mat, tol=y.tol)
+
+
 def reduce_state(y: TemporalStateOperator, keep_times: Sequence[int]) -> TemporalStateOperator:
     """Partial-trace out entire time slots (doubled: ket and bra leg jointly)."""
     times = sorted(set(int(t) for t in keep_times))
     if not times:
         raise ValidationError("reduce_state needs at least one kept time")
-    nt = y.n_times
-    if times[0] < 0 or times[-1] >= nt:
+    if times[0] < 0 or times[-1] >= y.n_times:
         raise ValidationError(f"keep_times {times} out of range")
-    pos = [nt - 1 - k for k in times]
-    if y.doubled:
-        pos = pos + [nt + q for q in pos]
-    mat = partial_trace(y.matrix, list(y.factor_dims), sorted(pos))
-    new_dims = tuple(y.dims[k] for k in times)
-    return TemporalStateOperator(y.kind, new_dims, mat, tol=y.tol)
+    return _reduced(y, y.kind, range(1 + y.doubled), times)
 
 
 def trace_ket_block(y: TemporalStateOperator) -> TemporalStateOperator:
@@ -284,14 +286,10 @@ def trace_ket_block(y: TemporalStateOperator) -> TemporalStateOperator:
     result is the right-handed single-block state."""
     if not y.doubled:
         raise ValidationError(f"{y.kind} has no ket block")
-    nt = y.n_times
-    mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt, 2 * nt)))
-    return TemporalStateOperator("kd_right", y.dims, mat, tol=y.tol)
+    return _reduced(y, "kd_right", [1], range(y.n_times))
 
 
 def trace_bra_block(y: TemporalStateOperator) -> TemporalStateOperator:
     if not y.doubled:
         raise ValidationError(f"{y.kind} has no bra block")
-    nt = y.n_times
-    mat = partial_trace(y.matrix, list(y.factor_dims), list(range(nt)))
-    return TemporalStateOperator("kd_left", y.dims, mat, tol=y.tol)
+    return _reduced(y, "kd_left", [0], range(y.n_times))
