@@ -44,7 +44,7 @@ No pass rebuilds an operator that depends on one input object alone: each
 (`projectors`, `right_maps`, ...). Those objects, and `MultiTimeProcess`,
 hold read-only copies of the arrays they were given, so a cached operator
 cannot go stale. Only the paired maps of two-sided kinds, which join two
-measurements, are built per call, inside the kernel.
+measurements, are built per call, inside the kernel, once per distinct pair.
 
 Axis convention: both kernels give axis i to time t_i (ascending order);
 two-sided kinds carry the full ket block first, then the bra block. Printed,
@@ -232,9 +232,15 @@ def _trace_rows(maps: np.ndarray) -> np.ndarray:
 
 def _paired(stacks) -> list[np.ndarray]:
     """One map stack per time: the single side's, or every ket·bra product of
-    two sides, ket index major (ket maps x ↦ Ax and bra maps x ↦ xB commute)."""
-    return list(stacks[0]) if len(stacks) == 1 else \
-        [(a[:, None] @ b[None]).reshape((-1,) + a.shape[1:]) for a, b in zip(*stacks)]
+    two sides, ket index major (ket maps x ↦ Ax and bra maps x ↦ xB commute);
+    a (ket, bra) pair of stack objects that recurs is paired once."""
+    if len(stacks) == 1:
+        return list(stacks[0])
+    pairs = {}
+    for a, b in zip(*stacks):
+        if (id(a), id(b)) not in pairs:
+            pairs[id(a), id(b)] = (a[:, None] @ b[None]).reshape((-1,) + a.shape[1:])
+    return [pairs[id(a), id(b)] for a, b in zip(*stacks)]
 
 
 def _blocks(flat: np.ndarray, stacks) -> np.ndarray:

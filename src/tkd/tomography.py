@@ -7,7 +7,8 @@ x ↦ xE gives the Kirkwood-Dirac state, its Hermitian part the Margenau-Hill
 state, x ↦ (Ex + xE)/2 the pseudo-density operator, and x ↦ ExE' the doubled
 Kirkwood-Dirac state. All of them are unit-trace; traces against products of
 time-local operators reproduce the corresponding distribution or correlator.
-Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check.
+Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check;
+the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
 
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
@@ -152,13 +153,17 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
         raise ValidationError(f"unknown correlator kind {kind!r}")
     bases = tuple(hs_basis(d) for d in p.dims) if bases is None else tuple(bases)
     _check_schedule(p, bases, "bases")
-    if kind == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
-        meas = [[spectral_measurement(op) for op in b.ops] for b in bases]
-        stacks = [[np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in row])
-                   for row in meas]]
-    else:
-        sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
-        stacks = [[insertion_maps(side, np.stack(b.ops)) for b in bases] for side in sides]
+
+    def maps(b: HSBasis, side: str) -> np.ndarray:
+        if side == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
+            meas = [spectral_measurement(op) for op in b.ops]
+            return np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in meas])
+        return insertion_maps(side, np.stack(b.ops))
+
+    sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
+    distinct = {id(b): b for b in bases}
+    built = {(i, side): maps(b, side) for i, b in distinct.items() for side in sides}
+    stacks = [[built[id(b), side] for b in bases] for side in sides]
     values = _sweep(p, *stacks)
     if kind == "mh":
         values = values.real
@@ -182,8 +187,15 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     contracting T one axis at a time against that axis's basis stack.
 
     The prefactor carries one power of d per tensor axis, which is what makes
-    traces against basis products return the stored correlators.
+    traces against basis products return the stored correlators. The lvn
+    tensor resynthesizes to the pdo only when every time is a qubit (only a
+    ±1 spectrum makes the value-weighted collapse a Jordan product), so a
+    tensor with any other dim is refused.
     """
+    bad = [k for k, d in enumerate(t.time_dims) if d != 2]
+    if t.kind == "lvn" and bad:
+        raise ValidationError(f"the lvn resynthesis is the pdo only on qubits; time {bad[0]} "
+                              f"has dim {t.time_dims[bad[0]]}")
     z = t.values
     for b in t.bases:
         z = np.tensordot(z, np.stack(b.ops), axes=([0], [0]))

@@ -182,17 +182,50 @@ def _small_doubled(p) -> bool:
 @STATE_SETTINGS
 @given(st.data())
 def test_tomography_matches_the_read_off(data):
-    p = data.draw(processes(max_steps=2))
+    p = data.draw(st.one_of(processes(max_steps=2), rect_processes(dims=(2, 3))))
     read_off = {"right": tkd.kd_state_recursive(p), "left": tkd.kd_state_recursive(p, kind="kd_left"),
                 "mh": tkd.mh_state(p)}
-    if p.dims[0] == 2:  # the lvn resynthesis is the pdo only for qubits
+    if set(p.dims) == {2}:  # the lvn resynthesis is the pdo only for qubits
         read_off["lvn"] = tkd.pdo(p)
-    if _small_doubled(p):
+    else:
+        with pytest.raises(tkd.ValidationError, match="only on qubits"):
+            tkd.reconstruct_state(tkd.correlators(p, kind="lvn"))
+    if np.prod(p.dims) <= 12:  # doubled states are (Π d)² wide
         read_off["doubled"] = tkd.kd_state_recursive(p, kind="kd_doubled")
     for kind, y in read_off.items():
         t = tkd.reconstruct_state(tkd.correlators(p, kind=kind))
         assert t.kind == y.kind
         assert max_abs(t.matrix - y.matrix) <= STATE_TOL
+
+
+STATE_READ_OFFS = {
+    "kd_right": tkd.kd_state_recursive,
+    "kd_left": lambda p: tkd.kd_state_recursive(p, kind="kd_left"),
+    "kd_doubled": lambda p: tkd.kd_state_recursive(p, kind="kd_doubled"),
+    "mh": tkd.mh_state,
+    "pdo": tkd.pdo,
+}
+
+
+@STATE_SETTINGS
+@given(st.data())
+def test_reductions_match_the_read_offs_on_rectangular_chains(data):
+    """reduce_state equals the read-off of the sub-process for every kind, and
+    the block traces of the doubled state give the right and left read-offs."""
+    p = data.draw(rect_processes(dims=(2, 3)))
+    kinds = [k for k in STATE_READ_OFFS if k != "kd_doubled" or np.prod(p.dims) <= 12]
+    states = {kind: STATE_READ_OFFS[kind](p) for kind in kinds}
+    for keep in itertools.chain.from_iterable(
+            itertools.combinations(range(p.n_times), r) for r in range(1, p.n_times + 1)):
+        sub = tkd.sub_process(p, keep)
+        for kind, y in states.items():
+            red = tkd.reduce_state(y, keep)
+            assert red.kind == kind and red.dims == sub.dims
+            assert max_abs(red.matrix - STATE_READ_OFFS[kind](sub).matrix) <= TOL
+    if "kd_doubled" in states:
+        right, left = tkd.trace_ket_block(states["kd_doubled"]), tkd.trace_bra_block(states["kd_doubled"])
+        assert max_abs(right.matrix - states["kd_right"].matrix) <= TOL
+        assert max_abs(left.matrix - states["kd_left"].matrix) <= TOL
 
 
 @STATE_SETTINGS
@@ -222,10 +255,10 @@ def test_born_rule_on_doubled_and_pdo_states(data):
 
 
 @st.composite
-def rect_processes(draw) -> tkd.MultiTimeProcess:
-    """Two or three times with per-time dims drawn from {1, 2, 3}; each step is
+def rect_processes(draw, dims=(1, 2, 3)) -> tkd.MultiTimeProcess:
+    """Two or three times with per-time dims drawn from ``dims``; each step is
     a random isometry d_in → d_out split into d_in Kraus operators."""
-    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3))
+    dims = draw(st.lists(st.sampled_from(dims), min_size=2, max_size=3))
     rng = np.random.default_rng(draw(SEEDS))
     chain = []
     for d_in, d_out in zip(dims, dims[1:]):

@@ -1,6 +1,7 @@
 """The package's public surface: ``tkd.__all__`` is exactly what ``tkd/__init__.py``
-imports, so a deleted function cannot leave a stale export behind, and every
-name the benchmark in ``perfbench/`` calls or traces still exists."""
+imports, so a deleted function cannot leave a stale export behind, every
+name the benchmark in ``perfbench/`` calls or traces still exists, and no
+module keeps an import it no longer uses."""
 
 from __future__ import annotations
 
@@ -62,3 +63,24 @@ def test_benchmark_entry_points_resolve():
         return True
 
     assert [name for name in traced + sorted(called) if not resolves(*name)] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module binds by import but never reads (``import a.b`` binds ``a``)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_modules_use_every_name_they_import():
+    assert _unused_imports("import os.path\nfrom typing import Any as A, Sequence\nx: Sequence\n") \
+        == ["A", "os"]
+    modules = sorted(Path(tkd.__file__).parent.rglob("*.py"))
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in modules if path.name != "__init__.py"}
+    assert unused and {name: names for name, names in unused.items() if names} == {}

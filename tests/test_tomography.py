@@ -249,6 +249,17 @@ def test_lvn_reconstruction_equals_pdo_for_qubits():
     assert max_abs(y.matrix - tkd.pdo(p).matrix) < 1e-10
 
 
+def test_lvn_resynthesis_refuses_non_qubit_times():
+    # beyond ±1 spectra the value-weighted collapse is not the Jordan product:
+    # the d = 3 tensor below resynthesized 0.069 away from the pdo
+    cases = ((tkd.random_process(3, 1, seed=3, channel_kind="mixed"), 0),
+             (_rect_process(518, dims=(2, 3))[0], 1))
+    for p, k in cases:
+        with pytest.raises(ValidationError, match=rf"^the lvn resynthesis is the pdo only on qubits; "
+                                                  rf"time {k} has dim 3$"):
+            tkd.reconstruct_state(tkd.correlators(p, kind="lvn"))
+
+
 def test_eigenvalues_and_state_validation():
     p = tkd.random_process(2, 1, seed=514, channel_kind="mixed")
     y = tkd.kd_state_recursive(p)
@@ -266,14 +277,14 @@ def test_eigenvalues_and_state_validation():
         tkd.TemporalStateOperator("kd_right", (2, 3), y.matrix)
 
 
-def _rect_process(seed):
-    """Three times on dims (2, 3, 2): random isometry steps 2 → 3 → 2."""
+def _rect_process(seed, dims=(2, 3, 2)):
+    """Times on ``dims`` (three on (2, 3, 2) by default), each step a random isometry."""
     rng = np.random.default_rng(seed)
     chain = []
-    for d_in, d_out in ((2, 3), (3, 2)):
+    for d_in, d_out in zip(dims, dims[1:]):
         g = rng.normal(size=(2 * d_out, d_in)) + 1j * rng.normal(size=(2 * d_out, d_in))
         chain.append(tkd.QuantumChannel(list(np.linalg.qr(g)[0].reshape(2, d_out, d_in))))
-    return tkd.MultiTimeProcess(tkd.random_density(2, rng), chain), rng
+    return tkd.MultiTimeProcess(tkd.random_density(dims[0], rng), chain), rng
 
 
 def _born_kron(y, ket, bra=()):
