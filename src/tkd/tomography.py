@@ -192,10 +192,11 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     ±1 spectrum makes the value-weighted collapse a Jordan product), so a
     tensor with any other dim is refused.
     """
-    bad = [k for k, d in enumerate(t.time_dims) if d != 2]
-    if t.kind == "lvn" and bad:
-        raise ValidationError(f"the lvn resynthesis is the pdo only on qubits; time {bad[0]} "
-                              f"has dim {t.time_dims[bad[0]]}")
+    if t.kind == "lvn":
+        for k, d in enumerate(t.time_dims):
+            if d != 2:
+                raise ValidationError(f"the lvn resynthesis is the pdo only on qubits; "
+                                      f"time {k} has dim {d}")
     z = t.values
     for b in t.bases:
         z = np.tensordot(z, np.stack(b.ops), axes=([0], [0]))
@@ -274,7 +275,8 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
     return complex(z[0])
 
 
-def _reduced(y: TemporalStateOperator, kind: str, blocks, times: Sequence[int]) -> TemporalStateOperator:
+def _reduced(y: TemporalStateOperator, kind: str, blocks: Sequence[int],
+             times: Sequence[int]) -> TemporalStateOperator:
     """Keep the factors of the given (block, time) pairs and trace out the
     rest; block 0 is a single-block state's only block, or the ket block."""
     nt = y.n_times
