@@ -250,8 +250,7 @@ def test_lvn_reconstruction_equals_pdo_for_qubits():
 
 
 def test_lvn_resynthesis_refuses_non_qubit_times():
-    # beyond ±1 spectra the value-weighted collapse is not the Jordan product:
-    # the d = 3 tensor below resynthesized 0.069 away from the pdo
+    # beyond ±1 spectra the value-weighted collapse is not the Jordan product
     cases = ((tkd.random_process(3, 1, seed=3, channel_kind="mixed"), 0),
              (_rect_process(518, dims=(2, 3))[0], 1))
     for p, k in cases:
