@@ -12,6 +12,9 @@ on first use: its row-major superoperator (`superop`, the `kraus_superop`
 of its Kraus list), its Stinespring dilation (`dilation`) and whether it is
 a single unitary (`unitary`). An `Instrument` likewise holds read-only
 copies of its branch operators.
+
+`build_channel` is the one place that turns a channel kind and its
+parameters into Kraus operators; the CLI's spec kinds are its kinds.
 """
 
 from __future__ import annotations
@@ -225,47 +228,34 @@ def stinespring(c: QuantumChannel, tol: float = 1e-9) -> tuple[np.ndarray, int, 
     return c.dilation
 
 
-def build_channel(kind: str, **params) -> QuantumChannel:
-    """Canonical channel builders.
+def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
+    """The one builder of each channel kind, the kinds of the CLI spec.
 
-    kind "unitary":         u=U with U unitary within tol (default 1e-9)
+    kind "kraus":           operators=[K_x]; x ↦ Σ K_x x K_x†
+    kind "unitary":         u=U with U unitary within tol
     kind "replacement":     omega=ω; x ↦ ω·Tr(x), optionally d_in for a
                             rectangular input space
     kind "measure_replace": instrument=Instrument, outputs=[ω_k];
                             x ↦ Σ_k Tr[M_k(x)]·ω_k
     kind "depolarizing":    p, d; ρ ↦ (1−p)ρ + p·Tr(ρ)·I/d
     """
+    if kind == "kraus":
+        return QuantumChannel(params["operators"])
     if kind == "unitary":
         u = as_matrix(params["u"])
-        tol = params.get("tol", 1e-9)
         if u.shape[0] != u.shape[1] or max_abs(dagger(u) @ u - np.eye(u.shape[0])) > tol:
             raise ValidationError("build_channel: u is not unitary within tol")
         return QuantumChannel([u])
-    if kind == "replacement":
-        omega = check_density(params["omega"], params.get("tol", 1e-9))
-        d_in = int(params.get("d_in", omega.shape[0]))
-        return QuantumChannel(_replacement_kraus(omega, d_in))
+    if kind == "replacement":  # measure-and-prepare with the one effect I on d_in
+        omega = check_density(params["omega"], tol)
+        return QuantumChannel(_measure_prepare(np.eye(int(params.get("d_in", omega.shape[0]))), omega))
     if kind == "measure_replace":
         instrument: Instrument = params["instrument"]
-        outputs = [check_density(w, params.get("tol", 1e-9)) for w in params["outputs"]]
+        outputs = [check_density(w, tol) for w in params["outputs"]]
         if len(outputs) != len(instrument.branches):
             raise ValidationError("one output state per instrument branch is required")
-        ops = []
-        for idx, omega in enumerate(outputs):
-            # E(x) = Σ_k Tr(F_k x) ω_k with effect F_k: factor both spectrally
-            for f, fvecs in hermitian_eig(instrument.effect(idx), 1e-10):
-                if f < -1e-9:
-                    raise ValidationError("instrument effect has a negative eigenvalue")
-                if f <= 1e-14:
-                    continue
-                for m in range(fvecs.shape[1]):
-                    for lam, wvecs in hermitian_eig(omega, 1e-12):
-                        if lam <= 1e-14:
-                            continue
-                        for i in range(wvecs.shape[1]):
-                            ops.append(np.sqrt(f * lam)
-                                       * np.outer(wvecs[:, i], np.conj(fvecs[:, m])))
-        return QuantumChannel(ops)
+        return QuantumChannel([k for idx, omega in enumerate(outputs)
+                               for k in _measure_prepare(instrument.effect(idx), omega)])
     if kind == "depolarizing":
         p = float(params["p"])
         d = int(params["d"])
@@ -284,14 +274,17 @@ def build_channel(kind: str, **params) -> QuantumChannel:
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
-def _replacement_kraus(omega: np.ndarray, d_in: int) -> list[np.ndarray]:
+def _measure_prepare(effect: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators √(f·λ)|w⟩⟨v| of x ↦ Tr(F x)·ω over the spectra (f, v)
+    of the effect F and (λ, w) of the output ω, effect eigenvectors first;
+    zero weights drop out."""
+    out = [(lam, w) for lam, wvecs in hermitian_eig(omega, 1e-12) if lam > 1e-14 for w in wvecs.T]
     ops = []
-    for lam, vecs in hermitian_eig(omega, 1e-12):
-        if lam <= 1e-14:
-            continue
-        for i in range(vecs.shape[1]):
-            for j in range(d_in):
-                ops.append(np.sqrt(lam) * np.outer(vecs[:, i], np.conj(basis_state(d_in, j))))
+    for f, fvecs in hermitian_eig(effect, 1e-10):
+        if f < -1e-9:
+            raise ValidationError("instrument effect has a negative eigenvalue")
+        if f > 1e-14:
+            ops += [np.sqrt(f * lam) * np.outer(w, np.conj(v)) for v in fvecs.T for lam, w in out]
     return ops
 
 

@@ -223,6 +223,13 @@ class SpecBundle:
     instruments: dict[str, tuple[Instrument, list[np.ndarray]]]  # measure_replace parts by field
 
 
+def _matrices(obj, where: str) -> list[np.ndarray]:
+    """A non-empty list of matrices."""
+    if not isinstance(obj, list) or not obj:
+        raise SpecParseError(f"{where}: expected a list of matrices")
+    return [_parse_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+
+
 def _parse_instrument(obj, where: str, tol: float) -> Instrument:
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of branches")
@@ -236,40 +243,38 @@ def _parse_instrument(obj, where: str, tol: float) -> Instrument:
     return Instrument(branches, tol=tol)
 
 
+def _plain(parse, **kw):
+    """``parse(obj, where, **kw)`` as a channel field parser, which needs no tol."""
+    return lambda obj, where, tol: parse(obj, where, **kw)
+
+
+# each spec channel kind's fields, all required but d_in, and their parsers
+# (value, where, tol); `build_channel` takes the parsed fields as its parameters
+_CHANNEL_FIELDS = {
+    "kraus": {"operators": _plain(_matrices)},
+    "unitary": {"u": _plain(_parse_matrix)},
+    "replacement": {"omega": _plain(_parse_matrix), "d_in": _plain(_number, integer=True)},
+    "measure_replace": {"instrument": _parse_instrument, "outputs": _plain(_matrices)},
+    "depolarizing": {"p": _plain(_number), "d": _plain(_number, integer=True)},
+}
+
+
 def _parse_channel(obj, where: str, tol: float, instruments: dict) -> QuantumChannel:
     """A measure_replace channel also leaves its instrument and outputs in ``instruments[where]``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError(f"{where}: expected an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "kraus":
-        ops = obj.get("operators")
-        if not isinstance(ops, list) or not ops:
-            raise SpecParseError(f"{where}.operators: expected a list of matrices")
-        return QuantumChannel([_parse_matrix(m, f"{where}.operators[{i}]")
-                               for i, m in enumerate(ops)])
-    if kind == "unitary":
-        return build_channel("unitary", u=_parse_matrix(obj.get("u"), f"{where}.u"), tol=tol)
-    if kind == "replacement":
-        params = {"omega": _parse_matrix(obj.get("omega"), f"{where}.omega"), "tol": tol}
-        if "d_in" in obj:
-            params["d_in"] = _number(obj["d_in"], f"{where}.d_in", integer=True)
-        return build_channel("replacement", **params)
+    if not isinstance(kind, str) or kind not in _CHANNEL_FIELDS:
+        raise SpecParseError(f"{where}.kind: unknown channel kind {kind!r}")
+    fields = {}
+    for name, parse in _CHANNEL_FIELDS[kind].items():
+        if name in obj:
+            fields[name] = parse(obj[name], f"{where}.{name}", tol)
+        elif name != "d_in":
+            raise SpecParseError(f"{where}.{name}: required by kind {kind!r}")
     if kind == "measure_replace":
-        inst = _parse_instrument(obj.get("instrument"), f"{where}.instrument", tol)
-        outs = obj.get("outputs")
-        if not isinstance(outs, list):
-            raise SpecParseError(f"{where}.outputs: expected a list of matrices")
-        outputs = [_parse_matrix(m, f"{where}.outputs[{i}]") for i, m in enumerate(outs)]
-        instruments[where] = (inst, outputs)
-        return build_channel("measure_replace", instrument=inst, outputs=outputs, tol=tol)
-    if kind == "depolarizing":
-        try:
-            p, d = obj["p"], obj["d"]
-        except KeyError as e:
-            raise SpecParseError(f"{where}: depolarizing needs {e.args[0]!r}") from None
-        return build_channel("depolarizing", p=_number(p, f"{where}.p"),
-                             d=_number(d, f"{where}.d", integer=True))
-    raise SpecParseError(f"{where}.kind: unknown channel kind {kind!r}")
+        instruments[where] = (fields["instrument"], fields["outputs"])
+    return build_channel(kind, tol=tol, **fields)
 
 
 def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[ProjectiveMeasurement, np.ndarray]:
