@@ -229,7 +229,8 @@ def stinespring(c: QuantumChannel, tol: float = 1e-9) -> tuple[np.ndarray, int, 
 
 
 def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
-    """The one builder of each channel kind, the kinds of the CLI spec.
+    """The one builder of each channel kind, the kinds of the CLI spec; a
+    parameter the kind needs and was not given raises ValidationError naming it.
 
     kind "kraus":           operators=[K_x]; x ↦ Σ K_x x K_x†
     kind "unitary":         u=U with U unitary within tol
@@ -239,26 +240,32 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
                             x ↦ Σ_k Tr[M_k(x)]·ω_k
     kind "depolarizing":    p, d; ρ ↦ (1−p)ρ + p·Tr(ρ)·I/d
     """
+
+    def need(name):
+        if name not in params:
+            raise ValidationError(f"build_channel: kind {kind!r} needs {name!r}")
+        return params[name]
+
     if kind == "kraus":
-        return QuantumChannel(params["operators"])
+        return QuantumChannel(need("operators"))
     if kind == "unitary":
-        u = as_matrix(params["u"])
+        u = as_matrix(need("u"))
         if u.shape[0] != u.shape[1] or max_abs(dagger(u) @ u - np.eye(u.shape[0])) > tol:
             raise ValidationError("build_channel: u is not unitary within tol")
         return QuantumChannel([u])
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in
-        omega = check_density(params["omega"], tol)
+        omega = check_density(need("omega"), tol)
         return QuantumChannel(_measure_prepare(np.eye(int(params.get("d_in", omega.shape[0]))), omega))
     if kind == "measure_replace":
-        instrument: Instrument = params["instrument"]
-        outputs = [check_density(w, tol) for w in params["outputs"]]
+        instrument: Instrument = need("instrument")
+        outputs = [check_density(w, tol) for w in need("outputs")]
         if len(outputs) != len(instrument.branches):
             raise ValidationError("one output state per instrument branch is required")
         return QuantumChannel([k for idx, omega in enumerate(outputs)
                                for k in _measure_prepare(instrument.effect(idx), omega)])
     if kind == "depolarizing":
-        p = float(params["p"])
-        d = int(params["d"])
+        p = float(need("p"))
+        d = int(need("d"))
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
         ops = []

@@ -224,42 +224,53 @@ class SpecBundle:
 
 
 def _matrices(obj, where: str) -> list[np.ndarray]:
-    """A non-empty list of matrices."""
+    """A non-empty list of matrices of one shape."""
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of matrices")
-    return [_parse_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+    ms = [_parse_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+    for i, m in enumerate(ms):
+        if m.shape != ms[0].shape:
+            raise SpecParseError(f"{where}[{i}]: shape {m.shape} differs from [0]'s {ms[0].shape}")
+    return ms
 
 
-def _parse_instrument(obj, where: str, tol: float) -> Instrument:
+def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of branches")
     branches = []
     for i, br in enumerate(obj):
         if not isinstance(br, dict) or "label" not in br or "operators" not in br:
             raise SpecParseError(f"{where}[{i}]: branch needs 'label' and 'operators'")
-        ops = [_parse_matrix(m, f"{where}[{i}].operators[{j}]")
-               for j, m in enumerate(br["operators"])]
-        branches.append((br["label"], ops))
+        branches.append((br["label"], _matrices(br["operators"], f"{where}[{i}].operators")))
     return Instrument(branches, tol=tol)
 
 
-def _plain(parse, **kw):
-    """``parse(obj, where, **kw)`` as a channel field parser, which needs no tol."""
-    return lambda obj, where, tol: parse(obj, where, **kw)
+def _parse_dim(obj, where: str, tol: float, dim: int) -> int:
+    """``d`` or ``d_in``: the chain's dimension ``dim`` at the channel's step."""
+    n = _number(obj, where, integer=True)
+    if n != dim:
+        raise SpecParseError(f"{where}: {n} does not match the chain's dimension {dim} at this step")
+    return n
+
+
+def _plain(parse):
+    """``parse(obj, where)`` as a channel field parser, which needs no tol or dim."""
+    return lambda obj, where, tol, dim: parse(obj, where)
 
 
 # each spec channel kind's fields, all required but d_in, and their parsers
-# (value, where, tol); `build_channel` takes the parsed fields as its parameters
+# (value, where, tol, dim), dim being the chain's dimension at the step;
+# `build_channel` takes the parsed fields as its parameters
 _CHANNEL_FIELDS = {
     "kraus": {"operators": _plain(_matrices)},
     "unitary": {"u": _plain(_parse_matrix)},
-    "replacement": {"omega": _plain(_parse_matrix), "d_in": _plain(_number, integer=True)},
+    "replacement": {"omega": _plain(_parse_matrix), "d_in": _parse_dim},
     "measure_replace": {"instrument": _parse_instrument, "outputs": _plain(_matrices)},
-    "depolarizing": {"p": _plain(_number), "d": _plain(_number, integer=True)},
+    "depolarizing": {"p": _plain(_number), "d": _parse_dim},
 }
 
 
-def _parse_channel(obj, where: str, tol: float, instruments: dict) -> QuantumChannel:
+def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> QuantumChannel:
     """A measure_replace channel also leaves its instrument and outputs in ``instruments[where]``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError(f"{where}: expected an object with a 'kind'")
@@ -269,7 +280,7 @@ def _parse_channel(obj, where: str, tol: float, instruments: dict) -> QuantumCha
     fields = {}
     for name, parse in _CHANNEL_FIELDS[kind].items():
         if name in obj:
-            fields[name] = parse(obj[name], f"{where}.{name}", tol)
+            fields[name] = parse(obj[name], f"{where}.{name}", tol, dim)
         elif name != "d_in":
             raise SpecParseError(f"{where}.{name}: required by kind {kind!r}")
     if kind == "measure_replace":
@@ -297,7 +308,10 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
         for i, e in enumerate(entries):
             if not isinstance(e, dict) or "matrix" not in e:
                 raise SpecParseError(f"{where}.projectors[{i}]: needs a 'matrix'")
-            mat = _parse_matrix(e["matrix"], f"{where}.projectors[{i}].matrix")
+            mwhere = f"{where}.projectors[{i}].matrix"
+            mat = _parse_matrix(e["matrix"], mwhere)
+            if mat.shape != (dim, dim):
+                raise SpecParseError(f"{mwhere}: shape {mat.shape}, expected {(dim, dim)}")
             value = _number(e.get("value", i), f"{where}.projectors[{i}].value")
             label, lwhere = e.get("label", value), f"{where}.projectors[{i}].label"
             if isinstance(label, bool) or not isinstance(label, (str, int, float)) \
@@ -352,7 +366,10 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     if not isinstance(raw_channels, list):
         raise SpecParseError("channels: expected a list")
     instruments: dict = {}
-    channels = [_parse_channel(c, f"channels[{i}]", tol, instruments) for i, c in enumerate(raw_channels)]
+    channels, dim = [], rho.shape[0]
+    for i, c in enumerate(raw_channels):
+        channels.append(_parse_channel(c, f"channels[{i}]", tol, dim, instruments))
+        dim = channels[-1].d_out
     process = MultiTimeProcess(rho, channels, tol=tol)
 
     dims = data.get("dims")

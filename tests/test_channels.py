@@ -162,6 +162,42 @@ def test_replacement_channel_forgets_input():
         assert max_abs(tkd.apply_channel(c, rho) - omega) < 1e-10
 
 
+def test_replacement_lists_kraus_effect_basis_major():
+    # x ↦ ω·Tr(x) is measure-and-prepare with the one effect I on d_in: its
+    # Kraus operators √λ_i |w_i⟩⟨j| run over the input basis j first
+    omega = tkd.quasiprob.random_density(2, seed=14)
+    lams, ws = np.linalg.eigh(omega)
+    c = tkd.build_channel("replacement", omega=omega, d_in=3)
+    want = [np.sqrt(lam) * np.outer(w, tkd.basis_state(3, j))
+            for j in range(3) for lam, w in zip(lams, ws.T)]
+    assert len(c.kraus) == 6
+    assert max(max_abs(k - w) for k, w in zip(c.kraus, want)) < 1e-12
+    inst = tkd.Instrument([("all", [np.eye(2)])])
+    square = tkd.build_channel("replacement", omega=omega)
+    same = tkd.build_channel("measure_replace", instrument=inst, outputs=[omega])
+    assert all(np.array_equal(a, b) for a, b in zip(square.kraus, same.kraus, strict=True))
+
+
+def test_build_kraus_channel():
+    ops = tkd.quasiprob.random_channel(3, seed=15, env_dim=2).kraus
+    c = tkd.build_channel("kraus", operators=ops)
+    assert all(np.array_equal(a, b) for a, b in zip(c.kraus, ops, strict=True))
+
+
+@pytest.mark.parametrize("kind,params,missing", [
+    ("kraus", {}, "operators"),
+    ("unitary", {}, "u"),
+    ("replacement", {"d_in": 2}, "omega"),
+    ("measure_replace", {"outputs": []}, "instrument"),
+    ("measure_replace", {"instrument": None}, "outputs"),
+    ("depolarizing", {"p": 0.1}, "d"),
+    ("depolarizing", {"d": 2}, "p"),
+])
+def test_build_channel_names_a_missing_parameter(kind, params, missing):
+    with pytest.raises(ValidationError, match=f"kind '{kind}' needs '{missing}'"):
+        tkd.build_channel(kind, **params)
+
+
 def test_measure_replace_channel(pauli):
     zero = tkd.projector(tkd.basis_state(2, 0))
     one = tkd.projector(tkd.basis_state(2, 1))

@@ -22,6 +22,9 @@ PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
 MINUS = [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]
 
 
+MISSING = object()  # a probe_spec value that drops its key
+
+
 def probe_spec(**extra) -> dict:
     spec = {
         "version": 1,
@@ -35,7 +38,7 @@ def probe_spec(**extra) -> dict:
         "options": {"seed": 77},
     }
     spec.update(extra)
-    return spec
+    return {k: v for k, v in spec.items() if v is not MISSING}
 
 
 @pytest.fixture()
@@ -322,6 +325,18 @@ def test_exit_code_parse(tmp_path, capsys):
     capsys.readouterr()
 
 
+T3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+def measure_replace(**fields) -> dict:
+    """probe_spec fields whose one step measures Z and prepares the outcome's state."""
+    channel = {"kind": "measure_replace", "outputs": [ZERO_STATE, ONE_STATE],
+               "instrument": [{"label": 0, "operators": [ZERO_STATE]},
+                              {"label": 1, "operators": [ONE_STATE]}]}
+    channel.update(fields)
+    return {"channels": [{k: v for k, v in channel.items() if v is not MISSING}]}
+
+
 PROJECTORS_BAD_VALUE = [{"matrix": PLUS, "value": "q"}, {"matrix": MINUS, "value": -1}]
 PROJECTORS_LIST_LABEL = [{"matrix": PLUS, "label": [1, 2]}, {"matrix": MINUS}]
 PROJECTORS_SAME_LABEL = [{"matrix": PLUS, "label": "x"}, {"matrix": MINUS, "label": "x"}]
@@ -348,13 +363,61 @@ MALFORMED_FIELDS = [
     ({"channels": [{"kind": "unitary", "u": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]},
      "channels[0].u[0][0][0]"),
     ({"initial_state": [[[1, 0], [0, 0]]]}, "initial_state: shape (1, 2)"),
+    # d and d_in must equal the chain's dimension before anything is built
+    ({"channels": [{"kind": "depolarizing", "p": 0.1, "d": -2}]}, "channels[0].d: -2 does not match"),
+    ({"channels": [{"kind": "depolarizing", "p": 0.1, "d": 100000}]},
+     "channels[0].d: 100000 does not match the chain's dimension 2"),
+    ({"channels": [{"kind": "replacement", "omega": ZERO_STATE, "d_in": 0}]},
+     "channels[0].d_in: 0 does not match"),
+    ({"channels": [{"kind": "kraus", "operators": [I2, T3]}]}, "channels[0].operators[1]: shape (3, 3)"),
+    (measure_replace(instrument=[{"label": 0, "operators": 3}]),
+     "channels[0].instrument[0].operators: expected a list of matrices"),
+    ({"schedules": {"default": [{"projectors": [{"matrix": T3}]}, {"observable": Y}]}},
+     "schedules.default[0].projectors[0].matrix: shape (3, 3)"),
+    ({"channels": [{"kind": []}]}, "channels[0].kind: unknown channel kind []"),
+    # every other refusal of the spec parser
+    (["not", "an", "object"], "spec root must be an object"),
+    ({"options": []}, "options: expected an object"),
+    ({"channels": {}}, "channels: expected a list"),
+    ({"dims": 2}, "dims: expected a list of integers"),
+    ({"dims": [2, 3]}, "dims: [2, 3] does not match the channel chain"),
+    ({"schedules": []}, "schedules: expected an object"),
+    ({"initial_state": MISSING}, "initial_state: expected a nested array"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0]]]}, "initial_state[1]: ragged row"),
+    ({"initial_state": [[[1, 0], [0, 0]], 5]}, "initial_state[1]: expected a row array"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], 1]]}, "initial_state[1][1]: expected a [re, im] pair"),
+    ({"channels": [3]}, "channels[0]: expected an object with a 'kind'"),
+    ({"channels": [{"u": I2}]}, "channels[0]: expected an object"),
+    ({"channels": [{"kind": "bogus"}]}, "channels[0].kind: unknown channel kind 'bogus'"),
+    ({"channels": [{"kind": "kraus"}]}, "channels[0].operators: required"),
+    ({"channels": [{"kind": "kraus", "operators": 3}]}, "channels[0].operators: expected a list"),
+    ({"channels": [{"kind": "unitary"}]}, "channels[0].u: required"),
+    ({"channels": [{"kind": "unitary", "u": 3}]}, "channels[0].u: expected a nested array"),
+    ({"channels": [{"kind": "replacement"}]}, "channels[0].omega: required"),
+    ({"channels": [{"kind": "replacement", "omega": 3}]}, "channels[0].omega: expected a nested array"),
+    (measure_replace(instrument=MISSING), "channels[0].instrument: required"),
+    (measure_replace(instrument=3), "channels[0].instrument: expected a list of branches"),
+    (measure_replace(outputs=MISSING), "channels[0].outputs: required"),
+    (measure_replace(outputs=3), "channels[0].outputs: expected a list of matrices"),
+    (measure_replace(instrument=[3]), "channels[0].instrument[0]: branch needs"),
+    (measure_replace(instrument=[{"label": 0}]), "channels[0].instrument[0]: branch needs 'label'"),
+    ({"schedules": {"default": [{"observable": X}]}}, "schedules.default: expected 2 entries"),
+    ({"schedules": {"default": [3, {"observable": Y}]}}, "schedules.default[0]: expected an object"),
+    ({"schedules": {"default": [{}, {"observable": Y}]}},
+     "schedules.default[0]: needs 'observable' or 'projectors'"),
+    ({"schedules": {"default": [{"observable": T3}, {"observable": Y}]}},
+     "schedules.default[0].observable: shape (3, 3)"),
+    ({"schedules": {"default": [{"projectors": 3}, {"observable": Y}]}},
+     "schedules.default[0].projectors: expected a list"),
+    ({"schedules": {"default": [{"projectors": [{}]}, {"observable": Y}]}},
+     "schedules.default[0].projectors[0]: needs a 'matrix'"),
 ]
 
 
 @pytest.mark.parametrize("extra,field", MALFORMED_FIELDS, ids=[f for _, f in MALFORMED_FIELDS])
 def test_malformed_field_exits_3(tmp_path, capsys, extra, field):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(probe_spec(**extra)))
+    path.write_text(json.dumps(probe_spec(**extra) if isinstance(extra, dict) else extra))
     assert run_command(["validate", str(path)]) == 3
     assert field in capsys.readouterr().err
 
