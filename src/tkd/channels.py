@@ -9,9 +9,8 @@ them products like ρΠ and Π ρ Π'.
 A `QuantumChannel` is immutable: it holds read-only copies of the Kraus
 operators it was given, and builds what is derived from them at most once,
 on first use: its row-major superoperator (`superop`, the `kraus_superop`
-of its Kraus list), its Stinespring dilation (`dilation`) and whether it is
-a single unitary (`unitary`). An `Instrument` likewise holds read-only
-copies of its branch operators.
+of its Kraus list) and its Stinespring dilation (`dilation`). An
+`Instrument` likewise holds read-only copies of its branch operators.
 
 `build_channel` is the one place that turns a channel kind and its
 parameters into Kraus operators; the CLI's spec kinds are its kinds.
@@ -91,13 +90,6 @@ class QuantumChannel:
         env = np.zeros((r, r), dtype=np.complex128)
         env[0, 0] = 1.0
         return readonly(u), r, readonly(env)
-
-    @cached_property
-    def unitary(self) -> bool:
-        """True when the channel is one Kraus operator, unitary within 1e-9."""
-        k = self.kraus[0]
-        return len(self.kraus) == 1 and k.shape[0] == k.shape[1] \
-            and max_abs(dagger(k) @ k - np.eye(k.shape[1])) <= 1e-9
 
 
 def kraus_superop(kraus: Sequence[np.ndarray]) -> np.ndarray:

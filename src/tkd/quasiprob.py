@@ -427,9 +427,11 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     back-evolved measurement operators.
 
     Checks [M_{b_n..b_1}, Π_{b0}] over all outcome tuples; when every step is
-    unitary, also all pairs of single-time back-evolved projectors. A strictly
-    positive nonclassicality implies some pair fails to commute; the converse
-    does not hold for a fixed initial state.
+    unitary, also all pairs of single-time back-evolved projectors. A step is
+    unitary when it has one Kraus operator K, since the process holds
+    max|K†K − I| to ``p.tol``. A strictly positive nonclassicality implies
+    some pair fails to commute; the converse does not hold for a fixed
+    initial state.
 
     ``worst_pair`` names the first pair, in visiting order, whose norm lies
     within 1e-12·max(1, largest) of the largest norm, so pairs tied up to
@@ -462,7 +464,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
 
     # the projectors of t_0, then (unitary chains) those of every later time
     # back-evolved to t_0, as marginals of the later joint operators
-    unitary = all(c.unitary for c in p.channels)
+    unitary = all(len(c.kraus) == 1 for c in p.channels)
     single = s[0].projectors
     if unitary:
         stack = later.reshape(sizes[1:] + [d, d])

@@ -455,6 +455,24 @@ def test_results_follow_the_process_tolerance():
         tkd.QuasiDistribution("kd_right", q.axes, q.values)  # default bound 1e-10
 
 
+def test_witness_decides_unitarity_at_the_process_tolerance():
+    # a first step unitary only to 1e-7 is accepted at tol=1e-6; the witness
+    # must still check the single-time pairs of the unitary chain, whose worst
+    # pair (t_1 against t_2) stays that of the unscaled chain
+    us = [tkd.haar_unitary(2, seed=10 + k) for k in range(3)]
+    s = tkd.random_schedule((2, 2, 2, 2), seed=501)
+    rho = np.diag([1.0, 0.0])
+    exact = tkd.classicality_witness(
+        tkd.MultiTimeProcess(rho, [tkd.QuantumChannel([u]) for u in us], tol=1e-6), s)
+    scaled = [us[0] * np.sqrt(1 - 1e-7)] + us[1:]
+    rep = tkd.classicality_witness(
+        tkd.MultiTimeProcess(rho, [tkd.QuantumChannel([u]) for u in scaled], tol=1e-6), s)
+    assert rep.max_commutator_norm == pytest.approx(0.4863153, abs=1e-7)
+    assert abs(rep.max_commutator_norm - exact.max_commutator_norm) < 1e-7
+    assert [t for t, _ in rep.worst_pair] == [(1,), (2,)]
+    assert rep.worst_pair == exact.worst_pair
+
+
 def test_witness_refuses_what_kd_right_refuses():
     # each step scaled by 1+3e-8 passes the CPTP check at tol=1e-7, but three
     # of them push the total to 1 + 1.8e-7: the witness must reject the same
