@@ -467,6 +467,25 @@ def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_circuit_sim_seed_flag_accepted(spec_file, capsys):
+    argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "4000", "--seed", "7"]
+    first = run_command(argv)
+    out = capsys.readouterr().out
+    assert first == 0 and run_command(argv) == 0
+    assert capsys.readouterr().out == out
+    assert json.loads(out)["circuit"]["seed"] == 7
+
+
+@pytest.mark.parametrize("points,message", [
+    ("0.1,x", "points[0]: '0.1,x' is not a comma-separated tuple"),
+    ("0.1,0.2;0.3", "points[1]: needs 2 phases, got 1"),
+    (" ; ", "points: empty"),
+])
+def test_charfn_points_refused(spec_file, capsys, points, message):
+    assert run_command(["charfn", spec_file, "--points", points]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_circuit_sim_rejects_several_points(spec_file, capsys):
     argv = ["circuit-sim", spec_file, "--point", "0.7,1.3;0.1,0.2;9,9"]
     assert run_command(argv) == 3
