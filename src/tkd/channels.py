@@ -247,7 +247,10 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         return QuantumChannel([u])
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in
         omega = check_density(need("omega"), tol)
-        return QuantumChannel(_measure_prepare(np.eye(int(params.get("d_in", omega.shape[0]))), omega))
+        d_in = int(params.get("d_in", omega.shape[0]))
+        if d_in < 1:
+            raise ValidationError(f"build_channel: d_in {d_in} is not positive")
+        return QuantumChannel(_measure_prepare(np.eye(d_in), omega))
     if kind == "measure_replace":
         instrument: Instrument = need("instrument")
         outputs = [check_density(w, tol) for w in need("outputs")]
@@ -260,6 +263,8 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         d = int(need("d"))
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
+        if d < 1:
+            raise ValidationError(f"build_channel: d {d} is not positive")
         ops = []
         if p < 1.0:
             ops.append(np.sqrt(1.0 - p) * np.eye(d))
@@ -277,13 +282,13 @@ def _measure_prepare(effect: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
     """Kraus operators √(f·λ)|w⟩⟨v| of x ↦ Tr(F x)·ω over the spectra (f, v)
     of the effect F and (λ, w) of the output ω, effect eigenvectors first;
     zero weights drop out."""
-    out = [(lam, w) for lam, wvecs in hermitian_eig(omega, 1e-12) if lam > 1e-14 for w in wvecs.T]
+    prepared = [(lam, w) for lam, wvecs in hermitian_eig(omega, 1e-12) if lam > 1e-14 for w in wvecs.T]
     ops = []
     for f, fvecs in hermitian_eig(effect, 1e-10):
         if f < -1e-9:
             raise ValidationError("instrument effect has a negative eigenvalue")
         if f > 1e-14:
-            ops += [np.sqrt(f * lam) * np.outer(w, np.conj(v)) for v in fvecs.T for lam, w in out]
+            ops += [np.sqrt(f * lam) * np.outer(w, np.conj(v)) for v in fvecs.T for lam, w in prepared]
     return ops
 
 

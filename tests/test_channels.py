@@ -160,6 +160,9 @@ def test_replacement_channel_forgets_input():
     for seed in range(3):
         rho = tkd.quasiprob.random_density(3, seed=seed + 500)
         assert max_abs(tkd.apply_channel(c, rho) - omega) < 1e-10
+    for d_in in (0, -2):
+        with pytest.raises(ValidationError, match=f"d_in {d_in} is not positive"):
+            tkd.build_channel("replacement", omega=omega, d_in=d_in)
 
 
 def test_replacement_lists_kraus_effect_basis_major():
@@ -238,6 +241,9 @@ def test_depolarizing_channel():
                    - np.eye(3) / 3) < 1e-12
     with pytest.raises(ValidationError):
         tkd.build_channel("depolarizing", p=-0.1, d=2)
+    for d in (0, -2):
+        with pytest.raises(ValidationError, match=f"d {d} is not positive"):
+            tkd.build_channel("depolarizing", p=0.1, d=d)
 
 
 def test_check_density():
