@@ -130,16 +130,17 @@ class Instrument:
 
     def effect(self, index: int) -> np.ndarray:
         """POVM effect Σ_j E†E of one branch."""
-        _, ops = self.branches[index]
-        return sum(dagger(k) @ k for k in ops)
+        return _effect(self.branches[index][1])
+
+
+def _effect(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Σ K†K of a non-empty Kraus list, summed in list order."""
+    return sum(dagger(k) @ k for k in kraus)
 
 
 def validate_cptp(c: QuantumChannel, tol: float = 1e-9) -> CptpReport:
     """defect = ‖Σ K†K − I‖_max; trace preserving iff defect ≤ tol."""
-    acc = np.zeros((c.d_in, c.d_in), dtype=np.complex128)
-    for k in c.kraus:
-        acc += dagger(k) @ k
-    defect = max_abs(acc - np.eye(c.d_in))
+    defect = max_abs(_effect(c.kraus) - np.eye(c.d_in))
     return CptpReport(trace_preserving=defect <= tol, defect=defect)
 
 

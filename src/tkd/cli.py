@@ -218,7 +218,6 @@ class SpecBundle:
     process: MultiTimeProcess
     schedules: dict[str, list[ProjectiveMeasurement]]
     observables: dict[str, list[np.ndarray]]
-    tol: float
     seed: int | None
     instruments: dict[str, tuple[Instrument, list[np.ndarray]]]  # measure_replace parts by field
 
@@ -396,7 +395,7 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
         schedules[name] = ms
         observables[name] = obs
     return SpecBundle(label=label, sha256=sha, process=process, schedules=schedules,
-                      observables=observables, tol=tol, seed=seed, instruments=instruments)
+                      observables=observables, seed=seed, instruments=instruments)
 
 
 def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
@@ -434,7 +433,7 @@ def _base_doc(command: str, bundle: SpecBundle) -> dict:
         "command": command,
         "spec": bundle.label,
         "spec_sha256": bundle.sha256,
-        "tolerance": bundle.tol,
+        "tolerance": bundle.process.tol,
     }
 
 
@@ -527,7 +526,7 @@ def _cmd_validate(bundle: SpecBundle, args) -> dict:
             "kraus_count": len(c.kraus),
             "d_in": c.d_in,
             "d_out": c.d_out,
-            "cptp_defect": float(validate_cptp(c, bundle.tol).defect),
+            "cptp_defect": float(validate_cptp(c, bundle.process.tol).defect),
         } for i, c in enumerate(bundle.process.channels)],
         "schedules": {
             name: [{
@@ -633,7 +632,7 @@ def _char_setup(bundle: SpecBundle, args):
     (ket first): phase widths, inversion spectra and round-trip reference come from these."""
     named = _named(bundle.observables, args)
     obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
-                             bra=None if args.kind == "left" else named[-1], tol=bundle.tol)
+                             bra=None if args.kind == "left" else named[-1], tol=bundle.process.tol)
     return obs, [ms for ms in (obs.ket_measurements, obs.bra_measurements) if ms is not None]
 
 

@@ -131,10 +131,6 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndar
     return groups
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(a), ord=2))
-
-
 def embed_operator(op: np.ndarray, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Pad ``op`` with identities so it acts on the factors listed in ``sites``.
 

@@ -28,6 +28,7 @@ from .linops import (
     frozen_matrix,
     hermitian_eig,
     insertion_maps,
+    is_hermitian,
     kron_chain,
     max_abs,
     readonly,
@@ -71,7 +72,7 @@ class ProjectiveMeasurement:
             p = as_matrix(o.projector)
             if p.shape != (dim, dim):
                 raise ValidationError("projector shape does not match measurement dim")
-            if max_abs(p - dagger(p)) > tol or max_abs(p @ p - p) > tol:
+            if not is_hermitian(p, tol) or max_abs(p @ p - p) > tol:
                 raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
             total += p
         if max_abs(total - np.eye(dim)) > tol:
@@ -118,11 +119,6 @@ def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> Projectiv
     return ProjectiveMeasurement(observable.shape[0], outcomes)
 
 
-def trivial_measurement(d: int) -> ProjectiveMeasurement:
-    """The single-outcome measurement of the identity (value 1)."""
-    return ProjectiveMeasurement(d, [Outcome(1.0, np.eye(d, dtype=np.complex128), 1.0)])
-
-
 def product_measurement(locals_: Sequence[ProjectiveMeasurement]) -> ProjectiveMeasurement:
     """Joint local measurement on ⊗ sites.
 
@@ -155,7 +151,7 @@ class HSBasis:
         if max_abs(ops[0] - np.eye(d)) > tol:
             raise ValidationError("ops[0] must be the identity")
         for i, o in enumerate(ops):
-            if max_abs(o - dagger(o)) > tol:
+            if not is_hermitian(o, tol):
                 raise ValidationError(f"basis op {i} is not Hermitian")
             if i and abs(np.trace(o)) > 1e-10:
                 raise ValidationError(f"basis op {i} is not traceless")

@@ -545,10 +545,15 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _gaussian(seed, shape) -> np.ndarray:
+    """Standard complex Gaussian entries, the real block drawn before the imaginary one."""
+    rng = _rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def haar_unitary(d: int, seed=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
-    rng = _rng(seed)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = _gaussian(seed, (d, d))
     q, r = np.linalg.qr(g)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
@@ -556,28 +561,24 @@ def haar_unitary(d: int, seed=None) -> np.ndarray:
 
 
 def random_density(d: int, seed=None) -> np.ndarray:
-    rng = _rng(seed)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = _gaussian(seed, (d, d))
     rho = g @ dagger(g)
     return rho / np.trace(rho)
 
 
 def random_pure_state(d: int, seed=None) -> np.ndarray:
-    rng = _rng(seed)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = _gaussian(seed, d)
     return v / np.linalg.norm(v)
 
 
 def random_hermitian(d: int, seed=None) -> np.ndarray:
-    rng = _rng(seed)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = _gaussian(seed, (d, d))
     return (g + dagger(g)) / 2
 
 
 def random_channel(d: int, seed=None, env_dim: int = 2) -> QuantumChannel:
     """Random CPTP step from a Haar isometry into system ⊗ environment."""
-    rng = _rng(seed)
-    g = rng.normal(size=(d * env_dim, d)) + 1j * rng.normal(size=(d * env_dim, d))
+    g = _gaussian(seed, (d * env_dim, d))
     v, _ = np.linalg.qr(g)  # (d·env, d) isometry
     kraus = [v[x::env_dim, :] for x in range(env_dim)]
     return QuantumChannel(kraus)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps, max_abs,
-                     partial_trace, readonly)
+from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps,
+                     is_hermitian, partial_trace, readonly)
 from .measurements import HSBasis, hs_basis, spectral_measurement
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
@@ -107,7 +107,7 @@ class TemporalStateOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"state trace is {tr}, not 1")
-        if self.kind in HERMITIAN_STATE_KINDS and max_abs(m - dagger(m)) > self.tol:
+        if self.kind in HERMITIAN_STATE_KINDS and not is_hermitian(m, self.tol):
             raise ValidationError(f"{self.kind} state must be Hermitian")
 
     @property

@@ -106,11 +106,6 @@ def test_hermitian_eig_rejects_non_hermitian():
         linops.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_spectral_norm(pauli):
-    assert abs(linops.spectral_norm(pauli["X"]) - 1.0) < 1e-12
-    assert abs(linops.spectral_norm(np.diag([3.0, -7.0])) - 7.0) < 1e-12
-
-
 def test_embed_operator_adjacent_and_split(pauli):
     dims = (2, 3, 2)
     x = pauli["X"]

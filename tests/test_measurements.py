@@ -54,12 +54,6 @@ def test_projective_measurement_validation():
     assert max_abs(ok.observable() - np.diag([1.0, -1.0])) < 1e-15
 
 
-def test_trivial_measurement():
-    m = tkd.trivial_measurement(3)
-    assert len(m.outcomes) == 1
-    assert max_abs(m.outcomes[0].projector - np.eye(3)) == 0.0
-
-
 def test_product_measurement(pauli):
     mz = tkd.spectral_measurement(pauli["Z"])
     mx = tkd.spectral_measurement(pauli["X"])
