@@ -233,6 +233,13 @@ def _matrices(obj, where: str) -> list[np.ndarray]:
     return ms
 
 
+def _check_input(m: np.ndarray, where: str, dim: int):
+    """Refuse field ``where`` when its matrix ``m`` does not act on the chain's dimension ``dim``."""
+    if m.shape[1] != dim:
+        raise SpecParseError(
+            f"{where}: input dimension {m.shape[1]} does not match the chain's dimension {dim} at this step")
+
+
 def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of branches")
@@ -240,7 +247,12 @@ def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
     for i, br in enumerate(obj):
         if not isinstance(br, dict) or "label" not in br or "operators" not in br:
             raise SpecParseError(f"{where}[{i}]: branch needs 'label' and 'operators'")
-        branches.append((br["label"], _matrices(br["operators"], f"{where}[{i}].operators")))
+        ops = _matrices(br["operators"], f"{where}[{i}].operators")
+        _check_input(ops[0], f"{where}[{i}].operators", dim)
+        if branches and ops[0].shape != branches[0][1][0].shape:
+            raise SpecParseError(f"{where}[{i}].operators: shape {ops[0].shape} differs from "
+                                 f"[0]'s {branches[0][1][0].shape}")
+        branches.append((br["label"], ops))
     return Instrument(branches, tol=tol)
 
 
@@ -267,6 +279,8 @@ _CHANNEL_FIELDS = {
     "measure_replace": {"instrument": _parse_instrument, "outputs": _plain(_matrices)},
     "depolarizing": {"p": _plain(_number), "d": _parse_dim},
 }
+# the field whose matrix sets a kind's input dimension when no d_in is given
+_INPUT_FIELD = {"kraus": "operators", "unitary": "u", "replacement": "omega"}
 
 
 def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> QuantumChannel:
@@ -282,6 +296,10 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
             fields[name] = parse(obj[name], f"{where}.{name}", tol, dim)
         elif name != "d_in":
             raise SpecParseError(f"{where}.{name}: required by kind {kind!r}")
+    name = _INPUT_FIELD.get(kind)
+    if name and "d_in" not in fields:
+        m = fields[name]
+        _check_input(m[0] if kind == "kraus" else m, f"{where}.{name}", dim)
     if kind == "measure_replace":
         instruments[where] = (fields["instrument"], fields["outputs"])
     return build_channel(kind, tol=tol, **fields)

@@ -326,6 +326,9 @@ def test_exit_code_parse(tmp_path, capsys):
 
 
 T3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+QUTRIT_ZERO = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+FROM_QUTRIT = [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]  # |1><2|, 2x3
+TO_QUTRIT = [[[0, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # |1><1|, 3x2
 
 
 def measure_replace(**fields) -> dict:
@@ -372,6 +375,21 @@ MALFORMED_FIELDS = [
     ({"channels": [{"kind": "kraus", "operators": [I2, T3]}]}, "channels[0].operators[1]: shape (3, 3)"),
     (measure_replace(instrument=[{"label": 0, "operators": 3}]),
      "channels[0].instrument[0].operators: expected a list of matrices"),
+    # so must the input dimension of a matrix field that sets the channel's input
+    ({"channels": [{"kind": "kraus", "operators": [T3]}]},
+     "channels[0].operators: input dimension 3 does not match the chain's dimension 2"),
+    ({"channels": [{"kind": "unitary", "u": T3}]},
+     "channels[0].u: input dimension 3 does not match the chain's dimension 2"),
+    ({"channels": [{"kind": "replacement", "omega": QUTRIT_ZERO}]},
+     "channels[0].omega: input dimension 3 does not match the chain's dimension 2"),
+    (measure_replace(instrument=[{"label": 0, "operators": [T3]}], outputs=[ZERO_STATE]),
+     "channels[0].instrument[0].operators: input dimension 3 does not match"),
+    (measure_replace(instrument=[{"label": 0, "operators": [ZERO_STATE]},
+                                 {"label": 1, "operators": [FROM_QUTRIT]}]),
+     "channels[0].instrument[1].operators: input dimension 3 does not match"),
+    (measure_replace(instrument=[{"label": 0, "operators": [ZERO_STATE]},
+                                 {"label": 1, "operators": [TO_QUTRIT]}]),
+     "channels[0].instrument[1].operators: shape (3, 2) differs from [0]'s (2, 2)"),
     ({"schedules": {"default": [{"projectors": [{"matrix": T3}]}, {"observable": Y}]}},
      "schedules.default[0].projectors[0].matrix: shape (3, 3)"),
     ({"channels": [{"kind": []}]}, "channels[0].kind: unknown channel kind []"),
