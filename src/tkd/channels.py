@@ -243,7 +243,7 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         return QuantumChannel(need("operators"))
     if kind == "unitary":
         u = as_matrix(need("u"))
-        if u.shape[0] != u.shape[1] or max_abs(dagger(u) @ u - np.eye(u.shape[0])) > tol:
+        if u.shape[0] != u.shape[1] or not max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol:
             raise ValidationError("build_channel: u is not unitary within tol")
         return QuantumChannel([u])
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in

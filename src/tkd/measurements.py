@@ -72,13 +72,13 @@ class ProjectiveMeasurement:
             p = as_matrix(o.projector)
             if p.shape != (dim, dim):
                 raise ValidationError("projector shape does not match measurement dim")
-            if not is_hermitian(p, tol) or max_abs(p @ p - p) > tol:
+            if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
                 raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
             total += p
-        if max_abs(total - np.eye(dim)) > tol:
+        if not max_abs(total - np.eye(dim)) <= tol:
             raise ValidationError("projectors do not sum to the identity")
         for a, b in itertools.combinations(outcomes, 2):
-            if max_abs(a.projector @ b.projector) > tol:
+            if not max_abs(a.projector @ b.projector) <= tol:
                 raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "outcomes", outcomes)
@@ -148,15 +148,15 @@ class HSBasis:
         d = int(dim)
         if len(ops) != d * d:
             raise ValidationError(f"need {d * d} basis operators, got {len(ops)}")
-        if max_abs(ops[0] - np.eye(d)) > tol:
+        if not max_abs(ops[0] - np.eye(d)) <= tol:
             raise ValidationError("ops[0] must be the identity")
         for i, o in enumerate(ops):
             if not is_hermitian(o, tol):
                 raise ValidationError(f"basis op {i} is not Hermitian")
-            if i and abs(np.trace(o)) > 1e-10:
+            if i and not abs(np.trace(o)) <= 1e-10:
                 raise ValidationError(f"basis op {i} is not traceless")
         gram = np.array([[np.trace(a @ b) for b in ops] for a in ops])
-        if max_abs(gram - d * np.eye(d * d)) > tol:
+        if not max_abs(gram - d * np.eye(d * d)) <= tol:
             raise ValidationError("basis is not orthogonal with Tr(σμσν) = d δμν")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "ops", ops)
@@ -198,6 +198,6 @@ def hs_basis(d: int) -> HSBasis:
 def rotate_basis(basis: HSBasis, u: np.ndarray) -> HSBasis:
     """Conjugate every basis element by a unitary; orthogonality is preserved."""
     u = as_matrix(u)
-    if max_abs(dagger(u) @ u - np.eye(basis.dim)) > 1e-9:
+    if not max_abs(dagger(u) @ u - np.eye(basis.dim)) <= 1e-9:
         raise ValidationError("rotate_basis needs a unitary")
     return HSBasis(basis.dim, [u @ o @ dagger(u) for o in basis.ops])

@@ -81,6 +81,8 @@ def test_mix_channels_is_convex_combination():
     assert tkd.validate_cptp(tkd.mix_channels(a, b, 0.0)).trace_preserving
     with pytest.raises(ValidationError):
         tkd.mix_channels(a, b, 1.5)
+    with pytest.raises(ValidationError, match="^cannot mix channels of different shape$"):
+        tkd.mix_channels(a, tkd.identity_channel(3), 0.5)
 
 
 def test_tensor_channels():
@@ -135,6 +137,8 @@ def test_stinespring_rejects_non_tp():
         tkd.stinespring(tkd.QuantumChannel([np.eye(2) / 2]))
     with pytest.raises(ValidationError):
         tkd.stinespring(tkd.QuantumChannel([np.zeros((3, 2))]))
+    with pytest.raises(ValidationError, match="^stinespring needs a square channel$"):
+        tkd.stinespring(rect_channel(2, 3, seed=1))  # trace preserving
 
 
 def test_stinespring_deterministic():
@@ -149,6 +153,8 @@ def test_build_unitary_channel(pauli):
     assert len(c.kraus) == 1
     with pytest.raises(ValidationError):
         tkd.build_channel("unitary", u=np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="^build_channel: u is not unitary within tol$"):
+        tkd.build_channel("unitary", u=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         tkd.build_channel("bogus")
 

@@ -88,6 +88,10 @@ def test_schedule_validation():
         tkd.char_fn(p, obs, [(0.0, 0.0)], kind="sideways")
     with pytest.raises(ValidationError):  # wrong arity
         tkd.char_fn(p, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(2))), [(0.0,)])
+    rect = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.build_channel("replacement", omega=np.eye(3) / 3,
+                                                                  d_in=2)])
+    with pytest.raises(ValidationError, match="^characteristic functions need square step dims$"):
+        tkd.char_fn(rect, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(3))), [(0.0, 0.0)])
 
 
 def test_char_samples_validation():
@@ -97,6 +101,8 @@ def test_char_samples_validation():
         tkd.CharSamples("right", [(0.0,), (1.0, 2.0)], np.array([1.0, 0.5]))
     with pytest.raises(ValidationError):
         tkd.CharSamples("right", [(1.0,)], np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="^unknown characteristic kind 'sideways'$"):
+        tkd.CharSamples("sideways", [(0.0,)], np.array([1.0]))
 
 
 def _qubit_pair():
@@ -139,9 +145,13 @@ def test_grid_arity_errors():
             tkd.char_fn(p, obs, grid, kind=kind)
     with pytest.raises(ValidationError, match="^grid points differ in arity$"):
         tkd.CharSamples("right", [(0.0, 0.0), (1.0,)], np.array([1.0, 0.5]))
-    q = tkd.kd_right(p, [tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 2)
+    s = [tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 2
+    q = tkd.kd_right(p, s)
     with pytest.raises(ValidationError, match="^point needs 2 phases, got 1$"):
         tkd.char_from_distribution(q, [(0.0, 0.0), (1.0,)])
+    for other in (tkd.mh_from_kd(q), tkd.lvn(p, s)):
+        with pytest.raises(ValidationError, match=f"^no characteristic kind for '{other.kind}'$"):
+            tkd.char_from_distribution(other, [(0.0, 0.0)])
 
 
 @pytest.mark.parametrize("position", range(3))

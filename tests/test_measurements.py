@@ -50,6 +50,9 @@ def test_projective_measurement_validation():
                                       tkd.Outcome(-1.0, np.eye(2) * 0.5, "b")])
     with pytest.raises(ValidationError):  # wrong projector shape
         tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, np.eye(3), "a")])
+    nan = np.array([[1.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="^outcome 'a': not a Hermitian projector$"):
+        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, nan, "a"), tkd.Outcome(-1.0, one, "b")])
     ok = tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, zero, "a"), tkd.Outcome(-1.0, one, "b")])
     assert max_abs(ok.observable() - np.diag([1.0, -1.0])) < 1e-15
 
@@ -67,6 +70,8 @@ def test_product_measurement(pauli):
     o = next(o for o in joint.outcomes if o.label == (1.0, -1.0))
     want = np.kron(mz.outcomes[1].projector, mx.outcomes[0].projector)
     assert max_abs(o.projector - want) < 1e-12
+    with pytest.raises(ValidationError, match="^product of zero measurements$"):
+        tkd.product_measurement([])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -110,6 +115,10 @@ def test_rotate_basis():
     assert max_abs(gram - 3 * np.eye(9)) < 1e-10
     with pytest.raises(ValidationError):
         tkd.rotate_basis(basis, np.ones((3, 3)))
+    nan = np.array(u)
+    nan[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="^rotate_basis needs a unitary$"):
+        tkd.rotate_basis(basis, nan)
 
 
 def test_hs_basis_validation():
@@ -120,3 +129,9 @@ def test_hs_basis_validation():
         tkd.HSBasis(2, [ops[1], ops[0], ops[2], ops[3]])
     with pytest.raises(ValidationError):  # broken normalization
         tkd.HSBasis(2, [ops[0], 2.0 * ops[1], ops[2], ops[3]])
+    nan = np.array(ops[1])
+    nan[0, 1] = np.nan
+    for bad, message in ((1j * ops[1], "not Hermitian"), (nan, "not Hermitian"),
+                         (ops[1] + ops[0], "not traceless")):
+        with pytest.raises(ValidationError, match=f"^basis op 1 is {message}$"):
+            tkd.HSBasis(2, [ops[0], bad, ops[2], ops[3]])

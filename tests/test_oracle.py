@@ -6,7 +6,7 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
-from tkd.oracle import oracle_kd, oracle_state
+from tkd.oracle import oracle_correlators, oracle_kd, oracle_state
 from conftest import corpus
 
 
@@ -76,3 +76,11 @@ def test_oracle_validation():
         oracle_kd(p, s[:-1])
     with pytest.raises(ValidationError):
         oracle_state(p, kind="bogus")
+    with pytest.raises(ValidationError, match=rf"^bra schedule has 1 entries for {p.n_times} times$"):
+        oracle_kd(p, s, kind="kd_doubled", bra=s[:1])
+    with pytest.raises(ValidationError, match="^oracle_correlators kind must be one of .*, got 'bogus'$"):
+        oracle_correlators(p, kind="bogus")
+    rect = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.build_channel("replacement", omega=np.eye(3) / 3,
+                                                                  d_in=2)])
+    with pytest.raises(ValidationError, match="^oracle_kd needs square channels$"):
+        oracle_kd(rect, tkd.random_schedule(rect.dims, seed=1))

@@ -21,6 +21,12 @@ def test_process_validation():
         tkd.MultiTimeProcess(rho, [tkd.identity_channel(3)])
     p = tkd.MultiTimeProcess(rho, [tkd.identity_channel(2)])
     assert p.n_steps == 1 and p.n_times == 2 and p.dims == (2, 2)
+    with pytest.raises(ValidationError, match="^tensor_process needs equal step counts$"):
+        tkd.tensor_process(p, tkd.MultiTimeProcess(rho))
+    with pytest.raises(ValidationError, match="^schedules differ in length$"):
+        tkd.tensor_schedule(tkd.random_schedule(p.dims, seed=1), tkd.random_schedule([2], seed=2))
+    with pytest.raises(ValidationError, match="^unknown channel_kind 'bogus'$"):
+        tkd.random_process(2, 1, seed=0, channel_kind="bogus")
 
 
 def test_state_at(pauli):
@@ -124,6 +130,10 @@ def test_rectangular_chain():
     assert max_abs(diag - q_lvn.values.reshape(-1)) < 1e-12
     for q in (qr, ql, qd, qsame, q_lvn):
         assert abs(q.total() - 1.0) < 1e-12
+    with pytest.raises(ValidationError, match="^joint_ops needs square channels$"):
+        tkd.joint_ops(p, bra)
+    with pytest.raises(ValidationError, match="^classicality_witness needs square channels$"):
+        tkd.classicality_witness(p, bra)
 
 
 def test_lvn_is_a_probability_distribution():
@@ -157,6 +167,10 @@ def test_distribution_validation():
         tkd.QuasiDistribution("lvn", (ax,), np.array([0.5 + 0.1j, 0.5 - 0.1j]))
     with pytest.raises(ValidationError):  # lvn must be nonnegative
         tkd.QuasiDistribution("lvn", (ax,), np.array([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="^values shape does not match axes$"):
+        tkd.QuasiDistribution("kd_right", (ax,), np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(ValidationError, match="^ket_axes out of range$"):
+        tkd.QuasiDistribution("kd_doubled", (ax,), np.array([0.5, 0.5]), ket_axes=2)
     q = tkd.QuasiDistribution("kd_right", (ax,), np.array([0.75, 0.25]))
     assert q.axis_labels(0) == ("a", "b")
     assert np.allclose(q.axis_values(0), [1.0, -1.0])
@@ -187,6 +201,8 @@ def test_marginalize_doubled_ket_axes():
     assert first_pair.ket_axes == 1
     with pytest.raises(ValidationError):
         tkd.marginalize(qd, keep=[])
+    with pytest.raises(ValidationError, match=rf"^keep axes \[0, {2 * nt}\] out of range$"):
+        tkd.marginalize(qd, keep=[0, 2 * nt])
 
 
 def test_coarse_grain():
@@ -425,6 +441,8 @@ def test_extended_kd_dim_mismatch(pauli):
     inst = tkd.Instrument([("a", [np.diag([1.0, 0, 0])]), ("b", [np.diag([0, 1.0, 1.0])])])
     with pytest.raises(ValidationError, match="instrument"):
         tkd.extended_kd(np.eye(2) / 2, tkd.spectral_measurement(pauli["Z"]), inst)
+    with pytest.raises(ValidationError, match="^measurement dim does not match the state$"):
+        tkd.extended_kd(np.eye(3) / 3, tkd.spectral_measurement(pauli["Z"]), inst)
 
 
 def test_results_follow_the_process_tolerance():

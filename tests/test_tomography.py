@@ -67,9 +67,23 @@ def test_correlator_validation():
         tkd.CorrelatorTensor("doubled", (b, b), vals, ket_axes=2)
     t = tkd.CorrelatorTensor("doubled", (b, b), vals, ket_axes=1)
     assert t.time_dims == (2,)
+    with pytest.raises(ValidationError, match="^correlator values shape does not match bases$"):
+        tkd.CorrelatorTensor("right", (b, b), vals[:, :2])
+    b3 = tkd.hs_basis(3)
+    mixed = np.zeros((4, 9), dtype=complex)
+    mixed[0, 0] = 1.0
+    with pytest.raises(ValidationError, match="^ket and bra blocks disagree on dimensions$"):
+        tkd.CorrelatorTensor("doubled", (b, b3), mixed, ket_axes=1)
+    imaginary = vals.copy()
+    imaginary[1, 2] = 0.1j
+    for kind in ("mh", "lvn"):
+        with pytest.raises(ValidationError, match=f"^{kind} correlators must be real$"):
+            tkd.CorrelatorTensor(kind, (b, b), imaginary)
     p = tkd.random_process(2, 1, seed=1)
     with pytest.raises(ValidationError):
         tkd.correlators(p, bases=[b], kind="right")
+    with pytest.raises(ValidationError, match="^unknown correlator kind 'weird'$"):
+        tkd.correlators(p, kind="weird")
 
 
 @pytest.mark.parametrize("kind", tkd.tomography.CORRELATOR_KINDS)
@@ -156,6 +170,8 @@ def test_born_eval_validation():
         tkd.born_eval(y, [np.eye(2), np.eye(3)])
     with pytest.raises(ValidationError):
         tkd.born_eval(y, [np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)])
+    with pytest.raises(ValidationError, match="^doubled state needs bra_projectors$"):
+        tkd.born_eval(tkd.kd_state_recursive(p, "kd_doubled"), [np.eye(2), np.eye(2)])
 
 
 def test_reduce_state_single_time_is_physical_state():
@@ -175,6 +191,8 @@ def test_reduce_state_matches_sub_process():
         assert max_abs(red.matrix - sub.matrix) < 1e-10
     with pytest.raises(ValidationError):
         tkd.reduce_state(y, [])
+    with pytest.raises(ValidationError, match=r"^keep_times \[0, 3\] out of range$"):
+        tkd.reduce_state(y, [0, 3])
 
 
 def test_reduce_state_doubled_tracks_marginals():
