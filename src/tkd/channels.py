@@ -30,7 +30,6 @@ from .linops import (
     basis_state,
     dagger,
     frozen_matrix,
-    hermitian_eig,
     is_hermitian,
     max_abs,
     readonly,
@@ -231,7 +230,8 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
                             rectangular input space
     kind "measure_replace": instrument=Instrument, outputs=[ω_k];
                             x ↦ Σ_k Tr[M_k(x)]·ω_k
-    kind "depolarizing":    p, d; ρ ↦ (1−p)ρ + p·Tr(ρ)·I/d
+    kind "depolarizing":    p, d; ρ ↦ (1−p)ρ + p·Tr(ρ)·I/d, the mixture of the
+                            identity (first) and the replacement by I/d
     """
 
     def need(name):
@@ -266,30 +266,25 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
             raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
         if d < 1:
             raise ValidationError(f"build_channel: d {d} is not positive")
-        ops = []
-        if p < 1.0:
-            ops.append(np.sqrt(1.0 - p) * np.eye(d))
-        if p > 0.0:
-            for i in range(d):
-                for j in range(d):
-                    e = np.zeros((d, d), dtype=np.complex128)
-                    e[i, j] = np.sqrt(p / d)
-                    ops.append(e)
-        return QuantumChannel(ops)
+        replacement = QuantumChannel(_measure_prepare(np.eye(d), np.eye(d) / d))
+        return mix_channels(identity_channel(d), replacement, 1.0 - p)
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
 def _measure_prepare(effect: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
     """Kraus operators √(f·λ)|w⟩⟨v| of x ↦ Tr(F x)·ω over the spectra (f, v)
     of the effect F and (λ, w) of the output ω, effect eigenvectors first;
-    zero weights drop out."""
-    prepared = [(lam, w) for lam, wvecs in hermitian_eig(omega, 1e-12) if lam > 1e-14 for w in wvecs.T]
+    zero weights drop out. Each eigenvector has its own operator, so a
+    degenerate spectrum needs no clustering."""
+    lams, wvecs = np.linalg.eigh(omega)
+    prepared = [(lam, w) for lam, w in zip(lams, wvecs.T) if lam > 1e-14]
+    fs, vvecs = np.linalg.eigh(effect)
+    if fs[0] < -1e-9:
+        raise ValidationError("instrument effect has a negative eigenvalue")
     ops = []
-    for f, fvecs in hermitian_eig(effect, 1e-10):
-        if f < -1e-9:
-            raise ValidationError("instrument effect has a negative eigenvalue")
+    for f, v in zip(fs, vvecs.T):
         if f > 1e-14:
-            ops += [np.sqrt(f * lam) * np.outer(w, np.conj(v)) for v in fvecs.T for lam, w in prepared]
+            ops += [np.sqrt(f * lam) * np.outer(w, np.conj(v)) for lam, w in prepared]
     return ops
 
 
