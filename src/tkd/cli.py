@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Instrument, QuantumChannel, build_channel, validate_cptp
+from .channels import Instrument, QuantumChannel, build_channel, check_density, validate_cptp
 from .charfunc import (
     CHAR_KINDS,
     ObservableSchedule,
@@ -240,6 +240,22 @@ def _check_input(m: np.ndarray, where: str, dim: int):
             f"{where}: input dimension {m.shape[1]} does not match the chain's dimension {dim} at this step")
 
 
+def _in_field(where: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a ValidationError it raises naming the spec field ``where``."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from None
+
+
+def _parse_state(obj, where: str, tol: float, dim: int) -> np.ndarray:
+    return _in_field(where, check_density, _parse_matrix(obj, where), tol)
+
+
+def _parse_states(obj, where: str, tol: float, dim: int) -> list[np.ndarray]:
+    return [_in_field(f"{where}[{k}]", check_density, m, tol) for k, m in enumerate(_matrices(obj, where))]
+
+
 def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of branches")
@@ -253,7 +269,7 @@ def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
             raise SpecParseError(f"{where}[{i}].operators: shape {ops[0].shape} differs from "
                                  f"[0]'s {branches[0][1][0].shape}")
         branches.append((br["label"], ops))
-    return Instrument(branches, tol=tol)
+    return _in_field(where, Instrument, branches, tol=tol)
 
 
 def _parse_dim(obj, where: str, tol: float, dim: int) -> int:
@@ -275,12 +291,15 @@ def _plain(parse):
 _CHANNEL_FIELDS = {
     "kraus": {"operators": _plain(_matrices)},
     "unitary": {"u": _plain(_parse_matrix)},
-    "replacement": {"omega": _plain(_parse_matrix), "d_in": _parse_dim},
-    "measure_replace": {"instrument": _parse_instrument, "outputs": _plain(_matrices)},
+    "replacement": {"omega": _parse_state, "d_in": _parse_dim},
+    "measure_replace": {"instrument": _parse_instrument, "outputs": _parse_states},
     "depolarizing": {"p": _plain(_number), "d": _parse_dim},
 }
 # the field whose matrix sets a kind's input dimension when no d_in is given
 _INPUT_FIELD = {"kraus": "operators", "unitary": "u", "replacement": "omega"}
+# the field, as a suffix of the channel's, that `build_channel` checks itself;
+# the field parsers check the others
+_BUILD_CHECKED = {"unitary": ".u", "depolarizing": ".p"}
 
 
 def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> QuantumChannel:
@@ -301,8 +320,12 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
         m = fields[name]
         _check_input(m[0] if kind == "kraus" else m, f"{where}.{name}", dim)
     if kind == "measure_replace":
-        instruments[where] = (fields["instrument"], fields["outputs"])
-    return build_channel(kind, tol=tol, **fields)
+        instrument, outputs = fields["instrument"], fields["outputs"]
+        if len(outputs) != len(instrument.branches):
+            raise SpecParseError(f"{where}.outputs: {len(outputs)} states for {len(instrument.branches)} "
+                                 "instrument branches, one per branch is required")
+        instruments[where] = (instrument, outputs)
+    return _in_field(where + _BUILD_CHECKED.get(kind, ""), build_channel, kind, tol=tol, **fields)
 
 
 def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[ProjectiveMeasurement, np.ndarray]:

@@ -449,6 +449,47 @@ def test_exit_code_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+NEAR_HERMITIAN = [[[0.5, 0], [0.2, 1e-10]], [[0.2, 0], [0.5, 0]]]  # Hermitian within 1e-9
+SHEARED = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+TWICE_ZERO = [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]
+# a numerical refusal of a channel field exits 4, a structural one 3; each names the field
+CHANNEL_REFUSALS = [
+    ({"channels": [{"kind": "unitary", "u": SHEARED}]}, 4,
+     "channels[0].u: build_channel: u is not unitary within tol"),
+    ({"channels": [{"kind": "replacement", "omega": SHEARED}]}, 4,
+     "channels[0].omega: state is not Hermitian within tol"),
+    ({"channels": [{"kind": "replacement", "omega": TWICE_ZERO, "d_in": 2}]}, 4,
+     "channels[0].omega: state trace differs from 1"),
+    (measure_replace(outputs=[ZERO_STATE, TWICE_ZERO]), 4,
+     "channels[0].outputs[1]: state trace differs from 1"),
+    (measure_replace(instrument=[{"label": 0, "operators": [ZERO_STATE]}], outputs=[ZERO_STATE]), 4,
+     "channels[0].instrument: instrument branches sum to a non-TP map, defect 1.000e+00"),
+    ({"channels": [{"kind": "depolarizing", "p": 1.5, "d": 2}]}, 4,
+     "channels[0].p: depolarizing strength 1.5 outside [0, 1]"),
+    (measure_replace(outputs=[ZERO_STATE]), 3,
+     "channels[0].outputs: 1 states for 2 instrument branches, one per branch is required"),
+]
+
+
+@pytest.mark.parametrize("extra,code,message", CHANNEL_REFUSALS, ids=[m for _, _, m in CHANNEL_REFUSALS])
+def test_channel_refusal_names_the_field(tmp_path, capsys, extra, code, message):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(probe_spec(**extra)))
+    assert run_command(["validate", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel", [
+    {"kind": "replacement", "omega": NEAR_HERMITIAN},
+    measure_replace(outputs=[NEAR_HERMITIAN, ONE_STATE])["channels"][0],
+])
+def test_near_hermitian_output_state_is_accepted(tmp_path, capsys, channel):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(probe_spec(channels=[channel])))
+    doc = run_json(capsys, ["validate", str(path)])
+    assert doc["channels"][0]["cptp_defect"] < 1e-15
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     u = [[[1, 0], [1e-6, 0]], [[0, 0], [1, 0]]]
     spec = probe_spec(channels=[{"kind": "unitary", "u": u}])
