@@ -217,6 +217,8 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
     """m equispaced phase nodes u_j = j·π/(1 + max|b−b'|) for m distinct outcomes."""
     vals = sorted(set(float(b) for b in spectrum))
+    if not vals:
+        raise ValidationError("default_nodes: the spectrum is empty")
     return np.pi / (1.0 + (vals[-1] - vals[0])) * np.arange(len(vals))  # [0.] for one outcome
 
 

@@ -148,6 +148,9 @@ class HSBasis:
         d = int(dim)
         if len(ops) != d * d:
             raise ValidationError(f"need {d * d} basis operators, got {len(ops)}")
+        for i, o in enumerate(ops):
+            if o.shape != (d, d):
+                raise ValidationError(f"basis op {i} has shape {o.shape}, expected {(d, d)}")
         if not max_abs(ops[0] - np.eye(d)) <= tol:
             raise ValidationError("ops[0] must be the identity")
         for i, o in enumerate(ops):
@@ -198,6 +201,8 @@ def hs_basis(d: int) -> HSBasis:
 def rotate_basis(basis: HSBasis, u: np.ndarray) -> HSBasis:
     """Conjugate every basis element by a unitary; orthogonality is preserved."""
     u = as_matrix(u)
+    if u.shape != (basis.dim, basis.dim):
+        raise ValidationError(f"rotate_basis: u has shape {u.shape}, expected {(basis.dim, basis.dim)}")
     if not max_abs(dagger(u) @ u - np.eye(basis.dim)) <= 1e-9:
         raise ValidationError("rotate_basis needs a unitary")
     return HSBasis(basis.dim, [u @ o @ dagger(u) for o in basis.ops])

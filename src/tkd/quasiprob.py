@@ -513,6 +513,9 @@ def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> 
     a = as_matrix(a)
     pre = np.asarray(pre_state, dtype=np.complex128).reshape(-1)
     post = np.asarray(post_state, dtype=np.complex128).reshape(-1)
+    if a.shape != (pre.size, pre.size) or post.size != pre.size:
+        raise ValidationError(f"weak value: operator {a.shape}, pre-selection of {pre.size} and "
+                              f"post-selection of {post.size} amplitudes disagree in dimension")
     overlap = complex(np.vdot(post, pre))
     if abs(overlap) <= 1e-12:
         raise ValidationError("weak value undefined: pre and post selections are orthogonal")

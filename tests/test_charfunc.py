@@ -267,6 +267,8 @@ def test_default_nodes():
     nodes = tkd.default_nodes([-1.0, 1.0])
     assert np.allclose(nodes, [0.0, np.pi / 3])
     assert np.allclose(tkd.default_nodes([2.0]), [0.0])
+    with pytest.raises(ValidationError, match="^default_nodes: the spectrum is empty$"):
+        tkd.default_nodes([])
     nodes3 = tkd.default_nodes([0.0, 1.0, 3.0])
     assert np.allclose(nodes3, [0.0, np.pi / 4, np.pi / 2])
     grid = tkd.product_grid([[0.0, 1.0], [0.0, 2.0]])

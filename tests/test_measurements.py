@@ -119,6 +119,8 @@ def test_rotate_basis():
     nan[0, 0] = np.nan
     with pytest.raises(ValidationError, match="^rotate_basis needs a unitary$"):
         tkd.rotate_basis(basis, nan)
+    with pytest.raises(ValidationError, match=r"^rotate_basis: u has shape \(2, 2\), expected \(3, 3\)$"):
+        tkd.rotate_basis(basis, np.eye(2))
 
 
 def test_hs_basis_validation():
@@ -131,7 +133,8 @@ def test_hs_basis_validation():
         tkd.HSBasis(2, [ops[0], 2.0 * ops[1], ops[2], ops[3]])
     nan = np.array(ops[1])
     nan[0, 1] = np.nan
-    for bad, message in ((1j * ops[1], "not Hermitian"), (nan, "not Hermitian"),
-                         (ops[1] + ops[0], "not traceless")):
-        with pytest.raises(ValidationError, match=f"^basis op 1 is {message}$"):
+    for bad, message in ((1j * ops[1], "is not Hermitian"), (nan, "is not Hermitian"),
+                         (ops[1] + ops[0], "is not traceless"),
+                         (np.eye(3), r"has shape \(3, 3\), expected \(2, 2\)")):
+        with pytest.raises(ValidationError, match=f"^basis op 1 {message}$"):
             tkd.HSBasis(2, [ops[0], bad, ops[2], ops[3]])

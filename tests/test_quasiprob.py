@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest  # type: ignore
 
@@ -366,6 +368,11 @@ def test_weak_value_instance(pauli):
     assert abs(tkd.weak_value(pauli["X"], pre, post) - (-1j)) < 1e-12
     with pytest.raises(ValidationError):
         tkd.weak_value(pauli["X"], pre, tkd.basis_state(2, 1))
+    for a, pre, post, message in (
+            (np.eye(3), [1, 0], [1, 1], "operator (3, 3), pre-selection of 2 and post-selection of 2"),
+            (np.eye(2), [1, 0], [1, 1, 0], "operator (2, 2), pre-selection of 2 and post-selection of 3")):
+        with pytest.raises(ValidationError, match=re.escape(f"weak value: {message} amplitudes disagree")):
+            tkd.weak_value(a, pre, post)
 
 
 @pytest.mark.parametrize("seed", range(4))
