@@ -147,9 +147,10 @@ def _axis_signs(kind: str, ket_axes: int, n_axes: int) -> list[int]:
 
 
 def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
-    """One (measurement, maps, sign) per χ axis, ket block first, with the maps and
-    schedule checks of the kind's KD distribution and the signs of its Fourier sum;
-    and the grid as a (P, w) array at the kind's width."""
+    """One (measurements, maps, sign) group per side, ket side first, as `_insertions`
+    hands over the maps and schedule checks of the kind's KD distribution, with the
+    sign of the side's Fourier phases (+1 ket, −1 bra); and the grid as a (P, w)
+    array at the kind's width."""
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
     if any(c.d_in != c.d_out for c in p.channels):
@@ -158,10 +159,9 @@ def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
     meas = [getattr(obs, f"{side}_measurements") for side in sides]
     if None in meas:
         raise ValidationError(f"{kind} characteristic needs {sides[meas.index(None)]} observables")
-    stacks, axes, ket_axes = _insertions(p, "kd_" + kind, *meas)
-    inputs = list(zip([m for ms in meas for m in ms], [maps for st in stacks for maps in st],
-                      _axis_signs(kind, ket_axes, len(axes))))
-    return inputs, _grid_array(grid, len(axes), f"{kind} point needs {len(axes)} phases, got {{}}")
+    stacks, axes, _ = _insertions(p, "kd_" + kind, *meas)
+    groups = [(ms, st, +1 if side == "ket" else -1) for side, ms, st in zip(sides, meas, stacks)]
+    return groups, _grid_array(grid, len(axes), f"{kind} point needs {len(axes)} phases, got {{}}")
 
 
 def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np.ndarray:
@@ -171,12 +171,12 @@ def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np
     return np.einsum("pm,m...->p...", np.exp(sign * 1j * np.outer(ts, values)), stack)
 
 
-def _char_sweep(p: MultiTimeProcess, inputs, nodes) -> np.ndarray:
+def _char_sweep(p: MultiTimeProcess, groups, nodes) -> np.ndarray:
     """χ on the product of the per-axis phase nodes, flat in C order over the axes, from
     one sweep whose maps at each time are phase-weighted sums of cached projector maps."""
-    rows = [_phases(m, sign, t, maps) for (m, maps, sign), t in zip(inputs, nodes)]
-    n = p.n_times
-    return _sweep(p, *[rows[i:i + n] for i in range(0, len(rows), n)]).reshape(-1)
+    axis = iter(nodes)
+    return _sweep(p, *[[_phases(m, sign, next(axis), maps) for m, maps in zip(ms, stack)]
+                       for ms, stack, sign in groups]).reshape(-1)
 
 
 def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequence[float]],
@@ -190,10 +190,10 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     holding every combination of its per-axis nodes, in any order, takes one
     sweep over the node product; any other grid takes one sweep per point.
     """
-    inputs, x = _kind_inputs(p, obs, kind, grid)
+    groups, x = _kind_inputs(p, obs, kind, grid)
     nodes, flat = _grid_nodes(x)
-    values = (_char_sweep(p, inputs, nodes)[flat] if flat is not None else
-              np.array([_char_sweep(p, inputs, pt[:, None])[0] for pt in x]))
+    values = (_char_sweep(p, groups, nodes)[flat] if flat is not None else
+              np.array([_char_sweep(p, groups, pt[:, None])[0] for pt in x]))
     return CharSamples(kind, x, values, tol=p.tol)
 
 
@@ -288,20 +288,18 @@ _GATE_PHASE_SIGN = +1
 _READOUT_SIGN = -1
 
 
-def _ancilla_xy(p: MultiTimeProcess, inputs, grid) -> tuple[float, float, dict]:
+def _ancilla_xy(p: MultiTimeProcess, groups, point: np.ndarray) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer at
-    the one point of a (1, w) grid."""
-    nodes, _ = _grid_nodes(grid)
+    one phase point, whose phases follow the groups' axes."""
     n, d = p.n_times, p.dims[0]
-
-    def gates(side):  # G1 from the ket-side (+1) axes, G2 from the bra-side (−1) ones
-        return [_phases(m, _GATE_PHASE_SIGN, t, m.projectors)[0]
-                for (m, _, sign), t in zip(inputs, nodes) if sign == side] or \
-            [np.eye(d, dtype=np.complex128)] * n
-
+    phase = iter(point)
+    gates = {sign: [_phases(m, _GATE_PHASE_SIGN, [next(phase)], m.projectors)[0] for m in ms]
+             for ms, _, sign in groups}
+    bare = [np.eye(d, dtype=np.complex128)] * n
     dils = [c.dilation for c in p.channels]
     rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
-    for g1, g2, dil in zip(gates(+1), gates(-1), dils + [None]):
+    # G1 from the ket side (+1), G2 from the bra side (−1)
+    for g1, g2, dil in zip(gates.get(+1, bare), gates.get(-1, bare), dils + [None]):
         ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
         rho = ctrl @ rho @ ctrl.conj().T
         if dil is not None:
@@ -330,9 +328,9 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
     """
-    inputs, grid = _kind_inputs(p, obs, kind, [point])
+    groups, grid = _kind_inputs(p, obs, kind, [point])
     s = _READOUT_SIGN
-    x, y, meta = _ancilla_xy(p, inputs, grid)
+    x, y, meta = _ancilla_xy(p, groups, grid[0])
     exact = complex(x + 1j * s * y)
     meta = dict(meta, gate_phase_sign=_GATE_PHASE_SIGN, readout_sign=s)
 
