@@ -187,6 +187,20 @@ def test_replacement_lists_kraus_effect_basis_major():
     assert all(np.array_equal(a, b) for a, b in zip(square.kraus, same.kraus, strict=True))
 
 
+NEAR_HERMITIAN = np.array([[0.5, 0.2 + 1e-10j], [0.2, 0.5]])  # Hermitian within 1e-9
+Z_INSTRUMENT = tkd.Instrument([("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("replacement", {"omega": NEAR_HERMITIAN}),
+    ("measure_replace", {"instrument": Z_INSTRUMENT, "outputs": [NEAR_HERMITIAN, NEAR_HERMITIAN]}),
+])
+def test_output_that_check_density_accepts_builds(kind, params):
+    c = tkd.build_channel(kind, **params)
+    assert len(c.kraus) == 4 and tkd.validate_cptp(c).defect < 1e-15
+    assert max_abs(tkd.apply_channel(c, np.eye(2) / 2) - NEAR_HERMITIAN) < 1e-9
+
+
 def test_build_kraus_channel():
     ops = tkd.quasiprob.random_channel(3, seed=15, env_dim=2).kraus
     c = tkd.build_channel("kraus", operators=ops)

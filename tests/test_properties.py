@@ -6,7 +6,9 @@ schedules draw spectra from a small value set, so degenerate observables and
 single-outcome measurements come up; the witness is also checked on seeded
 unitary chains of up to eight steps. Examples are derandomized, so every run
 checks the same cases. Distributions, correlators and χ use the contract
-tolerance of 1e-12, states against the oracle that of 1e-10.
+tolerance of 1e-12, states against the oracle that of 1e-10. The
+measure-and-prepare channel kinds and depolarizing are checked against their
+defining actions on arbitrary matrices, at 1e-12.
 """
 
 from __future__ import annotations
@@ -507,3 +509,61 @@ def test_containers_refuse_non_finite_values_anywhere(name, bad):
         v[idx] = bad
         with pytest.raises(tkd.ValidationError):
             build(v)
+
+
+@st.composite
+def output_states(draw, d: int) -> np.ndarray:
+    """Density matrices on C^d: full rank, or with a spectrum drawn from {0, 1, 2},
+    so rank-deficient and degenerate outputs come up."""
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        return tkd.random_density(d, rng)
+    spectrum = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=d, max_size=d).filter(any)))
+    u = tkd.haar_unitary(d, rng)
+    return u @ np.diag(spectrum / spectrum.sum()) @ np.conj(u.T)
+
+
+@st.composite
+def instruments(draw, d: int) -> tkd.Instrument:
+    """One to three branches on C^d: Lüders projectors of a degenerate observable,
+    or two Kraus operators each cut from one Haar isometry."""
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        m = draw(schedules([d]))[0]
+        return tkd.Instrument([(o.label, [o.projector]) for o in m.outcomes])
+    n = draw(st.integers(1, 3))
+    g = rng.normal(size=(2 * n * d, d)) + 1j * rng.normal(size=(2 * n * d, d))
+    ops = np.linalg.qr(g)[0].reshape(n, 2, d, d)
+    return tkd.Instrument([(k, list(ops[k])) for k in range(n)])
+
+
+def _arbitrary(d: int, rng) -> np.ndarray:
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@SETTINGS
+@given(st.data())
+def test_measure_and_prepare_kinds_act_as_defined(data):
+    d_in, d_out = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from([1, 2, 3]))
+    x = _arbitrary(d_in, np.random.default_rng(data.draw(SEEDS)))
+    omega = data.draw(output_states(d_out))
+    replacement = tkd.build_channel("replacement", omega=omega, d_in=d_in)
+    assert max_abs(tkd.apply_channel(replacement, x) - np.trace(x) * omega) <= TOL
+    inst = data.draw(instruments(d_in))
+    outputs = [data.draw(output_states(d_out)) for _ in inst.branches]
+    c = tkd.build_channel("measure_replace", instrument=inst, outputs=outputs)
+    want = sum(np.trace(inst.effect(k) @ x) * w for k, w in enumerate(outputs))
+    assert max_abs(tkd.apply_channel(c, x) - want) <= TOL
+
+
+@pytest.mark.parametrize("p, count", [(0.0, lambda d: 1), (0.3, lambda d: d * d + 1), (1.0, lambda d: d * d)],
+                         ids=["p=0", "p=0.3", "p=1"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_depolarizing_acts_as_defined(d, p, count):
+    c = tkd.build_channel("depolarizing", p=p, d=d)
+    assert len(c.kraus) == count(d)
+    if p < 1.0:  # the identity comes first
+        assert max_abs(c.kraus[0] - np.sqrt(1.0 - p) * np.eye(d)) == 0.0
+    x = _arbitrary(d, np.random.default_rng(d))
+    want = (1.0 - p) * x + p * np.trace(x) * np.eye(d) / d
+    assert max_abs(tkd.apply_channel(c, x) - want) <= TOL
