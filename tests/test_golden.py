@@ -5,7 +5,10 @@ three demos; dist, charfn, state and witness on `qubit_two_times.json` (a
 two-time qubit process with one random Kraus step); and witness on
 `qubit_three_times_unitary.json` (a three-time qubit process with two
 seeded Haar-unitary steps, where the witness also compares the projectors of
-every time back-evolved to t_0). Spec paths are given
+every time back-evolved to t_0); and validate and dist on
+`five_channel_kinds.json` (a qubit-qutrit-qubit chain of one step of each
+spec channel kind: kraus, unitary, replacement with d_in, depolarizing and
+measure_replace). Spec paths are given
 relative to tests/data, so the documents' ``spec`` field does not depend on
 the checkout location. Regenerate with ``python tests/test_golden.py`` and
 record the reason in CHANGES.md.
@@ -31,6 +34,8 @@ GOLDEN = {
     "state_kd-right.json": ["state", SPEC, "--kind", "kd-right"],
     "witness.json": ["witness", SPEC],
     "witness_unitary.json": ["witness", "qubit_three_times_unitary.json"],
+    "validate_five_channel_kinds.json": ["validate", "five_channel_kinds.json"],
+    "dist_right_five_channel_kinds.json": ["dist", "five_channel_kinds.json"],
 }
 
 
