@@ -1,7 +1,8 @@
 """The package's public surface: ``tkd.__all__`` is exactly what ``tkd/__init__.py``
 imports, so a deleted function cannot leave a stale export behind, every
-name the benchmark in ``perfbench/`` calls or traces still exists, and no
-module keeps an import it no longer uses."""
+name the benchmark in ``perfbench/`` calls or traces still exists, no
+module keeps an import it no longer uses, and the README's quick start prints
+what its comments say."""
 
 from __future__ import annotations
 
@@ -10,11 +11,16 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import math
+import re
 from pathlib import Path
+
+import numpy as np
 
 import tkd
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _imported_public_names() -> list[str]:
@@ -84,3 +90,27 @@ def test_modules_use_every_name_they_import():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
               for path in modules if path.name != "__init__.py"}
     assert unused and {name: names for name, names in unused.items() if names} == {}
+
+
+def _commented_value(comment: str):
+    """The value a quick-start comment states: the expression before its first
+    ' = ' or ', ', with numpy's space-separated array rows read as lists."""
+    text = re.split(r" = |, ", comment)[0]
+    return eval(re.sub(r"(?<=[j\]])\s+(?=[\[\d-])", ", ", text), {"sqrt": math.sqrt})
+
+
+def test_readme_quick_start_prints_its_commented_values():
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    comments, continued = [], False  # one comment per print call, continuation lines joined
+    for line in code.splitlines():
+        stmt, _, comment = (part.strip() for part in line.partition("#"))
+        if stmt.startswith("print("):
+            comments.append(comment)
+        elif continued and not stmt and comment:
+            comments[-1] += " " + comment
+        continued = stmt.startswith("print(") or (continued and not stmt and bool(comment))
+    printed = []
+    exec(code, {"print": printed.append})
+    assert len(printed) == len(comments) == 3
+    for value, comment in zip(printed, comments):
+        assert np.max(np.abs(np.asarray(value) - np.asarray(_commented_value(comment)))) <= 1e-12, comment
