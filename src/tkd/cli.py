@@ -249,10 +249,12 @@ def _in_field(where: str, check, *args, **kwargs):
 
 
 def _parse_state(obj, where: str, tol: float, dim: int) -> np.ndarray:
+    """An output state, held to `check_density` here so that a refusal names the field."""
     return _in_field(where, check_density, _parse_matrix(obj, where), tol)
 
 
 def _parse_states(obj, where: str, tol: float, dim: int) -> list[np.ndarray]:
+    """Output states of one shape, each held to `check_density` as `_parse_state` holds one."""
     return [_in_field(f"{where}[{k}]", check_density, m, tol) for k, m in enumerate(_matrices(obj, where))]
 
 
