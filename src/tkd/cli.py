@@ -66,13 +66,21 @@ TOLERANCE_ENV = "TKD_TOLERANCE"
 # has at least 2^32 points
 _BYTES_PER_ENTRY = {"state": 512, "dist": 512, "nonclassicality": 64, "witness": 64, "charfn": 4096}
 
-_DIST_KINDS = ("right", "left", "doubled", "mh", "lvn")
-_STATE_CLI_KINDS = {"kd-right": "kd_right", "kd-left": "kd_left", "doubled": "kd_doubled",
-                    "mh": "mh", "pdo": "pdo"}
-_DEMOS = {
-    "xy-qubit": "xy_qubit.json",
-    "replacement": "replacement.json",
-    "measure-replace": "measure_replace.json",
+# each --kind of `dist` and `nonclassicality` and its builder (process, schedule[, bra schedule])
+_DIST_BUILDERS = {
+    "right": kd_right,
+    "left": kd_left,
+    "doubled": kd_doubled,
+    "mh": lambda p, s: mh_from_kd(kd_right(p, s)),
+    "lvn": lvn,
+}
+# each `state --kind` and its builder, in the order argparse lists them in a usage error
+_STATE_BUILDERS = {
+    "kd-right": functools.partial(kd_state_recursive, kind="kd_right"),
+    "kd-left": functools.partial(kd_state_recursive, kind="kd_left"),
+    "doubled": functools.partial(kd_state_recursive, kind="kd_doubled"),
+    "mh": mh_state,
+    "pdo": pdo,
 }
 
 
@@ -536,14 +544,6 @@ def _write_table(q: QuasiDistribution, path: str):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _compute_dist(p: MultiTimeProcess, kind: str, s, bra=None) -> QuasiDistribution:
-    """The ``kind`` distribution of ``p`` under schedule ``s`` (``bra`` for doubled)."""
-    if kind == "doubled":
-        return kd_doubled(p, s, bra)
-    q = {"right": kd_right, "left": kd_left, "mh": kd_right, "lvn": lvn}[kind](p, s)
-    return mh_from_kd(q) if kind == "mh" else q
-
-
 def _named(table: dict, args) -> list:
     """The --schedule entry of ``table``, then for --kind doubled the --bra-schedule one."""
     bra = [args.bra_schedule or args.schedule] if args.kind == "doubled" else []
@@ -590,7 +590,7 @@ def _requested_dist(bundle: SpecBundle, args) -> QuasiDistribution:
     entries = math.prod(len(m.outcomes) for s in scheds for m in s)
     _size_guard(f"{args.command} --kind {args.kind}", entries, _BYTES_PER_ENTRY[args.command],
                 "distribution entries")
-    return _compute_dist(bundle.process, args.kind, *scheds)
+    return _DIST_BUILDERS[args.kind](bundle.process, *scheds)
 
 
 def _cmd_dist(bundle: SpecBundle, args) -> dict:
@@ -630,16 +630,11 @@ def _cmd_witness(bundle: SpecBundle, args) -> dict:
 
 
 def _cmd_state(bundle: SpecBundle, args) -> dict:
-    p, kind = bundle.process, _STATE_CLI_KINDS[args.kind]
-    side = math.prod(p.dims) ** (2 if kind == "kd_doubled" else 1)
+    p = bundle.process
+    side = math.prod(p.dims) ** (2 if args.kind == "doubled" else 1)
     _size_guard(f"state --kind {args.kind}", side * side, _BYTES_PER_ENTRY["state"],
                 f"matrix entries ({side}x{side})")
-    if kind == "mh":
-        y = mh_state(p)
-    elif kind == "pdo":
-        y = pdo(p)
-    else:
-        y = kd_state_recursive(p, kind=kind)
+    y = _STATE_BUILDERS[args.kind](p)
     eigs = y.eigenvalues()
     return {"state": {
         "kind": y.kind,
@@ -696,7 +691,7 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
           "values": samples.values}
     if source == "default":
         q = invert_char(samples, spectra)
-        direct = _compute_dist(bundle.process, args.kind, *sides)
+        direct = _DIST_BUILDERS[args.kind](bundle.process, *sides)
         ch["inversion_round_trip_defect"] = float(np.max(np.abs(q.values - direct.values)))
     return {"characteristic": ch}
 
@@ -732,14 +727,19 @@ def _cmd_circuit_sim(bundle: SpecBundle, args) -> dict:
 
 
 def _load_demo(name: str) -> SpecBundle:
-    res = importlib.resources.files("tkd") / "demos" / _DEMOS[name]
+    res = importlib.resources.files("tkd") / "demos" / (name.replace("-", "_") + ".json")
     return load_spec_bytes(res.read_bytes(), f"demo:{name}")
 
 
+# each demo's closed-form kd_right table (row-major [re, im] entries) and nonclassicality;
+# measure-replace's extended KD is the xy-qubit table
 _XY_TABLE = [[0.25, 0.25], [0.25, -0.25], [0.25, -0.25], [0.25, 0.25]]
-_MR_PROCESS_TABLE = [[0.25, -0.25], [0.25, 0.25], [0.25, 0.25], [0.25, -0.25]]
-_MR_EXTENDED_TABLE = [[0.25, 0.25], [0.25, -0.25], [0.25, -0.25], [0.25, 0.25]]
-_SQRT2_MINUS_1 = 0.41421356237309515
+_REFERENCES = {
+    "xy-qubit": {"table": _XY_TABLE, "nonclassicality": math.sqrt(2) - 1},
+    "replacement": {"table": [[0.25, 0.0]] * 4, "nonclassicality": 0.0},
+    "measure-replace": {"table": [[0.25, -0.25], [0.25, 0.25], [0.25, 0.25], [0.25, -0.25]],
+                        "extended_table": _XY_TABLE, "nonclassicality": math.sqrt(2) - 1},
+}
 
 
 def _table_dev(q: QuasiDistribution, ref: list) -> float:
@@ -748,51 +748,35 @@ def _table_dev(q: QuasiDistribution, ref: list) -> float:
 
 
 def _cmd_demo(bundle: SpecBundle, args) -> dict:
-    p = bundle.process
-    s = bundle.schedules["default"]
+    p, s, ref = bundle.process, bundle.schedules["default"], _REFERENCES[args.name]
     q = kd_right(p, s)
-    doc = {"demo": args.name, "distribution": _dist_json(q), "nonclassicality": nonclassicality(q)}
+    doc = {"demo": args.name, "distribution": _dist_json(q), "nonclassicality": nonclassicality(q),
+           "reference": ref, "max_table_deviation": _table_dev(q, ref["table"])}
 
     if args.name == "xy-qubit":
-        doc["reference"] = {"table": _XY_TABLE, "nonclassicality": _SQRT2_MINUS_1}
-        doc["max_table_deviation"] = _table_dev(q, _XY_TABLE)
-        doc["nonclassicality_deviation"] = abs(doc["nonclassicality"] - _SQRT2_MINUS_1)
-        return doc
-
-    if args.name == "replacement":
+        doc["nonclassicality_deviation"] = abs(doc["nonclassicality"] - ref["nonclassicality"])
+    elif args.name == "replacement":
         p0 = np.array([np.trace(p.rho0 @ o.projector) for o in s[0].outcomes])
         omega = p.state_at(1)
         p1 = np.array([np.trace(omega @ o.projector) for o in s[1].outcomes])
-        product = np.real(np.outer(p0, p1))
         doc["marginal_t0"] = [float(x) for x in p0.real]
         doc["marginal_t1"] = [float(x) for x in p1.real]
-        doc["factorization_defect"] = float(np.max(np.abs(q.values - product)))
-        doc["reference"] = {"table": [[0.25, 0.0]] * 4, "nonclassicality": 0.0}
-        doc["max_table_deviation"] = _table_dev(q, [[0.25, 0.0]] * 4)
-        return doc
-
-    # measure-replace
-    inst, outputs = bundle.instruments["channels[0]"]
-    ext = extended_kd(p.rho0, s[0], inst)
-    # align: match each t1 outcome's projector to the branch output it selects
-    perm = []
-    for o in s[1].outcomes:
-        hits = [k for k, w in enumerate(outputs) if max_abs(w - o.projector) <= 1e-9]
-        if len(hits) != 1:
-            raise ValidationError("demo outputs do not match the t1 projectors one-to-one")
-        perm.append(hits[0])
-    aligned = ext.values[:, perm]
-    doc["extended_kd"] = _dist_json(ext)
-    doc["extended_nonclassicality"] = nonclassicality(ext)
-    doc["equality_gap"] = abs(nonclassicality(q) - nonclassicality(ext))
-    doc["table_gap_after_alignment"] = float(np.max(np.abs(q.values - aligned)))
-    doc["reference"] = {
-        "table": _MR_PROCESS_TABLE,
-        "extended_table": _MR_EXTENDED_TABLE,
-        "nonclassicality": _SQRT2_MINUS_1,
-    }
-    doc["max_table_deviation"] = _table_dev(q, _MR_PROCESS_TABLE)
-    doc["max_extended_table_deviation"] = _table_dev(ext, _MR_EXTENDED_TABLE)
+        doc["factorization_defect"] = float(np.max(np.abs(q.values - np.real(np.outer(p0, p1)))))
+    else:  # measure-replace
+        inst, outputs = bundle.instruments["channels[0]"]
+        ext = extended_kd(p.rho0, s[0], inst)
+        # align: match each t1 outcome's projector to the branch output it selects
+        perm = []
+        for o in s[1].outcomes:
+            hits = [k for k, w in enumerate(outputs) if max_abs(w - o.projector) <= p.tol]
+            if len(hits) != 1:
+                raise ValidationError("demo outputs do not match the t1 projectors one-to-one")
+            perm.append(hits[0])
+        doc["extended_kd"] = _dist_json(ext)
+        doc["extended_nonclassicality"] = nonclassicality(ext)
+        doc["equality_gap"] = abs(doc["nonclassicality"] - doc["extended_nonclassicality"])
+        doc["table_gap_after_alignment"] = float(np.max(np.abs(q.values - ext.values[:, perm])))
+        doc["max_extended_table_deviation"] = _table_dev(ext, ref["extended_table"])
     return doc
 
 
@@ -826,17 +810,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spec_cmd("validate", _cmd_validate, "run all structural and numerical checks")
 
-    sp = spec_cmd("dist", _cmd_dist, "evaluate a temporal distribution", _DIST_KINDS)
+    sp = spec_cmd("dist", _cmd_dist, "evaluate a temporal distribution", _DIST_BUILDERS)
     sp.add_argument("--table", default=None, help="also write a flat delimited table here")
 
-    sp = spec_cmd("nonclassicality", _cmd_nonclassicality, "Σ|Q|-1 or log Σ|Q|", _DIST_KINDS)
+    sp = spec_cmd("nonclassicality", _cmd_nonclassicality, "Σ|Q|-1 or log Σ|Q|", _DIST_BUILDERS)
     sp.add_argument("--variant", choices=("linear", "log"), default="linear")
 
     sp = spec_cmd("witness", _cmd_witness, "nonclassicality vs back-evolved commutators")
     sp.add_argument("--schedule", default="default")
 
     sp = spec_cmd("state", _cmd_state, "temporal state operator with eigenvalue summary")
-    sp.add_argument("--kind", choices=_STATE_CLI_KINDS, default="kd-right")
+    sp.add_argument("--kind", choices=_STATE_BUILDERS, default="kd-right")
 
     sp = spec_cmd("charfn", _cmd_charfn, "characteristic function samples", CHAR_KINDS)
     sp.add_argument("--points", default=None,
@@ -848,7 +832,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed_arg, default=None)
 
     sp = sub.add_parser("demo", help="run a bundled worked example")
-    sp.add_argument("name", choices=sorted(_DEMOS))
+    sp.add_argument("name", choices=sorted(_REFERENCES))
     sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(fn=_cmd_demo)
 
