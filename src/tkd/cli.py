@@ -371,7 +371,7 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
                 raise SpecParseError(f"{lwhere}: {label!r} repeats projectors[{seen[label]}]")
             seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
-        m = ProjectiveMeasurement(dim, outs, tol=tol)
+        m = _in_field(f"{where}.projectors", ProjectiveMeasurement, dim, outs, tol=tol)
         return m, m.observable()
     raise SpecParseError(f"{where}: needs 'observable' or 'projectors'")
 
@@ -420,6 +420,14 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     for i, c in enumerate(raw_channels):
         channels.append(_parse_channel(c, f"channels[{i}]", tol, dim, instruments))
         dim = channels[-1].d_out
+    # MultiTimeProcess's own checks, run first in its order so that a refusal names the field;
+    # the other kinds are trace preserving by construction, up to rounding, once built
+    _in_field("initial_state", check_density, rho, tol)
+    for i, c in enumerate(channels):
+        rep = validate_cptp(c, tol)
+        if not rep.trace_preserving:
+            where = f"channels[{i}]" + (".operators" if raw_channels[i]["kind"] == "kraus" else "")
+            raise ValidationError(f"{where}: channel {i} is not trace preserving, defect {rep.defect:.3e}")
     process = MultiTimeProcess(rho, channels, tol=tol)
 
     dims = data.get("dims")
@@ -790,6 +798,17 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
+def _shots_arg(text: str) -> int:
+    """At least 2 shots, one per readout basis, as `circuit_sim` requires."""
+    try:
+        shots = int(text)
+    except ValueError:
+        shots = None
+    if shots is None or shots < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return shots
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tkd",
@@ -828,7 +847,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = spec_cmd("circuit-sim", _cmd_circuit_sim, "ancilla interferometer at one point", CHAR_KINDS)
     sp.add_argument("--point", required=True, help="comma-separated phases")
-    sp.add_argument("--shots", type=int, default=None)
+    sp.add_argument("--shots", type=_shots_arg, default=None)
     sp.add_argument("--seed", type=_seed_arg, default=None)
 
     sp = sub.add_parser("demo", help="run a bundled worked example")

@@ -452,8 +452,20 @@ def test_exit_code_validation(tmp_path, capsys):
 NEAR_HERMITIAN = [[[0.5, 0], [0.2, 1e-10]], [[0.2, 0], [0.5, 0]]]  # Hermitian within 1e-9
 SHEARED = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
 TWICE_ZERO = [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]
-# a numerical refusal of a channel field exits 4, a structural one 3; each names the field
+NOT_TP = [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]
+# a numerical refusal of a spec field exits 4, a structural one 3; each names the field
 CHANNEL_REFUSALS = [
+    ({"initial_state": TWICE_ZERO}, 4, "initial_state: state trace differs from 1"),
+    ({"initial_state": SHEARED}, 4, "initial_state: state is not Hermitian within tol"),
+    ({"channels": [{"kind": "kraus", "operators": NOT_TP}]}, 4,
+     "channels[0].operators: channel 0 is not trace preserving, defect 7.500e-01"),
+    ({"schedules": {"default": [{"projectors": [{"matrix": ZERO_STATE}]}, {"observable": Y}]}}, 4,
+     "schedules.default[0].projectors: projectors do not sum to the identity"),
+    ({"schedules": {"alt": [{"observable": Z}, {"projectors": [{"matrix": ZERO_STATE}, {"matrix": I2}]}]}},
+     4, "schedules.alt[1].projectors: projectors do not sum to the identity"),
+    ({"schedules": {"default": [{"projectors": [{"matrix": TWICE_ZERO}, {"matrix": ONE_STATE}]},
+                                {"observable": Y}]}}, 4,
+     "schedules.default[0].projectors: outcome 0.0: not a Hermitian projector"),
     ({"channels": [{"kind": "unitary", "u": SHEARED}]}, 4,
      "channels[0].u: build_channel: u is not unitary within tol"),
     ({"channels": [{"kind": "replacement", "omega": SHEARED}]}, 4,
@@ -519,11 +531,27 @@ def test_tolerance_env_rejected(tmp_path, capsys, monkeypatch, value):
     assert "TKD_TOLERANCE" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", ["-3", "x", "1.5"])
-def test_circuit_sim_seed_flag_rejected(spec_file, capsys, seed):
-    argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "10", "--seed", seed]
+@pytest.mark.parametrize("flag,value", [pytest.param("--seed", v, id=v) for v in ("-3", "x", "1.5")]
+                         + [pytest.param("--shots", v, id=f"shots={v}") for v in ("0", "1", "-3", "x")])
+def test_circuit_sim_seed_flag_rejected(spec_file, capsys, flag, value):
+    argv = ["circuit-sim", spec_file, "--point", "0.7,1.3", "--shots", "10", "--seed", "7", flag, value]
     assert run_command(argv) == 2
-    assert "--seed" in capsys.readouterr().err
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,argument,choices", [
+    ("state", "--kind", ["kd-right", "kd-left", "doubled", "mh", "pdo"]),
+    ("dist", "--kind", ["right", "left", "doubled", "mh", "lvn"]),
+    ("demo", "name", ["measure-replace", "replacement", "xy-qubit"]),
+], ids=["state", "dist", "demo"])
+def test_unknown_choice_lists_the_choices_in_order(spec_file, capsys, command, argument, choices):
+    argv = [command, "bogus"] if command == "demo" else [command, spec_file, "--kind", "bogus"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(choices) + "}" in err  # the usage line
+    listed = ", ".join(map(repr, choices))
+    assert err.endswith(f"tkd {command}: error: argument {argument}: invalid choice: 'bogus' "
+                        f"(choose from {listed})\n")
 
 
 def test_circuit_sim_seed_flag_accepted(spec_file, capsys):
