@@ -801,12 +801,11 @@ def _seed_arg(text: str) -> int:
 def _shots_arg(text: str) -> int:
     """At least 2 shots, one per readout basis, as `circuit_sim` requires."""
     try:
-        shots = int(text)
+        if int(text) >= 2:
+            return int(text)
     except ValueError:
-        shots = None
-    if shots is None or shots < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return shots
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
 
 
 @functools.cache
