@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, partial_trace, readonly
+from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, readonly
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
@@ -290,24 +290,36 @@ _READOUT_SIGN = -1
 
 def _ancilla_xy(p: MultiTimeProcess, groups, point: np.ndarray) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer at
-    one phase point, whose phases follow the groups' axes."""
+    one phase point, whose phases follow the groups' axes.
+
+    Every tensor product of the circuit is written as blocks rather than
+    taken with `np.kron`: the controlled gate |0⟩⟨0|⊗G1 + |1⟩⟨1|⊗G2 holds G1
+    and G2 in its diagonal blocks, a wall I₂⊗W holds W in both, and ρ⊗|0⟩⟨0|
+    holds ρ at every r-th row and column of zeros. The arrays and products
+    are those of the Kronecker form, entry for entry, so results match it
+    bit for bit."""
     n, d = p.n_times, p.dims[0]
     phase = iter(point)
     gates = {sign: [_phases(m, _GATE_PHASE_SIGN, [next(phase)], m.projectors)[0] for m in ms]
              for ms, _, sign in groups}
     bare = [np.eye(d, dtype=np.complex128)] * n
     dils = [c.dilation for c in p.channels]
-    rho = np.kron(np.full((2, 2), 0.5, dtype=np.complex128), p.rho0)
+    rho = np.tile(0.5 * p.rho0, (2, 2))  # |+⟩⟨+|⊗ρ₀: ρ₀/2 in all four blocks
+    ctrl = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     # G1 from the ket side (+1), G2 from the bra side (−1)
     for g1, g2, dil in zip(gates.get(+1, bare), gates.get(-1, bare), dils + [None]):
-        ctrl = np.kron(np.diag([1.0, 0.0]), g1) + np.kron(np.diag([0.0, 1.0]), g2)
+        ctrl[:d, :d], ctrl[d:, d:] = g1, g2
         rho = ctrl @ rho @ ctrl.conj().T
         if dil is not None:
-            w, r, env = dil
-            wall = np.kron(np.eye(2), w)
-            rho = partial_trace(wall @ np.kron(rho, env) @ wall.conj().T, [2, d, r], [0, 1])
-    anc = partial_trace(rho, [2, d], [0])
-    x, y = float(2 * anc[0, 1].real), float(-2 * anc[0, 1].imag)
+            w, r, _ = dil  # the environment starts in |0⟩⟨0|
+            wall = np.zeros((2 * d * r, 2 * d * r), dtype=np.complex128)
+            wall[:d * r, :d * r] = wall[d * r:, d * r:] = w
+            attached = np.zeros_like(wall)
+            attached[::r, ::r] = rho
+            rho = (wall @ attached @ wall.conj().T).reshape(2, d, r, 2, d, r)
+            rho = rho.trace(axis1=2, axis2=5).reshape(2 * d, 2 * d)
+    anc01 = rho.reshape(2, d, 2, d).trace(axis1=1, axis2=3)[0, 1]
+    x, y = float(2 * anc01.real), float(-2 * anc01.imag)
     env_dims = tuple(r for _, r, _ in dils)
     return x, y, {"env_dims": env_dims, "register": (2, d) + env_dims}
 
@@ -328,6 +340,8 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
     """
+    if shots is not None and shots < 2:
+        raise ValidationError("need at least 2 shots, one per readout basis")
     groups, grid = _kind_inputs(p, obs, kind, [point])
     s = _READOUT_SIGN
     x, y, meta = _ancilla_xy(p, groups, grid[0])
@@ -336,8 +350,6 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
 
     estimate = std_error = deviation = None
     if shots is not None:
-        if shots < 2:
-            raise ValidationError("need at least 2 shots, one per readout basis")
         rng = np.random.default_rng(seed)
         n_x = shots // 2
         n_y = shots - n_x
