@@ -412,6 +412,18 @@ def test_circuit_shots():
         tkd.circuit_sim(p, obs, pt, shots=1)
 
 
+@pytest.mark.parametrize("shots", [1, 0, -3])
+def test_too_few_shots_are_refused_before_the_simulator_runs(shots, monkeypatch):
+    def never(*args):
+        raise AssertionError("the interferometer ran")
+
+    monkeypatch.setattr(tkd.charfunc, "_ancilla_xy", never)
+    p = tkd.random_process(2, 1, seed=611, channel_kind="cptp")
+    obs = tkd.ObservableSchedule(bra=(Z2, Z2))
+    with pytest.raises(ValidationError, match="^need at least 2 shots, one per readout basis$"):
+        tkd.circuit_sim(p, obs, (0.9, -0.4), shots=shots, seed=13)
+
+
 def test_circuit_metadata_and_calibration():
     p = tkd.random_process(2, 1, seed=613, channel_kind="cptp")
     s = tkd.random_schedule(p.dims, seed=614)
