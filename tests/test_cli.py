@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest  # type: ignore
@@ -257,6 +259,38 @@ def test_observable_beyond_the_spec_tolerance_names_its_field(tmp_path, capsys, 
     argv = TOLERANCE_COMMANDS[command]
     assert run_command([argv[0], str(path)] + argv[1:]) == 4
     assert "schedules.default[1].observable: not Hermitian within 1e-06" in capsys.readouterr().err
+
+
+HALF_MAX = sys.float_info.max / 2  # h ± h† stays finite for entry parts up to it
+
+
+@pytest.mark.parametrize("observable", [
+    [[[1e308, 0], [0, 0]], [[0, 0], [-1, 0]]],
+    [[[1, 0], [1e308, 0]], [[-1e308, 0], [-1, 0]]],
+    [[[1, 0], [0, -1e308]], [[0, -1e308], [-1, 0]]],
+], ids=["diagonal", "real off-diagonal", "imaginary off-diagonal"])
+def test_observable_that_overflows_names_its_field(tmp_path, capsys, observable):
+    # (h + h†)/2 or h − h† would overflow: one refusal naming the field, and no numpy warning
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": [{"observable": Z},
+                                                                 {"observable": observable}]})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(["validate", str(path)]) == 4
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tkd: validation error: schedules.default[1].observable: ")
+    assert "overflows" in err[0]
+
+
+def test_observable_at_half_the_float_range_is_accepted(tmp_path, capsys):
+    edge = [[[HALF_MAX, 0], [0, 0]], [[0, 0], [-HALF_MAX, 0]]]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": [{"observable": edge}] * 2})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        doc = run_json(capsys, ["validate", str(path)])
+    assert not caught and doc["command"] == "validate"
 
 
 def test_output_file_option(spec_file, capsys, tmp_path):
