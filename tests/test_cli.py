@@ -261,9 +261,6 @@ def test_observable_beyond_the_spec_tolerance_names_its_field(tmp_path, capsys, 
     assert "schedules.default[1].observable: not Hermitian within 1e-06" in capsys.readouterr().err
 
 
-HALF_MAX = sys.float_info.max / 2  # h ± h† stays finite for entry parts up to it
-
-
 @pytest.mark.parametrize("observable", [
     [[[1e308, 0], [0, 0]], [[0, 0], [-1, 0]]],
     [[[1, 0], [1e308, 0]], [[-1e308, 0], [-1, 0]]],
@@ -284,7 +281,8 @@ def test_observable_that_overflows_names_its_field(tmp_path, capsys, observable)
 
 
 def test_observable_at_half_the_float_range_is_accepted(tmp_path, capsys):
-    edge = [[[HALF_MAX, 0], [0, 0]], [[0, 0], [-HALF_MAX, 0]]]
+    half_max = sys.float_info.max / 2  # h ± h† stays finite for entry parts up to it
+    edge = [[[half_max, 0], [0, 0]], [[0, 0], [-half_max, 0]]]
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(probe_spec(schedules={"default": [{"observable": edge}] * 2})))
     with warnings.catch_warnings(record=True) as caught:
