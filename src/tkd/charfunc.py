@@ -14,7 +14,11 @@ gate sequences measures it as ⟨X⟩, ⟨Y⟩.
 
 The interferometer keeps ancilla ⊗ system live: each step's environment is
 attached just before its dilation unitary and traced out right after it, so
-no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators.
+no live matrix is larger than 2·d·r_k on a side for r_k Kraus operators. Its
+tensor products are written as blocks, never formed with `np.kron`: the
+controlled gate is G₁ ⊕ G₂, a wall I₂⊗W is W ⊕ W, attaching the environment
+writes ρ at every r_k-th row and column of a zero register, and tracing it
+out is one reshape and trace.
 """
 
 from __future__ import annotations
@@ -290,13 +294,10 @@ _READOUT_SIGN = -1
 
 def _ancilla_xy(p: MultiTimeProcess, groups, point: np.ndarray) -> tuple[float, float, dict]:
     """⟨X⟩, ⟨Y⟩ of the ancilla after the controlled-G1/G2 interferometer at
-    one phase point, whose phases follow the groups' axes.
-
-    Every tensor product of the circuit is written as blocks rather than
-    taken with `np.kron`: the controlled gate |0⟩⟨0|⊗G1 + |1⟩⟨1|⊗G2 holds G1
-    and G2 in its diagonal blocks, a wall I₂⊗W holds W in both, and ρ⊗|0⟩⟨0|
-    holds ρ at every r-th row and column of zeros. The arrays and products
-    are those of the Kronecker form, entry for entry, so results match it
+    one phase point, whose phases follow the groups' axes. The block-written
+    gates, walls and registers hold the entries of |0⟩⟨0|⊗G1 + |1⟩⟨1|⊗G2,
+    I₂⊗W and ρ⊗|0⟩⟨0|, and each product multiplies the same arrays in the
+    same order as with those Kronecker products, so the results match them
     bit for bit."""
     n, d = p.n_times, p.dims[0]
     phase = iter(point)
@@ -335,7 +336,9 @@ def circuit_sim(p: MultiTimeProcess, obs: ObservableSchedule, point: Sequence[fl
     factors as C_n (I⊗W_n) C_{n-1} … (I⊗W_1) C_0 with C_k the controlled
     phase gates, and every environment register meets only its own wall.
     So the simulation keeps ancilla ⊗ system live, attaching each fresh
-    environment before its wall and tracing it out after. ``metadata``
+    environment before its wall and tracing it out after; the controlled
+    gates, walls and attached registers are written into the blocks of zero
+    arrays, not formed as Kronecker products. ``metadata``
     names the full register (2, d, r_1, …, r_n). Returns
     ⟨X⟩ − i⟨Y⟩ = Tr[G₁ρG₂†]; with shots, also a binomial Monte-Carlo estimate
     and its analytic standard error.
