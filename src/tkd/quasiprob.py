@@ -225,6 +225,13 @@ def _check_schedule(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], nam
             raise ValidationError(f"{name}[{k}] acts on dim {m.dim}, process carries {d}")
 
 
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product a_x·b_y of two (·, d, d) stacks as one GEMM, a
+    (len a·d, len b·d) matrix with entry [(x, r), (y, s)] = (a_x·b_y)[r, s]."""
+    d = a.shape[-1]
+    return a.reshape(-1, d) @ b.transpose(1, 0, 2).reshape(d, -1)
+
+
 def _trace_rows(maps: np.ndarray) -> np.ndarray:
     """Rows w_i with w_i · vec(x) = Tr[a_i x b_i]: the final trace folded into the maps."""
     return np.eye(math.isqrt(maps.shape[1])).reshape(-1) @ maps
@@ -459,37 +466,56 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
     value = nonclassicality(QuasiDistribution("kd_right", axes, q.reshape(sizes), tol=p.tol))
+    del q  # the commutator tables below are the peak; Q is not held through them
     if n == 0:
         return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
 
-    # the projectors of t_0, then (unitary chains) those of every later time
-    # back-evolved to t_0, as marginals of the later joint operators
-    unitary = all(len(c.kraus) == 1 for c in p.channels)
-    single = s[0].projectors
-    if unitary:
-        stack = later.reshape(sizes[1:] + [d, d])
-        single = np.concatenate([single] + [stack.sum(axis=tuple(a for a in range(n) if a != k))
-                                            for k in range(n)])
-
-    # the commutators in visiting order: each later joint operator against
-    # the t_0 projectors (broadcast), then (unitary chains) the gathered
-    # single-time pairs, projectors i of t_k against j of t_l for k < l
+    # [M_b', Π_b0] in visiting order, entry [b', r, b0, s]: the products M·Π,
+    # minus Π·M read off the products of the transposes, (Π·M)ᵀ = Mᵀ·Πᵀ (the
+    # Mᵀ stack is the backward sweep's own layout, so it is not copied); one
+    # product table is live at a time
     nl, m0 = len(later), sizes[0]
+    proj = s[0].projectors
+    block = _products(later, proj)
+    block4 = block.reshape(nl, d, m0, d)
+    reverse = _products(later.transpose(0, 2, 1), proj.transpose(0, 2, 1))
+    block4 -= reverse.reshape(nl, d, m0, d).transpose(0, 3, 2, 1)
+    del reverse
+
+    # unitary chains: the projectors of every later time back-evolved to t_0,
+    # as marginals of the later joint operators, and every single-time pair,
+    # projector i of t_k against j of t_l for k < l in visiting order, read
+    # off one antisymmetrized table of products
     time = np.repeat(np.arange(n + 1), sizes)
+    unitary = all(len(c.kraus) == 1 for c in p.channels)
     i, j = np.nonzero(time[:, None] < time[None, :]) if unitary else (np.zeros(0, int),) * 2
     order = np.lexsort((j, i, time[j], time[i]))
     i, j = i[order], j[order]
-    comms = np.empty((nl * m0 + len(i), d, d), dtype=np.complex128)
-    for c, a, b in ((comms[:nl * m0].reshape(nl, m0, d, d), later[:, None], single[None, :m0]),
-                    (comms[nl * m0:], single[i], single[j])):
-        np.matmul(a, b, out=c)
-        c -= b @ a
+    pairs = np.zeros((0, d, d), dtype=np.complex128)
+    if unitary:
+        stack = later.reshape(sizes[1:] + [d, d])
+        single = np.concatenate([proj] + [stack.sum(axis=tuple(a for a in range(n) if a != k))
+                                          for k in range(n)])
+        table = _products(single, single).reshape(len(single), d, len(single), d)
+        pairs = (table - table.transpose(2, 1, 0, 3))[i, :, j]
 
-    fro = np.linalg.norm(comms, axis=(1, 2))
+    # Frobenius norms: sums of squares over the real and imaginary parts,
+    # which einsum reads in place
+    re_block = block.view(np.float64).reshape(nl, d, m0, 2 * d)
+    re_pairs = pairs.view(np.float64)
+    fro = np.sqrt(np.concatenate([np.einsum("xrys,xrys->xy", re_block, re_block).ravel(),
+                                  np.einsum("kij,kij->k", re_pairs, re_pairs)]))
     low = float(fro.max()) / math.sqrt(d) * (1 - 1e-9)  # ≤ the largest spectral norm
     need = np.flatnonzero(fro * (1 + 1e-9) >= low - 1e-12 * max(1.0, low))
-    norms = np.full(len(comms), -np.inf)
-    norms[need] = np.linalg.norm(comms[need], ord=2, axis=(1, 2))
+    # spectral norms of the candidates, ‖C‖₂ = √λ_max(C†C); the block is freed
+    # once they are gathered
+    inside = need[need < nl * m0]
+    c = [block4[inside // m0, :, inside % m0], pairs[need[len(inside):] - nl * m0]]
+    del block, block4, re_block
+    c = np.concatenate(c)
+    norms = np.full(len(fro), -np.inf)
+    lam = np.linalg.eigvalsh(np.einsum("kra,krb->kab", c.conj(), c))[:, -1]
+    norms[need] = np.sqrt(np.maximum(lam, 0.0))
     best = float(norms.max())
     pos = int(np.argmax(norms >= best - 1e-12 * max(1.0, best)))
 
