@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, frozen_matrix, is_hermitian, readonly
+from .linops import (ValidationError, as_matrix, check_half_range, frozen_matrix, is_hermitian,
+                     readonly)
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
@@ -42,7 +43,9 @@ class ObservableSchedule:
     """Hermitian observables per time: bra side (B_k, right-hand phases),
     ket side (A_k, left-hand phases), or both for the doubled kind. A side
     holds the read-only Hermitian parts (o + o†)/2 of observables Hermitian
-    within ``tol``, so every accepted observable decomposes."""
+    within ``tol``, so every accepted observable decomposes; an entry whose
+    real or imaginary part exceeds half the float range is refused first,
+    as (o + o†)/2 could overflow."""
 
     ket: tuple[np.ndarray, ...] | None = None
     bra: tuple[np.ndarray, ...] | None = None
@@ -56,6 +59,7 @@ class ObservableSchedule:
                 continue
             ops = tuple(as_matrix(o) for o in ops)
             for k, o in enumerate(ops):
+                check_half_range(o, f"{side} observable {k}")
                 if not is_hermitian(o, self.tol):
                     raise ValidationError(f"{side} observable {k} is not Hermitian")
             object.__setattr__(self, side, tuple(frozen_matrix((o + o.conj().T) / 2) for o in ops))

@@ -36,7 +36,7 @@ from .charfunc import (
     invert_char,
     product_grid,
 )
-from .linops import ValidationError, dagger, is_hermitian, max_abs
+from .linops import ValidationError, check_half_range, dagger, is_hermitian, max_abs
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import (
     MultiTimeProcess,
@@ -346,10 +346,7 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
         h = _parse_matrix(obj["observable"], f"{where}.observable")
         if h.shape != (dim, dim):
             raise SpecParseError(f"{where}.observable: shape {h.shape}, expected {(dim, dim)}")
-        half_max = sys.float_info.max / 2  # real and imaginary parts within it keep h ± h† finite
-        if not max(max_abs(h.real), max_abs(h.imag)) <= half_max:
-            raise ValidationError(f"{where}.observable: an entry exceeds {half_max:.6e} in its real "
-                                  "or imaginary part, so (h + h†)/2 overflows")
+        check_half_range(h, f"{where}.observable")
         if not is_hermitian(h, tol):
             raise ValidationError(f"{where}.observable: not Hermitian within {tol}")
         h = (h + dagger(h)) / 2  # bit-identical for exactly Hermitian input

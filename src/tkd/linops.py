@@ -9,9 +9,12 @@ there is no hidden global epsilon.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
+
+HALF_RANGE = sys.float_info.max / 2  # real and imaginary parts within it keep h ± h† finite
 
 
 class ValidationError(ValueError):
@@ -61,6 +64,15 @@ def max_abs(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     return a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
+
+
+def check_half_range(h: np.ndarray, where: str) -> None:
+    """Refuse an observable with an entry whose real or imaginary part exceeds
+    HALF_RANGE, before h − h† or (h + h†)/2 is formed: past it they can
+    overflow with a numpy warning. NaN entries are left to the Hermiticity check."""
+    if max_abs(h.real) > HALF_RANGE or max_abs(h.imag) > HALF_RANGE:
+        raise ValidationError(f"{where}: an entry exceeds {HALF_RANGE:.6e} in its real "
+                              "or imaginary part, so (h + h†)/2 overflows")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

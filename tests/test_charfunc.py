@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import tracemalloc
 import warnings
 
@@ -92,6 +93,31 @@ def test_schedule_validation():
                                                                   d_in=2)])
     with pytest.raises(ValidationError, match="^characteristic functions need square step dims$"):
         tkd.char_fn(rect, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(3))), [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("side", ["ket", "bra"])
+@pytest.mark.parametrize("entries", [
+    [[1e308, 0.0], [0.0, -1.0]],
+    [[0.0, 1e308], [1e308, 0.0]],
+    [[0.0, 1e308j], [-1e308j, 0.0]],
+], ids=["diagonal", "real off-diagonal", "imaginary off-diagonal"])
+def test_observable_that_overflows_is_refused_without_a_warning(side, entries):
+    # (o + o†)/2, or o − o† in the Hermiticity check, would overflow
+    ops = (np.eye(2), np.array(entries))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=f"^{side} observable 1: an entry exceeds .* overflows$"):
+            tkd.ObservableSchedule(**{side: ops})
+    assert not caught
+
+
+def test_observable_at_half_the_float_range_is_accepted():
+    half_max = sys.float_info.max / 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        obs = tkd.ObservableSchedule(bra=(np.diag([half_max, -half_max]),) * 2)
+    assert not caught
+    assert np.array_equal(obs.bra[0], np.diag([half_max, -half_max]))
 
 
 def test_char_samples_validation():
