@@ -4,7 +4,7 @@ brute-force oracle.
 Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps) and
 schedules draw spectra from a small value set, so degenerate observables and
 single-outcome measurements come up; the witness is also checked on seeded
-unitary chains of up to eight steps. Examples are derandomized, so every run
+unitary, mixed and CPTP chains of up to eight steps. Examples are derandomized, so every run
 checks the same cases. Distributions, correlators and χ use the contract
 tolerance of 1e-12, states against the oracle that of 1e-10. The
 measure-and-prepare channel kinds and depolarizing are checked against their
@@ -412,14 +412,16 @@ def test_witness_visiting_order_on_exact_ties():
 @pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (4, 4)])
 def test_witness_matches_reference_loop_at_the_regime_edge(d, n):
     # on a unitary chain each single-time operator sums the later joint
-    # operators over every other later time: these sizes sum the most terms
-    for seed in (900, 1900, 2900):
-        p = tkd.random_process(d, n, seed=seed + 10 * d + n, channel_kind="unitary")
+    # operators over every other later time: these sizes sum the most terms;
+    # mixed and cptp chains have no single-time pairs, so only the [M, Π_0]
+    # block reaches the pruning
+    for kind, seed in itertools.product(("unitary", "mixed", "cptp"), (900, 1900, 2900)):
+        p = tkd.random_process(d, n, seed=seed + 10 * d + n, channel_kind=kind)
         s = tkd.random_schedule(p.dims, seed=seed + 10 * d + n + 1)
         rep = tkd.classicality_witness(p, s)
         best, pair = _witness_reference(p, s)
         assert abs(rep.max_commutator_norm - best) <= TOL
-        assert rep.worst_pair == pair, seed
+        assert rep.worst_pair == pair, (kind, seed)
 
 
 @STATE_SETTINGS

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest  # type: ignore
@@ -348,6 +349,22 @@ def test_witness_commuting_instance():
     rep = tkd.classicality_witness(p, s)
     assert abs(rep.nonclassicality) < 1e-12
     assert rep.max_commutator_norm < 1e-12
+
+
+@pytest.mark.parametrize("d, n, kind", [(4, 6, "unitary"), (4, 6, "mixed"), (3, 7, "unitary")])
+def test_witness_peak_memory_stays_near_the_commutator_block(d, n, kind):
+    # the [M_b', Π_b0] stack holds Π m_k · d² complex values: the output buffer
+    # and one product table are live at a time, plus the later joint operators
+    p = tkd.random_process(d, n, seed=5, channel_kind=kind)
+    s = tkd.random_schedule(p.dims, seed=6)
+    block = int(np.prod([len(m.outcomes) for m in s])) * d * d * 16
+    tracemalloc.start()
+    try:
+        tkd.classicality_witness(p, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * block, peak / block
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6, 8])
