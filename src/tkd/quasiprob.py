@@ -36,7 +36,10 @@ from w toward t_0 and yields the joint operators M with Tr[M ρ] = Q behind
 `joint_ops` and `classicality_witness`. The witness runs it once, with the
 identity at t_0, and reads the back-evolved projectors of each later time off
 that stack as marginals over the other later times: Σ_b Π_b = I, and the
-adjoint of a trace-preserving step is unital.
+adjoint of a trace-preserving step is unital. Its commutators come from
+stack-wide GEMMs, every product a_x·b_y of two operator stacks in one call,
+and its spectral norms from one batched Hermitian eigensolve of the Gram
+matrices C†C, so no step dispatches per d×d matrix.
 
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
@@ -453,8 +456,14 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     `QuasiDistribution` it fills, as kd_right's is. On a unitary chain the
     single-time operator E_1†(...E_k†(Π_bk)) is the marginal of M over every
     later time but t_k, since Σ_b Π_b = I and each step's adjoint is unital.
+
+    Every product of two operator stacks is one GEMM (`_products`): the
+    [M_b', Π_b0] block is M·Π minus the transposed products Mᵀ·Πᵀ = (Π·M)ᵀ,
+    subtracted into the buffer of the first; on unitary chains every
+    single-time pair is read off one antisymmetrized table of products.
     Spectral norms are taken only where the Frobenius norm leaves room for
     the maximum: ‖C‖₂ ≤ ‖C‖_F, and the largest ‖C‖_F/√d bounds it from below.
+    Each is √λ_max(C†C), from one batched `eigvalsh` over the candidates.
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
