@@ -516,8 +516,9 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
                                   np.einsum("kij,kij->k", re_pairs, re_pairs)]))
     low = float(fro.max()) / math.sqrt(d) * (1 - 1e-9)  # ≤ the largest spectral norm
     need = np.flatnonzero(fro * (1 + 1e-9) >= low - 1e-12 * max(1.0, low))
-    # spectral norms of the candidates, ‖C‖₂ = √λ_max(C†C); the block is freed
-    # once they are gathered
+    # spectral norms of the candidates, ‖C‖₂ = √λ_max(C†C). Every commutator
+    # of a commuting chain is a candidate, so the block is freed once they are
+    # gathered, and einsum forms C†C without a (K, d, d, d) broadcast product
     inside = need[need < nl * m0]
     c = [block4[inside // m0, :, inside % m0], pairs[need[len(inside):] - nl * m0]]
     del block, block4, re_block
