@@ -59,7 +59,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm; the metric behind every tolerance in this package."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
@@ -138,7 +138,8 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndar
     start = 0
     for i in range(1, len(vals) + 1):
         if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append((float(np.mean(vals[start:i])), vecs[:, start:i]))
+            val = vals[start] if i == start + 1 else np.mean(vals[start:i])
+            groups.append((float(val), vecs[:, start:i]))
             start = i
     return groups
 
