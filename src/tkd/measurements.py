@@ -7,15 +7,16 @@ outcomes than the dimension. Outcomes are identified by a hashable `label`
 measurements); labels are what downstream distribution axes index by.
 
 Outcomes and bases hold read-only copies of the operators they are given. A
-`ProjectiveMeasurement` builds its projector stack and its right, left and
-lvn insertion maps once, on first use, and `hs_basis(d)` returns one shared
-basis per dimension.
+`ProjectiveMeasurement` stacks its outcome projectors when it is constructed,
+checks them as that one stack and keeps it as `projectors`; it builds its
+right, left and lvn insertion maps once, on first use. `hs_basis(d)` returns
+one shared basis per dimension.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Hashable, Sequence
 
@@ -55,10 +56,36 @@ class Outcome:
         return f"Outcome(value={self.value!r}, label={self.label!r})"
 
 
+_BLOCK = 1 << 15  # complex entries a stack-wide check takes at once (512 kB): its temporaries stay in cache
+
+
+def _max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """`max_abs` of each matrix of an (m, d, d) stack; NaN propagates."""
+    return np.abs(stack).max(axis=(1, 2), initial=0.0)
+
+
+def _first_fault(defects, stack: np.ndarray, tol: float) -> int:
+    """Index of the first matrix of ``stack`` whose defect exceeds ``tol`` or is NaN,
+    else len(stack). ``defects`` maps a slice of the stack to the defect of each of
+    its matrices; it gets slices of about _BLOCK entries, so on a stack that size or
+    smaller it runs once."""
+    step = max(1, _BLOCK // max(1, stack[0].size))
+    for s in range(0, len(stack), step):
+        ok = defects(stack[s:s + step]) <= tol
+        if not ok.all():
+            return s + int(np.argmin(ok))
+    return len(stack)
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
+    """Outcomes whose projectors are Hermitian, idempotent, mutually orthogonal
+    and sum to the identity, each within ``tol``; ``projectors`` is their
+    read-only (m, d, d) stack in outcome order."""
+
     dim: int
     outcomes: tuple[Outcome, ...]
+    projectors: np.ndarray = field(repr=False)
 
     def __init__(self, dim: int, outcomes: Sequence[Outcome], tol: float = 1e-9):
         outcomes = tuple(outcomes)
@@ -67,30 +94,33 @@ class ProjectiveMeasurement:
         labels = [o.label for o in outcomes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"outcome labels are not distinct: {labels}")
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for o in outcomes:
-            p = as_matrix(o.projector)
-            if p.shape != (dim, dim):
-                raise ValidationError("projector shape does not match measurement dim")
-            if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
-                raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
-            total += p
-        if not max_abs(total - np.eye(dim)) <= tol:
+        # each outcome is checked for its shape, then for being a projector, in outcome order
+        mats = [np.asarray(o.projector, dtype=np.complex128) for o in outcomes]
+        n = next((k for k, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
+        if n:
+            stack = np.stack(mats[:n])
+            k = min(_first_fault(lambda c: _max_abs_each(c - c.conj().transpose(0, 2, 1)), stack, tol),
+                    _first_fault(lambda c: _max_abs_each(c @ c - c), stack, tol))
+            if k < n:
+                raise ValidationError(f"outcome {outcomes[k].label!r}: not a Hermitian projector")
+        if n < len(mats):
+            as_matrix(mats[n])  # refuses a missing projector as not a matrix
+            raise ValidationError("projector shape does not match measurement dim")
+        if not max_abs(stack.sum(axis=0) - np.eye(dim)) <= tol:
             raise ValidationError("projectors do not sum to the identity")
-        for a, b in itertools.combinations(outcomes, 2):
-            if not max_abs(a.projector @ b.projector) <= tol:
-                raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
+        # each projector against every later one, so the pairs come in itertools.combinations
+        # order and the m²·d² table of all pairs is never formed
+        for a in range(n - 1):
+            b = a + 1 + _first_fault(lambda c: _max_abs_each(stack[a] @ c), stack[a + 1:], tol)
+            if b < n:
+                raise ValidationError(f"projectors {outcomes[a].label!r} and {outcomes[b].label!r} overlap")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "projectors", readonly(stack))
 
     def observable(self) -> np.ndarray:
         """Σ value·projector."""
         return sum(o.value * o.projector for o in self.outcomes)
-
-    @cached_property
-    def projectors(self) -> np.ndarray:
-        """The outcome projectors stacked in outcome order, (m, d, d)."""
-        return readonly(np.stack([o.projector for o in self.outcomes]))
 
     @cached_property
     def right_maps(self) -> np.ndarray:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest  # type: ignore
 
@@ -36,25 +38,82 @@ def test_spectral_measurement_merges_degeneracy():
     assert ranks == [1, 2]
 
 
+ZERO = tkd.projector(tkd.basis_state(2, 0))
+ONE = tkd.projector(tkd.basis_state(2, 1))
+HALF = np.eye(2) * 0.5  # Hermitian, not idempotent
+SHEARED = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
+NAN = np.array([[1.0, np.nan], [0.0, 0.0]])
+# d=3, tol 0.4: Σ − I is 1/3 at most, so completeness passes; of the pairs
+# (x, y), (x, z), (y, z) only the last overlaps, by 5/9
+X3 = tkd.projector(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
+Y3 = np.eye(3) - tkd.projector(np.array([1.0, 2.0, 1.0]) / np.sqrt(6))
+Z3 = tkd.projector(np.array([1.0, -2.0, -1.0]) / np.sqrt(6))
+O = tkd.Outcome
+# (dim, outcomes, tol, refusal): with several faults the first failing outcome is named (its
+# shape checked before it is checked as a projector), then completeness, then the first
+# overlapping pair in itertools.combinations order
+REFUSALS = [
+    (2, [], 1e-9, "^measurement needs at least one outcome$"),
+    (2, [O(1.0, ZERO, "a"), O(-1.0, ONE, "a")], 1e-9, r"^outcome labels are not distinct: \['a', 'a'\]$"),
+    (2, [O(1.0, ZERO, "a")], 1e-9, "^projectors do not sum to the identity$"),
+    (2, [O(1.0, HALF, "a"), O(-1.0, HALF, "b")], 1e-9, "^outcome 'a': not a Hermitian projector$"),
+    (2, [O(1.0, np.eye(3), "a")], 1e-9, "^projector shape does not match measurement dim$"),
+    (2, [O(1.0, None, "a")], 1e-9, "^expected a matrix, got ndim=0$"),
+    (2, [O(1.0, NAN, "a"), O(-1.0, ONE, "b")], 1e-9, "^outcome 'a': not a Hermitian projector$"),
+    (2, [O(1.0, HALF, "a"), O(-1.0, np.eye(3), "b")], 1e-9, "^outcome 'a': not a Hermitian projector$"),
+    (2, [O(1.0, np.eye(3), "a"), O(-1.0, HALF, "b")], 1e-9,
+     "^projector shape does not match measurement dim$"),
+    (2, [O(1.0, ZERO, "a"), O(0.0, ONE, "b"), O(-1.0, np.eye(3), "c")], 1e-9,
+     "^projector shape does not match measurement dim$"),
+    (2, [O(1.0, SHEARED, "a"), O(0.0, ONE, "b"), O(-1.0, HALF, "c")], 1e-9,
+     "^outcome 'a': not a Hermitian projector$"),
+    (2, [O(1.0, ZERO, "a"), O(0.0, SHEARED, "b"), O(-1.0, HALF, "c")], 1e-9,
+     "^outcome 'b': not a Hermitian projector$"),
+    (2, [O(1.0, ZERO, "a"), O(-1.0, HALF, "b")], 1e-9, "^outcome 'b': not a Hermitian projector$"),
+    (2, [O(1.0, ZERO, "a"), O(-1.0, NAN.T, "b")], 1e-9, "^outcome 'b': not a Hermitian projector$"),
+    (3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], 0.4, "^projectors 'y' and 'z' overlap$"),
+    (3, [O(1.0, Z3, "z"), O(0.0, Y3, "y"), O(-1.0, X3, "x")], 0.4, "^projectors 'z' and 'y' overlap$"),
+    (3, [O(1.0, Y3, "y"), O(0.0, X3, "x"), O(-1.0, Z3, "z")], 0.4, "^projectors 'y' and 'z' overlap$"),
+]
+
+
 def test_projective_measurement_validation():
-    zero = tkd.projector(tkd.basis_state(2, 0))
-    one = tkd.projector(tkd.basis_state(2, 1))
-    with pytest.raises(ValidationError):
-        tkd.ProjectiveMeasurement(2, [])
-    with pytest.raises(ValidationError):  # duplicate labels
-        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, zero, "a"), tkd.Outcome(-1.0, one, "a")])
-    with pytest.raises(ValidationError):  # incomplete
-        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, zero, "a")])
-    with pytest.raises(ValidationError):  # not idempotent
-        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, np.eye(2) * 0.5, "a"),
-                                      tkd.Outcome(-1.0, np.eye(2) * 0.5, "b")])
-    with pytest.raises(ValidationError):  # wrong projector shape
-        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, np.eye(3), "a")])
-    nan = np.array([[1.0, np.nan], [0.0, 0.0]])
-    with pytest.raises(ValidationError, match="^outcome 'a': not a Hermitian projector$"):
-        tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, nan, "a"), tkd.Outcome(-1.0, one, "b")])
-    ok = tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, zero, "a"), tkd.Outcome(-1.0, one, "b")])
+    for dim, outcomes, tol, refusal in REFUSALS:
+        with pytest.raises(ValidationError, match=refusal):
+            tkd.ProjectiveMeasurement(dim, outcomes, tol=tol)
+    ok = tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, ZERO, "a"), tkd.Outcome(-1.0, ONE, "b")])
     assert max_abs(ok.observable() - np.diag([1.0, -1.0])) < 1e-15
+    assert tkd.ProjectiveMeasurement(3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], tol=0.6)
+
+
+@pytest.mark.parametrize("block", [1, 4, 12])
+def test_projective_measurement_refusals_do_not_depend_on_the_check_block(monkeypatch, block):
+    # a stack larger than the block is checked slice by slice; a fault in a later
+    # slice must still be the one named
+    monkeypatch.setattr(tkd.measurements, "_BLOCK", block)
+    for dim, outcomes, tol, refusal in REFUSALS:
+        with pytest.raises(ValidationError, match=refusal):
+            tkd.ProjectiveMeasurement(dim, outcomes, tol=tol)
+    pauli_z = [tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 3
+    outcomes = list(tkd.product_measurement(pauli_z).outcomes)
+    assert len(tkd.ProjectiveMeasurement(8, outcomes).projectors) == 8
+    outcomes[6] = O(outcomes[6].value, outcomes[6].projector * 0.5, outcomes[6].label)
+    with pytest.raises(ValidationError, match=r"^outcome \(1.0, 1.0, -1.0\): not a Hermitian projector$"):
+        tkd.ProjectiveMeasurement(8, outcomes)
+
+
+def test_product_measurement_checks_its_stack_in_bounded_memory():
+    # 64 rank-1 outcomes on d=64: the stack is 4 MB, a table of all pairs would be 268 MB
+    locals_ = [tkd.spectral_measurement(tkd.quasiprob.random_hermitian(4, seed=s)) for s in range(3)]
+    stack = 64 * 64 * 64 * 16
+    tracemalloc.start()
+    try:
+        m = tkd.product_measurement(locals_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.projectors.shape == (64, 64, 64)
+    assert peak <= 3 * stack, peak / stack
 
 
 def test_product_measurement(pauli):
