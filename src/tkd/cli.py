@@ -421,15 +421,19 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     for i, c in enumerate(raw_channels):
         channels.append(_parse_channel(c, f"channels[{i}]", tol, dim, instruments))
         dim = channels[-1].d_out
-    # MultiTimeProcess's own checks, run first in its order so that a refusal names the field;
-    # the other kinds are trace preserving by construction, up to rounding, once built
-    _in_field("initial_state", check_density, rho, tol)
-    for i, c in enumerate(channels):
-        rep = validate_cptp(c, tol)
-        if not rep.trace_preserving:
-            where = f"channels[{i}]" + (".operators" if raw_channels[i]["kind"] == "kraus" else "")
-            raise ValidationError(f"{where}: channel {i} is not trace preserving, defect {rep.defect:.3e}")
-    process = MultiTimeProcess(rho, channels, tol=tol)
+    try:
+        process = MultiTimeProcess(rho, channels, tol=tol)
+    except ValidationError:
+        # MultiTimeProcess's own checks, run again in its order so that the refusal names the
+        # field; the other kinds are trace preserving by construction, up to rounding, once built
+        _in_field("initial_state", check_density, rho, tol)
+        for i, c in enumerate(channels):
+            rep = validate_cptp(c, tol)
+            if not rep.trace_preserving:
+                where = f"channels[{i}]" + (".operators" if raw_channels[i]["kind"] == "kraus" else "")
+                raise ValidationError(
+                    f"{where}: channel {i} is not trace preserving, defect {rep.defect:.3e}")
+        raise
 
     dims = data.get("dims")
     if dims is not None:

@@ -512,6 +512,13 @@ CHANNEL_REFUSALS = [
      "channels[0].p: depolarizing strength 1.5 outside [0, 1]"),
     (measure_replace(outputs=[ZERO_STATE]), 3,
      "channels[0].outputs: 1 states for 2 instrument branches, one per branch is required"),
+    # several process faults: the first in MultiTimeProcess's order is named
+    ({"initial_state": TWICE_ZERO, "dims": MISSING, "schedules": {},
+      "channels": [{"kind": "unitary", "u": I2}, {"kind": "kraus", "operators": NOT_TP}]}, 4,
+     "initial_state: state trace differs from 1"),
+    ({"channels": [{"kind": "kraus", "operators": NOT_TP}, {"kind": "unitary", "u": I2},
+                   {"kind": "kraus", "operators": NOT_TP}], "dims": MISSING, "schedules": {}}, 4,
+     "channels[0].operators: channel 0 is not trace preserving, defect 7.500e-01"),
 ]
 
 
