@@ -56,25 +56,45 @@ class Outcome:
         return f"Outcome(value={self.value!r}, label={self.label!r})"
 
 
-_BLOCK = 1 << 15  # complex entries a stack-wide check takes at once (512 kB): its temporaries stay in cache
+_BLOCK = 1 << 14  # complex entries (256 kB) per stack-wide step of the checks: its temporaries stay in cache
 
 
-def _max_abs_each(stack: np.ndarray) -> np.ndarray:
-    """`max_abs` of each matrix of an (m, d, d) stack; NaN propagates."""
-    return np.abs(stack).max(axis=(1, 2), initial=0.0)
-
-
-def _first_fault(defects, stack: np.ndarray, tol: float) -> int:
-    """Index of the first matrix of ``stack`` whose defect exceeds ``tol`` or is NaN,
-    else len(stack). ``defects`` maps a slice of the stack to the defect of each of
-    its matrices; it gets slices of about _BLOCK entries, so on a stack that size or
-    smaller it runs once."""
+def _slices(stack: np.ndarray):
+    """Consecutive slices of an (m, d, d) stack, each of about _BLOCK entries or one matrix."""
     step = max(1, _BLOCK // max(1, stack[0].size))
-    for s in range(0, len(stack), step):
-        ok = defects(stack[s:s + step]) <= tol
-        if not ok.all():
-            return s + int(np.argmin(ok))
-    return len(stack)
+    return (stack[s:s + step] for s in range(0, len(stack), step))
+
+
+def _defects(stack: np.ndarray, dim: int):
+    """Arrays whose entries hold every defect of a stack of projectors as a measurement:
+    the deviation of their sum from the identity; per slice, their deviations from
+    Hermiticity and idempotence; each projector's products with all later ones, slice by
+    slice, so no table of all pairs is ever formed."""
+    yield stack.sum(axis=0) - np.eye(dim)
+    for c in _slices(stack):
+        yield np.concatenate((c - c.conj().transpose(0, 2, 1), c @ c - c))
+    for a in range(len(stack) - 1):
+        for c in _slices(stack[a + 1:]):
+            yield stack[a] @ c
+
+
+def _first_refusal(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarray],
+                   tol: float) -> ValidationError | None:
+    """The refusal of the first failing check, one outcome or pair at a time: each outcome's
+    shape, then whether it is a Hermitian projector, in outcome order; then the sum; then
+    each pair in itertools.combinations order. None if none fails."""
+    for o, p in zip(outcomes, mats):
+        if p.shape != (dim, dim):
+            as_matrix(p)  # refuses a missing projector as not a matrix
+            return ValidationError("projector shape does not match measurement dim")
+        if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
+            return ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
+    if not max_abs(sum(mats) - np.eye(dim)) <= tol:
+        return ValidationError("projectors do not sum to the identity")
+    for (a, pa), (b, pb) in itertools.combinations(zip(outcomes, mats), 2):
+        if not max_abs(pa @ pb) <= tol:
+            return ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,26 +114,13 @@ class ProjectiveMeasurement:
         labels = [o.label for o in outcomes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"outcome labels are not distinct: {labels}")
-        # each outcome is checked for its shape, then for being a projector, in outcome order
         mats = [np.asarray(o.projector, dtype=np.complex128) for o in outcomes]
-        n = next((k for k, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-        if n:
-            stack = np.stack(mats[:n])
-            k = min(_first_fault(lambda c: _max_abs_each(c - c.conj().transpose(0, 2, 1)), stack, tol),
-                    _first_fault(lambda c: _max_abs_each(c @ c - c), stack, tol))
-            if k < n:
-                raise ValidationError(f"outcome {outcomes[k].label!r}: not a Hermitian projector")
-        if n < len(mats):
-            as_matrix(mats[n])  # refuses a missing projector as not a matrix
-            raise ValidationError("projector shape does not match measurement dim")
-        if not max_abs(stack.sum(axis=0) - np.eye(dim)) <= tol:
-            raise ValidationError("projectors do not sum to the identity")
-        # each projector against every later one, so the pairs come in itertools.combinations
-        # order and the m²·d² table of all pairs is never formed
-        for a in range(n - 1):
-            b = a + 1 + _first_fault(lambda c: _max_abs_each(stack[a] @ c), stack[a + 1:], tol)
-            if b < n:
-                raise ValidationError(f"projectors {outcomes[a].label!r} and {outcomes[b].label!r} overlap")
+        stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
+        # every check at once over the stack; only when one fails are they run in order, to name it
+        if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
+            refusal = _first_refusal(dim, outcomes, mats, tol)
+            if refusal is not None:
+                raise refusal
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "projectors", readonly(stack))

@@ -83,13 +83,13 @@ def test_projective_measurement_validation():
             tkd.ProjectiveMeasurement(dim, outcomes, tol=tol)
     ok = tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, ZERO, "a"), tkd.Outcome(-1.0, ONE, "b")])
     assert max_abs(ok.observable() - np.diag([1.0, -1.0])) < 1e-15
-    assert tkd.ProjectiveMeasurement(3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], tol=0.6)
+    assert tkd.ProjectiveMeasurement(3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], tol=0.6).dim == 3
 
 
-@pytest.mark.parametrize("block", [1, 4, 12])
-def test_projective_measurement_refusals_do_not_depend_on_the_check_block(monkeypatch, block):
-    # a stack larger than the block is checked slice by slice; a fault in a later
-    # slice must still be the one named
+@pytest.mark.parametrize("block", [1, 12, 128])
+def test_projective_measurement_checks_every_slice_of_its_stack(monkeypatch, block):
+    # a stack larger than the block is checked slice by slice: a fault in any
+    # slice must still be caught, and named as the first failing check
     monkeypatch.setattr(tkd.measurements, "_BLOCK", block)
     for dim, outcomes, tol, refusal in REFUSALS:
         with pytest.raises(ValidationError, match=refusal):
