@@ -78,23 +78,21 @@ def _defects(stack: np.ndarray, dim: int):
             yield stack[a] @ c
 
 
-def _first_refusal(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarray],
-                   tol: float) -> ValidationError | None:
-    """The refusal of the first failing check, one outcome or pair at a time: each outcome's
+def _check_in_order(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarray], tol: float):
+    """The checks one outcome or pair at a time, raising the first that fails: each outcome's
     shape, then whether it is a Hermitian projector, in outcome order; then the sum; then
-    each pair in itertools.combinations order. None if none fails."""
+    each pair in itertools.combinations order."""
     for o, p in zip(outcomes, mats):
         if p.shape != (dim, dim):
             as_matrix(p)  # refuses a missing projector as not a matrix
-            return ValidationError("projector shape does not match measurement dim")
+            raise ValidationError("projector shape does not match measurement dim")
         if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
-            return ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
+            raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
     if not max_abs(sum(mats) - np.eye(dim)) <= tol:
-        return ValidationError("projectors do not sum to the identity")
+        raise ValidationError("projectors do not sum to the identity")
     for (a, pa), (b, pb) in itertools.combinations(zip(outcomes, mats), 2):
         if not max_abs(pa @ pb) <= tol:
-            return ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
-    return None
+            raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +116,7 @@ class ProjectiveMeasurement:
         stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
         # every check at once over the stack; only when one fails are they run in order, to name it
         if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
-            refusal = _first_refusal(dim, outcomes, mats, tol)
-            if refusal is not None:
-                raise refusal
+            _check_in_order(dim, outcomes, mats, tol)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "projectors", readonly(stack))
