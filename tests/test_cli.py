@@ -515,10 +515,10 @@ CHANNEL_REFUSALS = [
     # several process faults: the first in MultiTimeProcess's order is named
     ({"initial_state": TWICE_ZERO, "dims": MISSING, "schedules": {},
       "channels": [{"kind": "unitary", "u": I2}, {"kind": "kraus", "operators": NOT_TP}]}, 4,
-     "initial_state: state trace differs from 1"),
+     "tkd: validation error: initial_state: state trace differs from 1\n"),
     ({"channels": [{"kind": "kraus", "operators": NOT_TP}, {"kind": "unitary", "u": I2},
                    {"kind": "kraus", "operators": NOT_TP}], "dims": MISSING, "schedules": {}}, 4,
-     "channels[0].operators: channel 0 is not trace preserving, defect 7.500e-01"),
+     "tkd: validation error: channels[0].operators: channel 0 is not trace preserving, defect 7.500e-01\n"),
 ]
 
 

@@ -83,7 +83,8 @@ def test_projective_measurement_validation():
             tkd.ProjectiveMeasurement(dim, outcomes, tol=tol)
     ok = tkd.ProjectiveMeasurement(2, [tkd.Outcome(1.0, ZERO, "a"), tkd.Outcome(-1.0, ONE, "b")])
     assert max_abs(ok.observable() - np.diag([1.0, -1.0])) < 1e-15
-    assert tkd.ProjectiveMeasurement(3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], tol=0.6).dim == 3
+    loose = tkd.ProjectiveMeasurement(3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], tol=0.6)
+    assert loose.projectors.shape == (3, 3, 3)
 
 
 @pytest.mark.parametrize("block", [1, 12, 128])
