@@ -9,8 +9,10 @@ insertions for the forward sweep of `quasiprob`, one phase-gate map per
 distinct node of each time's axis: a grid that holds every combination of
 its per-axis nodes, in any order, takes one sweep over their product, and
 any other grid one sweep per point. χ inverts back to the distribution on a
-suitable product grid, and an ancilla that coherently switches between two
-gate sequences measures it as ⟨X⟩, ⟨Y⟩.
+suitable product grid, one axis solve at a time; the node analysis of the grid
+is made once per `CharSamples`, and `char_fn` hands over the one it already
+made. An ancilla that coherently switches between two gate sequences measures
+χ as ⟨X⟩, ⟨Y⟩.
 
 The interferometer keeps ancilla ⊗ system live: each step's environment is
 attached just before its dilation unitary and traced out right after it, so
@@ -82,9 +84,10 @@ class ObservableSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CharSamples:
-    """Finite χ values over phase points, held as the rows of a read-only (P, w) float64
-    copy ``grid`` (doubled points carry the ket v-block first, then the bra
-    u-block). ``tol`` bounds |χ(0) − 1|."""
+    """Finite χ values over phase points, held as a read-only complex128 copy
+    ``values`` and the rows of a read-only (P, w) float64 copy ``grid`` (doubled
+    points carry the ket v-block first, then the bra u-block). ``tol`` bounds
+    |χ(0) − 1|."""
 
     kind: str
     grid: np.ndarray
@@ -96,7 +99,8 @@ class CharSamples:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
         x = readonly(_grid_array(self.grid).copy())
         object.__setattr__(self, "grid", x)
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128).reshape(-1))
+        object.__setattr__(self, "values",
+                           readonly(np.array(self.values, dtype=np.complex128).reshape(-1)))
         if len(self.values) != len(x):
             raise ValidationError("one value per grid point required")
         if not np.isfinite(self.values).all():
@@ -104,6 +108,12 @@ class CharSamples:
         bad = ~x.any(axis=1) & (np.abs(self.values - 1.0) > self.tol)
         if bad.any():
             raise ValidationError(f"value at the zero point is {self.values[bad.argmax()]}, not 1")
+
+    @cached_property
+    def _nodes(self) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """`_grid_nodes` of the grid: worked out on first use, unless `char_fn`
+        stored the analysis it had already made."""
+        return _grid_nodes(self.grid)
 
 
 def _grid_array(grid, width: int | None = None,
@@ -136,8 +146,8 @@ def _grid_nodes(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
     """The sorted distinct nodes of each axis of a (P, w) grid and, if the grid
     holds every combination of them (in any order, repeats allowed), each
     point's flat C-order index into their product; None otherwise."""
-    if len(x) <= 1:  # each axis holds the one point's node
-        return list(x.T), np.zeros(len(x), dtype=np.intp)
+    if len(x) <= 1:  # each axis holds the one point's node, copied: x may be the caller's
+        return list(x.T.copy()), np.zeros(len(x), dtype=np.intp)
     xs = np.sort(x, axis=0)
     first = np.concatenate([np.ones_like(xs[:1], dtype=bool), xs[1:] != xs[:-1]])
     nodes = [col[keep] for col, keep in zip(xs.T, first.T)]
@@ -202,7 +212,9 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     nodes, flat = _grid_nodes(x)
     values = (_char_sweep(p, groups, nodes)[flat] if flat is not None else
               np.array([_char_sweep(p, groups, pt[:, None])[0] for pt in x]))
-    return CharSamples(kind, x, values, tol=p.tol)
+    samples = CharSamples(kind, x, values, tol=p.tol)
+    samples.__dict__["_nodes"] = nodes, flat  # the grid is a copy of x: same analysis
+    return samples
 
 
 def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]) -> CharSamples:
@@ -245,11 +257,18 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
     Per axis the grid must hold exactly as many distinct nodes as there are
     outcomes, and each node combination exactly once, in any order; each axis
     contributes a Vandermonde-type factor [e^{∓iu_j·b}] that is solved
-    independently. Rejects condition numbers above 1e6.
+    independently. The node analysis is the one the samples hold, so the
+    output of `char_fn` is not analysed again. Every factor's condition
+    number (np.linalg.cond, one batched SVD per axis size) is taken before
+    any solve, and the first axis above 1e6 is refused. Each solve acts on
+    the leading axis of the tensor and leaves it last, so one solve per axis
+    brings the axes back into order without moving any axis to the front.
     """
     axes = len(spectra)
-    nodes, flat = _grid_nodes(
-        _grid_array(samples.grid, axes, f"grid points carry {{}} phases for {axes} spectra"))
+    width = samples.grid.shape[1]
+    if width != axes:
+        raise ValidationError(f"grid points carry {width} phases for {axes} spectra")
+    nodes, flat = samples._nodes
     spect = [sorted(set(float(b) for b in s)) for s in spectra]
     shape = tuple(len(sp) for sp in spect)
     for i, (nd, sp) in enumerate(zip(nodes, spect)):
@@ -257,21 +276,24 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
             raise ValidationError(f"axis {i} has {len(nd)} grid nodes for {len(sp)} outcomes")
     if flat is None or len(flat) != math.prod(shape):
         raise ValidationError("grid is not a full per-axis product")
-    tensor = samples.values[np.argsort(flat)].reshape(shape)
 
     ket_axes = axes // 2 if samples.kind == "doubled" else 0
-    for i, sign in enumerate(_axis_signs(samples.kind, ket_axes, axes)):
-        f = np.exp(sign * 1j * np.outer(nodes[i], spect[i]))
-        cond = float(np.linalg.cond(f))
-        if cond > 1e6:
-            raise ValidationError(f"axis {i} transform is ill-conditioned, cond {cond:.3e}")
-        moved = np.moveaxis(tensor, i, 0)
-        solved = np.linalg.solve(f, moved.reshape(shape[i], -1)).reshape(moved.shape)
-        tensor = np.moveaxis(solved, 0, i)
+    factors = [np.exp(sign * 1j * np.outer(nd, sp)) for nd, sp, sign in
+               zip(nodes, spect, _axis_signs(samples.kind, ket_axes, axes))]
+    conds = {}
+    for m in dict.fromkeys(shape):  # one batched SVD per axis size
+        group = [i for i in range(axes) if shape[i] == m]
+        conds.update(zip(group, np.linalg.cond(np.stack([factors[i] for i in group]))))
+    for i in range(axes):
+        if conds[i] > 1e6:
+            raise ValidationError(f"axis {i} transform is ill-conditioned, cond {conds[i]:.3e}")
+    tensor = samples.values[np.argsort(flat)]
+    for f, m in zip(factors, shape):  # solve the leading axis, which then moves last
+        tensor = np.linalg.solve(f, tensor.reshape(m, -1)).T
 
     out_axes = tuple(tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
-    return QuasiDistribution("kd_" + samples.kind, out_axes, tensor, ket_axes=ket_axes,
-                             tol=samples.tol)
+    return QuasiDistribution("kd_" + samples.kind, out_axes, tensor.reshape(shape),
+                             ket_axes=ket_axes, tol=samples.tol)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,15 @@ def test_char_samples_validation():
         tkd.CharSamples("sideways", [(0.0,)], np.array([1.0]))
 
 
+def test_char_samples_values_are_a_read_only_copy():
+    v = np.array([1.0, 0.5])
+    s = tkd.CharSamples("right", [(0.0,), (1.0,)], v)
+    with pytest.raises(ValueError):
+        s.values[0] = 7.0
+    v[0] = 7.0  # χ(0) = 1 was checked at construction and must stay so
+    assert s.values.tolist() == [1.0, 0.5]
+
+
 def _qubit_pair():
     """A two-time qubit process with Z on both sides: two phases per point, four doubled."""
     z = np.diag([1.0, -1.0])
@@ -289,6 +298,38 @@ def test_product_grid_takes_one_sweep_and_other_grids_one_per_point(monkeypatch)
         assert len(calls) == want, name
 
 
+@pytest.mark.parametrize("order", ["C order", "shuffled"])
+@pytest.mark.parametrize("kind", ["right", "left", "doubled"])
+def test_stored_grid_analysis_inverts_to_the_bits_of_a_fresh_one(kind, order, monkeypatch):
+    from tkd import charfunc
+    p, obs, q = _char_case(2, 2, "mixed", kind)
+    spectra = [q.axis_values(i) for i in range(len(q.axes))]
+    grid = tkd.product_grid([tkd.default_nodes(sp) for sp in spectra])
+    if order == "shuffled":
+        grid = grid[np.random.default_rng(5).permutation(len(grid))]
+    calls = []
+    nodes = charfunc._grid_nodes
+    monkeypatch.setattr(charfunc, "_grid_nodes", lambda x: calls.append(1) or nodes(x))
+    chi = tkd.char_fn(p, obs, grid, kind=kind)
+    stored = tkd.invert_char(chi, spectra)
+    assert len(calls) == 1  # char_fn's analysis, reused by the inversion
+    calls.clear()
+    hand = tkd.CharSamples(kind, chi.grid, chi.values, tol=chi.tol)
+    fresh = tkd.invert_char(hand, spectra)
+    assert tkd.invert_char(hand, spectra).values.tobytes() == fresh.values.tobytes()
+    assert len(calls) == 1  # analysed on first use, once
+    assert stored.values.shape == fresh.values.shape
+    assert stored.values.tobytes() == fresh.values.tobytes()
+
+
+def test_stored_grid_analysis_holds_no_view_of_the_callers_grid():
+    p, obs = _qubit_pair()
+    grid = np.zeros((1, 2))
+    chi = tkd.char_fn(p, obs, grid)
+    grid[0] = 1.0  # a node at 1 would turn χ(0) = 1 into a phase the inversion refuses
+    assert max_abs(tkd.invert_char(chi, [[5.0], [5.0]]).values - 1.0) <= 1e-12
+
+
 def test_default_nodes():
     nodes = tkd.default_nodes([-1.0, 1.0])
     assert np.allclose(nodes, [0.0, np.pi / 3])
@@ -335,19 +376,44 @@ def test_inversion_round_trip_left_and_doubled():
     assert max_abs(backd.values - tkd.kd_doubled(p, ket, bra).values) < 1e-8
 
 
+def test_inversion_round_trip_at_the_regime_edge():
+    # d=2 with 8 times, doubled: 16 axes, 65,536 default grid points
+    p = tkd.random_process(2, 7, seed=800, channel_kind="mixed")
+    ket = tkd.random_schedule(p.dims, seed=810)
+    bra = tkd.random_schedule(p.dims, seed=820)
+    obs = tkd.ObservableSchedule(ket=schedule_observables(ket), bra=schedule_observables(bra))
+    spectra = [[o.value for o in m.outcomes] for m in ket + bra]
+    grid = tkd.product_grid([tkd.default_nodes(sp) for sp in spectra])
+    back = tkd.invert_char(tkd.char_fn(p, obs, grid, kind="doubled"), spectra)
+    assert back.values.shape == (2,) * 16 and back.ket_axes == 8
+    assert max_abs(back.values - tkd.kd_doubled(p, ket, bra).values) <= 1e-12
+
+
 def test_inversion_rejects_singular_grid(xy_process, pauli):
     # for +/-1 spectra the nodes {0, pi} collapse the transform
     p, _ = xy_process
     obs = tkd.ObservableSchedule(bra=(pauli["X"], pauli["Y"]))
     grid = tkd.product_grid([[0.0, np.pi], [0.0, np.pi / 3]])
     samples = tkd.char_fn(p, obs, grid)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^axis 0 transform is ill-conditioned, cond \S+$"):
         tkd.invert_char(samples, [[-1.0, 1.0], [-1.0, 1.0]])
+    # two ill-conditioned axes: the first is named, though the second is worse (cond 1.6e16)
+    p3 = tkd.random_process(2, 2, seed=31)
+    obs3 = tkd.ObservableSchedule(bra=(pauli["Z"],) * 3)
+    grid = tkd.product_grid([[0.0, np.pi / 3], [0.0, np.pi - 1e-8], [0.0, np.pi]])
+    with pytest.raises(ValidationError, match=r"^axis 1 transform is ill-conditioned, cond 2\.000e\+08$"):
+        tkd.invert_char(tkd.char_fn(p3, obs3, grid), [[-1.0, 1.0]] * 3)
 
 
 def test_inversion_grid_shape_errors(xy_process, pauli):
     p, _ = xy_process
     obs = tkd.ObservableSchedule(bra=(pauli["X"], pauli["Y"]))
+    # char_fn's own output is still held to the spectra count
+    samples = tkd.char_fn(p, obs, tkd.product_grid([[0.0, np.pi / 3]] * 2))
+    for spectra in ([[-1.0, 1.0]], [[-1.0, 1.0]] * 3):
+        with pytest.raises(ValidationError,
+                           match=f"^grid points carry 2 phases for {len(spectra)} spectra$"):
+            tkd.invert_char(samples, spectra)
     # too few nodes on the second axis
     samples = tkd.char_fn(p, obs, [(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(ValidationError):
