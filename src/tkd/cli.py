@@ -373,7 +373,9 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
             seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
         m = _in_field(f"{where}.projectors", ProjectiveMeasurement, dim, outs, tol=tol)
-        return m, m.observable()
+        h = m.observable()
+        check_half_range(h, f"{where}.projectors")  # as an observable's entries are held, for χ
+        return m, h
     raise SpecParseError(f"{where}: needs 'observable' or 'projectors'")
 
 
@@ -468,7 +470,8 @@ def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SpecParseError(f"{label}: {e}") from None
-    return _build_bundle(data, label, sha)
+    with np.errstate(over="ignore", invalid="ignore"):  # a check that overflows refuses inf or NaN
+        return _build_bundle(data, label, sha)
 
 
 def load_spec(path: str) -> SpecBundle:

@@ -280,6 +280,35 @@ def test_observable_that_overflows_names_its_field(tmp_path, capsys, observable)
     assert "overflows" in err[0]
 
 
+HUGE_DIAGONAL = [[[1, 1e308], [0, 0]], [[0, 0], [0, 0]]]  # imaginary: h − h† overflows
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"initial_state": HUGE_DIAGONAL}, "initial_state: state is not Hermitian within tol"),
+    ({"channels": [{"kind": "kraus", "operators": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]}]},
+     "channels[0].operators: channel 0 is not trace preserving, defect inf"),
+    ({"channels": [{"kind": "unitary", "u": [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+     "channels[0].u: build_channel: u is not unitary within tol"),
+    ({"channels": [{"kind": "replacement", "omega": HUGE_DIAGONAL}]},
+     "channels[0].omega: state is not Hermitian within tol"),
+    ({"schedules": {"default": [{"projectors": [{"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                                                {"matrix": ONE_STATE}]}, {"observable": Y}]}},
+     "schedules.default[0].projectors: outcome 0.0: not a Hermitian projector"),
+    ({"schedules": {"default": [{"projectors": [{"matrix": ZERO_STATE, "value": 1e308},
+                                                {"matrix": ONE_STATE}]}, {"observable": Y}]}},
+     "schedules.default[0].projectors: an entry exceeds 8.988466e+307 in its real or imaginary part, "
+     "so (h + h†)/2 overflows"),
+], ids=["initial_state", "kraus", "unitary", "omega", "projector matrix", "projector value"])
+def test_entry_that_overflows_a_check_is_refused_without_a_warning(tmp_path, capsys, extra, message):
+    # the defect overflows to inf or NaN, which the check refuses; numpy's warning stays silent
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(probe_spec(**extra)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(["validate", str(path)]) == 4
+    assert capsys.readouterr().err == f"tkd: validation error: {message}\n"
+
+
 def test_observable_at_half_the_float_range_is_accepted(tmp_path, capsys):
     half_max = sys.float_info.max / 2  # h ± h† stays finite for entry parts up to it
     edge = [[[half_max, 0], [0, 0]], [[0, 0], [-half_max, 0]]]
