@@ -26,6 +26,8 @@ import numpy as np
 
 from .linops import (
     ValidationError,
+    _in_field,
+    _require,
     as_matrix,
     basis_state,
     dagger,
@@ -223,6 +225,7 @@ def stinespring(c: QuantumChannel, tol: float = 1e-9) -> tuple[np.ndarray, int, 
 def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
     """The one builder of each channel kind, the kinds of the CLI spec; a
     parameter the kind needs and was not given raises ValidationError naming it.
+    A refusal of ``omega``, ``outputs[k]``, ``u`` or ``p`` has that `field`.
 
     kind "kraus":           operators=[K_x]; x ↦ Σ K_x x K_x†
     kind "unitary":         u=U with U unitary within tol
@@ -243,18 +246,18 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         return QuantumChannel(need("operators"))
     if kind == "unitary":
         u = as_matrix(need("u"))
-        if u.shape[0] != u.shape[1] or not max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol:
-            raise ValidationError("build_channel: u is not unitary within tol")
+        unitary = u.shape[0] == u.shape[1] and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
+        _in_field(("u",), _require, unitary, "build_channel: u is not unitary within tol")
         return QuantumChannel([u])
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in
-        omega = check_density(need("omega"), tol)
+        omega = _in_field(("omega",), check_density, need("omega"), tol)
         d_in = int(params.get("d_in", omega.shape[0]))
         if d_in < 1:
             raise ValidationError(f"build_channel: d_in {d_in} is not positive")
         return QuantumChannel(_measure_prepare(np.eye(d_in), omega))
     if kind == "measure_replace":
         instrument: Instrument = need("instrument")
-        outputs = [check_density(w, tol) for w in need("outputs")]
+        outputs = [_in_field(("outputs", k), check_density, w, tol) for k, w in enumerate(need("outputs"))]
         if len(outputs) != len(instrument.branches):
             raise ValidationError("one output state per instrument branch is required")
         return QuantumChannel([k for idx, omega in enumerate(outputs)
@@ -262,8 +265,7 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
     if kind == "depolarizing":
         p = float(need("p"))
         d = int(need("d"))
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
+        _in_field(("p",), _require, 0.0 <= p <= 1.0, f"depolarizing strength {p} outside [0, 1]")
         if d < 1:
             raise ValidationError(f"build_channel: d {d} is not positive")
         replacement = QuantumChannel(_measure_prepare(np.eye(d), np.eye(d) / d))

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Instrument, QuantumChannel, build_channel, check_density, validate_cptp
+from .channels import Instrument, QuantumChannel, build_channel, validate_cptp
 from .charfunc import (
     CHAR_KINDS,
     ObservableSchedule,
@@ -36,7 +36,7 @@ from .charfunc import (
     invert_char,
     product_grid,
 )
-from .linops import ValidationError, check_half_range, dagger, is_hermitian, max_abs
+from .linops import ValidationError, _in_field, check_half_range, dagger, is_hermitian, max_abs
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import (
     MultiTimeProcess,
@@ -248,25 +248,7 @@ def _check_input(m: np.ndarray, where: str, dim: int):
             f"{where}: input dimension {m.shape[1]} does not match the chain's dimension {dim} at this step")
 
 
-def _in_field(where: str, check, *args, **kwargs):
-    """``check(*args, **kwargs)``, a ValidationError it raises naming the spec field ``where``."""
-    try:
-        return check(*args, **kwargs)
-    except ValidationError as e:
-        raise ValidationError(f"{where}: {e}") from None
-
-
-def _parse_state(obj, where: str, tol: float, dim: int) -> np.ndarray:
-    """An output state, held to `check_density` here so that a refusal names the field."""
-    return _in_field(where, check_density, _parse_matrix(obj, where), tol)
-
-
-def _parse_states(obj, where: str, tol: float, dim: int) -> list[np.ndarray]:
-    """Output states of one shape, each held to `check_density` as `_parse_state` holds one."""
-    return [_in_field(f"{where}[{k}]", check_density, m, tol) for k, m in enumerate(_matrices(obj, where))]
-
-
-def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
+def _parse_branches(obj, where: str, dim: int) -> list[tuple]:
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a list of branches")
     branches = []
@@ -279,10 +261,10 @@ def _parse_instrument(obj, where: str, tol: float, dim: int) -> Instrument:
             raise SpecParseError(f"{where}[{i}].operators: shape {ops[0].shape} differs from "
                                  f"[0]'s {branches[0][1][0].shape}")
         branches.append((br["label"], ops))
-    return _in_field(where, Instrument, branches, tol=tol)
+    return branches
 
 
-def _parse_dim(obj, where: str, tol: float, dim: int) -> int:
+def _parse_dim(obj, where: str, dim: int) -> int:
     """``d`` or ``d_in``: the chain's dimension ``dim`` at the channel's step."""
     n = _number(obj, where, integer=True)
     if n != dim:
@@ -291,29 +273,27 @@ def _parse_dim(obj, where: str, tol: float, dim: int) -> int:
 
 
 def _plain(parse):
-    """``parse(obj, where)`` as a channel field parser, which needs no tol or dim."""
-    return lambda obj, where, tol, dim: parse(obj, where)
+    """``parse(obj, where)`` as a channel field parser, which needs no dim."""
+    return lambda obj, where, dim: parse(obj, where)
 
 
 # each spec channel kind's fields, all required but d_in, and their parsers
-# (value, where, tol, dim), dim being the chain's dimension at the step;
+# (value, where, dim), dim being the chain's dimension at the step;
 # `build_channel` takes the parsed fields as its parameters
 _CHANNEL_FIELDS = {
     "kraus": {"operators": _plain(_matrices)},
     "unitary": {"u": _plain(_parse_matrix)},
-    "replacement": {"omega": _parse_state, "d_in": _parse_dim},
-    "measure_replace": {"instrument": _parse_instrument, "outputs": _parse_states},
+    "replacement": {"omega": _plain(_parse_matrix), "d_in": _parse_dim},
+    "measure_replace": {"instrument": _parse_branches, "outputs": _plain(_matrices)},
     "depolarizing": {"p": _plain(_number), "d": _parse_dim},
 }
 # the field whose matrix sets a kind's input dimension when no d_in is given
 _INPUT_FIELD = {"kraus": "operators", "unitary": "u", "replacement": "omega"}
-# the field, as a suffix of the channel's, that `build_channel` checks itself;
-# the field parsers check the others
-_BUILD_CHECKED = {"unitary": ".u", "depolarizing": ".p"}
 
 
 def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> QuantumChannel:
-    """A measure_replace channel also leaves its instrument and outputs in ``instruments[where]``."""
+    """Every malformed field (exit 3) is refused before the numerical checks (exit 4), which
+    `Instrument` and `build_channel` run once each; measure_replace parts go to ``instruments[where]``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecParseError(f"{where}: expected an object with a 'kind'")
     kind = obj["kind"]
@@ -322,7 +302,7 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
     fields = {}
     for name, parse in _CHANNEL_FIELDS[kind].items():
         if name in obj:
-            fields[name] = parse(obj[name], f"{where}.{name}", tol, dim)
+            fields[name] = parse(obj[name], f"{where}.{name}", dim)
         elif name != "d_in":
             raise SpecParseError(f"{where}.{name}: required by kind {kind!r}")
     name = _INPUT_FIELD.get(kind)
@@ -330,16 +310,19 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
         m = fields[name]
         _check_input(m[0] if kind == "kraus" else m, f"{where}.{name}", dim)
     if kind == "measure_replace":
-        instrument, outputs = fields["instrument"], fields["outputs"]
-        if len(outputs) != len(instrument.branches):
-            raise SpecParseError(f"{where}.outputs: {len(outputs)} states for {len(instrument.branches)} "
+        branches, outputs = fields["instrument"], fields["outputs"]
+        if len(outputs) != len(branches):
+            raise SpecParseError(f"{where}.outputs: {len(outputs)} states for {len(branches)} "
                                  "instrument branches, one per branch is required")
-        instruments[where] = (instrument, outputs)
-    return _in_field(where + _BUILD_CHECKED.get(kind, ""), build_channel, kind, tol=tol, **fields)
+        fields["instrument"] = _in_field(("instrument",), Instrument, branches, tol=tol)
+        instruments[where] = (fields["instrument"], outputs)
+    return build_channel(kind, tol=tol, **fields)
 
 
-def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[ProjectiveMeasurement, np.ndarray]:
-    """Returns the measurement together with its generating observable."""
+def _parse_measurement(obj, name: str, k: int, dim: int,
+                       tol: float) -> tuple[ProjectiveMeasurement, np.ndarray]:
+    """Entry ``k`` of schedule ``name``: the measurement together with its generating observable."""
+    where = f"schedules.{name}[{k}]"
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: expected an object")
     if "observable" in obj:
@@ -372,7 +355,7 @@ def _parse_measurement(obj, where: str, dim: int, tol: float) -> tuple[Projectiv
                 raise SpecParseError(f"{lwhere}: {label!r} repeats projectors[{seen[label]}]")
             seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
-        m = _in_field(f"{where}.projectors", ProjectiveMeasurement, dim, outs, tol=tol)
+        m = _in_field(("schedules", name, k, "projectors"), ProjectiveMeasurement, dim, outs, tol=tol)
         h = m.observable()
         check_half_range(h, f"{where}.projectors")  # as an observable's entries are held, for χ
         return m, h
@@ -421,21 +404,10 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     instruments: dict = {}
     channels, dim = [], rho.shape[0]
     for i, c in enumerate(raw_channels):
-        channels.append(_parse_channel(c, f"channels[{i}]", tol, dim, instruments))
+        where = f"channels[{i}]"
+        channels.append(_in_field(("channels", i), _parse_channel, c, where, tol, dim, instruments))
         dim = channels[-1].d_out
-    try:
-        process = MultiTimeProcess(rho, channels, tol=tol)
-    except ValidationError:
-        # MultiTimeProcess's own checks, run again in its order so that the refusal names the
-        # field; the other kinds are trace preserving by construction, up to rounding, once built
-        _in_field("initial_state", check_density, rho, tol)
-        for i, c in enumerate(channels):
-            rep = validate_cptp(c, tol)
-            if not rep.trace_preserving:
-                where = f"channels[{i}]" + (".operators" if raw_channels[i]["kind"] == "kraus" else "")
-                raise ValidationError(
-                    f"{where}: channel {i} is not trace preserving, defect {rep.defect:.3e}")
-        raise
+    process = MultiTimeProcess(rho, channels, tol=tol)
 
     dims = data.get("dims")
     if dims is not None:
@@ -455,7 +427,7 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
                 f"schedules.{name}: expected {process.n_times} entries")
         ms, obs = [], []
         for k, entry in enumerate(entries):
-            m, h = _parse_measurement(entry, f"schedules.{name}[{k}]", process.dims[k], tol)
+            m, h = _parse_measurement(entry, name, k, process.dims[k], tol)
             ms.append(m)
             obs.append(h)
         schedules[name] = ms
@@ -470,8 +442,18 @@ def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SpecParseError(f"{label}: {e}") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # a check that overflows refuses inf or NaN
-        return _build_bundle(data, label, sha)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a check that overflows refuses inf or NaN
+            return _build_bundle(data, label, sha)
+    except ValidationError as e:
+        if not e.field:  # the parser's own numerical refusals name their field in the message
+            raise
+        head, *steps = e.field  # the spec path: ("channels", 0, "outputs", 1) is channels[0].outputs[1]
+        if len(e.field) == 2 and head == "channels" and data["channels"][steps[0]]["kind"] == "kraus":
+            steps.append("operators")  # the process refuses a kraus step for its operators
+        path = {"rho0": "initial_state"}.get(head, head) + "".join(
+            f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def load_spec(path: str) -> SpecBundle:

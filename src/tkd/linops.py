@@ -18,7 +18,24 @@ HALF_RANGE = sys.float_info.max / 2  # real and imaginary parts within it keep h
 
 
 class ValidationError(ValueError):
-    """A numerical invariant failed (non-Hermitian input, broken CPTP sum, ...)."""
+    """A numerical invariant failed (non-Hermitian input, broken CPTP sum, ...); ``field`` is
+    the path of the failed input, such as ("channels", 0), as `_in_field` sets it, or ()."""
+
+    field: tuple = ()
+
+
+def _in_field(field: tuple, check, *args, **kwargs):
+    """``check(*args, **kwargs)``; a ValidationError it raises gets ``field`` before its own."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as e:
+        e.field = field + e.field
+        raise
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ValidationError(message)
 
 
 def as_matrix(a) -> np.ndarray:

@@ -73,7 +73,7 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import ValidationError, as_matrix, dagger, frozen_matrix, max_abs
+from .linops import ValidationError, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -87,22 +87,23 @@ DOUBLED_KINDS = ("kd_doubled", "mh_doubled")
 
 @dataclass(frozen=True, eq=False)
 class MultiTimeProcess:
-    """ρ at t_0 plus the CPTP steps E_{t_1←t_0}, ..., E_{t_n←t_{n-1}}."""
+    """ρ at t_0 plus the CPTP steps E_{t_1←t_0}, ..., E_{t_n←t_{n-1}}. A refusal
+    of the state has the `field` ("rho0",), one of step i ("channels", i)."""
 
     rho0: np.ndarray
     channels: tuple[QuantumChannel, ...]
     tol: float = 1e-9
 
     def __init__(self, rho0, channels: Sequence[QuantumChannel] = (), tol: float = 1e-9):
-        rho0 = check_density(rho0, tol)
+        rho0 = _in_field(("rho0",), check_density, rho0, tol)
         channels = tuple(channels)
         d = rho0.shape[0]
         for i, c in enumerate(channels):
-            if c.d_in != d:
-                raise ValidationError(f"channel {i} expects dim {c.d_in}, chain carries {d}")
+            _in_field(("channels", i), _require, c.d_in == d,
+                      f"channel {i} expects dim {c.d_in}, chain carries {d}")
             rep = validate_cptp(c, tol)
-            if not rep.trace_preserving:
-                raise ValidationError(f"channel {i} is not trace preserving, defect {rep.defect:.3e}")
+            _in_field(("channels", i), _require, rep.trace_preserving,
+                      f"channel {i} is not trace preserving, defect {rep.defect:.3e}")
             d = c.d_out
         object.__setattr__(self, "rho0", frozen_matrix(rho0))
         object.__setattr__(self, "channels", channels)

@@ -221,6 +221,28 @@ def test_build_channel_names_a_missing_parameter(kind, params, missing):
         tkd.build_channel(kind, **params)
 
 
+TWICE = np.diag([2.0, 0.0])  # trace 2
+
+
+@pytest.mark.parametrize("kind, params, field, message", [
+    ("replacement", {"omega": TWICE}, ("omega",), "state trace differs from 1"),
+    ("measure_replace", {"instrument": Z_INSTRUMENT, "outputs": [np.eye(2) / 2, TWICE]}, ("outputs", 1),
+     "state trace differs from 1"),
+    ("unitary", {"u": np.ones((2, 2))}, ("u",), "build_channel: u is not unitary within tol"),
+    ("depolarizing", {"p": 1.5, "d": 2}, ("p",), "depolarizing strength 1.5 outside [0, 1]"),
+])
+def test_build_channel_refusal_carries_its_field(kind, params, field, message):
+    with pytest.raises(ValidationError) as e:
+        tkd.build_channel(kind, **params)
+    assert e.value.field == field and str(e.value) == message
+
+
+def test_refusal_of_no_one_input_carries_no_field():
+    with pytest.raises(ValidationError) as e:
+        tkd.build_channel("bogus")
+    assert e.value.field == () and str(e.value) == "unknown channel kind 'bogus'"
+
+
 def test_measure_replace_channel(pauli):
     zero = tkd.projector(tkd.basis_state(2, 0))
     one = tkd.projector(tkd.basis_state(2, 1))

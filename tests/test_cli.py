@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest  # type: ignore
@@ -548,6 +549,17 @@ CHANNEL_REFUSALS = [
     ({"channels": [{"kind": "kraus", "operators": NOT_TP}, {"kind": "unitary", "u": I2},
                    {"kind": "kraus", "operators": NOT_TP}], "dims": MISSING, "schedules": {}}, 4,
      "tkd: validation error: channels[0].operators: channel 0 is not trace preserving, defect 7.500e-01\n"),
+    # several faults of one channel: every malformed field is refused before any numerical check
+    ({"channels": [{"kind": "replacement", "omega": TWICE_ZERO, "d_in": 3}]}, 3,
+     "tkd: spec error: channels[0].d_in: 3 does not match the chain's dimension 2 at this step\n"),
+    ({"channels": [{"kind": "replacement", "omega": [[[2, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                                                     [[0, 0], [0, 0], [0, 0]]]}]}, 3,
+     "tkd: spec error: channels[0].omega: input dimension 3 does not match the chain's dimension 2 "
+     "at this step\n"),
+    (measure_replace(outputs=[TWICE_ZERO]), 3, "tkd: spec error: channels[0].outputs: 1 states for 2 "
+     "instrument branches, one per branch is required\n"),
+    (measure_replace(instrument=[{"label": 0, "operators": [ZERO_STATE]}], outputs=3), 3,
+     "tkd: spec error: channels[0].outputs: expected a list of matrices\n"),
 ]
 
 
@@ -568,6 +580,44 @@ def test_near_hermitian_output_state_is_accepted(tmp_path, capsys, channel):
     path.write_text(json.dumps(probe_spec(channels=[channel])))
     doc = run_json(capsys, ["validate", str(path)])
     assert doc["channels"][0]["cptp_defect"] < 1e-15
+
+
+def _recorded(monkeypatch, name: str, modules) -> list:
+    """The first argument of every call of ``name`` that looks it up in one of ``modules``."""
+    calls = []
+
+    def recording(check):
+        return lambda x, *args, **kwargs: (calls.append(x), check(x, *args, **kwargs))[1]
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_each_spec_check_runs_once(tmp_path, monkeypatch, refused):
+    if refused:  # a valid replacement, then a step the process refuses
+        spec = probe_spec(channels=[{"kind": "replacement", "omega": PLUS},
+                                    {"kind": "kraus", "operators": NOT_TP}], dims=MISSING, schedules={})
+        states = [spec["channels"][0]["omega"], spec["initial_state"]]
+    else:
+        spec = json.loads((Path(__file__).parent / "data" / "five_channel_kinds.json").read_text())
+        states = [spec["channels"][2]["omega"], *spec["channels"][4]["outputs"], spec["initial_state"]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    # the density checks of build_channel and MultiTimeProcess, and the process's step checks
+    # (an instrument's check of its own total map is another check, and not counted)
+    densities = _recorded(monkeypatch, "check_density", (tkd.channels, tkd.quasiprob, tkd.cli))
+    steps = _recorded(monkeypatch, "validate_cptp", (tkd.quasiprob, tkd.cli))
+    if refused:
+        with pytest.raises(tkd.ValidationError, match=r"^channels\[1\]\.operators: channel 1 is not"):
+            tkd.cli.load_spec(str(path))
+    else:
+        assert len(tkd.cli.load_spec(str(path)).process.channels) == 5
+    # each output state in spec order, then the initial state; each step in chain order
+    assert len(densities) == len(states)
+    assert all(np.array_equal(m, np.asarray(want) @ [1, 1j]) for m, want in zip(densities, states))
+    assert [c.d_in for c in steps] == ([2, 2] if refused else [2, 2, 2, 3, 3])
 
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):

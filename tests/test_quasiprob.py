@@ -32,6 +32,18 @@ def test_process_validation():
         tkd.random_process(2, 1, seed=0, channel_kind="bogus")
 
 
+@pytest.mark.parametrize("rho, chain, field, message", [
+    (np.eye(2), [], ("rho0",), "state trace differs from 1"),
+    (np.eye(2) / 2, [tkd.identity_channel(2), tkd.QuantumChannel([np.eye(2) / 2])], ("channels", 1),
+     "channel 1 is not trace preserving, defect 7.500e-01"),
+    (np.eye(2) / 2, [tkd.identity_channel(3)], ("channels", 0), "channel 0 expects dim 3, chain carries 2"),
+], ids=["state", "non-TP step", "dim mismatch"])
+def test_process_refusal_carries_its_field(rho, chain, field, message):
+    with pytest.raises(ValidationError) as e:
+        tkd.MultiTimeProcess(rho, chain)
+    assert e.value.field == field and str(e.value) == message
+
+
 def test_state_at(pauli):
     rho = tkd.projector(tkd.basis_state(2, 0))
     p = tkd.MultiTimeProcess(rho, [tkd.build_channel("unitary", u=pauli["X"])])
