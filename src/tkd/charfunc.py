@@ -84,7 +84,7 @@ class ObservableSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CharSamples:
-    """Finite χ values over phase points, held as a read-only complex128 copy
+    """Finite χ values over finite phase points, held as a read-only complex128 copy
     ``values`` and the rows of a read-only (P, w) float64 copy ``grid`` (doubled
     points carry the ket v-block first, then the bra u-block). ``tol`` bounds
     |χ(0) − 1|."""
@@ -105,6 +105,8 @@ class CharSamples:
             raise ValidationError("one value per grid point required")
         if not np.isfinite(self.values).all():
             raise ValidationError("χ values must be finite")
+        if not np.isfinite(x).all():
+            raise ValidationError("grid phases must be finite")
         bad = ~x.any(axis=1) & (np.abs(self.values - 1.0) > self.tol)
         if bad.any():
             raise ValidationError(f"value at the zero point is {self.values[bad.argmax()]}, not 1")
@@ -254,8 +256,9 @@ def product_grid(per_axis_nodes: Sequence[Sequence[float]]) -> np.ndarray:
 def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> QuasiDistribution:
     """Recover the distribution from χ on a full product grid.
 
-    Per axis the grid must hold exactly as many distinct nodes as there are
-    outcomes, and each node combination exactly once, in any order; each axis
+    Each spectrum must hold at least one outcome value, each finite. Per axis
+    the grid must hold exactly as many distinct nodes as there are outcomes,
+    and each node combination exactly once, in any order; each axis
     contributes a Vandermonde-type factor [e^{∓iu_j·b}] that is solved
     independently. The node analysis is the one the samples hold, so the
     output of `char_fn` is not analysed again. Every factor's condition
@@ -268,8 +271,13 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
     width = samples.grid.shape[1]
     if width != axes:
         raise ValidationError(f"grid points carry {width} phases for {axes} spectra")
-    nodes, flat = samples._nodes
     spect = [sorted(set(float(b) for b in s)) for s in spectra]
+    for i, sp in enumerate(spect):
+        if not sp:
+            raise ValidationError(f"spectrum {i} is empty")
+        if not np.isfinite(sp).all():
+            raise ValidationError(f"spectrum {i} holds a non-finite outcome value")
+    nodes, flat = samples._nodes
     shape = tuple(len(sp) for sp in spect)
     for i, (nd, sp) in enumerate(zip(nodes, spect)):
         if len(nd) != len(sp):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 import tracemalloc
 import warnings
@@ -138,6 +139,21 @@ def test_char_samples_values_are_a_read_only_copy():
         s.values[0] = 7.0
     v[0] = 7.0  # χ(0) = 1 was checked at construction and must stay so
     assert s.values.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("grid, values, spectra, message", [
+    ([(0.0,), (np.nan,)], [1.0, 0.0], [[1.0, 2.0]], "grid phases must be finite"),
+    ([(0.0,), (np.inf,)], [1.0, 0.0], [[1.0, 2.0]], "grid phases must be finite"),
+    ([(0.0,), (-np.inf,)], [1.0, 0.0], [[1.0, 2.0]], "grid phases must be finite"),
+    ([(0.0,), (1.0,)], [1.0, 0.0], [[1.0, np.inf]], "spectrum 0 holds a non-finite outcome value"),
+    ([(0.0,), (1.0,)], [1.0, 0.0], [[1.0, np.nan]], "spectrum 0 holds a non-finite outcome value"),
+    (np.zeros((0, 1)), [], [[]], "spectrum 0 is empty"),
+], ids=["nan phase", "inf phase", "-inf phase", "inf value", "nan value", "empty"])
+def test_non_finite_or_empty_inversion_input_is_refused(grid, values, spectra, message):
+    # each refused by name, where numpy's LinAlgError (SVD did not converge, or cond of an
+    # empty array) used to come first
+    with pytest.raises(tkd.ValidationError, match=f"^{re.escape(message)}$"):
+        tkd.invert_char(tkd.CharSamples("right", grid, values), spectra)
 
 
 def _qubit_pair():
