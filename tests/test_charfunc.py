@@ -150,8 +150,6 @@ def test_char_samples_values_are_a_read_only_copy():
     (np.zeros((0, 1)), [], [[]], "spectrum 0 is empty"),
 ], ids=["nan phase", "inf phase", "-inf phase", "inf value", "nan value", "empty"])
 def test_non_finite_or_empty_inversion_input_is_refused(grid, values, spectra, message):
-    # each refused by name, where numpy's LinAlgError (SVD did not converge, or cond of an
-    # empty array) used to come first
     with pytest.raises(tkd.ValidationError, match=f"^{re.escape(message)}$"):
         tkd.invert_char(tkd.CharSamples("right", grid, values), spectra)
 

@@ -36,7 +36,7 @@ MATRIX_2x2 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 VALUES = [None, 0, -1, 1, 2, 1.5, -0.0, 1e308, 10**30, "x", "", [], {}, True, False,
           [1, 2], {"a": 1}, [[]], [[1]], MATRIX_1x1, MATRIX_2x2]
 DELETE = object()
-CASES = 400  # mutated specs per seed, each run by every command (about 2.5 s a seed)
+CASES = 400  # mutated specs per seed, each run by every command (about 3 s a seed)
 # refusals of the request rather than of one spec field
 REQUEST_LEVEL = (
     "tkd: spec error: spec root must be an object",
