@@ -3,8 +3,9 @@
 χ is the Fourier transform of a temporal distribution over its outcome
 values: the process trace with phase gates e^{+iA_kv_k} (ket side) or
 e^{−iB_ku_k} (bra side) where the distributions insert projectors. Phase
-gates are spectral sums of the observable, so outcome values match the
-projective measurements everywhere else. χ is thus one more choice of
+gates are spectral sums e^{∓iBu} = Σ_b e^{∓ibu}Π_b, so χ needs only each
+time's projective measurement, which `ObservableSchedule` builds once from an
+observable or takes as given, summed by value. χ is thus one more choice of
 insertions for the forward sweep of `quasiprob`, one phase-gate map per
 distinct node of each time's axis: a grid that holds every combination of
 its per-axis nodes, in any order, takes one sweep over their product, and
@@ -32,8 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, as_matrix, check_half_range, frozen_matrix, is_hermitian,
-                     readonly)
+from .linops import ValidationError, as_matrix, check_half_range, is_hermitian, readonly
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
@@ -42,29 +42,27 @@ CHAR_KINDS = ("right", "left", "doubled")
 
 @dataclass(frozen=True, eq=False)
 class ObservableSchedule:
-    """Hermitian observables per time: bra side (B_k, right-hand phases),
-    ket side (A_k, left-hand phases), or both for the doubled kind. A side
-    holds the read-only Hermitian parts (o + o†)/2 of observables Hermitian
-    within ``tol``, so every accepted observable decomposes; an entry whose
-    real or imaginary part exceeds half the float range is refused first,
-    as (o + o†)/2 could overflow."""
+    """The projective measurements χ inserts per time, built once here: bra
+    side (B_k, right-hand phases), ket side (A_k, left-hand phases), or both
+    for the doubled kind. An array entry must be Hermitian within ``tol`` (an
+    entry past half the float range is refused first, as (o + o†)/2 could
+    overflow) and becomes spectral_measurement((o + o†)/2). A
+    `ProjectiveMeasurement` whose outcome values strictly ascend is kept; any
+    other is rebuilt at ``tol`` with one outcome per distinct value, ascending
+    and labelled by it, onto the sum of that value's projectors: χ sees
+    outcome values only."""
 
-    ket: tuple[np.ndarray, ...] | None = None
-    bra: tuple[np.ndarray, ...] | None = None
+    ket: tuple[ProjectiveMeasurement, ...] | None = None
+    bra: tuple[ProjectiveMeasurement, ...] | None = None
     tol: float = 1e-9
 
     def __post_init__(self):
         if self.ket is None and self.bra is None:
             raise ValidationError("observable schedule needs at least one side")
         for side, ops in (("ket", self.ket), ("bra", self.bra)):
-            if ops is None:
-                continue
-            ops = tuple(as_matrix(o) for o in ops)
-            for k, o in enumerate(ops):
-                check_half_range(o, f"{side} observable {k}")
-                if not is_hermitian(o, self.tol):
-                    raise ValidationError(f"{side} observable {k} is not Hermitian")
-            object.__setattr__(self, side, tuple(frozen_matrix((o + o.conj().T) / 2) for o in ops))
+            if ops is not None:
+                object.__setattr__(self, side, tuple(_inserted(o, f"{side} observable {k}", self.tol)
+                                                     for k, o in enumerate(ops)))
         if self.ket is not None and self.bra is not None and len(self.ket) != len(self.bra):
             raise ValidationError("ket and bra sides differ in length")
 
@@ -72,14 +70,22 @@ class ObservableSchedule:
     def n_times(self) -> int:
         return len(self.ket if self.ket is not None else self.bra)
 
-    @cached_property
-    def ket_measurements(self) -> tuple[ProjectiveMeasurement, ...] | None:
-        """Spectral measurements of the ket observables (None without a ket side)."""
-        return None if self.ket is None else tuple(spectral_measurement(o) for o in self.ket)
 
-    @cached_property
-    def bra_measurements(self) -> tuple[ProjectiveMeasurement, ...] | None:
-        return None if self.bra is None else tuple(spectral_measurement(o) for o in self.bra)
+def _inserted(o, where: str, tol: float) -> ProjectiveMeasurement:
+    """The measurement χ inserts for one schedule entry, as `ObservableSchedule` states."""
+    if isinstance(o, ProjectiveMeasurement):
+        values = [out.value for out in o.outcomes]
+        if all(a < b for a, b in zip(values, values[1:])):
+            return o
+        summed = {}
+        for v, proj in zip(values, o.projectors):
+            summed[v] = summed[v] + proj if v in summed else proj
+        return ProjectiveMeasurement(o.dim, [Outcome(v, summed[v], v) for v in sorted(summed)], tol=tol)
+    o = as_matrix(o)
+    check_half_range(o, where)
+    if not is_hermitian(o, tol):
+        raise ValidationError(f"{where} is not Hermitian")
+    return spectral_measurement((o + o.conj().T) / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +182,7 @@ def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("characteristic functions need square step dims")
     sides = [side for side, bare in (("ket", "right"), ("bra", "left")) if kind != bare]
-    meas = [getattr(obs, f"{side}_measurements") for side in sides]
+    meas = [getattr(obs, side) for side in sides]
     if None in meas:
         raise ValidationError(f"{kind} characteristic needs {sides[meas.index(None)]} observables")
     stacks, axes, _ = _insertions(p, "kd_" + kind, *meas)

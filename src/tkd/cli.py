@@ -225,7 +225,6 @@ class SpecBundle:
     sha256: str
     process: MultiTimeProcess
     schedules: dict[str, list[ProjectiveMeasurement]]
-    observables: dict[str, list[np.ndarray]]
     seed: int | None
     instruments: dict[str, tuple[Instrument, list[np.ndarray]]]  # measure_replace parts by field
 
@@ -319,9 +318,8 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
     return build_channel(kind, tol=tol, **fields)
 
 
-def _parse_measurement(obj, name: str, k: int, dim: int,
-                       tol: float) -> tuple[ProjectiveMeasurement, np.ndarray]:
-    """Entry ``k`` of schedule ``name``: the measurement together with its generating observable."""
+def _parse_measurement(obj, name: str, k: int, dim: int, tol: float) -> ProjectiveMeasurement:
+    """Entry ``k`` of schedule ``name``."""
     where = f"schedules.{name}[{k}]"
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: expected an object")
@@ -332,8 +330,7 @@ def _parse_measurement(obj, name: str, k: int, dim: int,
         check_half_range(h, f"{where}.observable")
         if not is_hermitian(h, tol):
             raise ValidationError(f"{where}.observable: not Hermitian within {tol}")
-        h = (h + dagger(h)) / 2  # bit-identical for exactly Hermitian input
-        return spectral_measurement(h), h
+        return spectral_measurement((h + dagger(h)) / 2)  # bit-identical for exactly Hermitian input
     if "projectors" in obj:
         entries = obj["projectors"]
         if not isinstance(entries, list) or not entries:
@@ -356,9 +353,8 @@ def _parse_measurement(obj, name: str, k: int, dim: int,
             seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
         m = _in_field(("schedules", name, k, "projectors"), ProjectiveMeasurement, dim, outs, tol=tol)
-        h = m.observable()
-        check_half_range(h, f"{where}.projectors")  # as an observable's entries are held, for χ
-        return m, h
+        check_half_range(m.observable(), f"{where}.projectors")  # Σ value·P held to an observable's range
+        return m
     raise SpecParseError(f"{where}: needs 'observable' or 'projectors'")
 
 
@@ -420,20 +416,14 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     if not isinstance(raw_scheds, dict):
         raise SpecParseError("schedules: expected an object of named schedules")
     schedules: dict[str, list[ProjectiveMeasurement]] = {}
-    observables: dict[str, list[np.ndarray]] = {}
     for name, entries in raw_scheds.items():
         if not isinstance(entries, list) or len(entries) != process.n_times:
             raise SpecParseError(
                 f"schedules.{name}: expected {process.n_times} entries")
-        ms, obs = [], []
-        for k, entry in enumerate(entries):
-            m, h = _parse_measurement(entry, name, k, process.dims[k], tol)
-            ms.append(m)
-            obs.append(h)
-        schedules[name] = ms
-        observables[name] = obs
+        schedules[name] = [_parse_measurement(entry, name, k, process.dims[k], tol)
+                           for k, entry in enumerate(entries)]
     return SpecBundle(label=label, sha256=sha, process=process, schedules=schedules,
-                      observables=observables, seed=seed, instruments=instruments)
+                      seed=seed, instruments=instruments)
 
 
 def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
@@ -465,7 +455,7 @@ def load_spec(path: str) -> SpecBundle:
 
 
 def _schedule(table: dict, name: str) -> list:
-    """Entry ``name`` of ``bundle.schedules`` or ``bundle.observables`` (same keys)."""
+    """Entry ``name`` of ``bundle.schedules``."""
     if name not in table:
         raise SpecParseError(f"schedule {name!r} not found; spec has {sorted(table)}")
     return table[name]
@@ -664,12 +654,13 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
 
 
 def _char_setup(bundle: SpecBundle, args):
-    """The kind's ObservableSchedule and the measurements it inserts, one tuple per side
-    (ket first): phase widths, inversion spectra and round-trip reference come from these."""
-    named = _named(bundle.observables, args)
+    """The kind's ObservableSchedule of the named schedules and the measurements it inserts,
+    one tuple per side (ket first): phase widths, inversion spectra and round-trip reference
+    come from these."""
+    named = _named(bundle.schedules, args)
     obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
                              bra=None if args.kind == "left" else named[-1], tol=bundle.process.tol)
-    return obs, [ms for ms in (obs.ket_measurements, obs.bra_measurements) if ms is not None]
+    return obs, [ms for ms in (obs.ket, obs.bra) if ms is not None]
 
 
 def _cmd_charfn(bundle: SpecBundle, args) -> dict:

@@ -85,9 +85,9 @@ def test_held_arrays_are_read_only():
     raw = _raw()
     p, ket, bra, obs = _build(raw)
     c, m = p.channels[0], ket[0]
-    for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0], obs.ket[0],
-                   tkd.hs_basis(2).ops[1], p.rho0, c.superop, m.right_maps, m.left_maps,
-                   m.lvn_maps, c.dilation[0]):
+    for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0].projectors,
+                   obs.ket[0].projectors, tkd.hs_basis(2).ops[1], p.rho0, c.superop, m.right_maps,
+                   m.left_maps, m.lvn_maps, c.dilation[0]):
         with pytest.raises(ValueError):
             target[(0,) * target.ndim] = 7.0
     inst = tkd.Instrument([("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, 1.0])])])

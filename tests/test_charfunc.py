@@ -118,7 +118,7 @@ def test_observable_at_half_the_float_range_is_accepted():
         warnings.simplefilter("always")
         obs = tkd.ObservableSchedule(bra=(np.diag([half_max, -half_max]),) * 2)
     assert not caught
-    assert np.array_equal(obs.bra[0], np.diag([half_max, -half_max]))
+    assert [o.value for o in obs.bra[0].outcomes] == pytest.approx([-half_max, half_max], rel=1e-15)
 
 
 def test_char_samples_validation():
