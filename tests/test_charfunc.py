@@ -121,6 +121,29 @@ def test_observable_at_half_the_float_range_is_accepted():
     assert [o.value for o in obs.bra[0].outcomes] == pytest.approx([-half_max, half_max], rel=1e-15)
 
 
+def test_schedule_keeps_ascending_measurements_and_merges_equal_values():
+    rng = np.random.default_rng(5)
+    p = tkd.random_process(2, 2, seed=rng)
+    hs = [tkd.random_hermitian(2, rng) for _ in range(p.n_times)]
+    s = [tkd.spectral_measurement(h) for h in hs]
+    obs = tkd.ObservableSchedule(bra=s)
+    assert all(kept is m for kept, m in zip(obs.bra, s))
+    pts = random_points(p.n_times, 6, seed=7)
+    want = tkd.char_fn(p, tkd.ObservableSchedule(bra=hs), pts).values
+    assert tkd.char_fn(p, obs, pts).values.tobytes() == want.tobytes()
+    # Z⊗Z: values 1, −1, −1, 1 merge to −1, 1, each onto the sum of its projectors
+    zz = tkd.product_measurement([tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 2)
+    p4 = tkd.random_process(4, 1, seed=rng)
+    merged = tkd.ObservableSchedule(bra=(zz, zz)).bra
+    assert [(o.value, o.label) for o in merged[0].outcomes] == [(-1.0, -1.0), (1.0, 1.0)]
+    assert np.array_equal(merged[0].projectors, [zz.projectors[1] + zz.projectors[2],
+                                                 zz.projectors[0] + zz.projectors[3]])
+    pts = random_points(2, 6, seed=8)
+    chi = tkd.char_fn(p4, tkd.ObservableSchedule(bra=(zz, zz)), pts).values
+    assert max_abs(chi - tkd.char_from_distribution(tkd.kd_right(p4, merged), pts).values) < 1e-12
+    assert max_abs(chi - tkd.char_from_distribution(tkd.kd_right(p4, [zz, zz]), pts).values) < 1e-12
+
+
 def test_char_samples_validation():
     with pytest.raises(ValidationError):  # zero point must carry value 1
         tkd.CharSamples("right", [(0.0, 0.0)], np.array([0.5]))

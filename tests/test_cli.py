@@ -620,6 +620,20 @@ def test_each_spec_check_runs_once(tmp_path, monkeypatch, refused):
     assert [c.d_in for c in steps] == ([2, 2] if refused else [2, 2, 2, 3, 3])
 
 
+@pytest.mark.parametrize("argv", [
+    ["charfn"], ["charfn", "--kind", "doubled", "--bra-schedule", "alt"],
+    ["circuit-sim", "--point", "0.4,-0.2"],
+    ["circuit-sim", "--kind", "doubled", "--bra-schedule", "alt", "--point", "0.4,-0.2,0.9,0.5"],
+], ids=["charfn", "charfn doubled", "circuit-sim", "circuit-sim doubled"])
+def test_chi_requests_decompose_only_while_the_spec_is_parsed(capsys, monkeypatch, argv):
+    path = str(Path(__file__).parent / "data" / "qubit_two_times.json")
+    spectral = _recorded(monkeypatch, "spectral_measurement", (tkd.cli, tkd.charfunc))
+    tkd.cli.load_spec(path)
+    assert len(spectral) == 3  # one per observable entry of the spec's two schedules
+    run_json(capsys, [argv[0], path] + argv[1:])
+    assert len(spectral) == 6  # the request's own parse, and nothing more
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     u = [[[1, 0], [1e-6, 0]], [[0, 0], [1, 0]]]
     spec = probe_spec(channels=[{"kind": "unitary", "u": u}])
