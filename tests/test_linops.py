@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest  # type: ignore
 
+import tkd
 from tkd import linops
 from tkd.linops import ValidationError
 
@@ -104,6 +108,29 @@ def test_hermitian_eig_clusters_degeneracy():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         linops.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# each entry point whose Hermiticity check meets the matrix first, and its refusal
+HERMITICITY_CHECKS = {
+    "check_density": (tkd.check_density, "state is not Hermitian within tol"),
+    "MultiTimeProcess": (lambda m: tkd.MultiTimeProcess(m, []), "state is not Hermitian within tol"),
+    "replacement": (lambda m: tkd.build_channel("replacement", omega=m),
+                    "state is not Hermitian within tol"),
+    "hermitian_eig": (tkd.hermitian_eig, "hermitian_eig: input is not Hermitian within tol"),
+    "spectral_measurement": (tkd.spectral_measurement,
+                             "hermitian_eig: input is not Hermitian within tol"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HERMITICITY_CHECKS))
+@pytest.mark.parametrize("matrix", [np.diag([1, 1e308j]), np.diag([np.inf, 0.5])],
+                         ids=["overflowing defect", "NaN defect"])
+def test_hermiticity_check_refuses_a_non_finite_defect_without_a_warning(entry, matrix):
+    call, message = HERMITICITY_CHECKS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(matrix)
 
 
 def test_embed_operator_adjacent_and_split(pauli):
