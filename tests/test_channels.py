@@ -26,6 +26,16 @@ def test_channel_shape_validation():
     assert (c.d_in, c.d_out) == (2, 3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: tkd.build_channel("kraus", operators=[np.zeros((0, 2))]),
+    lambda: tkd.build_channel("unitary", u=np.zeros((0, 0))),
+    lambda: tkd.stinespring(tkd.QuantumChannel([np.zeros((0, 0))])),
+], ids=["kraus", "unitary", "stinespring"])
+def test_kraus_operators_with_a_zero_dimension_are_refused(build):
+    with pytest.raises(ValidationError, match=r"^Kraus operators have a zero dimension, shape \(0, "):
+        build()
+
+
 def test_validate_cptp_defect():
     # single Kraus I/2: sum is I/4, worst entry 0.75 away from I
     rep = tkd.validate_cptp(tkd.QuantumChannel([np.eye(2) / 2]))
