@@ -404,6 +404,16 @@ def test_weak_value_instance(pauli):
             tkd.weak_value(a, pre, post)
 
 
+@pytest.mark.parametrize("a, pre, post", [
+    (np.full((2, 2), np.nan), [1, 0], [1, 0]),
+    (np.eye(2), [np.inf, 0], [1, 0]),
+    (np.eye(2), [1, 0], [1, np.nan]),
+], ids=["operator", "pre-selection", "post-selection"])
+def test_weak_value_refuses_non_finite_input(a, pre, post):
+    with pytest.raises(ValidationError, match="^weak value: the operator and both states must be finite$"):
+        tkd.weak_value(a, pre, post)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_conditional_kd_mean_is_weak_value(seed):
     # unitary two-time process, pure initial state
