@@ -55,8 +55,7 @@ class QuantumChannel:
             raise ValidationError("channel needs at least one Kraus operator")
         if len({k.shape for k in ops}) != 1:
             raise ValidationError("Kraus operators disagree in shape")
-        if 0 in ops[0].shape:
-            raise ValidationError(f"Kraus operators have a zero dimension, shape {ops[0].shape}")
+        _require(0 not in ops[0].shape, f"Kraus operators have a zero dimension, shape {ops[0].shape}")
         object.__setattr__(self, "kraus", ops)
 
     @property

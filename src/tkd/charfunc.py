@@ -3,9 +3,8 @@
 χ is the Fourier transform of a temporal distribution over its outcome
 values: the process trace with phase gates e^{+iA_kv_k} (ket side) or
 e^{−iB_ku_k} (bra side) where the distributions insert projectors. Phase
-gates are spectral sums e^{∓iBu} = Σ_b e^{∓ibu}Π_b, so χ needs only each
-time's projective measurement, which `ObservableSchedule` builds once from an
-observable or takes as given, summed by value. χ is thus one more choice of
+gates e^{∓iBu} = Σ_b e^{∓ibu}Π_b need only each time's measurement, which
+`ObservableSchedule` holds, summed by value. χ is thus one more choice of
 insertions for the forward sweep of `quasiprob`, one phase-gate map per
 distinct node of each time's axis: a grid that holds every combination of
 its per-axis nodes, in any order, takes one sweep over their product, and
@@ -33,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, check_half_range, is_hermitian, readonly
+from .linops import ValidationError, as_matrix, check_half_range, dagger, is_hermitian, readonly
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
@@ -44,13 +43,11 @@ CHAR_KINDS = ("right", "left", "doubled")
 class ObservableSchedule:
     """The projective measurements χ inserts per time, built once here: bra
     side (B_k, right-hand phases), ket side (A_k, left-hand phases), or both
-    for the doubled kind. An array entry must be Hermitian within ``tol`` (an
-    entry past half the float range is refused first, as (o + o†)/2 could
-    overflow) and becomes spectral_measurement((o + o†)/2). A
-    `ProjectiveMeasurement` whose outcome values strictly ascend is kept; any
-    other is rebuilt at ``tol`` with one outcome per distinct value, ascending
-    and labelled by it, onto the sum of that value's projectors: χ sees
-    outcome values only."""
+    for the doubled kind. An observable Hermitian within ``tol`` becomes the
+    spectral measurement of its Hermitian part (one past half the float range
+    is refused). A `ProjectiveMeasurement` whose values strictly ascend is kept;
+    any other is rebuilt at ``tol`` with one outcome per distinct value,
+    ascending and labelled by it, onto the sum of its projectors of that value."""
 
     ket: tuple[ProjectiveMeasurement, ...] | None = None
     bra: tuple[ProjectiveMeasurement, ...] | None = None
@@ -61,8 +58,8 @@ class ObservableSchedule:
             raise ValidationError("observable schedule needs at least one side")
         for side, ops in (("ket", self.ket), ("bra", self.bra)):
             if ops is not None:
-                object.__setattr__(self, side, tuple(_inserted(o, f"{side} observable {k}", self.tol)
-                                                     for k, o in enumerate(ops)))
+                object.__setattr__(self, side, tuple(
+                    _entry_measurement(o, f"{side} observable {k}", self.tol) for k, o in enumerate(ops)))
         if self.ket is not None and self.bra is not None and len(self.ket) != len(self.bra):
             raise ValidationError("ket and bra sides differ in length")
 
@@ -71,21 +68,21 @@ class ObservableSchedule:
         return len(self.ket if self.ket is not None else self.bra)
 
 
-def _inserted(o, where: str, tol: float) -> ProjectiveMeasurement:
-    """The measurement χ inserts for one schedule entry, as `ObservableSchedule` states."""
+def _entry_measurement(o, where: str, tol: float) -> ProjectiveMeasurement:
+    """The measurement χ inserts for one schedule entry, as `ObservableSchedule` states; a
+    refusal begins with ``where``. The CLI builds each `observable` entry's measurement here."""
     if isinstance(o, ProjectiveMeasurement):
         values = [out.value for out in o.outcomes]
         if all(a < b for a, b in zip(values, values[1:])):
             return o
-        summed = {}
-        for v, proj in zip(values, o.projectors):
-            summed[v] = summed[v] + proj if v in summed else proj
-        return ProjectiveMeasurement(o.dim, [Outcome(v, summed[v], v) for v in sorted(summed)], tol=tol)
+        merged = [Outcome(v, sum(p for u, p in zip(values, o.projectors) if u == v), v)
+                  for v in sorted(set(values))]
+        return ProjectiveMeasurement(o.dim, merged, tol=tol)
     o = as_matrix(o)
     check_half_range(o, where)
     if not is_hermitian(o, tol):
-        raise ValidationError(f"{where} is not Hermitian")
-    return spectral_measurement((o + o.conj().T) / 2)
+        raise ValidationError(f"{where}: not Hermitian within {tol}")
+    return spectral_measurement((o + dagger(o)) / 2)  # o itself, bit for bit, if exactly Hermitian
 
 
 @dataclass(frozen=True, eq=False)

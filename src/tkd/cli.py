@@ -30,14 +30,15 @@ from .channels import Instrument, QuantumChannel, build_channel, validate_cptp
 from .charfunc import (
     CHAR_KINDS,
     ObservableSchedule,
+    _entry_measurement,
     char_fn,
     circuit_sim,
     default_nodes,
     invert_char,
     product_grid,
 )
-from .linops import ValidationError, _in_field, check_half_range, dagger, is_hermitian, max_abs
-from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
+from .linops import ValidationError, _in_field, check_half_range, dagger, max_abs
+from .measurements import Outcome, ProjectiveMeasurement
 from .quasiprob import (
     MultiTimeProcess,
     QuasiDistribution,
@@ -327,10 +328,7 @@ def _parse_measurement(obj, name: str, k: int, dim: int, tol: float) -> Projecti
         h = _parse_matrix(obj["observable"], f"{where}.observable")
         if h.shape != (dim, dim):
             raise SpecParseError(f"{where}.observable: shape {h.shape}, expected {(dim, dim)}")
-        check_half_range(h, f"{where}.observable")
-        if not is_hermitian(h, tol):
-            raise ValidationError(f"{where}.observable: not Hermitian within {tol}")
-        return spectral_measurement((h + dagger(h)) / 2)  # bit-identical for exactly Hermitian input
+        return _entry_measurement(h, f"{where}.observable", tol)
     if "projectors" in obj:
         entries = obj["projectors"]
         if not isinstance(entries, list) or not entries:
@@ -654,9 +652,8 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
 
 
 def _char_setup(bundle: SpecBundle, args):
-    """The kind's ObservableSchedule of the named schedules and the measurements it inserts,
-    one tuple per side (ket first): phase widths, inversion spectra and round-trip reference
-    come from these."""
+    """The kind's ObservableSchedule and the measurements it inserts, one tuple per side
+    (ket first): phase widths, inversion spectra and round-trip reference come from these."""
     named = _named(bundle.schedules, args)
     obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
                              bra=None if args.kind == "left" else named[-1], tol=bundle.process.tol)

@@ -80,18 +80,14 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    """Whether ``a`` is square and within ``tol`` of its adjoint. A defect that overflows
-    to inf, or holds NaN, fails the bound without a numpy warning."""
-    if a.shape[0] != a.shape[1]:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        return max_abs(a - dagger(a)) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        return a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
 
 
 def check_half_range(h: np.ndarray, where: str) -> None:
     """Refuse an observable with an entry whose real or imaginary part exceeds
-    HALF_RANGE, before h − h† or (h + h†)/2 is formed: past it they can
-    overflow with a numpy warning. NaN entries are left to the Hermiticity check."""
+    HALF_RANGE, before (h + h†)/2 is formed: past it, that sum can overflow
+    with a numpy warning. NaN entries are left to the Hermiticity check."""
     if max_abs(h.real) > HALF_RANGE or max_abs(h.imag) > HALF_RANGE:
         raise ValidationError(f"{where}: an entry exceeds {HALF_RANGE:.6e} in its real "
                               "or imaginary part, so (h + h†)/2 overflows")

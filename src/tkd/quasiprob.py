@@ -546,16 +546,15 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
 
 
 def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> complex:
-    """⟨post|A|pre⟩ / ⟨post|pre⟩; undefined for orthogonal pre/post selections.
-    An operator or state with a non-finite entry raises ValidationError."""
+    """⟨post|A|pre⟩ / ⟨post|pre⟩; refused for orthogonal selections or a non-finite entry."""
     a = as_matrix(a)
     pre = np.asarray(pre_state, dtype=np.complex128).reshape(-1)
     post = np.asarray(post_state, dtype=np.complex128).reshape(-1)
     if a.shape != (pre.size, pre.size) or post.size != pre.size:
         raise ValidationError(f"weak value: operator {a.shape}, pre-selection of {pre.size} and "
                               f"post-selection of {post.size} amplitudes disagree in dimension")
-    if not all(np.isfinite(x).all() for x in (a, pre, post)):
-        raise ValidationError("weak value: the operator and both states must be finite")
+    _require(all(np.isfinite(x).all() for x in (a, pre, post)),
+             "weak value: the operator and both states must be finite")
     overlap = complex(np.vdot(post, pre))
     if abs(overlap) <= 1e-12:
         raise ValidationError("weak value undefined: pre and post selections are orthogonal")

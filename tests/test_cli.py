@@ -627,7 +627,7 @@ def test_each_spec_check_runs_once(tmp_path, monkeypatch, refused):
 ], ids=["charfn", "charfn doubled", "circuit-sim", "circuit-sim doubled"])
 def test_chi_requests_decompose_only_while_the_spec_is_parsed(capsys, monkeypatch, argv):
     path = str(Path(__file__).parent / "data" / "qubit_two_times.json")
-    spectral = _recorded(monkeypatch, "spectral_measurement", (tkd.cli, tkd.charfunc))
+    spectral = _recorded(monkeypatch, "spectral_measurement", (tkd.cli, tkd.charfunc, tkd.measurements))
     tkd.cli.load_spec(path)
     assert len(spectral) == 3  # one per observable entry of the spec's two schedules
     run_json(capsys, [argv[0], path] + argv[1:])
