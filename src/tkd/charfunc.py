@@ -4,7 +4,7 @@
 values: the process trace with phase gates e^{+iA_kv_k} (ket side) or
 e^{−iB_ku_k} (bra side) where the distributions insert projectors. Phase
 gates e^{∓iBu} = Σ_b e^{∓ibu}Π_b need only each time's measurement, which
-`ObservableSchedule` holds, summed by value. χ is thus one more choice of
+`ObservableSchedule` holds as given. χ is thus one more choice of
 insertions for the forward sweep of `quasiprob`, one phase-gate map per
 distinct node of each time's axis: a grid that holds every combination of
 its per-axis nodes, in any order, takes one sweep over their product, and
@@ -45,9 +45,8 @@ class ObservableSchedule:
     side (B_k, right-hand phases), ket side (A_k, left-hand phases), or both
     for the doubled kind. An observable Hermitian within ``tol`` becomes the
     spectral measurement of its Hermitian part (one past half the float range
-    is refused). A `ProjectiveMeasurement` whose values strictly ascend is kept;
-    any other is rebuilt at ``tol`` with one outcome per distinct value,
-    ascending and labelled by it, onto the sum of its projectors of that value."""
+    is refused). A `ProjectiveMeasurement` is kept as given, whatever the order
+    of its values and whether any repeat: the phase gates sum its projectors."""
 
     ket: tuple[ProjectiveMeasurement, ...] | None = None
     bra: tuple[ProjectiveMeasurement, ...] | None = None
@@ -72,12 +71,7 @@ def _entry_measurement(o, where: str, tol: float) -> ProjectiveMeasurement:
     """The measurement χ inserts for one schedule entry, as `ObservableSchedule` states; a
     refusal begins with ``where``. The CLI builds each `observable` entry's measurement here."""
     if isinstance(o, ProjectiveMeasurement):
-        values = [out.value for out in o.outcomes]
-        if all(a < b for a, b in zip(values, values[1:])):
-            return o
-        merged = [Outcome(v, sum(p for u, p in zip(values, o.projectors) if u == v), v)
-                  for v in sorted(set(values))]
-        return ProjectiveMeasurement(o.dim, merged, tol=tol)
+        return o
     o = as_matrix(o)
     check_half_range(o, where)
     if not is_hermitian(o, tol):

@@ -652,12 +652,12 @@ def _parse_points(text: str, width: int) -> list[tuple[float, ...]]:
 
 
 def _char_setup(bundle: SpecBundle, args):
-    """The kind's ObservableSchedule and the measurements it inserts, one tuple per side
+    """The kind's ObservableSchedule and the named schedules it inserts as given, one per side
     (ket first): phase widths, inversion spectra and round-trip reference come from these."""
     named = _named(bundle.schedules, args)
     obs = ObservableSchedule(ket=None if args.kind == "right" else named[0],
                              bra=None if args.kind == "left" else named[-1], tol=bundle.process.tol)
-    return obs, [ms for ms in (obs.ket, obs.bra) if ms is not None]
+    return obs, named
 
 
 def _cmd_charfn(bundle: SpecBundle, args) -> dict:
@@ -678,7 +678,11 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
     if source == "default":
         q = invert_char(samples, spectra)
         direct = _DIST_BUILDERS[args.kind](bundle.process, *sides)
-        ch["inversion_round_trip_defect"] = float(np.max(np.abs(q.values - direct.values)))
+        # invert_char gives one entry per distinct value, ascending: sum the direct one alike
+        by_value = np.zeros(q.values.shape, dtype=np.complex128)
+        np.add.at(by_value, np.ix_(*[np.unique(sp, return_inverse=True)[1] for sp in spectra]),
+                  direct.values)
+        ch["inversion_round_trip_defect"] = float(np.max(np.abs(q.values - by_value)))
     return {"characteristic": ch}
 
 

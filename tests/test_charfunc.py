@@ -121,7 +121,7 @@ def test_observable_at_half_the_float_range_is_accepted():
     assert [o.value for o in obs.bra[0].outcomes] == pytest.approx([-half_max, half_max], rel=1e-15)
 
 
-def test_schedule_keeps_ascending_measurements_and_merges_equal_values():
+def test_schedule_keeps_every_measurement_as_given():
     rng = np.random.default_rng(5)
     p = tkd.random_process(2, 2, seed=rng)
     hs = [tkd.random_hermitian(2, rng) for _ in range(p.n_times)]
@@ -131,16 +131,19 @@ def test_schedule_keeps_ascending_measurements_and_merges_equal_values():
     pts = random_points(p.n_times, 6, seed=7)
     want = tkd.char_fn(p, tkd.ObservableSchedule(bra=hs), pts).values
     assert tkd.char_fn(p, obs, pts).values.tobytes() == want.tobytes()
-    # Z⊗Z: values 1, −1, −1, 1 merge to −1, 1, each onto the sum of its projectors
+    # descending values, equal values and Z⊗Z (values 1, −1, −1, 1) are kept as given too
+    descending = tkd.ProjectiveMeasurement(2, s[0].outcomes[::-1])
+    equal = tkd.ProjectiveMeasurement(2, [tkd.Outcome(0.5, o.projector, o.label) for o in s[1].outcomes])
     zz = tkd.product_measurement([tkd.spectral_measurement(np.diag([1.0, -1.0]))] * 2)
+    for m in (descending, equal, zz):
+        assert tkd.ObservableSchedule(bra=[m]).bra[0] is m
+    given = [descending, equal, s[2]]
+    chi = tkd.char_fn(p, tkd.ObservableSchedule(bra=given), pts).values
+    want = tkd.char_from_distribution(tkd.kd_right(p, given), pts).values
+    assert max_abs(chi - want) < 1e-12
     p4 = tkd.random_process(4, 1, seed=rng)
-    merged = tkd.ObservableSchedule(bra=(zz, zz)).bra
-    assert [(o.value, o.label) for o in merged[0].outcomes] == [(-1.0, -1.0), (1.0, 1.0)]
-    assert np.array_equal(merged[0].projectors, [zz.projectors[1] + zz.projectors[2],
-                                                 zz.projectors[0] + zz.projectors[3]])
     pts = random_points(2, 6, seed=8)
     chi = tkd.char_fn(p4, tkd.ObservableSchedule(bra=(zz, zz)), pts).values
-    assert max_abs(chi - tkd.char_from_distribution(tkd.kd_right(p4, merged), pts).values) < 1e-12
     assert max_abs(chi - tkd.char_from_distribution(tkd.kd_right(p4, [zz, zz]), pts).values) < 1e-12
 
 

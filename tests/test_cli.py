@@ -233,19 +233,38 @@ NEAR_HERMITIAN = [{"projectors": [{"matrix": [[[1, 0], [1e-7, 0]], [[0, 0], [0, 
                                   {"matrix": [[[0, 0], [-1e-7, 0]], [[0, 0], [1, 0]]], "value": -1}]}] * 2
 # the same schedule as observables Hermitian only to 2e-7
 NEAR_HERMITIAN_OBSERVABLE = [{"observable": [[[1, 0], [2e-7, 0]], [[0, 0], [-1, 0]]]}] * 2
+
+
+def _qutrit_projector(k: int, off: float) -> list:
+    """diag(e_k) as [re, im] entries, with ``off`` at [2][1]."""
+    return [[[float(i == j == k) + (off if (i, j) == (2, 1) else 0.0), 0.0] for j in range(3)]
+            for i in range(3)]
+
+
+# a qutrit spec whose projectors are each Hermitian only to 6e-7, two of them at value 1:
+# their sum is off by 1.2e-6, beyond options.tolerance, so χ must insert them as given
+NEAR_HERMITIAN_QUTRIT = {
+    "dims": [3, 3], "initial_state": [[[1 / 3, 0]] * 3] * 3,
+    "channels": [{"kind": "unitary", "u": [[[float(i == j), 0] for j in range(3)] for i in range(3)]}],
+    "schedules": {"default": [{"projectors": [
+        {"matrix": _qutrit_projector(0, 6e-7), "value": 1, "label": "a"},
+        {"matrix": _qutrit_projector(1, 6e-7), "value": 1, "label": "b"},
+        {"matrix": _qutrit_projector(2, -6e-7), "value": 2, "label": "c"}]}] * 2}}
 TOLERANCE_COMMANDS = {"validate": ["validate"], "dist": ["dist"], "charfn": ["charfn"],
+                      "charfn left": ["charfn", "--kind", "left"],
                       "charfn doubled": ["charfn", "--kind", "doubled"],
                       "circuit-sim": ["circuit-sim", "--point", "0.7,1.3"]}
 
 
-@pytest.mark.parametrize("argv, schedule", [
-    pytest.param(argv, sched, id=name + suffix)
-    for suffix, sched in (("", NEAR_HERMITIAN), (" observable", NEAR_HERMITIAN_OBSERVABLE))
+@pytest.mark.parametrize("argv, spec", [
+    pytest.param(argv, spec, id=name + suffix)
+    for suffix, spec in (("", {"schedules": {"default": NEAR_HERMITIAN}}),
+                         (" observable", {"schedules": {"default": NEAR_HERMITIAN_OBSERVABLE}}),
+                         (" qutrit", NEAR_HERMITIAN_QUTRIT))
     for name, argv in TOLERANCE_COMMANDS.items()])
-def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv, schedule):
+def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv, spec):
     path = tmp_path / "near_hermitian.json"
-    path.write_text(json.dumps(probe_spec(schedules={"default": schedule},
-                                          options={"tolerance": 1e-6})))
+    path.write_text(json.dumps(probe_spec(**spec, options={"tolerance": 1e-6})))
     doc = run_json(capsys, [argv[0], str(path)] + argv[1:])
     assert doc["tolerance"] == 1e-6
     if argv[0] == "charfn":
