@@ -546,7 +546,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
 
 
 def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> complex:
-    """⟨post|A|pre⟩ / ⟨post|pre⟩; refused for orthogonal selections or a non-finite entry."""
+    """⟨post|A|pre⟩ / ⟨post|pre⟩; refused for orthogonal selections, a non-finite entry or result."""
     a = as_matrix(a)
     pre = np.asarray(pre_state, dtype=np.complex128).reshape(-1)
     post = np.asarray(post_state, dtype=np.complex128).reshape(-1)
@@ -558,7 +558,9 @@ def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> 
     overlap = complex(np.vdot(post, pre))
     if abs(overlap) <= 1e-12:
         raise ValidationError("weak value undefined: pre and post selections are orthogonal")
-    return complex(np.vdot(post, a @ pre)) / overlap
+    value = complex(np.vdot(post, a @ pre)) / overlap
+    _require(np.isfinite(value), "weak value: ⟨post|A|pre⟩ / ⟨post|pre⟩ is not finite")
+    return value
 
 
 def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrument) -> QuasiDistribution:

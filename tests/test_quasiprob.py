@@ -404,13 +404,17 @@ def test_weak_value_instance(pauli):
             tkd.weak_value(a, pre, post)
 
 
-@pytest.mark.parametrize("a, pre, post", [
-    (np.full((2, 2), np.nan), [1, 0], [1, 0]),
-    (np.eye(2), [np.inf, 0], [1, 0]),
-    (np.eye(2), [1, 0], [1, np.nan]),
-], ids=["operator", "pre-selection", "post-selection"])
-def test_weak_value_refuses_non_finite_input(a, pre, post):
-    with pytest.raises(ValidationError, match="^weak value: the operator and both states must be finite$"):
+INPUTS_NOT_FINITE = "weak value: the operator and both states must be finite"
+
+
+@pytest.mark.parametrize("a, pre, post, message", [
+    (np.full((2, 2), np.nan), [1, 0], [1, 0], INPUTS_NOT_FINITE),
+    (np.eye(2), [np.inf, 0], [1, 0], INPUTS_NOT_FINITE),
+    (np.eye(2), [1, 0], [1, np.nan], INPUTS_NOT_FINITE),
+    (np.diag([1e308, 1e308]), [1, 1], [1, 1], "weak value: ⟨post|A|pre⟩ / ⟨post|pre⟩ is not finite"),
+], ids=["operator", "pre-selection", "post-selection", "overflowing quotient"])
+def test_weak_value_refuses_non_finite_input(a, pre, post, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         tkd.weak_value(a, pre, post)
 
 
