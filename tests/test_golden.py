@@ -10,7 +10,9 @@ every time back-evolved to t_0); validate and dist on
 spec channel kind: kraus, unitary, replacement with d_in, depolarizing and
 measure_replace); and the ancilla interferometer with 3000 seeded shots,
 circuit-sim right on `qubit_three_times_unitary.json` and circuit-sim
-doubled on `qubit_two_times.json`. Spec paths are given
+doubled on `qubit_two_times.json`; and charfn on explicit points of
+`qubit_two_times.json`, one phase a signed zero. Each file in TABLES holds the
+exact ``--table`` export of one command. Spec paths are given
 relative to tests/data, so the documents' ``spec`` field does not depend on
 the checkout location. Regenerate with ``python tests/test_golden.py`` and
 record the reason in CHANGES.md.
@@ -42,7 +44,10 @@ GOLDEN = {
                                "--point", "0.3,-0.7,1.1", "--shots", "3000", "--seed", "5"],
     "circuit_sim_doubled.json": ["circuit-sim", SPEC, "--kind", "doubled", "--bra-schedule", "alt",
                                  "--point", "0.4,-0.2,0.9,0.5", "--shots", "3000", "--seed", "5"],
+    "charfn_points.json": ["charfn", SPEC, "--points", "0.3,-0.0;0,0;-1.1,0.5"],
 }
+# the command's --table path is appended
+TABLES = {"dist_doubled.tsv": ["dist", SPEC, "--kind", "doubled", "--bra-schedule", "alt", "--table"]}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -53,6 +58,16 @@ def test_document_bytes_match_golden(name, capsys, monkeypatch):
     monkeypatch.delenv("TKD_TOLERANCE", raising=False)
     assert run_command(GOLDEN[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_bytes_match_golden(name, capsys, monkeypatch, tmp_path):
+    from tkd.cli import run_command
+
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("TKD_TOLERANCE", raising=False)
+    assert run_command(TABLES[name] + [str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 if __name__ == "__main__":  # rewrite every golden file from the current code
@@ -70,3 +85,6 @@ if __name__ == "__main__":  # rewrite every golden file from the current code
         with contextlib.redirect_stdout(out):
             assert run_command(argv) == 0, name
         (DATA / name).write_bytes(out.getvalue().encode())
+    for name, argv in TABLES.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(argv + [name]) == 0, name
