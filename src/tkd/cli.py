@@ -679,9 +679,9 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
         q = invert_char(samples, spectra)
         direct = _DIST_BUILDERS[args.kind](bundle.process, *sides)
         # invert_char gives one entry per distinct value, ascending: sum the direct one alike
+        inverse = [np.searchsorted(sorted(set(sp)), sp) for sp in spectra]
         by_value = np.zeros(q.values.shape, dtype=np.complex128)
-        np.add.at(by_value, np.ix_(*[np.unique(sp, return_inverse=True)[1] for sp in spectra]),
-                  direct.values)
+        np.add.at(by_value, np.ix_(*inverse), direct.values)
         ch["inversion_round_trip_defect"] = float(np.max(np.abs(q.values - by_value)))
     return {"characteristic": ch}
 

@@ -61,7 +61,7 @@ def test_document_bytes_match_golden(name, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
-def test_table_bytes_match_golden(name, capsys, monkeypatch, tmp_path):
+def test_table_bytes_match_golden(name, monkeypatch, tmp_path):
     from tkd.cli import run_command
 
     monkeypatch.chdir(DATA)
