@@ -9,7 +9,9 @@ measurements); labels are what downstream distribution axes index by.
 Outcomes and bases hold read-only copies of the operators they are given. A
 `ProjectiveMeasurement` stacks its outcome projectors when it is constructed,
 checks them as that one stack and keeps it as `projectors`; it builds its
-right, left and lvn insertion maps once, on first use. `hs_basis(d)` returns
+right, left and lvn insertion maps once, on first use. An `HSBasis` likewise
+builds its op stack and its right, left and lvn maps once, on first use, so
+correlator tomography rebuilds none of them per call. `hs_basis(d)` returns
 one shared basis per dimension.
 """
 
@@ -25,6 +27,7 @@ import numpy as np
 from .linops import (
     ValidationError,
     as_matrix,
+    check_half_range,
     dagger,
     frozen_matrix,
     hermitian_eig,
@@ -142,8 +145,10 @@ class ProjectiveMeasurement:
 
 
 def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> ProjectiveMeasurement:
-    """Measurement of a Hermitian observable; eigenvalues within tol merge."""
+    """Measurement of a Hermitian observable; eigenvalues within tol merge.
+    An entry past the half range is refused, as `check_half_range` states."""
     observable = as_matrix(observable)
+    check_half_range(observable, "observable")
     groups = hermitian_eig(observable, tol)
     outcomes = []
     for val, vecs in groups:
@@ -152,8 +157,9 @@ def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> Projectiv
     return ProjectiveMeasurement(observable.shape[0], outcomes)
 
 
-def product_measurement(locals_: Sequence[ProjectiveMeasurement]) -> ProjectiveMeasurement:
-    """Joint local measurement on ⊗ sites.
+def product_measurement(locals_: Sequence[ProjectiveMeasurement],
+                        tol: float = 1e-9) -> ProjectiveMeasurement:
+    """Joint local measurement on ⊗ sites, checked at ``tol``.
 
     Outcome values multiply across sites (so they may collide, e.g. Z⊗Z);
     labels are the per-site label tuples, which stay distinct.
@@ -166,7 +172,7 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement]) -> ProjectiveM
         value = float(np.prod([o.value for o in combo]))
         proj = kron_chain([o.projector for o in combo])
         outcomes.append(Outcome(value=value, projector=proj, label=tuple(o.label for o in combo)))
-    return ProjectiveMeasurement(dim, outcomes)
+    return ProjectiveMeasurement(dim, outcomes, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +202,30 @@ class HSBasis:
             raise ValidationError("basis is not orthogonal with Tr(σμσν) = d δμν")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "ops", ops)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The ops as one read-only (d², d, d) stack, in basis order."""
+        return readonly(np.stack(self.ops))
+
+    @cached_property
+    def right_maps(self) -> np.ndarray:
+        """Bra-side insertions x ↦ xσ as a (d², d², d²) stack (see `insertion_maps`)."""
+        return readonly(insertion_maps("right", self.stack))
+
+    @cached_property
+    def left_maps(self) -> np.ndarray:
+        """Ket-side insertions x ↦ σx."""
+        return readonly(insertion_maps("left", self.stack))
+
+    @cached_property
+    def lvn_maps(self) -> np.ndarray:
+        """Value-weighted collapses x ↦ Σ_a a·Π_a x Π_a over the spectral
+        projectors of each σ, one map per basis element (not per outcome, as
+        `ProjectiveMeasurement.lvn_maps` has it)."""
+        meas = [spectral_measurement(op) for op in self.ops]
+        return readonly(np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1)
+                                  for m in meas]))
 
 
 @cache

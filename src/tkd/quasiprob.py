@@ -57,6 +57,7 @@ presentation layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -163,11 +164,12 @@ def tensor_process(p: MultiTimeProcess, q: MultiTimeProcess) -> MultiTimeProcess
     )
 
 
-def tensor_schedule(s1: Sequence[ProjectiveMeasurement],
-                    s2: Sequence[ProjectiveMeasurement]) -> list[ProjectiveMeasurement]:
+def tensor_schedule(s1: Sequence[ProjectiveMeasurement], s2: Sequence[ProjectiveMeasurement],
+                    tol: float = 1e-9) -> list[ProjectiveMeasurement]:
+    """Per-time product measurements of two schedules, each checked at ``tol``."""
     if len(s1) != len(s2):
         raise ValidationError("schedules differ in length")
-    return [product_measurement([a, b]) for a, b in zip(s1, s2)]
+    return [product_measurement([a, b], tol=tol) for a, b in zip(s1, s2)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +422,7 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     ops = _backward(p, *stacks).reshape(-1, d0, d0)
     if max_abs(ops.sum(axis=0) - np.eye(d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
-    keys = np.ndindex(tuple(len(ax) for ax in axes))
+    keys = itertools.product(*(range(len(ax)) for ax in axes))  # C order, as the ops run
     return JointMeasurementOperators(kind, axes, dict(zip(keys, ops)), ket_axes=ket_axes)
 
 

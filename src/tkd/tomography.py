@@ -10,6 +10,10 @@ time-local operators reproduce the corresponding distribution or correlator.
 Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check;
 the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
 
+No call rebuilds an operator that depends on a basis or a dimension alone:
+each `HSBasis` holds its op stack and its insertion maps, and the matrix-unit
+maps of each dimension are built once per process (``_unit_maps``).
+
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
 exposed through the API stay ascending. That layout is written once in
@@ -19,14 +23,14 @@ exposed through the API stay ascending. That layout is written once in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps,
                      is_hermitian, partial_trace, readonly)
-from .measurements import HSBasis, hs_basis, spectral_measurement
+from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
@@ -146,24 +150,16 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     of projectors: x ↦ xσ (right, mh), σx (left), σ_i x σ_j for every pair
     (doubled, ket block then bra block), and the value-weighted collapse
     Σ_a a·Π_a x Π_a over the spectral projectors of σ (lvn); mh keeps the real
-    part of right. ``tkd.oracle.oracle_correlators`` recomputes the same tensor
-    from value-weighted sums of distributions.
+    part of right. The maps are the bases' own (``right_maps``, ...), built
+    once per basis. ``tkd.oracle.oracle_correlators`` recomputes the same
+    tensor from value-weighted sums of distributions.
     """
     if kind not in CORRELATOR_KINDS:
         raise ValidationError(f"unknown correlator kind {kind!r}")
     bases = tuple(hs_basis(d) for d in p.dims) if bases is None else tuple(bases)
     _check_schedule(p, bases, "bases")
-
-    def maps(b: HSBasis, side: str) -> np.ndarray:
-        if side == "lvn":  # value-weighted collapse Σ_a a·Π_a x Π_a
-            meas = [spectral_measurement(op) for op in b.ops]
-            return np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1) for m in meas])
-        return insertion_maps(side, np.stack(b.ops))
-
     sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
-    distinct = {id(b): b for b in bases}
-    built = {(i, side): maps(b, side) for i, b in distinct.items() for side in sides}
-    stacks = [[built[id(b), side] for b in bases] for side in sides]
+    stacks = [[getattr(b, f"{side}_maps") for b in bases] for side in sides]
     values = _sweep(p, *stacks)
     if kind == "mh":
         values = values.real
@@ -184,7 +180,11 @@ def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
 
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     """Bloch-style resynthesis Υ = (1/Π_k d_k) Σ T ⊗σ (doubled: 1/Π_k d_k²),
-    contracting T one axis at a time against that axis's basis stack.
+    contracting T one axis at a time against that axis's basis stack, one
+    GEMM per axis. The leading axis of the (m, rest) view is contracted as a
+    transposed operand, so no axis is moved in memory; the result rows keep
+    the rest in order, so the last GEMM leaves the (d₀, d₀, d₁, d₁, …)
+    layout that `np.tensordot` would.
 
     The prefactor carries one power of d per tensor axis, which is what makes
     traces against basis products return the stored correlators. The lvn
@@ -198,27 +198,34 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
                 raise ValidationError(f"the lvn resynthesis is the pdo only on qubits; "
                                       f"time {k} has dim {d}")
     z = t.values
-    for b in t.bases:
-        z = np.tensordot(z, np.stack(b.ops), axes=([0], [0]))
+    for b, m in zip(t.bases, t.values.shape):
+        z = z.reshape(m, -1).T @ b.stack.reshape(m, -1)
     side = int(np.prod([b.dim for b in t.bases]))
     mat = _matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side
     kind = {"mh": "mh", "lvn": "pdo"}.get(t.kind, "kd_" + t.kind)
     return TemporalStateOperator(kind, t.time_dims, mat, tol=t.tol)
 
 
+@cache
+def _unit_maps(d: int, side: str) -> np.ndarray:
+    """The insertion maps of the d² matrix units E_cr = |c⟩⟨r| on one side
+    (right, left, or jordan: their mean), read-only. Each entry holds d⁶
+    complex values, 16·d⁶ bytes: 1 kB at d = 2, 65 kB at d = 4."""
+    if side == "jordan":
+        return readonly((_unit_maps(d, "right") + _unit_maps(d, "left")) / 2)
+    units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d).transpose(0, 2, 1)
+    return readonly(insertion_maps(side, units))
+
+
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     """Read a state off the forward sweep with matrix units E_cr = |c⟩⟨r|
     inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE'
     (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[r…, c…], so unit (r, c)
-    of each time gives that time's (row, column) leg pair."""
-    by_dim = {}
-    for d in set(p.dims):
-        units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d).transpose(0, 2, 1)
-        right = insertion_maps("right", units)
-        left = None if side == "right" else insertion_maps("left", units)
-        by_dim[d] = [left, right] if side == "doubled" else \
-            [(right + left) / 2 if side == "jordan" else right]
-    return _matrix(_sweep(p, *zip(*[by_dim[d] for d in p.dims])), p.dims, 1 + (side == "doubled"))
+    of each time gives that time's (row, column) leg pair. The maps of each
+    (dimension, side) come from `_unit_maps`, built once per process."""
+    sides = ["left", "right"] if side == "doubled" else [side]
+    stacks = [[_unit_maps(d, s) for d in p.dims] for s in sides]
+    return _matrix(_sweep(p, *stacks), p.dims, len(sides))
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:

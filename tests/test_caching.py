@@ -55,6 +55,9 @@ ENTRY_POINTS = {
     **{f"correlators {kind}": (lambda p, ket, bra, obs, kind=kind:
                                tkd.correlators(p, kind=kind).values)
        for kind in ("right", "left", "doubled", "mh", "lvn")},
+    **{f"reconstruct_state {kind}": (lambda p, ket, bra, obs, kind=kind:
+                                     tkd.reconstruct_state(tkd.correlators(p, kind=kind)).matrix)
+       for kind in ("right", "left", "doubled", "mh", "lvn")},
     **{f"char_fn {kind}": (lambda p, ket, bra, obs, kind=kind: tkd.char_fn(
         p, obs, _grid(p.n_times, 2 * p.n_times if kind == "doubled" else p.n_times),
         kind=kind).values) for kind in ("right", "left", "doubled")},
@@ -84,10 +87,12 @@ def test_cached_evaluation_is_bit_identical_to_a_fresh_one(name):
 def test_held_arrays_are_read_only():
     raw = _raw()
     p, ket, bra, obs = _build(raw)
-    c, m = p.channels[0], ket[0]
+    c, m, b = p.channels[0], ket[0], tkd.hs_basis(2)
+    units = [tkd.tomography._unit_maps(2, side) for side in ("right", "left", "jordan")]
     for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0].projectors,
-                   obs.ket[0].projectors, tkd.hs_basis(2).ops[1], p.rho0, c.superop, m.right_maps,
-                   m.left_maps, m.lvn_maps, c.dilation[0]):
+                   obs.ket[0].projectors, b.ops[1], p.rho0, c.superop, m.right_maps,
+                   m.left_maps, m.lvn_maps, c.dilation[0], b.stack, b.right_maps, b.left_maps,
+                   b.lvn_maps, *units):
         with pytest.raises(ValueError):
             target[(0,) * target.ndim] = 7.0
     inst = tkd.Instrument([("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, 1.0])])])

@@ -110,7 +110,9 @@ def test_hermitian_eig_rejects_non_hermitian():
         linops.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# each entry point whose Hermiticity check meets the matrix first, and its refusal
+# each entry point whose Hermiticity check meets the matrix first, and its refusal;
+# spectral_measurement meets these matrices first with the half-range rule, as the
+# observable schedule of χ does
 HERMITICITY_CHECKS = {
     "check_density": (tkd.check_density, "state is not Hermitian within tol"),
     "MultiTimeProcess": (lambda m: tkd.MultiTimeProcess(m, []), "state is not Hermitian within tol"),
@@ -118,7 +120,8 @@ HERMITICITY_CHECKS = {
                     "state is not Hermitian within tol"),
     "hermitian_eig": (tkd.hermitian_eig, "hermitian_eig: input is not Hermitian within tol"),
     "spectral_measurement": (tkd.spectral_measurement,
-                             "hermitian_eig: input is not Hermitian within tol"),
+                             f"observable: an entry exceeds {linops.HALF_RANGE:.6e} in its real "
+                             "or imaginary part, so (h + h†)/2 overflows"),
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest  # type: ignore
 
 import tkd
 from tkd import ValidationError
-from tkd.linops import max_abs
+from tkd.linops import HALF_RANGE, max_abs
 
 
 def test_spectral_measurement_reconstructs_observable(pauli):
@@ -28,6 +29,17 @@ def test_spectral_measurement_random(seed):
     assert max_abs(m.observable() - a) < 1e-10
     vals = [o.value for o in m.outcomes]
     assert vals == sorted(vals)
+
+
+def test_spectral_measurement_refuses_an_entry_past_the_half_range():
+    # the rule ObservableSchedule and the CLI apply: the largest admitted entry is HALF_RANGE
+    refusal = (f"observable: an entry exceeds {HALF_RANGE:.6e} in its real or imaginary part, "
+               "so (h + h†)/2 overflows")
+    for h in (np.diag([1e308, 0.5]), np.diag([0.5, -1e308]), np.array([[0.0, 1e308j], [-1e308j, 0.0]])):
+        with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
+            tkd.spectral_measurement(h)
+    edge = tkd.spectral_measurement(np.diag([HALF_RANGE, 0.5]))
+    assert [o.value for o in edge.outcomes] == [0.5, pytest.approx(HALF_RANGE, rel=1e-15)]
 
 
 def test_spectral_measurement_merges_degeneracy():
@@ -132,6 +144,21 @@ def test_product_measurement(pauli):
     assert max_abs(o.projector - want) < 1e-12
     with pytest.raises(ValidationError, match="^product of zero measurements$"):
         tkd.product_measurement([])
+
+
+def test_product_measurement_checks_at_the_given_tolerance():
+    # qubit projectors 6e-7 off Hermitian, accepted at tol=1e-6; so are their products, when
+    # built at that tolerance, and at the default of 1e-9 the first product is refused
+    skew = np.array([[1.0, 6e-7], [0.0, 0.0]])
+    loose = tkd.ProjectiveMeasurement(2, [O(1.0, skew, "u"), O(-1.0, np.eye(2) - skew, "d")], tol=1e-6)
+    joint = tkd.product_measurement([loose, loose], tol=1e-6)
+    assert [o.label for o in joint.outcomes] == [("u", "u"), ("u", "d"), ("d", "u"), ("d", "d")]
+    assert max_abs(joint.projectors[0] - np.kron(skew, skew)) == 0.0
+    assert [m.dim for m in tkd.tensor_schedule([loose] * 2, [loose] * 2, tol=1e-6)] == [4, 4]
+    for build in (lambda: tkd.product_measurement([loose, loose]),
+                  lambda: tkd.tensor_schedule([loose], [loose])):
+        with pytest.raises(ValidationError, match=r"^outcome \('u', 'u'\): not a Hermitian projector$"):
+            build()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -109,6 +109,28 @@ def test_reconstruction_matches_recursion(case):
     assert max_abs(mh.matrix - tkd.mh_state(p).matrix) < 1e-10
 
 
+def _tensordot_resynthesis(t: tkd.CorrelatorTensor) -> np.ndarray:
+    """reconstruct_state's matrix by the reference formula: T contracted against
+    each axis's basis stack by np.tensordot, one axis at a time."""
+    z = t.values
+    for b in t.bases:
+        z = np.tensordot(z, np.stack(b.ops), axes=([0], [0]))
+    side = int(np.prod([b.dim for b in t.bases]))
+    return tkd.tomography._matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side
+
+
+@pytest.mark.parametrize("kind, d", [(k, d) for k in tkd.tomography.CORRELATOR_KINDS for d in (2, 3)
+                                     if k != "lvn" or d == 2])  # lvn is refused beyond qubits
+def test_reconstruct_state_is_the_tensordot_formula_bit_for_bit(kind, d):
+    for seed in range(6):
+        n = 1 + seed % (3 if d == 2 else 2)
+        p = tkd.random_process(d, n, seed=530 + seed, channel_kind=("mixed", "unitary")[seed % 2])
+        t = tkd.correlators(p, kind=kind)
+        got = tkd.reconstruct_state(t).matrix
+        want = _tensordot_resynthesis(t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, n)
+
+
 def test_left_state_is_dagger_of_right():
     p = tkd.random_process(3, 2, seed=505, channel_kind="mixed")
     r = tkd.kd_state_recursive(p, kind="kd_right")
