@@ -180,11 +180,10 @@ def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
 
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     """Bloch-style resynthesis Υ = (1/Π_k d_k) Σ T ⊗σ (doubled: 1/Π_k d_k²),
-    contracting T one axis at a time against that axis's basis stack, one
-    GEMM per axis. The leading axis of the (m, rest) view is contracted as a
-    transposed operand, so no axis is moved in memory; the result rows keep
-    the rest in order, so the last GEMM leaves the (d₀, d₀, d₁, d₁, …)
-    layout that `np.tensordot` would.
+    contracting T one axis at a time against that axis's basis stack: one
+    GEMM per axis, with the (m, rest) view of T as a transposed operand, so
+    no axis is copied into place. The rows keep the rest in order, so the
+    last GEMM leaves the (d₀, d₀, d₁, d₁, …) layout `np.tensordot` gives.
 
     The prefactor carries one power of d per tensor axis, which is what makes
     traces against basis products return the stored correlators. The lvn
