@@ -44,10 +44,18 @@ matrices C†C, so no step dispatches per d×d matrix.
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
 `ProjectiveMeasurement` its projector stack and its right, left and lvn maps
-(`projectors`, `right_maps`, ...). Those objects, and `MultiTimeProcess`,
-hold read-only copies of the arrays they were given, so a cached operator
-cannot go stale. Only the paired maps of two-sided kinds, which join two
-measurements, are built per call, inside the kernel, once per distinct pair.
+(`projectors`, `right_maps`, ...), each `MultiTimeProcess` its `dims`. Those
+objects hold read-only copies of the arrays they were given, so a cached
+operator cannot go stale. Nor does a pass rebuild a value that depends on
+shapes alone: vec(I) of each dimension, the identity insertion at t_0 and the
+witness's layout for each tuple of outcome counts (the time of each
+single-time operator, and the pairs in visiting order) are built once per
+process, read-only, when first needed, and a one-sided kernel result is only
+reshaped. Only the paired
+maps of two-sided kinds, which join two measurements, are built per call,
+inside the kernel, once per distinct pair. `joint_ops` hands back the
+backward pass's one array behind a Mapping (`OperatorTable`), with no object
+per outcome tuple.
 
 Axis convention: both kernels give axis i to time t_i (ascending order);
 two-sided kinds carry the full ket block first, then the bra block. Printed,
@@ -59,7 +67,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -74,7 +84,8 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import ValidationError, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs
+from .linops import (ValidationError, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs,
+                     readonly)
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -88,27 +99,30 @@ DOUBLED_KINDS = ("kd_doubled", "mh_doubled")
 
 @dataclass(frozen=True, eq=False)
 class MultiTimeProcess:
-    """ρ at t_0 plus the CPTP steps E_{t_1←t_0}, ..., E_{t_n←t_{n-1}}. A refusal
-    of the state has the `field` ("rho0",), one of step i ("channels", i)."""
+    """ρ at t_0 plus the CPTP steps E_{t_1←t_0}, ..., E_{t_n←t_{n-1}}, and
+    ``dims``, the dimension at each time. A refusal of the state has the
+    `field` ("rho0",), one of step i ("channels", i)."""
 
     rho0: np.ndarray
     channels: tuple[QuantumChannel, ...]
     tol: float = 1e-9
+    dims: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(self, rho0, channels: Sequence[QuantumChannel] = (), tol: float = 1e-9):
         rho0 = _in_field(("rho0",), check_density, rho0, tol)
         channels = tuple(channels)
-        d = rho0.shape[0]
+        dims = [rho0.shape[0]]
         for i, c in enumerate(channels):
-            _in_field(("channels", i), _require, c.d_in == d,
-                      f"channel {i} expects dim {c.d_in}, chain carries {d}")
+            _in_field(("channels", i), _require, c.d_in == dims[-1],
+                      f"channel {i} expects dim {c.d_in}, chain carries {dims[-1]}")
             rep = validate_cptp(c, tol)
             _in_field(("channels", i), _require, rep.trace_preserving,
                       f"channel {i} is not trace preserving, defect {rep.defect:.3e}")
-            d = c.d_out
+            dims.append(c.d_out)
         object.__setattr__(self, "rho0", frozen_matrix(rho0))
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "dims", tuple(dims))
 
     @property
     def n_steps(self) -> int:
@@ -117,10 +131,6 @@ class MultiTimeProcess:
     @property
     def n_times(self) -> int:
         return len(self.channels) + 1
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.rho0.shape[0],) + tuple(c.d_out for c in self.channels)
 
     def state_at(self, k: int) -> np.ndarray:
         """The physical state ρ_{t_k} obtained by running the chain forward."""
@@ -238,9 +248,15 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, d) @ b.transpose(1, 0, 2).reshape(d, -1)
 
 
+@cache
+def _vec_identity(d2: int) -> np.ndarray:
+    """vec(I) of the identity on a space of dimension √d2, real, read-only."""
+    return readonly(np.eye(math.isqrt(d2)).reshape(-1))
+
+
 def _trace_rows(maps: np.ndarray) -> np.ndarray:
     """Rows w_i with w_i · vec(x) = Tr[a_i x b_i]: the final trace folded into the maps."""
-    return np.eye(math.isqrt(maps.shape[1])).reshape(-1) @ maps
+    return _vec_identity(maps.shape[1]) @ maps
 
 
 def _paired(stacks) -> list[np.ndarray]:
@@ -259,6 +275,8 @@ def _paired(stacks) -> list[np.ndarray]:
 def _blocks(flat: np.ndarray, stacks) -> np.ndarray:
     """A kernel result, flat in the C order of the paired stacks, with one axis
     per time and side: ket block first, then bra block; trailing axes stay."""
+    if len(stacks) == 1:  # one side: the C order is already one axis per time
+        return flat.reshape(tuple(len(m) for m in stacks[0]) + flat.shape[1:])
     nb, nt = len(stacks), len(stacks[0])
     a = flat.reshape([len(m) for pair in zip(*stacks) for m in pair] + list(flat.shape[1:]))
     return a.transpose([nb * k + b for b in range(nb) for k in range(nt)] + list(range(nb * nt, a.ndim)))
@@ -391,13 +409,46 @@ def nonclassicality(q: QuasiDistribution, variant: str = "linear") -> float:
     raise ValidationError(f"unknown nonclassicality variant {variant!r}")
 
 
+class OperatorTable(Mapping):
+    """A read-only Mapping from outcome-index tuples to the (d, d) operators of
+    one (m_1, …, m_k, d, d) ``array``: ``table[idx]`` is the view
+    ``array[idx]``, and the keys run in C order. No per-entry object is built
+    until a key is read, and every value is read-only, as the array is."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = readonly(array)
+        self._shape = array.shape[:-2]
+        self._rank = len(self._shape)
+
+    def __getitem__(self, key) -> np.ndarray:
+        try:  # a key holds one in-range, non-negative index per axis
+            if type(key) is tuple and len(key) == self._rank and min(key) >= 0:
+                op = self.array[key]
+                if op.ndim == 2:
+                    return op
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return itertools.product(*map(range, self._shape))
+
+    def __len__(self) -> int:
+        return math.prod(self._shape)
+
+
 @dataclass(frozen=True, eq=False)
 class JointMeasurementOperators:
-    """Heisenberg-picture operators on H_{t0} whose traces against ρ give Q."""
+    """Heisenberg-picture operators on H_{t0} whose traces against ρ give Q.
+
+    ``ops`` maps each outcome-index tuple, one index per axis (the axes of
+    the kind's distribution), to its operator; it is an `OperatorTable` over
+    the one read-only (…, d, d) array of the backward pass, ``ops.array``.
+    """
 
     kind: str
     axes: tuple[tuple[Outcome, ...], ...]
-    ops: dict[tuple, np.ndarray]
+    ops: Mapping[tuple, np.ndarray]
     ket_axes: int = 0
 
     def matrix(self, idx: Sequence[int]) -> np.ndarray:
@@ -419,11 +470,29 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
     stacks, axes, ket_axes = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
-    ops = _backward(p, *stacks).reshape(-1, d0, d0)
-    if max_abs(ops.sum(axis=0) - np.eye(d0)) > p.tol:
+    ops = _backward(p, *stacks)
+    if max_abs(ops.reshape(-1, d0, d0).sum(axis=0) - _vec_identity(d0 * d0).reshape(d0, d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
-    keys = itertools.product(*(range(len(ax)) for ax in axes))  # C order, as the ops run
-    return JointMeasurementOperators(kind, axes, dict(zip(keys, ops)), ket_axes=ket_axes)
+    return JointMeasurementOperators(kind, axes, OperatorTable(ops), ket_axes=ket_axes)
+
+
+@cache
+def _identity_map(d: int) -> np.ndarray:
+    """The one-map stack of the identity insertion on a d-dimensional space, read-only."""
+    return readonly(np.eye(d * d, dtype=np.complex128)[None])
+
+
+@cache
+def _witness_layout(sizes: tuple[int, ...], unitary: bool):
+    """The witness's single-time operators, laid out by outcome counts: the time
+    of each (``time``), where each time's operators start (``start``), and the
+    pairs (i, j) it compares in visiting order, none unless ``unitary``; all
+    read-only."""
+    time = np.repeat(np.arange(len(sizes)), sizes)
+    i, j = np.nonzero(time[:, None] < time[None, :]) if unitary else (np.zeros(0, int),) * 2
+    order = np.lexsort((j, i, time[j], time[i]))
+    start = np.cumsum((0,) + sizes)  # time k's projectors sit at start[k] onwards
+    return tuple(readonly(a) for a in (time, i[order], j[order], start))
 
 
 @dataclass(frozen=True)
@@ -466,14 +535,17 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     single-time pair is read off one antisymmetrized table of products.
     Spectral norms are taken only where the Frobenius norm leaves room for
     the maximum: ‖C‖₂ ≤ ‖C‖_F, and the largest ‖C‖_F/√d bounds it from below.
-    Each is √λ_max(C†C), from one batched `eigvalsh` over the candidates.
+    Each is √λ_max(C†C), from one batched `eigvalsh` over the candidates. On a
+    (nearly) commuting chain, where every ‖C‖_F is below the 1e-12 tie band,
+    every pair ties, so the first one is the worst and only the largest norm
+    is solved for; when every commutator is zero, none is, and the norm is 0.
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
     (maps,), axes, _ = _insertions(p, "kd_right", s)
     n, d = p.n_steps, p.dims[0]
     sizes = [len(ax) for ax in axes]
-    later = _backward(p, [np.eye(d * d, dtype=np.complex128)[None]] + maps[1:])
+    later = _backward(p, [_identity_map(d)] + maps[1:])
     later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
@@ -498,11 +570,8 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     # as marginals of the later joint operators, and every single-time pair,
     # projector i of t_k against j of t_l for k < l in visiting order, read
     # off one antisymmetrized table of products
-    time = np.repeat(np.arange(n + 1), sizes)
     unitary = all(len(c.kraus) == 1 for c in p.channels)
-    i, j = np.nonzero(time[:, None] < time[None, :]) if unitary else (np.zeros(0, int),) * 2
-    order = np.lexsort((j, i, time[j], time[i]))
-    i, j = i[order], j[order]
+    time, i, j, start = _witness_layout(tuple(sizes), unitary)
     pairs = np.zeros((0, d, d), dtype=np.complex128)
     if unitary:
         stack = later.reshape(sizes[1:] + [d, d])
@@ -517,11 +586,18 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     re_pairs = pairs.view(np.float64)
     fro = np.sqrt(np.concatenate([np.einsum("xrys,xrys->xy", re_block, re_block).ravel(),
                                   np.einsum("kij,kij->k", re_pairs, re_pairs)]))
-    low = float(fro.max()) / math.sqrt(d) * (1 - 1e-9)  # ≤ the largest spectral norm
-    need = np.flatnonzero(fro * (1 + 1e-9) >= low - 1e-12 * max(1.0, low))
-    # spectral norms of the candidates, ‖C‖₂ = √λ_max(C†C). Every commutator
-    # of a commuting chain is a candidate, so the block is freed once they are
-    # gathered, and einsum forms C†C without a (K, d, d, d) broadcast product
+    top = float(fro.max())
+    low = top / math.sqrt(d) * (1 - 1e-9)  # ≤ the largest spectral norm
+    # when every norm lies below the 1e-12 tie band, every pair ties and the
+    # first one in visiting order is the worst: only the largest norm is left
+    # to find, among the candidates of the relative bound alone (none when
+    # every commutator is zero)
+    tied = top * (1 + 1e-9) < 1e-12
+    band = 0.0 if tied else 1e-12 * max(1.0, low)
+    need = np.flatnonzero(fro * (1 + 1e-9) >= low - band) if top > 0 else np.zeros(0, int)
+    # spectral norms of the candidates, ‖C‖₂ = √λ_max(C†C). The block is freed
+    # once they are gathered, and einsum forms C†C without a (K, d, d, d)
+    # broadcast product
     inside = need[need < nl * m0]
     c = [block4[inside // m0, :, inside % m0], pairs[need[len(inside):] - nl * m0]]
     del block, block4, re_block
@@ -529,10 +605,8 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     norms = np.full(len(fro), -np.inf)
     lam = np.linalg.eigvalsh(np.einsum("kra,krb->kab", c.conj(), c))[:, -1]
     norms[need] = np.sqrt(np.maximum(lam, 0.0))
-    best = float(norms.max())
-    pos = int(np.argmax(norms >= best - 1e-12 * max(1.0, best)))
-
-    start = np.cumsum([0] + sizes)  # time k's projectors sit at start[k] onwards
+    best = float(norms.max()) if top > 0 else 0.0
+    pos = 0 if tied else int(np.argmax(norms >= best - 1e-12 * max(1.0, best)))
 
     def side(x):  # (times, labels) of single-time operator x
         k = int(time[x])

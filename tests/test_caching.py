@@ -89,10 +89,15 @@ def test_held_arrays_are_read_only():
     p, ket, bra, obs = _build(raw)
     c, m, b = p.channels[0], ket[0], tkd.hs_basis(2)
     units = [tkd.tomography._unit_maps(2, side) for side in ("right", "left", "jordan")]
+    sizes = tuple(len(x.outcomes) for x in ket)
+    layout = [a for unitary in (False, True) for a in tkd.quasiprob._witness_layout(sizes, unitary)]
+    joint = [tkd.joint_ops(p, ket).ops, tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra).ops]
     for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0].projectors,
                    obs.ket[0].projectors, b.ops[1], p.rho0, c.superop, m.right_maps,
                    m.left_maps, m.lvn_maps, c.dilation[0], b.stack, b.right_maps, b.left_maps,
-                   b.lvn_maps, *units):
+                   b.lvn_maps, *units, *layout, tkd.quasiprob._vec_identity(4),
+                   tkd.quasiprob._identity_map(2), *(t.array for t in joint),
+                   *(v for t in joint for v in t.values())):
         with pytest.raises(ValueError):
             target[(0,) * target.ndim] = 7.0
     inst = tkd.Instrument([("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, 1.0])])])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import tracemalloc
 
@@ -330,6 +332,36 @@ def test_joint_ops_doubled():
         tkd.joint_ops(p, ket, kind="lvn")
 
 
+@pytest.mark.parametrize("kind", ["kd_right", "kd_left", "kd_doubled"])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_joint_ops_is_a_read_only_mapping_over_one_array(kind, seed):
+    p = tkd.random_process(3, 2, seed=seed, channel_kind="mixed")
+    ket, bra = tkd.random_schedule(p.dims, seed=seed + 1), tkd.random_schedule(p.dims, seed=seed + 2)
+    j = tkd.joint_ops(p, ket, kind=kind, bra=bra if kind == "kd_doubled" else None)
+    shape = tuple(len(ax) for ax in j.axes)
+    assert j.ops.array.shape == shape + (3, 3)
+    keys = list(itertools.product(*map(range, shape)))
+    assert list(j.ops) == keys and len(j.ops) == len(keys) == math.prod(shape)
+    assert all(k in j.ops for k in keys)
+    for bad in [(0,) * (len(shape) - 1), (0,) * (len(shape) + 1), (-1,) + (0,) * (len(shape) - 1),
+                (3,) + (0,) * (len(shape) - 1), (0.0,) * len(shape), (None,) + (0,) * (len(shape) - 1),
+                (slice(None),) + (0,) * (len(shape) - 1), [0] * len(shape), 0]:
+        assert bad not in j.ops
+        with pytest.raises(KeyError):
+            j.ops[bad]
+    for k in keys[::5]:
+        assert j.matrix(k) is not j.ops.array and (j.matrix(list(k)) == j.ops.array[k]).all()
+    with pytest.raises(ValueError):
+        j.ops[keys[-1]][0, 0] = 7.0
+    # the dict of views the backward pass used to hand out, bit for bit
+    stacks, _, _ = tkd.quasiprob._insertions(p, kind, ket, bra if kind == "kd_doubled" else None)
+    flat = tkd.quasiprob._backward(p, *stacks).reshape(-1, 3, 3)
+    want = dict(zip(itertools.product(*map(range, shape)), flat))
+    got = dict(j.ops)
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
 def test_witness_xy_instance(xy_process):
     p, s = xy_process
     rep = tkd.classicality_witness(p, s)
@@ -350,25 +382,54 @@ def test_witness_implication(case):
         assert rep.max_commutator_norm > 1e-8
 
 
-def test_witness_commuting_instance():
-    # diagonal state, diagonal unitaries, basis measurements: fully classical
-    rng = np.random.default_rng(17)
-    probs = rng.random(3)
+def _commuting_chain(d: int, n: int, seed: int):
+    """Diagonal state, diagonal unitaries, basis measurements: every operator
+    commutes with every other, exactly."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(d)
     rho = np.diag(probs / probs.sum()).astype(np.complex128)
-    phases = [np.diag(np.exp(1j * rng.random(3))) for _ in range(2)]
+    phases = [np.diag(np.exp(1j * rng.random(d))) for _ in range(n)]
     p = tkd.MultiTimeProcess(rho, [tkd.QuantumChannel([u]) for u in phases])
-    s = [tkd.spectral_measurement(np.diag(rng.permutation([1.0, 2.0, 3.0]))) for _ in range(3)]
+    s = [tkd.spectral_measurement(np.diag(rng.permutation(np.arange(1.0, d + 1)))) for _ in range(n + 1)]
+    return p, s
+
+
+def test_witness_commuting_instance():
+    p, s = _commuting_chain(3, 2, 17)
     rep = tkd.classicality_witness(p, s)
     assert abs(rep.nonclassicality) < 1e-12
     assert rep.max_commutator_norm < 1e-12
 
 
-@pytest.mark.parametrize("d, n, kind", [(4, 6, "unitary"), (4, 6, "mixed"), (3, 7, "unitary")])
+def test_witness_on_a_commuting_chain_eigensolves_nothing(monkeypatch):
+    # every commutator is exactly zero: every pair ties, the first one in
+    # visiting order is the worst, and no spectral norm is needed
+    p, s = _commuting_chain(4, 6, 5)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(a.size // (a.shape[-1] ** 2))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rep = tkd.classicality_witness(p, s)
+    assert sum(solved) == 0
+    assert rep.max_commutator_norm == 0.0 and math.copysign(1.0, rep.max_commutator_norm) == 1.0
+    first = tuple(m.outcomes[0].label for m in s)
+    assert rep.worst_pair == ((tuple(range(1, 7)), first[1:]), ((0,), first[:1]))
+
+
+@pytest.mark.parametrize("d, n, kind", [(4, 6, "unitary"), (4, 6, "mixed"), (3, 7, "unitary"),
+                                        (4, 6, "commuting")])
 def test_witness_peak_memory_stays_near_the_commutator_block(d, n, kind):
     # the [M_b', Π_b0] stack holds Π m_k · d² complex values: the output buffer
     # and one product table are live at a time, plus the later joint operators
-    p = tkd.random_process(d, n, seed=5, channel_kind=kind)
-    s = tkd.random_schedule(p.dims, seed=6)
+    if kind == "commuting":
+        p, s = _commuting_chain(d, n, 5)
+    else:
+        p = tkd.random_process(d, n, seed=5, channel_kind=kind)
+        s = tkd.random_schedule(p.dims, seed=6)
     block = int(np.prod([len(m.outcomes) for m in s])) * d * d * 16
     tracemalloc.start()
     try:
