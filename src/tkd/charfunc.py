@@ -332,7 +332,11 @@ def _ancilla_xy(p: MultiTimeProcess, groups, point: np.ndarray) -> tuple[float, 
     bit for bit."""
     n, d = p.n_times, p.dims[0]
     phase = iter(point)
-    gates = {sign: [_phases(m, _GATE_PHASE_SIGN, [next(phase)], m.projectors)[0] for m in ms]
+    # G2 enters through G2†, so it is built from the daggered projectors: G2†
+    # then holds the Π_b that χ's sweep inserts, Hermitian or not
+    gates = {sign: [_phases(m, _GATE_PHASE_SIGN, [next(phase)],
+                            m.projectors if sign > 0 else m.projectors.conj().transpose(0, 2, 1))[0]
+                    for m in ms]
              for ms, _, sign in groups}
     bare = [np.eye(d, dtype=np.complex128)] * n
     dils = [c.dilation for c in p.channels]

@@ -271,6 +271,17 @@ def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv, s
         assert doc["characteristic"]["inversion_round_trip_defect"] <= 1e-12
 
 
+@pytest.mark.parametrize("kind, point", [("right", "0.7,1.3"), ("left", "0.7,1.3"),
+                                         ("doubled", "0.7,1.3,0.2,0.9")])
+def test_circuit_sim_inserts_the_projectors_as_given(tmp_path, capsys, kind, point):
+    # the bra-side gate enters through its adjoint: it must hold Π_b, not Π_b†,
+    # or the interferometer departs from χ by the projectors' non-Hermitian part
+    path = tmp_path / "near_hermitian.json"
+    path.write_text(json.dumps(probe_spec(**NEAR_HERMITIAN_QUTRIT, options={"tolerance": 1e-6})))
+    argv = ["circuit-sim", str(path), "--kind", kind, "--point", point]
+    assert run_json(capsys, argv)["circuit"]["circuit_defect"] <= 1e-12
+
+
 @pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
 def test_observable_beyond_the_spec_tolerance_names_its_field(tmp_path, capsys, command):
     far = [{"observable": Z}, {"observable": [[[1, 0], [1e-5, 0]], [[0, 0], [-1, 0]]]}]
