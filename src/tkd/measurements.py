@@ -6,13 +6,12 @@ outcomes than the dimension. Outcomes are identified by a hashable `label`
 (the eigenvalue for spectral measurements, a per-site tuple for product
 measurements); labels are what downstream distribution axes index by.
 
-Outcomes and bases hold read-only copies of the operators they are given. A
-`ProjectiveMeasurement` stacks its outcome projectors when it is constructed,
-checks them as that one stack and keeps it as `projectors`; it builds its
-right, left and lvn insertion maps once, on first use. An `HSBasis` likewise
-builds its op stack and its right, left and lvn maps once, on first use, so
-correlator tomography rebuilds none of them per call. `hs_basis(d)` returns
-one shared basis per dimension.
+Measurements and bases copy the operators they are given once, into one
+read-only (m, d, d) stack that they check as a stack: a `ProjectiveMeasurement`
+keeps it as `projectors`, its outcomes' projectors being views of its rows, and
+an `HSBasis` as `stack`, its `ops` being those views. Each builds its right,
+left and lvn insertion maps once, on first use, so correlator tomography
+rebuilds none of them per call. `hs_basis(d)` returns one shared basis per d.
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from .linops import (
     as_matrix,
     check_half_range,
     dagger,
-    frozen_matrix,
     hermitian_eig,
     insertion_maps,
     is_hermitian,
-    kron_chain,
     max_abs,
     readonly,
 )
@@ -43,17 +40,14 @@ from .linops import (
 class Outcome:
     """One measurement branch: a real value, its projector, and a label.
 
-    `projector` is None for synthetic outcomes (coarse-grained cells) that
-    only exist inside distribution axes.
+    A plain record that checks and copies nothing. `projector` is None for
+    synthetic outcomes (coarse-grained cells) that only exist inside
+    distribution axes.
     """
 
     value: float
     projector: np.ndarray | None
     label: Hashable
-
-    def __post_init__(self):
-        if self.projector is not None:
-            object.__setattr__(self, "projector", frozen_matrix(self.projector))
 
     def __repr__(self):  # keep array noise out of test failure output
         return f"Outcome(value={self.value!r}, label={self.label!r})"
@@ -102,7 +96,8 @@ def _check_in_order(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarr
 class ProjectiveMeasurement:
     """Outcomes whose projectors are Hermitian, idempotent, mutually orthogonal
     and sum to the identity, each within ``tol``; ``projectors`` is their
-    read-only (m, d, d) stack in outcome order."""
+    read-only (m, d, d) stack in outcome order, a copy of the projectors given,
+    and each outcome's projector is a view of its row."""
 
     dim: int
     outcomes: tuple[Outcome, ...]
@@ -121,8 +116,9 @@ class ProjectiveMeasurement:
         if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
             _check_in_order(dim, outcomes, mats, tol)
         object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", readonly(stack))
+        object.__setattr__(self, "projectors", readonly(stack))  # first, so that its rows are read-only
+        object.__setattr__(self, "outcomes", tuple(Outcome(o.value, row, o.label)
+                                                   for o, row in zip(outcomes, stack)))
 
     def observable(self) -> np.ndarray:
         """Σ value·projector."""
@@ -162,51 +158,54 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
     """Joint local measurement on ⊗ sites, checked at ``tol``.
 
     Outcome values multiply across sites (so they may collide, e.g. Z⊗Z);
-    labels are the per-site label tuples, which stay distinct.
+    labels are the per-site label tuples, which stay distinct. Each site is one
+    broadcast product into the projector stack, entry for entry what `np.kron` forms.
     """
     if not locals_:
         raise ValidationError("product of zero measurements")
-    dim = int(np.prod([m.dim for m in locals_]))
-    outcomes = []
-    for combo in itertools.product(*[m.outcomes for m in locals_]):
-        value = float(np.prod([o.value for o in combo]))
-        proj = kron_chain([o.projector for o in combo])
-        outcomes.append(Outcome(value=value, projector=proj, label=tuple(o.label for o in combo)))
-    return ProjectiveMeasurement(dim, outcomes, tol=tol)
+    stack = locals_[0].projectors
+    for m in locals_[1:]:
+        n, d = len(stack) * len(m.projectors), stack.shape[1] * m.dim
+        stack = (stack[:, None, :, None, :, None] * m.projectors[None, :, None, :, None, :]).reshape(n, d, d)
+    outcomes = [Outcome(float(np.prod([o.value for o in c])), proj, tuple(o.label for o in c))
+                for c, proj in zip(itertools.product(*[m.outcomes for m in locals_]), stack)]
+    return ProjectiveMeasurement(stack.shape[1], outcomes, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
 class HSBasis:
-    """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν."""
+    """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν, each within
+    ``tol``; ``stack`` is a read-only (d², d, d) copy of the ops given, and ``ops`` its row views."""
 
     dim: int
     ops: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(repr=False)
 
     def __init__(self, dim: int, ops: Sequence[np.ndarray], tol: float = 1e-9):
-        ops = tuple(frozen_matrix(o) for o in ops)
+        mats = [as_matrix(o) for o in ops]
         d = int(dim)
-        if len(ops) != d * d:
-            raise ValidationError(f"need {d * d} basis operators, got {len(ops)}")
-        for i, o in enumerate(ops):
+        if len(mats) != d * d:
+            raise ValidationError(f"need {d * d} basis operators, got {len(mats)}")
+        for i, o in enumerate(mats):
             if o.shape != (d, d):
                 raise ValidationError(f"basis op {i} has shape {o.shape}, expected {(d, d)}")
-        if not max_abs(ops[0] - np.eye(d)) <= tol:
+        stack = readonly(np.array(mats))
+        if not max_abs(stack[0] - np.eye(d)) <= tol:
             raise ValidationError("ops[0] must be the identity")
-        for i, o in enumerate(ops):
-            if not is_hermitian(o, tol):
-                raise ValidationError(f"basis op {i} is not Hermitian")
-            if i and not abs(np.trace(o)) <= 1e-10:
-                raise ValidationError(f"basis op {i} is not traceless")
-        gram = np.array([[np.trace(a @ b) for b in ops] for a in ops])
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+            hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol
+            traceless = np.abs(np.trace(stack, axis1=1, axis2=2)) <= tol
+        traceless[0] = True
+        i = int(np.argmin(hermitian & traceless))  # the first failing op, if any
+        if not (hermitian[i] and traceless[i]):
+            raise ValidationError(f"basis op {i} is not {'traceless' if hermitian[i] else 'Hermitian'}")
+        # Tr(ab) = vec(a)·vec(bᵀ): the whole Gram matrix as one GEMM
+        gram = stack.reshape(d * d, -1) @ stack.transpose(0, 2, 1).reshape(d * d, -1).T
         if not max_abs(gram - d * np.eye(d * d)) <= tol:
             raise ValidationError("basis is not orthogonal with Tr(σμσν) = d δμν")
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "ops", ops)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The ops as one read-only (d², d, d) stack, in basis order."""
-        return readonly(np.stack(self.ops))
+        object.__setattr__(self, "ops", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @cached_property
     def right_maps(self) -> np.ndarray:

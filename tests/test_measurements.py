@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 import tracemalloc
 
@@ -129,6 +130,52 @@ def test_product_measurement_checks_its_stack_in_bounded_memory():
     assert peak <= 3 * stack, peak / stack
 
 
+def test_product_measurement_holds_its_stack_once():
+    # the outcomes' projectors are views of the stack, so the measurement holds about one stack
+    locals_ = [tkd.spectral_measurement(tkd.quasiprob.random_hermitian(4, seed=s)) for s in range(3)]
+    stack = 64 * 64 * 64 * 16
+    tracemalloc.start()
+    try:
+        m = tkd.product_measurement(locals_)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m.projectors.nbytes == stack
+    assert held <= 1.1 * stack, held / stack
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_product_measurement_matches_kron_chain_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 4)))]
+    locals_ = [tkd.spectral_measurement(tkd.quasiprob.random_hermitian(d, seed=rng)) for d in dims]
+    joint = tkd.product_measurement(locals_)
+    combos = list(itertools.product(*[m.outcomes for m in locals_]))
+    assert len(joint.outcomes) == len(combos)
+    for o, combo in zip(joint.outcomes, combos):
+        assert o.label == tuple(c.label for c in combo)
+        assert o.value == float(np.prod([c.value for c in combo]))
+        assert o.projector.tobytes() == tkd.kron_chain([c.projector for c in combo]).tobytes()
+
+
+def test_outcomes_and_basis_ops_are_views_of_the_one_stack():
+    proj = np.diag([1.0, 0.0]).astype(np.complex128)
+    given = [tkd.Outcome(1.0, proj, "up"), tkd.Outcome(-1.0, np.eye(2) - proj, "down")]
+    assert given[0].projector is proj  # an Outcome is a record: it copies nothing
+    hand = tkd.ProjectiveMeasurement(2, given)
+    spectral = tkd.spectral_measurement(tkd.quasiprob.random_hermitian(3, seed=1))
+    product = tkd.product_measurement([spectral, hand])
+    for m in (hand, spectral, product):
+        assert not np.shares_memory(m.projectors, proj)
+        for i, o in enumerate(m.outcomes):
+            assert np.shares_memory(o.projector, m.projectors)
+            assert o.projector.tobytes() == m.projectors[i].tobytes()
+    for b in (tkd.hs_basis(3), tkd.rotate_basis(tkd.hs_basis(3), tkd.quasiprob.haar_unitary(3, seed=2))):
+        assert b.stack.shape == (9, 3, 3)
+        for i, op in enumerate(b.ops):
+            assert np.shares_memory(op, b.stack) and op.tobytes() == b.stack[i].tobytes()
+
+
 def test_product_measurement(pauli):
     mz = tkd.spectral_measurement(pauli["Z"])
     mx = tkd.spectral_measurement(pauli["X"])
@@ -225,3 +272,12 @@ def test_hs_basis_validation():
                          (np.eye(3), r"has shape \(3, 3\), expected \(2, 2\)")):
         with pytest.raises(ValidationError, match=f"^basis op 1 {message}$"):
             tkd.HSBasis(2, [ops[0], bad, ops[2], ops[3]])
+
+
+def test_hs_basis_checks_tracelessness_at_its_tol():
+    # σ_3 = Z + εI has trace 2ε; Tr(σ_0σ_3) = 2ε too, so the Gram check alone would name it as
+    # not orthogonal
+    i, x, y, z = tkd.hs_basis(2).ops
+    assert tkd.HSBasis(2, [i, x, y, z + 2.5e-10 * i], tol=1e-9).stack.shape == (4, 2, 2)
+    with pytest.raises(ValidationError, match="^basis op 3 is not traceless$"):
+        tkd.HSBasis(2, [i, x, y, z + 2.5e-11 * i], tol=1e-11)
