@@ -471,7 +471,7 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     stacks, axes, ket_axes = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
     ops = _backward(p, *stacks)
-    if max_abs(ops.reshape(-1, d0, d0).sum(axis=0) - _vec_identity(d0 * d0).reshape(d0, d0)) > p.tol:
+    if max_abs(ops.sum(axis=tuple(range(ops.ndim - 2))) - _vec_identity(d0 * d0).reshape(d0, d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
     return JointMeasurementOperators(kind, axes, OperatorTable(ops), ket_axes=ket_axes)
 

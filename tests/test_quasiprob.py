@@ -363,6 +363,23 @@ def test_joint_ops_is_a_read_only_mapping_over_one_array(kind, seed):
     assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
+def test_joint_ops_checks_its_sum_without_copying_the_operators():
+    # the doubled backward pass hands back a transposed view of its one array: the identity
+    # check sums its leading axes in place rather than a contiguous copy (2.00x before)
+    p = tkd.random_process(2, 6, seed=3, channel_kind="mixed")
+    ket, bra = tkd.random_schedule(p.dims, seed=4), tkd.random_schedule(p.dims, seed=5)
+    tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra)  # shape-only caches filled outside the trace
+    tracemalloc.start()
+    try:
+        j = tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = j.ops.array.nbytes
+    assert result == 4 ** 7 * 4 * 16
+    assert peak <= 1.5 * result, peak / result
+
+
 def test_witness_xy_instance(xy_process):
     p, s = xy_process
     rep = tkd.classicality_witness(p, s)
