@@ -3,8 +3,11 @@
 Reads JSON process specifications, dispatches the library computations, and
 emits deterministic JSON result documents (complex scalars as [re, im]
 pairs, matrices as row-major nested arrays). Documents are written by
-``_render``, which gives the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` and formats complex arrays one row template at a time.
+``_write``, which gives the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)``: it renders float and complex arrays a block of rows at a
+time into a sink that writes pieces of about 64 kB to stdout or to the ``-o``
+file, so no whole-document string is ever built. Every result is computed
+before the first byte.
 Exit codes: 2 for bad usage or an output file that cannot be written, 3 for
 a spec file that does not parse or a ``state``, ``dist``, ``nonclassicality``,
 ``witness`` or ``charfn`` request too large for the machine's physical
@@ -17,8 +20,10 @@ import argparse
 import functools
 import hashlib
 import importlib.resources
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -56,16 +61,15 @@ from .tomography import kd_state_recursive, mh_state, pdo
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV = "TKD_TOLERANCE"
 # peak resident bytes per entry of one run of each command (growth of ru_maxrss
-# over a warmed-up process, requests of 2^16 and 2^20 entries unless noted):
-# `state` 390-530 B per matrix entry (sweep, matrix, eigenvalue copy, rendered
-# document); per distribution entry of qubit chains, kinds right/mh/doubled,
-# `dist` 310-440 B and `nonclassicality` 32-51 B; `witness` 38-61 B per entry
-# of its commutator stack (Π m_k·d², d = 2, 3, 4, unitary and Kraus chains,
-# 2^12 to 2^20 entries); `charfn` 1.35-2.3 kB per point of its default grid
-# (2^12 to 2^16 points, all kinds), growing by about 105 B per grid axis from 8
-# to 16 axes, so 4 kB covers grids of up to about 32 axes, and a wider grid
-# has at least 2^32 points
-_BYTES_PER_ENTRY = {"state": 512, "dist": 512, "nonclassicality": 64, "witness": 64, "charfn": 4096}
+# over a process warmed up by the same command, 2^12 to 2^20 entries, d = 2, 3, 4,
+# documents streamed to stdout or to -o): `state` 45-80 B per matrix entry (all
+# kinds); `dist` 17-80 B and `nonclassicality` 48-80 B per distribution entry, the
+# sweep's last step at d = 4 setting the top; `witness` 38-61 B per entry of its
+# commutator stack (Π m_k·d², unitary and Kraus chains); `charfn` 230-460 B per
+# grid point (2^12 to 2^18 points, 8 to 18 axes, all kinds), growing by about
+# 17 B per axis, so 1 kB covers grids of up to about 50 axes; explicit --points
+# are charged as many
+_BYTES_PER_ENTRY = {"state": 128, "dist": 128, "nonclassicality": 128, "witness": 64, "charfn": 1024}
 
 # each --kind of `dist` and `nonclassicality` and its builder (process, schedule[, bra schedule])
 _DIST_BUILDERS = {
@@ -123,64 +127,139 @@ def _c2(z) -> list[float]:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK = 2048  # floats of an array rendered per step: its text stays a few tens of kB
+_PIECE = 1 << 16  # characters of array text the sink gathers before it writes
 
 
-def _pair_row(width: int, level: int) -> str:
-    """``%s`` template of a row of ``width`` [re, im] pairs whose '[' sits at ``level``."""
-    if not width:
+class _Sink(list):
+    """Pieces of a document not yet written. Array text goes in through ``add``,
+    which first hands everything gathered to ``write`` when the text would pass
+    _PIECE characters; other pieces are small and are plain appends."""
+
+    def __init__(self, write):
+        super().__init__()
+        self.write, self.size = write, 0
+
+    def add(self, text: str):
+        if self.size + len(text) > _PIECE:
+            self.flush()
+        self.append(text)
+        self.size += len(text)
+
+    def flush(self):
+        self.write("".join(self))
+        self.clear()
+        self.size = 0
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+# the text of each plain JSON scalar type, by exact type (subclasses are looked up by isinstance)
+_SCALARS = {str: _json_str, int: int.__repr__, float: _float_text,
+            bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+_ARRAY_DTYPES = (np.float64, np.complex128)
+
+
+def _template(shape: tuple, level: int) -> str:
+    """``%s`` template of an array of ``shape`` as nested lists whose '[' sits at ``level``."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
         return "[]"
-    i1 = "\n" + "  " * (level + 1)
-    i2 = i1 + "  "
-    pair = f"[{i2}%s,{i2}%s{i1}]"
-    return "[" + i1 + ("," + i1).join([pair] * width) + i1[:-2] + "]"
-
-
-def _array(a: np.ndarray, level: int) -> str:
-    """A complex array as nested [re, im] pairs, laid out as ``_render`` lays out lists."""
-    text = list(map(repr, np.ascontiguousarray(a).reshape(-1).view(np.float64).tolist()))
-    if not np.isfinite(a).all():
-        text = [_NONFINITE.get(x, x) for x in text]
-    *outer, width = a.shape
-    row, step = _pair_row(width, level + len(outer)), 2 * width
-    items = [row % tuple(text[i:i + step]) for i in range(0, len(text), step)] \
-        if width else [row] * math.prod(outer)
-    for k in reversed(range(len(outer))):  # wrap rows into the leading axes, innermost first
-        n, ind = outer[k], "\n" + "  " * (level + k + 1)
-        items = [f"[{ind}" + f",{ind}".join(items[i:i + n]) + ind[:-2] + "]"
-                 for i in range(0, len(items), n)] if n else ["[]"] * math.prod(outer[:k])
-    return items[0]
-
-
-def _render(o, level: int = 0) -> str:
-    """``json.dumps(o, indent=2, sort_keys=True)``, with complex ``np.ndarray``
-    leaves (ndim ≥ 1) written as nested [re, im] pairs."""
-    if isinstance(o, str):
-        return json.encoder.encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
-    if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim:
-        return _array(o, level)
     ind = "\n" + "  " * (level + 1)
-    if isinstance(o, (list, tuple)):
+    return "[" + ind + ("," + ind).join([_template(shape[1:], level + 1)] * shape[0]) + ind[:-2] + "]"
+
+
+def _floats(a: np.ndarray) -> tuple:
+    """The repr of each float of ``a`` in C order, re then im for a complex entry."""
+    return tuple(map(float.__repr__, np.ravel(a).view(np.float64).tolist()))
+
+
+def _texts(a: np.ndarray) -> tuple:
+    """`_floats` of ``a`` in JSON's spelling."""
+    text = _floats(a)
+    if not np.isfinite(a).all():
+        text = tuple(_NONFINITE.get(x, x) for x in text)
+    return text
+
+
+def _array_to(a: np.ndarray, level: int, out: _Sink):
+    """A float64 or complex128 array as nested lists (complex entries as [re, im] pairs),
+    '[' at ``level``, rendered a block of about _BLOCK floats at a time."""
+    pair = (2,) if a.dtype == np.complex128 else ()
+    per = 2 if pair else 1  # floats per entry
+    if a.size * per <= _BLOCK:
+        out.add(_template(a.shape + pair, level) % _texts(a))
+        return
+    ind = "\n" + "  " * (level + 1)
+    sep = "," + ind
+    out.append("[" + ind)
+    row = a[0].size * per
+    if row > _BLOCK:  # rows too large for one block: each is an array of its own
+        for i, r in enumerate(a):
+            if i:
+                out.append(sep)
+            _array_to(r, level + 1, out)
+    else:
+        step = _BLOCK // row
+        item = [_template(a.shape[1:] + pair, level + 1)]
+        full = sep.join(item * step)
+        for s in range(0, len(a), step):
+            c = a[s:s + step]
+            block = full if len(c) == step else sep.join(item * len(c))
+            out.add((sep if s else "") + block % _texts(c))
+    out.append(ind[:-2] + "]")
+
+
+def _write(o, level: int, out: _Sink):
+    """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)`` lays it out
+    when its first character sits at nesting ``level``; float64 and complex128
+    ``np.ndarray`` leaves (ndim ≥ 1) are nested lists, complex entries [re, im] pairs.
+    A scalar inside a list or dict goes out in line, without a call of its own."""
+    text = _SCALARS.get(type(o))
+    if text:
+        out.append(text(o))
+    elif isinstance(o, dict):
         if not o:
-            return "[]"
-        return "[" + ind + ("," + ind).join([_render(x, level + 1) for x in o]) + ind[:-2] + "]"
-    if isinstance(o, dict):
+            out.append("{}")
+            return
+        ind = "\n" + "  " * (level + 1)
+        sep = "{" + ind
+        for k, x in sorted(o.items()):
+            head, text = sep + _json_str(k) + ": ", _SCALARS.get(type(x))
+            if text:
+                out.append(head + text(x))
+            else:
+                out.append(head)
+                _write(x, level + 1, out)
+            sep = "," + ind
+        out.append(ind[:-2] + "}")
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "{}"
-        return "{" + ind + ("," + ind).join(
-            [json.encoder.encode_basestring_ascii(k) + ": " + _render(v, level + 1)
-             for k, v in sorted(o.items())]) + ind[:-2] + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            out.append("[]")
+            return
+        ind = "\n" + "  " * (level + 1)
+        sep = "[" + ind
+        for x in o:
+            text = _SCALARS.get(type(x))
+            if text:
+                out.append(sep + text(x))
+            else:
+                out.append(sep)
+                _write(x, level + 1, out)
+            sep = "," + ind
+        out.append(ind[:-2] + "]")
+    elif isinstance(o, np.ndarray) and o.ndim and o.dtype in _ARRAY_DTYPES:
+        _array_to(o, level, out)
+    else:
+        base = next((t for t in (str, int, float) if isinstance(o, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        out.append(_SCALARS[base](o))
 
 
 def _number(obj, where: str, integer: bool = False):
@@ -500,34 +579,52 @@ def _dist_json(q: QuasiDistribution) -> dict:
     }
 
 
-def _write_text(path: str, text: str):
+def _to_file(path: str, fill):
+    """Call ``fill`` with a sink that writes to the file ``path``, opened before its
+    first piece; a file that cannot be opened or written raises OutputError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            fill(_Sink(f.write))
     except OSError as e:
         raise OutputError(f"{path}: {e.strerror or e}") from None
 
 
+def _document(doc: dict, sink: _Sink):
+    _write(doc, 0, sink)
+    sink.append("\n")
+    sink.flush()
+
+
 def _emit(doc: dict, out: str | None) -> int:
-    text = _render(doc) + "\n"
+    """Write ``doc`` to the ``out`` file, else to stdout, in pieces of about _PIECE characters."""
     if out:
-        _write_text(out, text)
+        _to_file(out, functools.partial(_document, doc))
     else:
-        sys.stdout.write(text)
+        _document(doc, _Sink(sys.stdout.write))
     return 0
 
 
 def _write_table(q: QuasiDistribution, path: str):
-    """Flat delimited export, one outcome tuple per row, latest time first."""
+    """Flat delimited export, one outcome tuple per row in C order of the axes,
+    latest time first within each block."""
     blocks = [("ket_", range(q.ket_axes)), ("bra_", range(q.ket_axes, len(q.axes)))] \
         if q.ket_axes else [("", range(len(q.axes)))]
     order = [a for _, axes in blocks for a in reversed(axes)]
     cols = [f"{name}t{a - axes.start}" for name, axes in blocks for a in reversed(axes)]
-    lines = ["\t".join(cols + ["re", "im"])]
-    for idx in np.ndindex(q.values.shape):
-        z = complex(q.values[idx])
-        cells = [str(q.axes[a][idx[a]].label) for a in order]
-        lines.append("\t".join(cells + [repr(z.real), repr(z.imag)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    tuples = itertools.product(*[[str(o.label) for o in ax] for ax in q.axes])
+    cells = map("\t".join, map(operator.itemgetter(*order), tuples)) if len(order) > 1 \
+        else itertools.chain.from_iterable(tuples)
+    flat = q.values.reshape(-1)
+
+    def fill(sink: _Sink):
+        sink.append("\t".join(cols + ["re", "im"]) + "\n")
+        for s in range(0, len(flat), _BLOCK // 2):
+            text = _floats(flat[s:s + _BLOCK // 2])
+            # the labels come last, so map stops at the block's end without taking a row's labels
+            sink.add("".join(map("{2}\t{0}\t{1}\n".format, text[::2], text[1::2], cells)))
+        sink.flush()
+
+    _to_file(path, fill)
 
 
 def _named(table: dict, args) -> list:
@@ -665,15 +762,15 @@ def _cmd_charfn(bundle: SpecBundle, args) -> dict:
     spectra = [[o.value for o in m.outcomes] for ms in sides for m in ms]
     if args.points:
         grid = _parse_points(args.points, len(spectra))
-        source = "explicit"
+        source, points = "explicit", len(grid)
     else:
         nodes = [default_nodes(sp) for sp in spectra]
-        _size_guard(f"charfn --kind {args.kind}", math.prod(map(len, nodes)),
-                    _BYTES_PER_ENTRY["charfn"], "default grid points")
+        source, points = "default", math.prod(map(len, nodes))
+    _size_guard(f"charfn --kind {args.kind}", points, _BYTES_PER_ENTRY["charfn"], f"{source} grid points")
+    if source == "default":
         grid = product_grid(nodes)
-        source = "default"
     samples = char_fn(bundle.process, obs, grid, kind=args.kind)
-    ch = {"kind": samples.kind, "grid": samples.grid.tolist(), "grid_source": source,
+    ch = {"kind": samples.kind, "grid": samples.grid, "grid_source": source,
           "values": samples.values}
     if source == "default":
         q = invert_char(samples, spectra)

@@ -58,6 +58,19 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _held(a) -> np.ndarray:
+    """``a`` as a read-only complex128 array that nothing else can write: ``a``
+    itself when it and every array it views are read-only already (the output
+    of a pass, which marks it so), else a read-only copy (an array a caller
+    handed in, which the caller could change afterwards)."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        b = b.base
+    if b is None and a.dtype == np.complex128:
+        return a
+    return readonly(np.array(a, dtype=np.complex128))
+
+
 def insertion_maps(side: str, a: np.ndarray) -> np.ndarray:
     """Insertion maps x ↦ A x B as the (m, d², d²) stack of row-major
     superoperators A ⊗ Bᵀ (vec(A x B) = (A ⊗ Bᵀ)·vec(x) with vec(x)[i·d + j] =

@@ -42,11 +42,11 @@ class Outcome:
 
     A plain record that checks and copies nothing. `projector` is None for
     synthetic outcomes (coarse-grained cells) that only exist inside
-    distribution axes.
+    distribution axes. Outcomes compare and hash by value and label.
     """
 
     value: float
-    projector: np.ndarray | None
+    projector: np.ndarray | None = field(compare=False)
     label: Hashable
 
     def __repr__(self):  # keep array noise out of test failure output

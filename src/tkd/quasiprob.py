@@ -84,7 +84,7 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import (ValidationError, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs,
+from .linops import (ValidationError, _held, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs,
                      readonly)
 from .measurements import (
     Outcome,
@@ -192,7 +192,8 @@ class QuasiDistribution:
     ``tol`` bounds the normalization defect and the lvn range; the imaginary
     residue of the real kinds is held to tol/100. Every check fails on NaN, so
     a non-finite entry anywhere is refused. Producers pass the tolerance of the
-    process they evaluate.
+    process they evaluate. ``values`` is read-only: an array the caller hands
+    in is copied, a pass's own read-only output is held as it is.
     """
 
     kind: str
@@ -205,7 +206,7 @@ class QuasiDistribution:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
         object.__setattr__(self, "axes", tuple(tuple(ax) for ax in self.axes))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
+        object.__setattr__(self, "values", _held(self.values))
         if self.values.shape != tuple(len(ax) for ax in self.axes):
             raise ValidationError("values shape does not match axes")
         if not 0 <= self.ket_axes <= len(self.axes):
@@ -291,7 +292,7 @@ def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
         f = c.superop @ m_k
         m, d_out2, d_in2 = f.shape
         x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
-    return _blocks((x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
+    return _blocks(readonly(x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
 
 
 def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -371,7 +372,7 @@ def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:
     if keep[0] < 0 or keep[-1] >= len(q.axes):
         raise ValidationError(f"keep axes {keep} out of range")
     drop = tuple(i for i in range(len(q.axes)) if i not in keep)
-    values = q.values.sum(axis=drop) if drop else q.values.copy()
+    values = readonly(q.values.sum(axis=drop)) if drop else q.values
     axes = tuple(q.axes[i] for i in keep)
     ket_axes = sum(1 for i in keep if i < q.ket_axes)
     return QuasiDistribution(q.kind, axes, values, ket_axes=ket_axes, tol=q.tol)
@@ -549,7 +550,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
-    value = nonclassicality(QuasiDistribution("kd_right", axes, q.reshape(sizes), tol=p.tol))
+    value = nonclassicality(QuasiDistribution("kd_right", axes, readonly(q).reshape(sizes), tol=p.tol))
     del q  # the commutator tables below are the peak; Q is not held through them
     if n == 0:
         return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
@@ -649,7 +650,7 @@ def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrumen
         raise ValidationError("instrument input dim does not match the state")
     # Tr[M_k(x)] = vec(I)ᵀ·S_k·vec(x), for every vec(ρΠ_b) at once
     rows = _trace_rows(np.stack([kraus_superop(ops) for _, ops in instrument.branches]))
-    values = (rho @ m.projectors).reshape(len(m.outcomes), -1) @ rows.T
+    values = readonly((rho @ m.projectors).reshape(len(m.outcomes), -1) @ rows.T)
     branch_axis = tuple(
         Outcome(value=float(k), projector=None, label=label)
         for k, (label, _) in enumerate(instrument.branches))

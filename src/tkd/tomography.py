@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, as_matrix, dagger, frozen_matrix, insertion_maps,
+from .linops import (ValidationError, _held, as_matrix, dagger, frozen_matrix, insertion_maps,
                      is_hermitian, partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
@@ -43,7 +43,8 @@ class CorrelatorTensor:
     """Expectation tensor T over Hilbert-Schmidt basis choices, one axis per
     time slot (doubled kinds: ket block then bra block). ``tol`` bounds the
     identity entry's distance from 1; mh and lvn imaginary parts are held to
-    tol/100. Non-finite values are refused."""
+    tol/100. Non-finite values are refused. ``values`` is read-only, held as
+    ``QuasiDistribution`` holds its values."""
 
     kind: str
     bases: tuple[HSBasis, ...]
@@ -55,7 +56,7 @@ class CorrelatorTensor:
         if self.kind not in CORRELATOR_KINDS:
             raise ValidationError(f"unknown correlator kind {self.kind!r}")
         object.__setattr__(self, "bases", tuple(self.bases))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
+        object.__setattr__(self, "values", _held(self.values))
         shape = tuple(len(b.ops) for b in self.bases)
         if self.values.shape != shape:
             raise ValidationError("correlator values shape does not match bases")

@@ -167,6 +167,50 @@ def test_char_samples_values_are_a_read_only_copy():
     assert s.values.tolist() == [1.0, 0.5]
 
 
+@pytest.mark.parametrize("kind", ["QuasiDistribution", "CorrelatorTensor"])
+def test_held_values_are_a_read_only_copy_of_a_caller_array(kind):
+    if kind == "QuasiDistribution":
+        v = np.array([1.0, 0.0], dtype=complex)
+        axes = (tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes,)
+        held = tkd.QuasiDistribution("kd_right", axes, v)
+    else:
+        v = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+        held = tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), v)
+    with pytest.raises(ValueError):
+        held.values[0] = 7.0
+    v[0] = 7.0  # the normalization checked at construction must stay true
+    assert held.values[0] == 1.0
+
+
+def test_distribution_holds_read_only_arrays_without_a_copy():
+    axes = (tuple(tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes),)
+    owned = np.array([0.25, 0.75], dtype=complex)
+    owned.setflags(write=False)
+    for v in (owned, owned[::-1]):  # read-only all the way down: no one can write it
+        assert tkd.QuasiDistribution("kd_right", axes, v).values is v
+    base = np.array([0.25, 0.75], dtype=complex)
+    view = base[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    q = tkd.QuasiDistribution("kd_right", axes, view)
+    assert not np.shares_memory(q.values, base) and not q.values.flags.writeable
+
+
+def test_pass_outputs_are_read_only():
+    p, _ = _qubit_pair()
+    z = tkd.spectral_measurement(np.diag([1.0, -1.0]))
+    for held in (tkd.kd_right(p, [z, z]), tkd.kd_doubled(p, [z, z], [z, z]), tkd.lvn(p, [z, z]),
+                 tkd.marginalize(tkd.kd_right(p, [z, z]), [0]), tkd.correlators(p, kind="doubled")):
+        with pytest.raises(ValueError):
+            held.values[(0,) * held.values.ndim] = 7.0
+
+
+def test_outcomes_compare_and_hash_by_value_and_label():
+    a, b = (tkd.spectral_measurement(np.diag([1.0, -1.0])) for _ in range(2))
+    assert a.outcomes == b.outcomes and a.outcomes[0] != a.outcomes[1]
+    assert hash(a.outcomes[0]) == hash(b.outcomes[0])
+    assert len({*a.outcomes, *b.outcomes}) == 2
+
+
 @pytest.mark.parametrize("grid, values, spectra, message", [
     ([(0.0,), (np.nan,)], [1.0, 0.0], [[1.0, 2.0]], "grid phases must be finite"),
     ([(0.0,), (np.inf,)], [1.0, 0.0], [[1.0, 2.0]], "grid phases must be finite"),

@@ -94,6 +94,23 @@ def test_dist_table_export(spec_file, capsys, tmp_path):
     assert abs(float(first[3]) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("kind, n_times", [("right", 1), ("mh", 3), ("doubled", 2), ("right", 11)],
+                         ids=["one axis", "mh", "doubled", "two blocks of rows"])
+def test_table_rows_follow_the_outcome_tuples(tmp_path, capsys, kind, n_times):
+    table = tmp_path / "flat.tsv"
+    doc = run_json(capsys, ["dist", _chain_spec(tmp_path, n_times, d=2), "--kind", kind,
+                            "--table", str(table)])["distribution"]
+    axes, ket = doc["axes"], doc["ket_axes"]
+    order = [a for block in ([range(ket), range(ket, len(axes))] if ket else [range(len(axes))])
+             for a in reversed(block)]
+    values = iter(doc["values"])
+    rows = []
+    for idx in np.ndindex(*doc["shape"]):  # one row per outcome tuple, in C order
+        re, im = next(values)
+        rows.append("\t".join([str(axes[a]["labels"][idx[a]]) for a in order] + [repr(re), repr(im)]))
+    assert table.read_text().split("\n")[1:] == rows + [""]
+
+
 def test_dist_doubled_and_lvn(spec_file, capsys):
     doc = run_json(capsys, ["dist", spec_file, "--kind", "doubled",
                             "--bra-schedule", "alt"])
@@ -735,6 +752,19 @@ def test_charfn_points_refused(spec_file, capsys, points, message):
     assert message in capsys.readouterr().err
 
 
+def test_charfn_points_size_guard_refuses_before_any_sweep(spec_file, capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("char_fn ran")
+
+    monkeypatch.setattr(tkd.cli, "char_fn", sweep)
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 1 << 20)
+    points = ";".join(["0.1,-0.2"] * 2000)  # 2000 points of 1 kB against 1 MiB
+    assert run_command(["charfn", spec_file, "--points", points]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("tkd: refused: charfn --kind right: estimated 2000 explicit grid points")
+
+
 def test_circuit_sim_rejects_several_points(spec_file, capsys):
     argv = ["circuit-sim", spec_file, "--point", "0.7,1.3;0.1,0.2;9,9"]
     assert run_command(argv) == 3
@@ -756,7 +786,7 @@ def test_non_finite_phase_exits_3(spec_file, capsys, flag, phase):
 def _as_pairs(o):
     """The document as the stdlib sees it: complex arrays become [re, im] pair lists."""
     if isinstance(o, np.ndarray):
-        return np.stack([o.real, o.imag], axis=-1).tolist()
+        return (np.stack([o.real, o.imag], axis=-1) if o.dtype == np.complex128 else o).tolist()
     if isinstance(o, dict):
         return {k: _as_pairs(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
@@ -787,8 +817,43 @@ def test_emit_matches_stdlib_indent_encoder(capsys):
     assert out == json.dumps(_as_pairs(doc), indent=2, sort_keys=True) + "\n"
 
 
+def _assert_same_text(got: str, want: str):
+    """Assert ``got == want``, naming the first line that differs (pytest's own diff of
+    documents this long takes minutes)."""
+    first = next((i for i, (a, b) in enumerate(zip(got.split("\n"), want.split("\n"))) if a != b), None)
+    assert first is None and len(got) == len(want), f"the text differs from line {first}"
+
+
+def test_emit_streams_arrays_in_blocks_as_the_stdlib_lays_them_out(capsys, tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    n = tkd.cli._BLOCK  # complex entries: two blocks of floats
+    flat = rng.normal(size=n) + 1j * rng.normal(size=n)
+    flat[[3, n - 1]] = [complex("nan-infj"), complex(float("inf"), -0.0)]
+    doc = {
+        "flat": flat,
+        "matrix": flat[:600].reshape(20, 30),
+        "wide": np.stack([flat, flat[::-1]]),  # rows of 2·n floats, past one block: arrays of their own
+        "cube": flat.reshape(2, 8, n // 16),  # a block is one [i] of 2·n // 2 floats
+        "odd": flat[:1500:2].reshape(750, 1),  # strided, blocks of whole rows and a short last one
+        "grid": rng.uniform(-np.pi, np.pi, size=(1500, 3)),
+        "points": np.array([[0.0, -0.0], [np.inf, np.nan]]),
+        "long": rng.normal(size=3 * n),
+        "empty": [np.zeros(0), np.zeros((3, 0), dtype=np.complex128), np.zeros((0, 2))],
+        "plain": {"b": [1, 2.5, None], "a": "x"},
+    }
+    want = json.dumps(_as_pairs(doc), indent=2, sort_keys=True) + "\n"
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, t: writes.append(t)})())
+    assert _emit(doc, None) == 0
+    _assert_same_text("".join(writes), want)
+    assert len(writes) > 4 and max(map(len, writes)) < 2 * tkd.cli._PIECE  # pieces, not one string
+    path = tmp_path / "doc.json"
+    assert _emit(doc, str(path)) == 0
+    _assert_same_text(path.read_text(), want)
+
+
 def test_emit_rejects_unknown_leaves(capsys):
-    for leaf in (np.zeros(2), np.complex128(1.0), {1, 2}):
+    for leaf in (np.zeros(2, dtype=np.float32), np.arange(2), np.array(1.0), np.complex128(1.0), {1, 2}):
         with pytest.raises(TypeError):
             _emit({"x": leaf}, None)
     capsys.readouterr()
@@ -854,11 +919,11 @@ def _refused_at_once(capsys, argv, seconds: float = 5.0) -> str:
 
 
 def test_state_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatch):
-    # the doubled state of d=3 at four times is 6561x6561: about 22 GiB to
-    # compute and render, minutes of allocation on an 8 GiB machine
-    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 8 << 30)
+    # the doubled state of d=3 at four times is 6561x6561: about 5 GiB to
+    # compute and emit, minutes of allocation on a 4 GiB machine
+    monkeypatch.setattr(tkd.cli, "_physical_memory", lambda: 4 << 30)
     err = _refused_at_once(capsys, ["state", _chain_spec(tmp_path, 4), "--kind", "doubled"])
-    assert "doubled" in err and "43046721" in err and "20.5 GiB" in err and "8.0 GiB" in err
+    assert "doubled" in err and "43046721" in err and "5.1 GiB" in err and "4.0 GiB" in err
 
 
 def test_state_size_guard_reads_the_machine(tmp_path, capsys):
@@ -881,7 +946,7 @@ def test_state_size_guard_serves_what_fits(tmp_path, capsys, monkeypatch):
     assert run_json(capsys, ["state", path, "--kind", "kd-right"])["state"]["dims"] == [3] * 4
 
 
-@pytest.mark.parametrize("command, gib", [("dist", "32768.0"), ("nonclassicality", "4096.0")])
+@pytest.mark.parametrize("command, gib", [("dist", "8192.0"), ("nonclassicality", "8192.0")])
 def test_distribution_size_guard_refuses_before_allocating(tmp_path, capsys, monkeypatch, command, gib):
     # d=4 at nine times doubled: 4^18 entries
     path = _chain_spec(tmp_path, 9, d=4, seed=650)
@@ -905,7 +970,7 @@ def test_distribution_size_guard_serves_what_fits(spec_file, capsys, monkeypatch
 @pytest.mark.parametrize("command, n_times, extra, message", [
     # d=4 at nine times: the doubled default grid has 4^18 points
     ("charfn", 9, ["--kind", "doubled"],
-     "charfn --kind doubled: estimated 68719476736 default grid points, about 262144.0 GiB"),
+     "charfn --kind doubled: estimated 68719476736 default grid points, about 65536.0 GiB"),
     # d=4 at thirteen times: 4^13 commutators of 4x4 entries
     ("witness", 13, [], "witness: estimated 1073741824 commutator matrix entries, about 64.0 GiB"),
 ], ids=["charfn", "witness"])
@@ -920,7 +985,8 @@ def test_witness_and_charfn_size_guards_refuse_before_allocating(tmp_path, capsy
 @pytest.mark.parametrize("command, extra, noun", [
     ("witness", [], "commutator matrix entries"),  # 2·2 outcomes, d² = 4
     ("charfn", ["--kind", "doubled", "--bra-schedule", "alt"], "default grid points"),  # 2^4 nodes
-], ids=["witness", "charfn"])
+    ("charfn", ["--points", ";".join(["0.1,-0.2"] * 16)], "explicit grid points"),
+], ids=["witness", "charfn", "charfn --points"])
 def test_witness_and_charfn_size_guards_serve_what_fits(spec_file, capsys, monkeypatch,
                                                         command, extra, noun):
     argv = [command, spec_file] + extra

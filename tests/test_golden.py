@@ -12,7 +12,8 @@ measure_replace); and the ancilla interferometer with 3000 seeded shots,
 circuit-sim right on `qubit_three_times_unitary.json` and circuit-sim
 doubled on `qubit_two_times.json`; and charfn on explicit points of
 `qubit_two_times.json`, one phase a signed zero. Each file in TABLES holds the
-exact ``--table`` export of one command. Spec paths are given
+exact ``--table`` export of one command. Each document is also written
+through ``-o FILE`` and compared to the same bytes. Spec paths are given
 relative to tests/data, so the documents' ``spec`` field does not depend on
 the checkout location. Regenerate with ``python tests/test_golden.py`` and
 record the reason in CHANGES.md.
@@ -58,6 +59,17 @@ def test_document_bytes_match_golden(name, capsys, monkeypatch):
     monkeypatch.delenv("TKD_TOLERANCE", raising=False)
     assert run_command(GOLDEN[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_bytes_through_the_out_file_match_golden(name, capsys, monkeypatch, tmp_path):
+    from tkd.cli import run_command
+
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("TKD_TOLERANCE", raising=False)
+    assert run_command(GOLDEN[name] + ["-o", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
