@@ -113,8 +113,9 @@ class ProjectiveMeasurement:
         mats = [np.asarray(o.projector, dtype=np.complex128) for o in outcomes]
         stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
         # every check at once over the stack; only when one fails are they run in order, to name it
-        if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
-            _check_in_order(dim, outcomes, mats, tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+            if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
+                _check_in_order(dim, outcomes, mats, tol)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "projectors", readonly(stack))  # first, so that its rows are read-only
         object.__setattr__(self, "outcomes", tuple(Outcome(o.value, row, o.label)
@@ -195,12 +196,12 @@ class HSBasis:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
             hermitian = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol
             traceless = np.abs(np.trace(stack, axis1=1, axis2=2)) <= tol
+            # Tr(ab) = vec(a)·vec(bᵀ): the whole Gram matrix as one GEMM
+            gram = stack.reshape(d * d, -1) @ stack.transpose(0, 2, 1).reshape(d * d, -1).T
         traceless[0] = True
         i = int(np.argmin(hermitian & traceless))  # the first failing op, if any
         if not (hermitian[i] and traceless[i]):
             raise ValidationError(f"basis op {i} is not {'traceless' if hermitian[i] else 'Hermitian'}")
-        # Tr(ab) = vec(a)·vec(bᵀ): the whole Gram matrix as one GEMM
-        gram = stack.reshape(d * d, -1) @ stack.transpose(0, 2, 1).reshape(d * d, -1).T
         if not max_abs(gram - d * np.eye(d * d)) <= tol:
             raise ValidationError("basis is not orthogonal with Tr(σμσν) = d δμν")
         object.__setattr__(self, "dim", d)

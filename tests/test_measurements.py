@@ -56,6 +56,7 @@ ONE = tkd.projector(tkd.basis_state(2, 1))
 HALF = np.eye(2) * 0.5  # Hermitian, not idempotent
 SHEARED = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
 NAN = np.array([[1.0, np.nan], [0.0, 0.0]])
+BIG = np.array([[0.0, 1e308], [1e308, 0.0]])  # Hermitian; its square overflows
 # d=3, tol 0.4: Σ − I is 1/3 at most, so completeness passes; of the pairs
 # (x, y), (x, z), (y, z) only the last overlaps, by 5/9
 X3 = tkd.projector(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
@@ -84,6 +85,7 @@ REFUSALS = [
      "^outcome 'b': not a Hermitian projector$"),
     (2, [O(1.0, ZERO, "a"), O(-1.0, HALF, "b")], 1e-9, "^outcome 'b': not a Hermitian projector$"),
     (2, [O(1.0, ZERO, "a"), O(-1.0, NAN.T, "b")], 1e-9, "^outcome 'b': not a Hermitian projector$"),
+    (2, [O(1.0, BIG, "a"), O(-1.0, np.eye(2) - BIG, "b")], 1e-9, "^outcome 'a': not a Hermitian projector$"),
     (3, [O(1.0, X3, "x"), O(0.0, Y3, "y"), O(-1.0, Z3, "z")], 0.4, "^projectors 'y' and 'z' overlap$"),
     (3, [O(1.0, Z3, "z"), O(0.0, Y3, "y"), O(-1.0, X3, "x")], 0.4, "^projectors 'z' and 'y' overlap$"),
     (3, [O(1.0, Y3, "y"), O(0.0, X3, "x"), O(-1.0, Z3, "z")], 0.4, "^projectors 'y' and 'z' overlap$"),
@@ -272,6 +274,8 @@ def test_hs_basis_validation():
                          (np.eye(3), r"has shape \(3, 3\), expected \(2, 2\)")):
         with pytest.raises(ValidationError, match=f"^basis op 1 {message}$"):
             tkd.HSBasis(2, [ops[0], bad, ops[2], ops[3]])
+    with pytest.raises(ValidationError, match="^basis is not orthogonal"):  # its Gram GEMM overflows
+        tkd.HSBasis(2, [ops[0], ops[1] * 1e308, ops[2], ops[3]])
 
 
 def test_hs_basis_checks_tracelessness_at_its_tol():
