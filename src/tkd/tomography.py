@@ -5,8 +5,9 @@ product of its time slots. Each is read off the forward sweep of
 ``tkd.quasiprob`` with matrix units E_ab = |a⟩⟨b| inserted at every time:
 x ↦ xE gives the Kirkwood-Dirac state, its Hermitian part the Margenau-Hill
 state, x ↦ (Ex + xE)/2 the pseudo-density operator, and x ↦ ExE' the doubled
-Kirkwood-Dirac state. All of them are unit-trace; traces against products of
-time-local operators reproduce the corresponding distribution or correlator.
+KD state. All are unit-trace; their traces against products of time-local
+operators (``born_eval``: one outcome tuple, or a whole table from stacks)
+reproduce the corresponding distribution or correlator.
 Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check;
 the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
 
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _held, as_matrix, dagger, frozen_matrix, insertion_maps,
+from .linops import (ValidationError, _held, dagger, frozen_matrix, insertion_maps,
                      is_hermitian, partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
@@ -251,24 +252,28 @@ def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
 
 
 def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str) -> list[np.ndarray]:
-    ops = [as_matrix(o) for o in ops]
+    """The one shape check of `born_eval`: each time's (d, d) operator F[c, r] as the vector
+    F[c·d + r], or its non-empty (m, d, d) stack as the (d², m) matrix of those; latest first."""
     if len(ops) != y.n_times:
         raise ValidationError(f"{len(ops)} {side} operators for {y.n_times} times")
+    factors = []
     for k, (o, d) in enumerate(zip(ops, y.dims)):
-        if o.shape != (d, d):
+        o = np.asarray(o, dtype=np.complex128)
+        if o.shape != (d, d) and not (o.ndim == 3 and o.shape[1:] == (d, d) and len(o)):
             raise ValidationError(f"{side} operator {k} is {o.shape}, time dim is {d}")
-    return list(reversed(ops))
+        factors.append(o.reshape(-1) if o.ndim == 2 else o.reshape(len(o), -1).T)
+    return factors[::-1]
 
 
 def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
-              bra_projectors: Sequence[np.ndarray] | None = None) -> complex:
-    """Tr[Υ·(⊗ factors)] with one operator per time (ascending order in the
-    arguments). Doubled states take separate ket and bra operator lists.
-
-    Each factor F[c, r], flattened, is contracted in turn with its (c, r) leg
-    pair of the state's paired copy, one vector-matrix product per factor; the
-    D×D product is never formed. The paired copy is built on the first call
-    and kept on the state, so a state that is evaluated holds its matrix twice."""
+              bra_projectors: Sequence[np.ndarray] | None = None) -> complex | np.ndarray:
+    """Tr[Υ·(⊗ factors)] with one operator, or one (m, d, d) stack, per time (ascending order
+    in the arguments; doubled states take a ket and a bra list): a complex, or with stacks an
+    array with one axis per stacked time, ascending, ket block first, so that
+    ``[m.projectors for m in schedule]`` reads a whole distribution in one call. Each factor,
+    flattened, meets the leading (c, r) leg pair of the state's paired copy in one product (a
+    stack's axis goes last); the D×D product is never formed. The paired copy is built on the
+    first call and kept on the state, so a state that is evaluated holds its matrix twice."""
     factors = _factors_for(y, projectors, "ket")
     if y.doubled:
         if bra_projectors is None:
@@ -278,8 +283,12 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
         raise ValidationError(f"{y.kind} state takes a single operator list")
     z = y._paired
     for f in factors:
-        z = f.reshape(-1) @ z.reshape(f.size, -1)
-    return complex(z[0])
+        z = z.reshape(len(f), -1).T @ f
+    shape = [f.shape[1] for f in factors if f.ndim == 2]  # latest time first in each block
+    if not shape:
+        return complex(z[0])
+    ket = sum(f.ndim == 2 for f in factors[:y.n_times])
+    return z.reshape(shape).transpose([*reversed(range(ket)), *reversed(range(ket, len(shape)))])
 
 
 def _reduced(y: TemporalStateOperator, kind: str, blocks: Sequence[int],

@@ -34,3 +34,20 @@ def corpus(count, channel_kind="mixed", start=0):
         s = tkd.random_schedule(p.dims, seed=20_000 + i)
         out.append((p, s))
     return out
+
+
+def table_dev(got, want) -> float:
+    """max|got − want| over two tables of one shape: a shape mismatch fails, never broadcasts."""
+    assert np.shape(got) == np.shape(want), (np.shape(got), np.shape(want))
+    return float(np.abs(np.subtract(got, want)).max())
+
+
+def joint_traces(p, j) -> np.ndarray:
+    """Tr[O·ρ₀] for every operator O of a `joint_ops` table: the distribution it reads at t₀."""
+    return np.einsum("...ij,ji->...", j.ops.array, p.rho0)
+
+
+def born_diagonal(y, stacks) -> np.ndarray:
+    """lvn off a doubled state: the diagonal of its Born table with the same stacks on both sides."""
+    shape = tuple(len(s) for s in stacks)
+    return tkd.born_eval(y, stacks, stacks).reshape(np.prod(shape), -1).diagonal().reshape(shape)

@@ -17,7 +17,7 @@ import tkd
 from tkd.linops import max_abs
 from tkd.oracle import oracle_state
 from tkd.cli import run_command
-from conftest import corpus
+from conftest import born_diagonal, corpus, table_dev
 
 SQRT2 = np.sqrt(2.0)
 
@@ -212,14 +212,9 @@ def test_criterion_06_temporal_state_relations():
             red = tkd.reduce_state(right, [k])
             dev_red = max(dev_red, max_abs(red.matrix - p.state_at(k)))
         qr = tkd.kd_right(p, s)
-        ql = tkd.kd_left(p, s)
-        qm = tkd.mh_from_kd(qr)
-        mh = tkd.mh_state(p)
-        for idx in np.ndindex(qr.values.shape):
-            projs = [s[k].outcomes[j].projector for k, j in enumerate(idx)]
-            dev_born = max(dev_born, abs(tkd.born_eval(right, projs) - qr.values[idx]))
-            dev_born = max(dev_born, abs(tkd.born_eval(left, projs) - ql.values[idx]))
-            dev_born = max(dev_born, abs(tkd.born_eval(mh, projs) - qm.values[idx]))
+        stacks = [m.projectors for m in s]
+        for y, q in ((right, qr), (left, tkd.kd_left(p, s)), (tkd.mh_state(p), tkd.mh_from_kd(qr))):
+            dev_born = max(dev_born, table_dev(tkd.born_eval(y, stacks), q.values))
     # doubled-state checks on shapes where full tomography stays cheap
     dev_tl = dev_tr = dev_born2 = 0.0
     for d, n, seed in ((2, 1, 201), (2, 2, 202), (3, 1, 203)):
@@ -231,17 +226,9 @@ def test_criterion_06_temporal_state_relations():
         left = tkd.kd_state_recursive(p, kind="kd_left")
         dev_tl = max(dev_tl, max_abs(tkd.trace_ket_block(yd).matrix - right.matrix))
         dev_tr = max(dev_tr, max_abs(tkd.trace_bra_block(yd).matrix - left.matrix))
-        qd = tkd.kd_doubled(p, s, bra)
-        nt = p.n_times
-        for idx in np.ndindex(qd.values.shape):
-            kp = [s[k].outcomes[j].projector for k, j in enumerate(idx[:nt])]
-            bp = [bra[k].outcomes[j].projector for k, j in enumerate(idx[nt:])]
-            dev_born2 = max(dev_born2, abs(tkd.born_eval(yd, kp, bp) - qd.values[idx]))
-        qv = tkd.lvn(p, s)
-        for idx in np.ndindex(qv.values.shape):
-            projs = [s[k].outcomes[j].projector for k, j in enumerate(idx)]
-            dev_born2 = max(dev_born2,
-                            abs(tkd.born_eval(yd, projs, projs) - qv.values[idx]))
+        kp, bp = [m.projectors for m in s], [m.projectors for m in bra]
+        dev_born2 = max(dev_born2, table_dev(tkd.born_eval(yd, kp, bp), tkd.kd_doubled(p, s, bra).values),
+                        table_dev(born_diagonal(yd, kp), tkd.lvn(p, s).values))
     _report(6, "temporal state relations and Born rule",
             {"right_vs_left_dagger": dev_dag, "single_time_reduction": dev_red,
              "born_single_block": dev_born, "trace_ket_block": dev_tl,

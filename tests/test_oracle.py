@@ -7,7 +7,7 @@ import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
 from tkd.oracle import oracle_correlators, oracle_kd, oracle_state
-from conftest import corpus
+from conftest import corpus, table_dev
 
 
 @pytest.mark.parametrize("chunk", range(20))
@@ -30,6 +30,16 @@ def test_oracle_agrees_doubled(case):
     want = tkd.kd_doubled(p, ket, bra)
     assert got.ket_axes == want.ket_axes
     assert max_abs(got.values - want.values) < 1e-12
+
+
+@pytest.mark.parametrize("d,n_times", [(2, 8), (4, 4), (3, 5)])
+def test_states_at_the_regime_edge_match_the_oracle(d, n_times):
+    # oracle_state grows about 5x per time, so each state is checked by its Born table
+    p = tkd.random_process(d, n_times - 1, seed=600 + d, channel_kind="mixed")
+    s = tkd.random_schedule(p.dims, seed=610 + d)
+    for kind in ("kd_right", "kd_left", "mh"):
+        y = tkd.mh_state(p) if kind == "mh" else tkd.kd_state_recursive(p, kind)
+        assert table_dev(tkd.born_eval(y, [m.projectors for m in s]), oracle_kd(p, s, kind).values) <= 1e-12
 
 
 @pytest.mark.parametrize("case", range(10))

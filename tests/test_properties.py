@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import tkd
 from tkd.linops import max_abs
 from tkd.oracle import _direct_correlator, _direct_correlator_doubled
+from conftest import born_diagonal, joint_traces, table_dev
 from test_tomography import _born_kron
 
 TOL = 1e-12
@@ -61,10 +62,6 @@ def _observables(sched) -> tuple[np.ndarray, ...]:
     return tuple(m.observable() for m in sched)
 
 
-def _joint_traces(p, ops: tkd.JointMeasurementOperators) -> np.ndarray:
-    return np.array([np.trace(ops.ops[k] @ p.rho0) for k in sorted(ops.ops)])
-
-
 @SETTINGS
 @given(st.data())
 def test_passes_match_oracle(data):
@@ -75,14 +72,14 @@ def test_passes_match_oracle(data):
     for kind, fn in (("kd_right", tkd.kd_right), ("kd_left", tkd.kd_left)):
         want = tkd.oracle_kd(p, ket, kind).values
         assert max_abs(fn(p, ket).values - want) <= TOL
-        assert max_abs(_joint_traces(p, tkd.joint_ops(p, ket, kind=kind)) - want.reshape(-1)) <= TOL
+        assert table_dev(joint_traces(p, tkd.joint_ops(p, ket, kind=kind)), want) <= TOL
     want = tkd.oracle_kd(p, ket, "mh").values
     assert max_abs(tkd.mh_from_kd(tkd.kd_right(p, ket)).values - want) <= TOL
 
     want = tkd.oracle_kd(p, ket, "kd_doubled", bra=bra).values
     assert max_abs(tkd.kd_doubled(p, ket, bra).values - want) <= TOL
     joint = tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra)
-    assert max_abs(_joint_traces(p, joint) - want.reshape(-1)) <= TOL
+    assert table_dev(joint_traces(p, joint), want) <= TOL
 
     same = tkd.oracle_kd(p, ket, "kd_doubled", bra=ket).values
     side = int(np.prod(same.shape[:p.n_times]))
@@ -168,17 +165,10 @@ def test_states_match_oracle(data):
         assert max_abs(pdo - tkd.oracle_state(p, "lvn").matrix) <= STATE_TOL
 
     s = data.draw(schedules(p.dims))
+    stacks = [m.projectors for m in s]
     q = tkd.kd_right(p, s)
-    qm = tkd.mh_from_kd(q)
-    for idx in np.ndindex(q.values.shape):
-        projs = [m.outcomes[i].projector for m, i in zip(s, idx)]
-        assert abs(tkd.born_eval(right, projs) - q.values[idx]) <= TOL
-        assert abs(tkd.born_eval(mh, projs) - qm.values[idx]) <= TOL
-
-
-def _small_doubled(p) -> bool:
-    """Doubled states are (Π d)² wide; keep them to qubits, or d=3 with one step."""
-    return p.dims[0] == 2 or p.n_steps <= 1
+    assert table_dev(tkd.born_eval(right, stacks), q.values) <= TOL
+    assert table_dev(tkd.born_eval(mh, stacks), tkd.mh_from_kd(q).values) <= TOL
 
 
 @STATE_SETTINGS
@@ -233,27 +223,16 @@ def test_reductions_match_the_read_offs_on_rectangular_chains(data):
 @STATE_SETTINGS
 @given(st.data())
 def test_born_rule_on_doubled_and_pdo_states(data):
-    p = data.draw(processes(max_steps=2))
-    ket = data.draw(schedules(p.dims))
-    bra = data.draw(schedules(p.dims))
-
-    def projs(sched, idx):
-        return [m.outcomes[i].projector for m, i in zip(sched, idx)]
-
-    if _small_doubled(p):
-        yd = tkd.kd_state_recursive(p, kind="kd_doubled")
-        q = tkd.kd_doubled(p, ket, bra).values
-        seq = tkd.lvn(p, ket).values
-        for i in np.ndindex(seq.shape):
-            assert abs(tkd.born_eval(yd, projs(ket, i), projs(ket, i)) - seq[i]) <= TOL
-            for j in np.ndindex(q.shape[p.n_times:]):
-                assert abs(tkd.born_eval(yd, projs(ket, i), projs(bra, j)) - q[i + j]) <= TOL
-
+    # doubled states are (Π d)² wide: 1024 at five qubit times, 81 at two qutrit times
+    p = data.draw(st.one_of(processes(max_steps=4, dims=(2,)), processes(max_steps=1, dims=(3,))))
+    ket, bra = data.draw(schedules(p.dims)), data.draw(schedules(p.dims))
+    kp, bp = [m.projectors for m in ket], [m.projectors for m in bra]
+    yd = tkd.kd_state_recursive(p, kind="kd_doubled")
+    assert table_dev(tkd.born_eval(yd, kp, bp), tkd.kd_doubled(p, ket, bra).values) <= TOL
+    assert table_dev(born_diagonal(yd, kp), tkd.lvn(p, ket).values) <= TOL
     if p.n_times <= 2:  # the pdo and the mh distribution drift apart from three times on
-        y = tkd.pdo(p)
         qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
-        for i in np.ndindex(qm.shape):
-            assert abs(tkd.born_eval(y, projs(ket, i)) - qm[i]) <= TOL
+        assert table_dev(tkd.born_eval(tkd.pdo(p), kp), qm) <= TOL
 
 
 @st.composite

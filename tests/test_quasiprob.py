@@ -11,7 +11,7 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
-from conftest import corpus
+from conftest import corpus, joint_traces, table_dev
 
 SQRT2 = np.sqrt(2.0)
 
@@ -307,15 +307,8 @@ def test_nonclassicality_variant_validation(xy_process):
 @pytest.mark.parametrize("case", range(6))
 def test_joint_ops_reproduce_distributions(case):
     p, s = corpus(6, start=4)[case]
-    qr = tkd.kd_right(p, s)
-    ops = tkd.joint_ops(p, s, kind="kd_right")
-    for idx in np.ndindex(qr.values.shape):
-        got = np.trace(ops.matrix(idx) @ p.rho0)
-        assert abs(got - qr.values[idx]) < 1e-12
-    ql = tkd.kd_left(p, s)
-    opsl = tkd.joint_ops(p, s, kind="kd_left")
-    for idx in np.ndindex(ql.values.shape):
-        assert abs(np.trace(opsl.matrix(idx) @ p.rho0) - ql.values[idx]) < 1e-12
+    for kind, fn in (("kd_right", tkd.kd_right), ("kd_left", tkd.kd_left)):
+        assert table_dev(joint_traces(p, tkd.joint_ops(p, s, kind=kind)), fn(p, s).values) < 1e-12
 
 
 def test_joint_ops_doubled():
@@ -324,8 +317,7 @@ def test_joint_ops_doubled():
     qd = tkd.kd_doubled(p, ket, bra)
     ops = tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra)
     assert ops.ket_axes == p.n_times
-    for idx in np.ndindex(qd.values.shape):
-        assert abs(np.trace(ops.matrix(idx) @ p.rho0) - qd.values[idx]) < 1e-12
+    assert table_dev(joint_traces(p, ops), qd.values) < 1e-12
     with pytest.raises(ValidationError):
         tkd.joint_ops(p, ket, kind="kd_doubled")
     with pytest.raises(ValidationError):

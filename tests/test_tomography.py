@@ -6,7 +6,7 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
-from conftest import corpus
+from conftest import born_diagonal, corpus, table_dev
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -151,16 +151,16 @@ def test_identity_two_time_state_is_swap_times_state():
 @pytest.mark.parametrize("case", range(4))
 def test_born_eval_reproduces_distributions(case):
     p, s = corpus(4, start=6)[case]
-    y = tkd.kd_state_recursive(p)
-    q = tkd.kd_right(p, s)
-    for idx in np.ndindex(q.values.shape):
-        projs = [s[k].outcomes[i].projector for k, i in enumerate(idx)]
-        assert abs(tkd.born_eval(y, projs) - q.values[idx]) < 1e-10
-    m = tkd.mh_state(p)
-    qm = tkd.mh_from_kd(q)
-    for idx in np.ndindex(q.values.shape):
-        projs = [s[k].outcomes[i].projector for k, i in enumerate(idx)]
-        assert abs(tkd.born_eval(m, projs) - qm.values[idx]) < 1e-10
+    y, stacks, q = tkd.kd_state_recursive(p), [m.projectors for m in s], tkd.kd_right(p, s)
+    table = tkd.born_eval(y, stacks)
+    assert table_dev(table, q.values) < 1e-10
+    assert table_dev(tkd.born_eval(tkd.mh_state(p), stacks), tkd.mh_from_kd(q).values) < 1e-10
+    for idx in np.ndindex(table.shape):  # each entry is its single-tuple call
+        assert abs(table[idx] - tkd.born_eval(y, [m[i] for m, i in zip(stacks, idx)])) <= 1e-15
+    # a time given one operator has no axis: odd times stacked, the others at their last outcome
+    part = [m if k % 2 else m[-1] for k, m in enumerate(stacks)]
+    want = q.values[tuple(slice(None) if k % 2 else -1 for k in range(p.n_times))]
+    assert table_dev(tkd.born_eval(y, part), want) < 1e-10
 
 
 def test_born_eval_doubled_and_lvn():
@@ -169,18 +169,28 @@ def test_born_eval_doubled_and_lvn():
     t = tkd.correlators(p, kind="doubled")
     y = tkd.reconstruct_state(t)
     assert y.kind == "kd_doubled" and y.doubled
-    qd = tkd.kd_doubled(p, ket, bra)
-    nt = p.n_times
-    for idx in np.ndindex(qd.values.shape):
-        kp = [ket[k].outcomes[i].projector for k, i in enumerate(idx[:nt])]
-        bp = [bra[k].outcomes[i].projector for k, i in enumerate(idx[nt:])]
-        assert abs(tkd.born_eval(y, kp, bp) - qd.values[idx]) < 1e-10
+    kp, bp = [m.projectors for m in ket], [m.projectors for m in bra]
+    assert table_dev(tkd.born_eval(y, kp, bp), tkd.kd_doubled(p, ket, bra).values) < 1e-10
     # equal projector insertions on both sides give the collapse probabilities
-    ql = tkd.lvn(p, ket)
-    for idx in np.ndindex(ql.values.shape):
-        projs = [ket[k].outcomes[i].projector for k, i in enumerate(idx)]
-        got = tkd.born_eval(y, projs, projs)
-        assert abs(got - ql.values[idx]) < 1e-10
+    assert table_dev(born_diagonal(y, kp), tkd.lvn(p, ket).values) < 1e-10
+    # only the bra side of the last time stacked; no stack at all gives a complex
+    first = [m[0] for m in kp]
+    got = tkd.born_eval(y, first, [m[0] for m in bp[:-1]] + bp[-1:])
+    assert table_dev(got, tkd.kd_doubled(p, ket, bra).values[(0,) * (2 * p.n_times - 1)]) < 1e-10
+    assert isinstance(tkd.born_eval(y, first, first), complex)
+
+
+@pytest.mark.parametrize("kind,d", [(k, d) for k in tkd.tomography.CORRELATOR_KINDS for d in (2, 3)
+                                    if k != "lvn" or d == 2])
+def test_bloch_tomography_closes(kind, d):
+    """Temporal Bloch tomography read backwards: the Born table of the reconstructed state
+    against each time's (rotated) basis stack gives back the correlator tensor."""
+    p = tkd.random_process(d, 4 - d, seed=530 + d, channel_kind="mixed")  # 3 qubit or 2 qutrit times
+    bases = [tkd.rotate_basis(tkd.hs_basis(d), tkd.haar_unitary(d, seed=531 + k)) for k in range(5 - d)]
+    t = tkd.correlators(p, bases, kind=kind)
+    stacks = [b.stack for b in t.bases]
+    blocks = (stacks[:t.ket_axes], stacks[t.ket_axes:]) if t.ket_axes else (stacks,)
+    assert table_dev(tkd.born_eval(tkd.reconstruct_state(t), *blocks), t.values) <= 1e-12
 
 
 def test_born_eval_validation():
@@ -194,6 +204,9 @@ def test_born_eval_validation():
         tkd.born_eval(y, [np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(ValidationError, match="^doubled state needs bra_projectors$"):
         tkd.born_eval(tkd.kd_state_recursive(p, "kd_doubled"), [np.eye(2), np.eye(2)])
+    for bad in (np.zeros((0, 2, 2)), np.zeros((1, 1, 2, 2)), np.zeros((2, 3, 3))):  # empty, 4-D, wrong d
+        with pytest.raises(ValidationError, match=r"^ket operator 1 is \(.*\), time dim is 2$"):
+            tkd.born_eval(y, [np.eye(2), bad])
 
 
 def test_reduce_state_single_time_is_physical_state():
@@ -225,11 +238,8 @@ def test_reduce_state_doubled_tracks_marginals():
     qd = tkd.kd_doubled(p, ket, bra)
     keep = [p.n_times - 1, 2 * p.n_times - 1]
     marg = tkd.marginalize(qd, keep)
-    k = p.n_times - 1
-    for i, oa in enumerate(ket[k].outcomes):
-        for j, ob in enumerate(bra[k].outcomes):
-            got = tkd.born_eval(red, [oa.projector], [ob.projector])
-            assert abs(got - marg.values[i, j]) < 1e-10
+    got = tkd.born_eval(red, [ket[-1].projectors], [bra[-1].projectors])
+    assert table_dev(got, marg.values) < 1e-10
 
 
 def test_trace_blocks():
