@@ -142,7 +142,8 @@ def _effect(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 def validate_cptp(c: QuantumChannel, tol: float = 1e-9) -> CptpReport:
     """defect = ‖Σ K†K − I‖_max; trace preserving iff defect ≤ tol."""
-    defect = max_abs(_effect(c.kraus) - np.eye(c.d_in))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        defect = max_abs(_effect(c.kraus) - np.eye(c.d_in))
     return CptpReport(trace_preserving=defect <= tol, defect=defect)
 
 
@@ -247,7 +248,8 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         return QuantumChannel(need("operators"))
     if kind == "unitary":
         u = as_matrix(need("u"))
-        unitary = u.shape[0] == u.shape[1] and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+            unitary = u.shape[0] == u.shape[1] and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
         _in_field(("u",), _require, unitary, "build_channel: u is not unitary within tol")
         return QuantumChannel([u])
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in

@@ -266,6 +266,8 @@ def rotate_basis(basis: HSBasis, u: np.ndarray) -> HSBasis:
     u = as_matrix(u)
     if u.shape != (basis.dim, basis.dim):
         raise ValidationError(f"rotate_basis: u has shape {u.shape}, expected {(basis.dim, basis.dim)}")
-    if not max_abs(dagger(u) @ u - np.eye(basis.dim)) <= 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        unitary = max_abs(dagger(u) @ u - np.eye(basis.dim)) <= 1e-9
+    if not unitary:
         raise ValidationError("rotate_basis needs a unitary")
     return HSBasis(basis.dim, [u @ o @ dagger(u) for o in basis.ops])

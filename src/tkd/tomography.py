@@ -23,14 +23,15 @@ exposed through the API stay ascending. That layout is written once in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _held, dagger, frozen_matrix, insertion_maps,
-                     is_hermitian, partial_trace, readonly)
+from .linops import (ValidationError, _held, dagger, insertion_maps, is_hermitian,
+                     partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
@@ -89,8 +90,9 @@ class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
     ``tol`` bounds the trace defect and, for Hermitian kinds, the
-    Hermiticity defect. ``matrix`` is a read-only copy of the array given,
-    which must be finite."""
+    Hermiticity defect. ``matrix`` must be finite. It is held read-only as
+    ``QuasiDistribution.values`` is: a state builder's own output as it is,
+    a caller's array as a copy."""
 
     kind: str
     dims: tuple[int, ...]
@@ -101,9 +103,11 @@ class TemporalStateOperator:
         if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        m = frozen_matrix(self.matrix)
+        m = _held(self.matrix)
+        if m.ndim != 2:
+            raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
         object.__setattr__(self, "matrix", m)
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if self.doubled:
             d *= d
         if m.shape != (d, d):
@@ -172,12 +176,13 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
 def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
     """The D×D matrix of a tensor with one (row, column) leg pair per (block,
     time), ascending. Rows and columns each run over the ket block, then the
-    bra block (doubled), latest time first."""
+    bra block (doubled), latest time first. The result views one fresh
+    read-only copy, so a state holds it as it is."""
     nt = len(dims)
     t = t.reshape([d for _ in range(blocks) for d in dims for _ in "rc"])
     order = [2 * (b * nt + k) + leg for leg in (0, 1) for b in range(blocks) for k in reversed(range(nt))]
-    side = int(np.prod(dims)) ** blocks
-    return t.transpose(order).reshape(side, side)
+    side = math.prod(dims) ** blocks
+    return readonly(t.transpose(order).copy()).reshape(side, side)
 
 
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
@@ -201,8 +206,8 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     z = t.values
     for b, m in zip(t.bases, t.values.shape):
         z = z.reshape(m, -1).T @ b.stack.reshape(m, -1)
-    side = int(np.prod([b.dim for b in t.bases]))
-    mat = _matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side
+    side = math.prod(b.dim for b in t.bases)
+    mat = readonly(_matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side)
     kind = {"mh": "mh", "lvn": "pdo"}.get(t.kind, "kd_" + t.kind)
     return TemporalStateOperator(kind, t.time_dims, mat, tol=t.tol)
 
@@ -234,12 +239,12 @@ def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalS
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"kd_state_recursive builds kd_right/kd_left/kd_doubled, not {kind!r}")
     y = _state(p, "doubled" if kind == "kd_doubled" else "right")
-    return TemporalStateOperator(kind, p.dims, dagger(y) if kind == "kd_left" else y, tol=p.tol)
+    return TemporalStateOperator(kind, p.dims, readonly(dagger(y)) if kind == "kd_left" else y, tol=p.tol)
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
     y = _state(p, "right")
-    return TemporalStateOperator("mh", p.dims, (y + dagger(y)) / 2, tol=p.tol)
+    return TemporalStateOperator("mh", p.dims, readonly((y + dagger(y)) / 2), tol=p.tol)
 
 
 def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
@@ -259,9 +264,12 @@ def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str)
     factors = []
     for k, (o, d) in enumerate(zip(ops, y.dims)):
         o = np.asarray(o, dtype=np.complex128)
-        if o.shape != (d, d) and not (o.ndim == 3 and o.shape[1:] == (d, d) and len(o)):
+        if o.shape == (d, d):
+            factors.append(o.ravel())
+        elif o.ndim == 3 and o.shape[1:] == (d, d) and len(o):
+            factors.append(o.reshape(len(o), -1).T)
+        else:
             raise ValidationError(f"{side} operator {k} is {o.shape}, time dim is {d}")
-        factors.append(o.reshape(-1) if o.ndim == 2 else o.reshape(len(o), -1).T)
     return factors[::-1]
 
 
@@ -271,9 +279,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
     in the arguments; doubled states take a ket and a bra list): a complex, or with stacks an
     array with one axis per stacked time, ascending, ket block first, so that
     ``[m.projectors for m in schedule]`` reads a whole distribution in one call. Each factor,
-    flattened, meets the leading (c, r) leg pair of the state's paired copy in one product (a
-    stack's axis goes last); the D×D product is never formed. The paired copy is built on the
-    first call and kept on the state, so a state that is evaluated holds its matrix twice."""
+    flattened, meets the leading (c, r) leg pair of the state's paired copy in one product: an
+    operator in one GEMV, a stack in one GEMM whose axis goes last; the D×D product is never
+    formed. The paired copy is built on the first call and kept on the state, so a state that
+    is evaluated holds its matrix twice."""
     factors = _factors_for(y, projectors, "ket")
     if y.doubled:
         if bra_projectors is None:
@@ -283,10 +292,10 @@ def born_eval(y: TemporalStateOperator, projectors: Sequence[np.ndarray],
         raise ValidationError(f"{y.kind} state takes a single operator list")
     z = y._paired
     for f in factors:
-        z = z.reshape(len(f), -1).T @ f
+        z = np.dot(f, z.reshape(len(f), -1)) if f.ndim == 1 else z.reshape(len(f), -1).T @ f
     shape = [f.shape[1] for f in factors if f.ndim == 2]  # latest time first in each block
     if not shape:
-        return complex(z[0])
+        return complex(z.item())
     ket = sum(f.ndim == 2 for f in factors[:y.n_times])
     return z.reshape(shape).transpose([*reversed(range(ket)), *reversed(range(ket, len(shape)))])
 
@@ -297,7 +306,8 @@ def _reduced(y: TemporalStateOperator, kind: str, blocks: Sequence[int],
     rest; block 0 is a single-block state's only block, or the ket block."""
     nt = y.n_times
     keep = [b * nt + nt - 1 - k for b in blocks for k in times]
-    mat = partial_trace(y.matrix, list(y.factor_dims), keep)
+    mat = readonly(partial_trace(y.matrix, list(y.factor_dims), keep))
+    readonly(mat.base)  # the fresh trace that mat reshapes, or a view of y.matrix
     return TemporalStateOperator(kind, tuple(y.dims[k] for k in times), mat, tol=y.tol)
 
 

@@ -170,6 +170,19 @@ def test_state_matrices_are_read_only(name):
         y.matrix[0, 0] = 7.0
 
 
+@pytest.mark.parametrize("name", sorted(STATE_PRODUCERS))
+def test_state_builders_hand_over_their_matrix_without_a_copy(name, monkeypatch):
+    given = []
+    held = tkd.tomography._held
+    monkeypatch.setattr(tkd.tomography, "_held", lambda a: given.append(a) or held(a))
+    y = STATE_PRODUCERS[name](_build(_raw())[0])
+    assert y.matrix is given[-1]  # held as it is, since nothing can write it:
+    a = y.matrix
+    while a is not None:  # it and every array it views are read-only
+        assert not a.flags.writeable
+        a = a.base
+
+
 def _born_args(y, rng):
     ket = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in y.dims]
     bra = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in y.dims]

@@ -36,6 +36,9 @@ def test_kraus_operators_with_a_zero_dimension_are_refused(build):
         build()
 
 
+HUGE = np.diag([1e308, 1.0])  # K†K overflows to inf
+
+
 def test_validate_cptp_defect():
     # single Kraus I/2: sum is I/4, worst entry 0.75 away from I
     rep = tkd.validate_cptp(tkd.QuantumChannel([np.eye(2) / 2]))
@@ -43,6 +46,8 @@ def test_validate_cptp_defect():
     assert abs(rep.defect - 0.75) < 1e-12
     rep = tkd.validate_cptp(tkd.identity_channel(3))
     assert rep.trace_preserving and rep.defect == 0.0
+    rep = tkd.validate_cptp(tkd.QuantumChannel([HUGE]))  # Σ K†K overflows, without a warning
+    assert not rep.trace_preserving and rep.defect == np.inf
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -149,6 +154,8 @@ def test_stinespring_rejects_non_tp():
         tkd.stinespring(tkd.QuantumChannel([np.zeros((3, 2))]))
     with pytest.raises(ValidationError, match="^stinespring needs a square channel$"):
         tkd.stinespring(rect_channel(2, 3, seed=1))  # trace preserving
+    with pytest.raises(ValidationError, match="^stinespring needs a trace-preserving channel, defect inf$"):
+        tkd.stinespring(tkd.QuantumChannel([HUGE]))
 
 
 def test_stinespring_deterministic():
@@ -240,6 +247,7 @@ TWICE = np.diag([2.0, 0.0])  # trace 2
      "state trace differs from 1"),
     ("unitary", {"u": np.ones((2, 2))}, ("u",), "build_channel: u is not unitary within tol"),
     ("depolarizing", {"p": 1.5, "d": 2}, ("p",), "depolarizing strength 1.5 outside [0, 1]"),
+    ("unitary", {"u": HUGE}, ("u",), "build_channel: u is not unitary within tol"),  # U†U overflows
 ])
 def test_build_channel_refusal_carries_its_field(kind, params, field, message):
     with pytest.raises(ValidationError) as e:

@@ -167,19 +167,23 @@ def test_char_samples_values_are_a_read_only_copy():
     assert s.values.tolist() == [1.0, 0.5]
 
 
-@pytest.mark.parametrize("kind", ["QuasiDistribution", "CorrelatorTensor"])
+@pytest.mark.parametrize("kind", ["QuasiDistribution", "CorrelatorTensor", "TemporalStateOperator"])
 def test_held_values_are_a_read_only_copy_of_a_caller_array(kind):
     if kind == "QuasiDistribution":
         v = np.array([1.0, 0.0], dtype=complex)
         axes = (tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes,)
-        held = tkd.QuasiDistribution("kd_right", axes, v)
-    else:
+        held = tkd.QuasiDistribution("kd_right", axes, v).values
+    elif kind == "CorrelatorTensor":
         v = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-        held = tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), v)
+        held = tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), v).values
+    else:
+        v = np.diag([1.0, 0.0]).astype(complex)
+        held = tkd.TemporalStateOperator("kd_right", (2,), v).matrix
+    first = (0,) * v.ndim
     with pytest.raises(ValueError):
-        held.values[0] = 7.0
-    v[0] = 7.0  # the normalization checked at construction must stay true
-    assert held.values[0] == 1.0
+        held[first] = 7.0
+    v[first] = 7.0  # the normalization (or unit trace) checked at construction must stay true
+    assert held[first] == 1.0
 
 
 def test_distribution_holds_read_only_arrays_without_a_copy():
@@ -193,6 +197,15 @@ def test_distribution_holds_read_only_arrays_without_a_copy():
     view.setflags(write=False)  # read-only, but its base is not
     q = tkd.QuasiDistribution("kd_right", axes, view)
     assert not np.shares_memory(q.values, base) and not q.values.flags.writeable
+    state = np.diag([1.0, 0.0]).astype(complex)
+    state.setflags(write=False)
+    for m in (state, state.T):
+        assert tkd.TemporalStateOperator("kd_right", (2,), m).matrix is m
+    base = np.diag([1.0, 0.0]).astype(complex)
+    view = base[:]
+    view.setflags(write=False)
+    y = tkd.TemporalStateOperator("kd_right", (2,), view)
+    assert not np.shares_memory(y.matrix, base) and not y.matrix.flags.writeable
 
 
 def test_pass_outputs_are_read_only():

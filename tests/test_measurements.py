@@ -255,6 +255,8 @@ def test_rotate_basis():
     nan[0, 0] = np.nan
     with pytest.raises(ValidationError, match="^rotate_basis needs a unitary$"):
         tkd.rotate_basis(basis, nan)
+    with pytest.raises(ValidationError, match="^rotate_basis needs a unitary$"):
+        tkd.rotate_basis(basis, np.diag([1e308, 1.0, 1.0]))  # U†U overflows, without a warning
     with pytest.raises(ValidationError, match=r"^rotate_basis: u has shape \(2, 2\), expected \(3, 3\)$"):
         tkd.rotate_basis(basis, np.eye(2))
 

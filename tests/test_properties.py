@@ -37,10 +37,10 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def processes(draw, max_steps: int = 3, dims=(2, 3)) -> tkd.MultiTimeProcess:
+def processes(draw, max_steps: int = 3, dims=(2, 3), min_steps: int = 0) -> tkd.MultiTimeProcess:
     d = draw(st.sampled_from(dims))
     rng = np.random.default_rng(draw(SEEDS))
-    n = draw(st.sampled_from(range(max_steps, -1, -1)))
+    n = draw(st.sampled_from(range(max_steps, min_steps - 1, -1)))
     chain = []
     for unitary in draw(st.lists(st.booleans(), min_size=n, max_size=n)):
         chain.append(tkd.QuantumChannel([tkd.haar_unitary(d, rng)]) if unitary
@@ -220,19 +220,24 @@ def test_reductions_match_the_read_offs_on_rectangular_chains(data):
         assert max_abs(left.matrix - states["kd_left"].matrix) <= TOL
 
 
-@STATE_SETTINGS
+# (d, steps) of the Born-rule chains: every example runs each one, since a drawn shape can be
+# missed. Doubled states are (Π d)² wide, 1024 at five qubit times and 81 at two qutrit times.
+BORN_SHAPES = [(2, n) for n in range(5)] + [(3, n) for n in range(2)]
+
+
+@settings(STATE_SETTINGS, max_examples=3)
 @given(st.data())
 def test_born_rule_on_doubled_and_pdo_states(data):
-    # doubled states are (Π d)² wide: 1024 at five qubit times, 81 at two qutrit times
-    p = data.draw(st.one_of(processes(max_steps=4, dims=(2,)), processes(max_steps=1, dims=(3,))))
-    ket, bra = data.draw(schedules(p.dims)), data.draw(schedules(p.dims))
-    kp, bp = [m.projectors for m in ket], [m.projectors for m in bra]
-    yd = tkd.kd_state_recursive(p, kind="kd_doubled")
-    assert table_dev(tkd.born_eval(yd, kp, bp), tkd.kd_doubled(p, ket, bra).values) <= TOL
-    assert table_dev(born_diagonal(yd, kp), tkd.lvn(p, ket).values) <= TOL
-    if p.n_times <= 2:  # the pdo and the mh distribution drift apart from three times on
-        qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
-        assert table_dev(tkd.born_eval(tkd.pdo(p), kp), qm) <= TOL
+    for d, steps in BORN_SHAPES:
+        p = data.draw(processes(max_steps=steps, dims=(d,), min_steps=steps))
+        ket, bra = data.draw(schedules(p.dims)), data.draw(schedules(p.dims))
+        kp, bp = [m.projectors for m in ket], [m.projectors for m in bra]
+        yd = tkd.kd_state_recursive(p, kind="kd_doubled")
+        assert table_dev(tkd.born_eval(yd, kp, bp), tkd.kd_doubled(p, ket, bra).values) <= TOL
+        assert table_dev(born_diagonal(yd, kp), tkd.lvn(p, ket).values) <= TOL
+        if p.n_times <= 2:  # the pdo and the mh distribution drift apart from three times on
+            qm = tkd.mh_from_kd(tkd.kd_right(p, ket)).values
+            assert table_dev(tkd.born_eval(tkd.pdo(p), kp), qm) <= TOL
 
 
 @st.composite

@@ -39,7 +39,9 @@ def test_process_validation():
     (np.eye(2) / 2, [tkd.identity_channel(2), tkd.QuantumChannel([np.eye(2) / 2])], ("channels", 1),
      "channel 1 is not trace preserving, defect 7.500e-01"),
     (np.eye(2) / 2, [tkd.identity_channel(3)], ("channels", 0), "channel 0 expects dim 3, chain carries 2"),
-], ids=["state", "non-TP step", "dim mismatch"])
+    (np.eye(2) / 2, [tkd.QuantumChannel([np.diag([1e308, 1.0])])], ("channels", 0),
+     "channel 0 is not trace preserving, defect inf"),  # Σ K†K overflows, without a warning
+], ids=["state", "non-TP step", "dim mismatch", "overflowing step"])
 def test_process_refusal_carries_its_field(rho, chain, field, message):
     with pytest.raises(ValidationError) as e:
         tkd.MultiTimeProcess(rho, chain)
@@ -235,6 +237,40 @@ def test_coarse_grain():
         tkd.coarse_grain(q, [idx, idx[:1]])
     with pytest.raises(ValidationError):  # not a cover
         tkd.coarse_grain(q, [idx[:3]])
+
+
+def test_coarse_grain_sums_each_cell_in_sorted_order():
+    p, s = corpus(1, start=4)[0]  # three qutrit times: 27 entries
+    q = tkd.kd_right(p, s)
+    idx = list(np.ndindex(q.values.shape))
+    rng = np.random.default_rng(71)
+    label = rng.integers(0, 6, len(idx))
+    cells = [[idx[i] for i in rng.permutation(np.flatnonzero(label == c))] for c in range(6)]
+    cells[0] += cells[0][:2]  # a repeat inside one cell counts once
+    cells.append([])
+    want = np.array([sum(q.values[t] for t in sorted(set(cell))) for cell in cells], dtype=complex)
+    assert tkd.coarse_grain(q, cells).values.tobytes() == want.tobytes()
+
+
+def test_coarse_grain_refusals():
+    q = tkd.kd_right(*corpus(1, start=2)[0])  # four qubit times
+    idx = list(np.ndindex(q.values.shape))
+    overlap, cover = "^partition cells overlap$", "^partition does not cover the outcome grid$"
+    for cells, message in [
+        ([idx, idx[:1]], overlap),
+        ([idx[:3], idx[:1]], overlap),  # overlap is named before a missing cover
+        ([idx, idx[:1], [(2, 0, 0, 0)]], overlap),
+        ([idx[:3]], cover),
+        ([], cover),
+        ([idx, [(2, 0, 0, 0)]], cover),  # off the grid
+        ([idx, [(-1, 0, 0, 0)]], cover),
+        ([idx, [(0, 0, 0)]], cover),  # of the wrong length
+        ([[t[:3] for t in idx]], cover),
+        ([idx[1:], [(0.0, 0.0, 0.0, 0.0)]], cover),  # not integers
+        ([idx[1:], [("0", "0", "0", "0")]], cover),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            tkd.coarse_grain(q, cells)
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])

@@ -163,6 +163,24 @@ def test_born_eval_reproduces_distributions(case):
     assert table_dev(tkd.born_eval(y, part), want) < 1e-10
 
 
+@pytest.mark.parametrize("kind", tkd.tomography.STATE_KINDS)
+def test_one_tuple_calls_match_the_table_entries(kind):
+    """One outcome tuple is one GEMV per time, a table one GEMM per time: the same products,
+    summed in the BLAS kernels' own orders, so entries agree to rounding, not bit for bit."""
+    build = {"mh": tkd.mh_state, "pdo": tkd.pdo}.get(kind, lambda p: tkd.kd_state_recursive(p, kind))
+    for p, s in corpus(3, start=1 if kind == "kd_doubled" else 2):
+        y, n = build(p), p.n_times
+
+        def blocks(ops):  # a doubled state takes the schedule on its ket and its bra side
+            return (ops[:n], ops[n:]) if y.doubled else (ops,)
+
+        stacks = [m.projectors for m in s] * (1 + y.doubled)
+        table = tkd.born_eval(y, *blocks(stacks))
+        for idx in np.ndindex(table.shape):
+            one = tkd.born_eval(y, *blocks([m[i] for m, i in zip(stacks, idx)]))
+            assert isinstance(one, complex) and abs(table[idx] - one) <= 1e-15
+
+
 def test_born_eval_doubled_and_lvn():
     p, ket = corpus(1, start=1)[0]
     bra = tkd.random_schedule(p.dims, seed=66)
@@ -207,6 +225,8 @@ def test_born_eval_validation():
     for bad in (np.zeros((0, 2, 2)), np.zeros((1, 1, 2, 2)), np.zeros((2, 3, 3))):  # empty, 4-D, wrong d
         with pytest.raises(ValidationError, match=r"^ket operator 1 is \(.*\), time dim is 2$"):
             tkd.born_eval(y, [np.eye(2), bad])
+    with pytest.raises(ValidationError, match=r"^ket operator 0 is \(3, 3\), time dim is 2$"):
+        tkd.born_eval(y, [np.eye(3), np.eye(4)])  # two bad operators: the earlier time is named
 
 
 def test_reduce_state_single_time_is_physical_state():
