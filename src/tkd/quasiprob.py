@@ -384,39 +384,20 @@ def coarse_grain(q: QuasiDistribution, partition: Sequence[Sequence[tuple]]) -> 
     ``partition`` lists cells of index tuples (one index per axis); the cells
     must be disjoint and cover the whole outcome grid. The result is a
     single-axis distribution whose outcomes are the cell positions.
-
-    The tuples of all cells become flat indices in one array: a repeat inside
-    one cell counts once, overlap and cover are checked by counting, and one
-    `np.bincount` per real and imaginary part sums every cell in ascending
-    flat order, the order of ``sorted(cell)``. A tuple off the grid, of the
-    wrong length or not made of integers leaves the grid uncovered.
     """
-    shape, n = q.values.shape, q.values.size
-    sizes = np.fromiter(map(len, partition), dtype=np.intp)
-    try:
-        a = np.asarray(list(itertools.chain.from_iterable(partition)))
-    except ValueError:  # tuples of unequal length
-        raise ValidationError("partition does not cover the outcome grid") from None
-    if not len(a):
-        a = np.empty((0, len(shape)), dtype=np.intp)
-    if a.ndim != 2 or a.shape[1] != len(shape) or a.dtype.kind not in "iu":
+    cells = [set(map(tuple, cell)) for cell in partition]
+    seen: set = set()
+    for cell in cells:
+        if cell & seen:
+            raise ValidationError("partition cells overlap")
+        seen |= cell
+    every = set(np.ndindex(q.values.shape))
+    if seen != every:
         raise ValidationError("partition does not cover the outcome grid")
-    inside = ((a >= 0) & (a < shape)).all(axis=1)
-    cell = np.repeat(np.arange(len(sizes)), sizes)[inside]
-    cell, entry = np.divmod(np.unique(cell * n + np.ravel_multi_index(tuple(a[inside].T), shape)), n)
-    counts = np.bincount(entry, minlength=n)
-    if counts.max() > 1:
-        raise ValidationError("partition cells overlap")
-    if not (inside.all() and counts.all()):
-        raise ValidationError("partition does not cover the outcome grid")
-    label = np.empty(n, dtype=np.intp)
-    label[entry] = cell
-    flat = q.values.reshape(-1)
-    values = np.empty(len(sizes), dtype=np.complex128)
-    values.real = np.bincount(label, weights=flat.real, minlength=len(sizes))
-    values.imag = np.bincount(label, weights=flat.imag, minlength=len(sizes))
-    axis = tuple(Outcome(value=float(i), projector=None, label=i) for i in range(len(sizes)))
-    return QuasiDistribution(q.kind, (axis,), readonly(values), tol=q.tol)
+    values = np.array([sum(q.values[t] for t in sorted(cell)) for cell in cells],
+                      dtype=np.complex128)
+    axis = tuple(Outcome(value=float(i), projector=None, label=i) for i in range(len(cells)))
+    return QuasiDistribution(q.kind, (axis,), values, tol=q.tol)
 
 
 def nonclassicality(q: QuasiDistribution, variant: str = "linear") -> float:

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _held, dagger, insertion_maps, is_hermitian,
-                     partial_trace, readonly)
+from .linops import (ValidationError, _held, dagger, frozen_matrix, insertion_maps,
+                     is_hermitian, partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
@@ -90,9 +90,9 @@ class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
     ``tol`` bounds the trace defect and, for Hermitian kinds, the
-    Hermiticity defect. ``matrix`` must be finite. It is held read-only as
-    ``QuasiDistribution.values`` is: a state builder's own output as it is,
-    a caller's array as a copy."""
+    Hermiticity defect. ``matrix`` must be finite. It is held read-only: a
+    state builder's own matrix as it is, any array from a caller (read-only or
+    not) as a copy, so no later write reaches the matrix the checks passed."""
 
     kind: str
     dims: tuple[int, ...]
@@ -103,9 +103,8 @@ class TemporalStateOperator:
         if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        m = _held(self.matrix)
-        if m.ndim != 2:
-            raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
+        m = self.matrix
+        m = m.view(np.ndarray) if type(m) is _Handed else frozen_matrix(m)
         object.__setattr__(self, "matrix", m)
         d = math.prod(self.dims)
         if self.doubled:
@@ -148,6 +147,14 @@ class TemporalStateOperator:
         return np.sort_complex(np.linalg.eigvals(self.matrix))
 
 
+class _Handed(np.ndarray):
+    """A builder's fresh matrix, read-only down to its base: a state holds it without a copy."""
+
+
+def _hand(m: np.ndarray) -> _Handed:
+    return readonly(m).view(_Handed)
+
+
 def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
                 kind: str = "right") -> CorrelatorTensor:
     """Basis-observable expectation tensor of a process.
@@ -177,7 +184,7 @@ def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
     """The D×D matrix of a tensor with one (row, column) leg pair per (block,
     time), ascending. Rows and columns each run over the ket block, then the
     bra block (doubled), latest time first. The result views one fresh
-    read-only copy, so a state holds it as it is."""
+    read-only copy, so a builder can hand it to its state."""
     nt = len(dims)
     t = t.reshape([d for _ in range(blocks) for d in dims for _ in "rc"])
     order = [2 * (b * nt + k) + leg for leg in (0, 1) for b in range(blocks) for k in reversed(range(nt))]
@@ -207,9 +214,9 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     for b, m in zip(t.bases, t.values.shape):
         z = z.reshape(m, -1).T @ b.stack.reshape(m, -1)
     side = math.prod(b.dim for b in t.bases)
-    mat = readonly(_matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side)
+    mat = _matrix(z, t.time_dims, 1 + (t.kind == "doubled")) / side
     kind = {"mh": "mh", "lvn": "pdo"}.get(t.kind, "kd_" + t.kind)
-    return TemporalStateOperator(kind, t.time_dims, mat, tol=t.tol)
+    return TemporalStateOperator(kind, t.time_dims, _hand(mat), tol=t.tol)
 
 
 @cache
@@ -239,12 +246,12 @@ def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalS
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"kd_state_recursive builds kd_right/kd_left/kd_doubled, not {kind!r}")
     y = _state(p, "doubled" if kind == "kd_doubled" else "right")
-    return TemporalStateOperator(kind, p.dims, readonly(dagger(y)) if kind == "kd_left" else y, tol=p.tol)
+    return TemporalStateOperator(kind, p.dims, _hand(dagger(y) if kind == "kd_left" else y), tol=p.tol)
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
     y = _state(p, "right")
-    return TemporalStateOperator("mh", p.dims, readonly((y + dagger(y)) / 2), tol=p.tol)
+    return TemporalStateOperator("mh", p.dims, _hand((y + dagger(y)) / 2), tol=p.tol)
 
 
 def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
@@ -253,7 +260,7 @@ def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
     Coincides with the Margenau-Hill state at two times; from three times on
     the nesting order matters and the two drift apart.
     """
-    return TemporalStateOperator("pdo", p.dims, _state(p, "jordan"), tol=p.tol)
+    return TemporalStateOperator("pdo", p.dims, _hand(_state(p, "jordan")), tol=p.tol)
 
 
 def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str) -> list[np.ndarray]:
@@ -306,8 +313,7 @@ def _reduced(y: TemporalStateOperator, kind: str, blocks: Sequence[int],
     rest; block 0 is a single-block state's only block, or the ket block."""
     nt = y.n_times
     keep = [b * nt + nt - 1 - k for b in blocks for k in times]
-    mat = readonly(partial_trace(y.matrix, list(y.factor_dims), keep))
-    readonly(mat.base)  # the fresh trace that mat reshapes, or a view of y.matrix
+    mat = partial_trace(y.matrix, list(y.factor_dims), keep)
     return TemporalStateOperator(kind, tuple(y.dims[k] for k in times), mat, tol=y.tol)
 
 

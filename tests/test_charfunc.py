@@ -197,15 +197,17 @@ def test_distribution_holds_read_only_arrays_without_a_copy():
     view.setflags(write=False)  # read-only, but its base is not
     q = tkd.QuasiDistribution("kd_right", axes, view)
     assert not np.shares_memory(q.values, base) and not q.values.flags.writeable
+
+
+def test_state_copies_a_caller_array_even_a_read_only_one():
     state = np.diag([1.0, 0.0]).astype(complex)
     state.setflags(write=False)
-    for m in (state, state.T):
-        assert tkd.TemporalStateOperator("kd_right", (2,), m).matrix is m
-    base = np.diag([1.0, 0.0]).astype(complex)
-    view = base[:]
-    view.setflags(write=False)
-    y = tkd.TemporalStateOperator("kd_right", (2,), view)
-    assert not np.shares_memory(y.matrix, base) and not y.matrix.flags.writeable
+    for m in (state, state.T, state[:]):
+        y = tkd.TemporalStateOperator("kd_right", (2,), m)
+        assert not np.shares_memory(y.matrix, state) and not y.matrix.flags.writeable
+    state.setflags(write=True)  # an array that owns its memory can be made writeable again
+    state[0, 0] = 7.0
+    assert y.matrix[0, 0] == 1.0 and tkd.born_eval(y, [np.eye(2)]) == 1.0
 
 
 def test_pass_outputs_are_read_only():
