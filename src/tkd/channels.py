@@ -29,7 +29,6 @@ from .linops import (
     _in_field,
     _require,
     as_matrix,
-    basis_state,
     dagger,
     frozen_matrix,
     is_hermitian,
@@ -200,17 +199,13 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 
 def jamiolkowski(c: QuantumChannel) -> np.ndarray:
-    """J[E] = Σ_{k,l} E(|k⟩⟨l|) ⊗ |l⟩⟨k| on H_out ⊗ H_in.
+    """J[E] = Σ_{k,l} E(|k⟩⟨l|) ⊗ |l⟩⟨k| on H_out ⊗ H_in, a new array: entry [(a, i), (b, j)]
+    is E(|j⟩⟨i|)[a, b], entry [(a, b), (j, i)] of the cached `superop`, which J reshuffles.
 
     Hermitian for any CP map; J of the identity channel is the swap.
     """
-    d = c.d_in
-    out = np.zeros((c.d_out * d, c.d_out * d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            unit = np.outer(basis_state(d, k), np.conj(basis_state(d, l)))
-            out += np.kron(apply_channel(c, unit), unit.T)  # |l⟩⟨k| = (|k⟩⟨l|)ᵀ
-    return out
+    do, di = c.d_out, c.d_in
+    return c.superop.reshape(do, do, di, di).transpose(0, 3, 1, 2).copy().reshape(do * di, do * di)
 
 
 def stinespring(c: QuantumChannel, tol: float = 1e-9) -> tuple[np.ndarray, int, np.ndarray]:

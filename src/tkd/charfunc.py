@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, as_matrix, check_half_range, dagger, is_hermitian, readonly
+from .linops import ValidationError, _hand, _kept, as_matrix, check_half_range, dagger, is_hermitian, readonly
 from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
@@ -81,10 +81,10 @@ def _entry_measurement(o, where: str, tol: float) -> ProjectiveMeasurement:
 
 @dataclass(frozen=True, eq=False)
 class CharSamples:
-    """Finite χ values over finite phase points, held as a read-only complex128 copy
-    ``values`` and the rows of a read-only (P, w) float64 copy ``grid`` (doubled
-    points carry the ket v-block first, then the bra u-block). ``tol`` bounds
-    |χ(0) − 1|."""
+    """Finite χ values over finite phase points: read-only complex128 ``values``, held
+    as ``QuasiDistribution`` holds its values, and the rows of a read-only (P, w)
+    float64 copy ``grid`` (doubled points carry the ket v-block first, then the bra
+    u-block). ``tol`` bounds |χ(0) − 1|."""
 
     kind: str
     grid: np.ndarray
@@ -96,8 +96,7 @@ class CharSamples:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
         x = readonly(_grid_array(self.grid).copy())
         object.__setattr__(self, "grid", x)
-        object.__setattr__(self, "values",
-                           readonly(np.array(self.values, dtype=np.complex128).reshape(-1)))
+        object.__setattr__(self, "values", readonly(_kept(self.values).reshape(-1)))
         if len(self.values) != len(x):
             raise ValidationError("one value per grid point required")
         if not np.isfinite(self.values).all():
@@ -211,7 +210,7 @@ def char_fn(p: MultiTimeProcess, obs: ObservableSchedule, grid: Sequence[Sequenc
     nodes, flat = _grid_nodes(x)
     values = (_char_sweep(p, groups, nodes)[flat] if flat is not None else
               np.array([_char_sweep(p, groups, pt[:, None])[0] for pt in x]))
-    samples = CharSamples(kind, x, values, tol=p.tol)
+    samples = CharSamples(kind, x, _hand(values), tol=p.tol)
     samples.__dict__["_nodes"] = nodes, flat  # the grid is a copy of x: same analysis
     return samples
 
@@ -230,7 +229,7 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
         for s, bv, x in zip(signs, vals, pt):
             t = np.tensordot(t, np.exp(s * 1j * bv * x), axes=([0], [0]))
         out.append(complex(t))
-    return CharSamples(kind, points, np.array(out), tol=q.tol)
+    return CharSamples(kind, points, _hand(np.array(out, dtype=np.complex128)), tol=q.tol)
 
 
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
@@ -297,7 +296,7 @@ def invert_char(samples: CharSamples, spectra: Sequence[Sequence[float]]) -> Qua
         tensor = np.linalg.solve(f, tensor.reshape(m, -1)).T
 
     out_axes = tuple(tuple(Outcome(value=b, projector=None, label=b) for b in sp) for sp in spect)
-    return QuasiDistribution("kd_" + samples.kind, out_axes, tensor.reshape(shape),
+    return QuasiDistribution("kd_" + samples.kind, out_axes, _hand(tensor.reshape(shape)),
                              ket_axes=ket_axes, tol=samples.tol)
 
 

@@ -58,16 +58,25 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _held(a) -> np.ndarray:
-    """``a`` as a read-only complex128 array that nothing else can write: ``a``
-    itself when it and every array it views are read-only already (the output
-    of a pass, which marks it so), else a read-only copy (an array a caller
-    handed in, which the caller could change afterwards)."""
+class _Handed(np.ndarray):
+    """A pass's fresh array on its way to the one result container that holds it (`_hand`)."""
+
+
+def _hand(a: np.ndarray) -> _Handed:
+    """Mark a pass's fresh array, and every array it views, read-only, and hand
+    it over: a result container holds it without a copy (`_kept`)."""
     b = a
-    while isinstance(b, np.ndarray) and not b.flags.writeable:
-        b = b.base
-    if b is None and a.dtype == np.complex128:
-        return a
+    while b is not None:
+        b = readonly(b).base
+    return a.view(_Handed)
+
+
+def _kept(a) -> np.ndarray:
+    """What a result container holds: an array a pass handed over as it is, any other
+    (read-only or not) as a read-only complex128 copy, since whoever owns it could
+    write to it, or make it writeable again, after the container's checks passed."""
+    if type(a) is _Handed:
+        return a.view(np.ndarray)
     return readonly(np.array(a, dtype=np.complex128))
 
 
@@ -136,6 +145,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
 
     ``dims`` gives the per-factor dimensions of the square matrix ``m`` and
     ``keep`` the factor indices to retain, in their original relative order.
+    An overflowing trace or a non-finite entry passes its inf or NaN through silently.
     """
     m = as_matrix(m)
     dims = check_profile(m, dims)
@@ -146,8 +156,9 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     t = m.reshape(dims + dims)
     # contract row/col legs of each dropped factor, from the highest axis down
     # so earlier axis numbers stay valid
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in sorted(set(range(n)) - set(keep), reverse=True):
+            t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
     side = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(side, side)
 

@@ -84,8 +84,8 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import (ValidationError, _held, _in_field, _require, as_matrix, dagger, frozen_matrix, max_abs,
-                     readonly)
+from .linops import (ValidationError, _hand, _in_field, _kept, _require, as_matrix, dagger, frozen_matrix,
+                     max_abs, readonly)
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -192,8 +192,8 @@ class QuasiDistribution:
     ``tol`` bounds the normalization defect and the lvn range; the imaginary
     residue of the real kinds is held to tol/100. Every check fails on NaN, so
     a non-finite entry anywhere is refused. Producers pass the tolerance of the
-    process they evaluate. ``values`` is read-only: an array the caller hands
-    in is copied, a pass's own read-only output is held as it is.
+    process they evaluate. ``values`` is read-only: the array a pass built is
+    held as it is, a caller's array (read-only or not) as a copy (`_kept`).
     """
 
     kind: str
@@ -206,16 +206,17 @@ class QuasiDistribution:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
         object.__setattr__(self, "axes", tuple(tuple(ax) for ax in self.axes))
-        object.__setattr__(self, "values", _held(self.values))
+        object.__setattr__(self, "values", _kept(self.values))
         if self.values.shape != tuple(len(ax) for ax in self.axes):
             raise ValidationError("values shape does not match axes")
         if not 0 <= self.ket_axes <= len(self.axes):
             raise ValidationError("ket_axes out of range")
         if self.kind not in DOUBLED_KINDS and self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
-        total = complex(self.values.sum())  # NaN or inf anywhere leaves it non-finite
-        if not abs(total - 1.0) <= self.tol:
-            raise ValidationError(f"distribution sums to {total}, not 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused, silently
+            total = self.values.sum()  # NaN or inf anywhere leaves it non-finite
+            if not abs(total - 1.0) <= self.tol:
+                raise ValidationError(f"distribution sums to {complex(total)}, not 1")
         if self.kind in ("mh", "mh_doubled", "lvn"):
             if not float(np.max(np.abs(self.values.imag))) <= self.tol / 100:
                 raise ValidationError(f"{self.kind} entries must be real")
@@ -292,7 +293,7 @@ def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
         f = c.superop @ m_k
         m, d_out2, d_in2 = f.shape
         x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
-    return _blocks(readonly(x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
+    return _blocks((x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
 
 
 def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -327,7 +328,7 @@ def _insertions(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasuremen
 def _distribution(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
                   bra: Sequence[ProjectiveMeasurement] | None = None) -> QuasiDistribution:
     stacks, axes, ket_axes = _insertions(p, kind, s, bra)
-    return QuasiDistribution(kind, axes, _sweep(p, *stacks), ket_axes=ket_axes, tol=p.tol)
+    return QuasiDistribution(kind, axes, _hand(_sweep(p, *stacks)), ket_axes=ket_axes, tol=p.tol)
 
 
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
@@ -365,17 +366,18 @@ def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
 
 
 def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:
-    """Sum out every axis not in ``keep``; kind is preserved."""
+    """Sum out every axis not in ``keep``; kind is preserved, and keeping every axis returns ``q``."""
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValidationError("marginalize needs a nonempty keep set")
     if keep[0] < 0 or keep[-1] >= len(q.axes):
         raise ValidationError(f"keep axes {keep} out of range")
     drop = tuple(i for i in range(len(q.axes)) if i not in keep)
-    values = readonly(q.values.sum(axis=drop)) if drop else q.values
+    if not drop:
+        return q
     axes = tuple(q.axes[i] for i in keep)
     ket_axes = sum(1 for i in keep if i < q.ket_axes)
-    return QuasiDistribution(q.kind, axes, values, ket_axes=ket_axes, tol=q.tol)
+    return QuasiDistribution(q.kind, axes, _hand(q.values.sum(axis=drop)), ket_axes=ket_axes, tol=q.tol)
 
 
 def coarse_grain(q: QuasiDistribution, partition: Sequence[Sequence[tuple]]) -> QuasiDistribution:
@@ -397,7 +399,7 @@ def coarse_grain(q: QuasiDistribution, partition: Sequence[Sequence[tuple]]) -> 
     values = np.array([sum(q.values[t] for t in sorted(cell)) for cell in cells],
                       dtype=np.complex128)
     axis = tuple(Outcome(value=float(i), projector=None, label=i) for i in range(len(cells)))
-    return QuasiDistribution(q.kind, (axis,), values, tol=q.tol)
+    return QuasiDistribution(q.kind, (axis,), _hand(values), tol=q.tol)
 
 
 def nonclassicality(q: QuasiDistribution, variant: str = "linear") -> float:
@@ -550,7 +552,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
-    value = nonclassicality(QuasiDistribution("kd_right", axes, readonly(q).reshape(sizes), tol=p.tol))
+    value = nonclassicality(QuasiDistribution("kd_right", axes, _hand(q).reshape(sizes), tol=p.tol))
     del q  # the commutator tables below are the peak; Q is not held through them
     if n == 0:
         return WitnessReport(nonclassicality=value, max_commutator_norm=0.0, worst_pair=None)
@@ -650,7 +652,7 @@ def extended_kd(rho: np.ndarray, m: ProjectiveMeasurement, instrument: Instrumen
         raise ValidationError("instrument input dim does not match the state")
     # Tr[M_k(x)] = vec(I)ᵀ·S_k·vec(x), for every vec(ρΠ_b) at once
     rows = _trace_rows(np.stack([kraus_superop(ops) for _, ops in instrument.branches]))
-    values = readonly((rho @ m.projectors).reshape(len(m.outcomes), -1) @ rows.T)
+    values = _hand((rho @ m.projectors).reshape(len(m.outcomes), -1) @ rows.T)
     branch_axis = tuple(
         Outcome(value=float(k), projector=None, label=label)
         for k, (label, _) in enumerate(instrument.branches))

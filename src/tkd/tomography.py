@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _held, dagger, frozen_matrix, insertion_maps,
-                     is_hermitian, partial_trace, readonly)
+from .linops import (ValidationError, _hand, _kept, as_matrix, dagger, insertion_maps, is_hermitian,
+                     partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
@@ -46,7 +46,7 @@ class CorrelatorTensor:
     time slot (doubled kinds: ket block then bra block). ``tol`` bounds the
     identity entry's distance from 1; mh and lvn imaginary parts are held to
     tol/100. Non-finite values are refused. ``values`` is read-only, held as
-    ``QuasiDistribution`` holds its values."""
+    ``QuasiDistribution`` holds its values: the array `correlators` built as it is."""
 
     kind: str
     bases: tuple[HSBasis, ...]
@@ -58,7 +58,7 @@ class CorrelatorTensor:
         if self.kind not in CORRELATOR_KINDS:
             raise ValidationError(f"unknown correlator kind {self.kind!r}")
         object.__setattr__(self, "bases", tuple(self.bases))
-        object.__setattr__(self, "values", _held(self.values))
+        object.__setattr__(self, "values", _kept(self.values))
         shape = tuple(len(b.ops) for b in self.bases)
         if self.values.shape != shape:
             raise ValidationError("correlator values shape does not match bases")
@@ -73,7 +73,7 @@ class CorrelatorTensor:
         if not np.isfinite(self.values).all():
             raise ValidationError("correlator values must be finite")
         top = complex(self.values[(0,) * len(shape)])
-        if abs(top - 1.0) > self.tol:
+        if math.hypot(top.real - 1.0, top.imag) > self.tol:  # |top − 1|, inf past the float range
             raise ValidationError(f"identity correlator is {top}, not 1")
         if self.kind in ("mh", "lvn"):
             if float(np.max(np.abs(self.values.imag))) > self.tol / 100:
@@ -90,9 +90,9 @@ class TemporalStateOperator:
     """Unit-trace operator over the time slots; ``dims`` is ascending by time
     while matrix factors run latest-first (doubled: ket block, then bra).
     ``tol`` bounds the trace defect and, for Hermitian kinds, the
-    Hermiticity defect. ``matrix`` must be finite. It is held read-only: a
-    state builder's own matrix as it is, any array from a caller (read-only or
-    not) as a copy, so no later write reaches the matrix the checks passed."""
+    Hermiticity defect. ``matrix`` must be finite. It is held read-only, as
+    ``QuasiDistribution`` holds its values: the matrix a state builder built
+    as it is, any array from a caller (read-only or not) as a copy."""
 
     kind: str
     dims: tuple[int, ...]
@@ -103,8 +103,7 @@ class TemporalStateOperator:
         if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        m = self.matrix
-        m = m.view(np.ndarray) if type(m) is _Handed else frozen_matrix(m)
+        m = as_matrix(_kept(self.matrix))
         object.__setattr__(self, "matrix", m)
         d = math.prod(self.dims)
         if self.doubled:
@@ -113,9 +112,10 @@ class TemporalStateOperator:
             raise ValidationError(f"state matrix is {m.shape}, dims imply {(d, d)}")
         if not np.isfinite(m).all():
             raise ValidationError("state matrix must be finite")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.tol:
-            raise ValidationError(f"state trace is {tr}, not 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or NaN trace is refused, silently
+            tr = np.trace(m)
+            if not abs(tr - 1.0) <= self.tol:
+                raise ValidationError(f"state trace is {complex(tr)}, not 1")
         if self.kind in HERMITIAN_STATE_KINDS and not is_hermitian(m, self.tol):
             raise ValidationError(f"{self.kind} state must be Hermitian")
 
@@ -147,14 +147,6 @@ class TemporalStateOperator:
         return np.sort_complex(np.linalg.eigvals(self.matrix))
 
 
-class _Handed(np.ndarray):
-    """A builder's fresh matrix, read-only down to its base: a state holds it without a copy."""
-
-
-def _hand(m: np.ndarray) -> _Handed:
-    return readonly(m).view(_Handed)
-
-
 def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
                 kind: str = "right") -> CorrelatorTensor:
     """Basis-observable expectation tensor of a process.
@@ -174,8 +166,7 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
     stacks = [[getattr(b, f"{side}_maps") for b in bases] for side in sides]
     values = _sweep(p, *stacks)
-    if kind == "mh":
-        values = values.real
+    values = values.real if kind == "mh" else _hand(values)
     return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
                             tol=p.tol)
 
@@ -183,13 +174,13 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
 def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
     """The D×D matrix of a tensor with one (row, column) leg pair per (block,
     time), ascending. Rows and columns each run over the ket block, then the
-    bra block (doubled), latest time first. The result views one fresh
-    read-only copy, so a builder can hand it to its state."""
+    bra block (doubled), latest time first. The result views one fresh copy,
+    so a builder can hand it to its state."""
     nt = len(dims)
     t = t.reshape([d for _ in range(blocks) for d in dims for _ in "rc"])
     order = [2 * (b * nt + k) + leg for leg in (0, 1) for b in range(blocks) for k in reversed(range(nt))]
     side = math.prod(dims) ** blocks
-    return readonly(t.transpose(order).copy()).reshape(side, side)
+    return t.transpose(order).copy().reshape(side, side)
 
 
 def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:

@@ -1,9 +1,11 @@
-"""Cache soundness: the immutable input objects hold read-only copies, and the
-operators they build once give the same bits as a fresh build."""
+"""Cache soundness: the immutable input objects hold read-only copies, the
+operators they build once give the same bits as a fresh build, and each pass
+hands its fresh result array to its container without a copy."""
 
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest  # type: ignore
@@ -163,25 +165,82 @@ STATE_PRODUCERS = {
 }
 
 
+def _read_only_down_to_base(a) -> bool:
+    """Whether ``a`` and every array it views are read-only."""
+    while a is not None:
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 @pytest.mark.parametrize("name", sorted(STATE_PRODUCERS))
 def test_state_matrices_are_read_only(name):
     y = STATE_PRODUCERS[name](_build(_raw())[0])
     with pytest.raises(ValueError):
         y.matrix[0, 0] = 7.0
-    a = y.matrix
-    while a is not None:  # it and every array it views are read-only
-        assert not a.flags.writeable
-        a = a.base
+    assert _read_only_down_to_base(y.matrix)
+
+
+def _handed_over(make, monkeypatch):
+    """What ``make()`` returns, and every array a pass handed to a result container meanwhile."""
+    handed = []
+    for module in (tkd.quasiprob, tkd.tomography, tkd.charfunc):
+        monkeypatch.setattr(module, "_hand", lambda a: handed.append(a) or tkd.linops._hand(a))
+    return make(), handed
 
 
 @pytest.mark.parametrize("name", sorted(set(STATE_PRODUCERS) - {"reduce_state", "trace_ket_block",
                                                                 "trace_bra_block"}))
 def test_state_builders_hand_over_their_matrix_without_a_copy(name, monkeypatch):
-    handed = []
-    hand = tkd.tomography._hand
-    monkeypatch.setattr(tkd.tomography, "_hand", lambda m: handed.append(m) or hand(m))
-    y = STATE_PRODUCERS[name](_build(_raw())[0])
-    assert len(handed) == 1 and np.shares_memory(y.matrix, handed[0])
+    p = _build(_raw())[0]
+    y, handed = _handed_over(lambda: STATE_PRODUCERS[name](p), monkeypatch)
+    assert handed and np.shares_memory(y.matrix, handed[-1])
+
+
+def _witness_distribution(p, ket) -> tkd.QuasiDistribution:
+    """The Q that `classicality_witness` checks as a `QuasiDistribution`."""
+    with mock.patch.object(tkd.quasiprob, "nonclassicality", wraps=tkd.nonclassicality) as seen:
+        tkd.classicality_witness(p, ket)
+    return seen.call_args.args[0]
+
+
+def _char(p, obs, kind, ragged=False):
+    """χ of a kind on its outcome-value product grid, or on that grid less its last point."""
+    s = {"right": obs.bra, "left": obs.ket, "doubled": obs.ket + obs.bra}[kind]
+    spectra = [[o.value for o in m.outcomes] for m in s]
+    grid = tkd.product_grid([tkd.default_nodes(sp) for sp in spectra])
+    return tkd.char_fn(p, obs, grid[:-1] if ragged else grid, kind=kind), spectra
+
+
+VALUE_BUILDERS = {
+    **{kind: (lambda p, ket, bra, obs, kind=kind: getattr(tkd, kind)(p, ket))
+       for kind in ("kd_right", "kd_left", "lvn")},
+    "kd_doubled": lambda p, ket, bra, obs: tkd.kd_doubled(p, ket, bra),
+    "marginalize": lambda p, ket, bra, obs: tkd.marginalize(tkd.kd_doubled(p, ket, bra), [1, 4]),
+    "coarse_grain": lambda p, ket, bra, obs: tkd.coarse_grain(
+        tkd.kd_right(p, ket), [[t] for t in np.ndindex((2,) * 3)]),
+    "extended_kd": lambda p, ket, bra, obs: tkd.extended_kd(p.rho0, ket[0], tkd.Instrument(
+        [("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, 1.0])])])),
+    "classicality_witness": lambda p, ket, bra, obs: _witness_distribution(p, ket),
+    **{f"correlators {kind}": (lambda p, ket, bra, obs, kind=kind: tkd.correlators(p, kind=kind))
+       for kind in ("right", "left", "doubled", "lvn")},
+    **{f"char_fn {kind}": (lambda p, ket, bra, obs, kind=kind: _char(p, obs, kind)[0])
+       for kind in ("right", "left", "doubled")},
+    "char_fn off a product grid": lambda p, ket, bra, obs: _char(p, obs, "right", ragged=True)[0],
+    "char_from_distribution": lambda p, ket, bra, obs: tkd.char_from_distribution(
+        tkd.kd_doubled(p, ket, bra), [(0.5,) * 6, (0.0,) * 6]),
+    **{f"invert_char {kind}": (lambda p, ket, bra, obs, kind=kind: tkd.invert_char(*_char(p, obs, kind)))
+       for kind in ("right", "left", "doubled")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_BUILDERS))
+def test_result_builders_hand_over_their_values_without_a_copy(name, monkeypatch):
+    objs = _build(_raw())
+    result, handed = _handed_over(lambda: VALUE_BUILDERS[name](*objs), monkeypatch)
+    assert handed and np.shares_memory(result.values, handed[-1])
+    assert result.values.dtype == np.complex128 and _read_only_down_to_base(result.values)
 
 
 def _born_args(y, rng):

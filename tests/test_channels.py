@@ -116,7 +116,22 @@ def test_jamiolkowski_identity_is_swap():
     for k in range(2):
         for l in range(2):
             swap[k * 2 + l, l * 2 + k] = 1.0
-    assert max_abs(j - swap) < 1e-14
+    assert (j == swap).all()
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 3), (2, 2), (3, 2), (2, 4)])
+def test_jamiolkowski_matches_its_definition(d_in, d_out):
+    c = rect_channel(d_in, d_out, 10 * d_in + d_out)
+    want = sum(np.kron(tkd.apply_channel(c, np.outer(np.eye(d_in)[k], np.eye(d_in)[l])),
+                       np.outer(np.eye(d_in)[l], np.eye(d_in)[k]))
+               for k in range(d_in) for l in range(d_in))
+    j = tkd.jamiolkowski(c)
+    assert max_abs(j - want) < 1e-15 and j.flags.writeable
+
+
+def test_jamiolkowski_of_an_overflowing_kraus_operator_warns_nothing():
+    j = tkd.jamiolkowski(tkd.QuantumChannel([np.diag([1e308, 1.0])]))
+    assert j[0, 0] == np.inf and j[3, 3] == 1.0
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -158,65 +158,94 @@ def test_char_samples_validation():
         tkd.CharSamples("sideways", [(0.0,)], np.array([1.0]))
 
 
-def test_char_samples_values_are_a_read_only_copy():
-    v = np.array([1.0, 0.5])
-    s = tkd.CharSamples("right", [(0.0,), (1.0,)], v)
-    with pytest.raises(ValueError):
-        s.values[0] = 7.0
-    v[0] = 7.0  # χ(0) = 1 was checked at construction and must stay so
-    assert s.values.tolist() == [1.0, 0.5]
+def _containers():
+    """Each result container as (build from an array, its held array, the value its
+    checks fix), with an array it accepts; every array is 2-D, so it has a transpose."""
+    axes = (tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes,) * 2
+    b = tkd.hs_basis(2)
+    return {
+        "QuasiDistribution": (lambda v: tkd.QuasiDistribution("kd_right", axes, v),
+                              lambda c: c.values, lambda c: c.total(),
+                              np.array([[0.25, 0.5], [0.125, 0.125]], dtype=complex)),
+        "CorrelatorTensor": (lambda v: tkd.CorrelatorTensor("right", (b, b), v),
+                             lambda c: c.values, lambda c: c.values[0, 0],
+                             np.eye(4, dtype=complex)),
+        "TemporalStateOperator": (lambda v: tkd.TemporalStateOperator("kd_right", (2,), v),
+                                  lambda c: c.matrix, lambda c: tkd.born_eval(c, [np.eye(2)]),
+                                  np.diag([1.0, 0.0]).astype(complex)),
+        "CharSamples": (lambda v: tkd.CharSamples("right", [(0.0,), (1.0,), (2.0,), (3.0,)], v),
+                        lambda c: c.values, lambda c: c.values[0],
+                        np.array([[1.0, 0.5], [0.25, 0.125]], dtype=complex)),
+    }
 
 
-@pytest.mark.parametrize("kind", ["QuasiDistribution", "CorrelatorTensor", "TemporalStateOperator"])
-def test_held_values_are_a_read_only_copy_of_a_caller_array(kind):
-    if kind == "QuasiDistribution":
-        v = np.array([1.0, 0.0], dtype=complex)
-        axes = (tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes,)
-        held = tkd.QuasiDistribution("kd_right", axes, v).values
-    elif kind == "CorrelatorTensor":
-        v = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-        held = tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), v).values
-    else:
-        v = np.diag([1.0, 0.0]).astype(complex)
-        held = tkd.TemporalStateOperator("kd_right", (2,), v).matrix
-    first = (0,) * v.ndim
-    with pytest.raises(ValueError):
-        held[first] = 7.0
-    v[first] = 7.0  # the normalization (or unit trace) checked at construction must stay true
-    assert held[first] == 1.0
-
-
-def test_distribution_holds_read_only_arrays_without_a_copy():
-    axes = (tuple(tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes),)
-    owned = np.array([0.25, 0.75], dtype=complex)
+def _caller_arrays(v):
+    """Four ways a caller can hand over (views of) ``v``: each as (name, the array)."""
+    owned, view, transposed = v.copy(), v.copy()[:], v.copy()
     owned.setflags(write=False)
-    for v in (owned, owned[::-1]):  # read-only all the way down: no one can write it
-        assert tkd.QuasiDistribution("kd_right", axes, v).values is v
-    base = np.array([0.25, 0.75], dtype=complex)
-    view = base[:]
     view.setflags(write=False)  # read-only, but its base is not
-    q = tkd.QuasiDistribution("kd_right", axes, view)
-    assert not np.shares_memory(q.values, base) and not q.values.flags.writeable
+    transposed.setflags(write=False)
+    return [("writeable", v.copy()), ("owned read-only", owned), ("read-only view", view),
+            ("transposed view", transposed.T)]
 
 
-def test_state_copies_a_caller_array_even_a_read_only_one():
-    state = np.diag([1.0, 0.0]).astype(complex)
-    state.setflags(write=False)
-    for m in (state, state.T, state[:]):
-        y = tkd.TemporalStateOperator("kd_right", (2,), m)
-        assert not np.shares_memory(y.matrix, state) and not y.matrix.flags.writeable
-    state.setflags(write=True)  # an array that owns its memory can be made writeable again
-    state[0, 0] = 7.0
-    assert y.matrix[0, 0] == 1.0 and tkd.born_eval(y, [np.eye(2)]) == 1.0
+@pytest.mark.parametrize("kind", ["QuasiDistribution", "CorrelatorTensor", "TemporalStateOperator",
+                                  "CharSamples"])
+def test_held_values_are_a_read_only_copy_of_a_caller_array(kind):
+    build, held_of, checked, v = _containers()[kind]
+    for name, a in _caller_arrays(v):
+        c = build(a)
+        held = held_of(c)
+        first = (0,) * held.ndim
+        with pytest.raises(ValueError):
+            held[first] = 7.0
+        assert held.dtype == np.complex128 and not np.shares_memory(held, a), name
+        owner = a if a.base is None else a.base
+        owner.setflags(write=True)  # an array that owns its memory can be made writeable again
+        owner[(0,) * owner.ndim] = 7.0
+        # the normalization (or unit trace) checked at construction must stay true
+        assert held[first] == v[(0,) * v.ndim] and checked(c) == 1.0, name
 
 
 def test_pass_outputs_are_read_only():
     p, _ = _qubit_pair()
     z = tkd.spectral_measurement(np.diag([1.0, -1.0]))
+    obs = tkd.ObservableSchedule(bra=(z.observable(),) * 2)
+    grid = tkd.product_grid([[0.0, 1.0]] * 2)
     for held in (tkd.kd_right(p, [z, z]), tkd.kd_doubled(p, [z, z], [z, z]), tkd.lvn(p, [z, z]),
-                 tkd.marginalize(tkd.kd_right(p, [z, z]), [0]), tkd.correlators(p, kind="doubled")):
+                 tkd.marginalize(tkd.kd_right(p, [z, z]), [0]), tkd.correlators(p, kind="doubled"),
+                 tkd.invert_char(tkd.char_fn(p, obs, grid), [[-1.0, 1.0]] * 2)):
         with pytest.raises(ValueError):
             held.values[(0,) * held.values.ndim] = 7.0
+        a = held.values
+        while a is not None:  # it and every array it views are read-only
+            assert not a.flags.writeable
+            a = a.base
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda axes: tkd.QuasiDistribution("kd_right", axes, [1e308, 1e308]),
+     "distribution sums to (inf+0j), not 1"),
+    (lambda axes: tkd.QuasiDistribution("lvn", axes, [np.inf, -np.inf]),
+     "distribution sums to (nan+0j), not 1"),
+    (lambda axes: tkd.QuasiDistribution("kd_right", axes, [1.7e308 + 1e308j, 1.0]),
+     "distribution sums to (1.7e+308+1e+308j), not 1"),
+    (lambda axes: tkd.TemporalStateOperator("kd_right", (2,), np.diag([1e308, 1e308])),
+     "state trace is (inf+0j), not 1"),
+    (lambda axes: tkd.TemporalStateOperator("kd_right", (2,), np.diag([1.7e308 + 1e308j, 1.0])),
+     "state trace is (1.7e+308+1e+308j), not 1"),
+    # numpy sums 16 entries in 8 partial sums: entries 0 and 8 make +inf, 1 and 9 make −inf
+    (lambda axes: tkd.TemporalStateOperator("kd_right", (2,) * 4, np.diag(
+        [1e308, -1e308, 1.0] + [0.0] * 5 + [1e308, -1e308] + [0.0] * 6)),
+     "state trace is (nan+0j), not 1"),
+    (lambda axes: tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), [1.7e308 + 1.7e308j, 1, 0, 0]),
+     "identity correlator is (1.7e+308+1.7e+308j), not 1"),
+], ids=["overflowing sum", "inf minus inf sum", "sum defect past the range", "overflowing trace",
+        "trace defect past the range", "NaN trace", "identity correlator defect past the range"])
+def test_container_checks_refuse_without_a_warning(build, message):
+    axes = (tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes,)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(axes)
 
 
 def test_outcomes_compare_and_hash_by_value_and_label():

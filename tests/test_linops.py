@@ -84,6 +84,12 @@ def test_partial_trace_keep_all_and_none():
     assert abs(tot[0, 0] - np.trace(m)) < 1e-13
 
 
+def test_partial_trace_passes_non_finite_results_through_without_a_warning():
+    assert (linops.partial_trace(np.full((4, 4), 1e308), [2, 2], [0]) == np.inf).all()
+    nan = linops.partial_trace(np.diag([np.inf, -np.inf, 1.0, 1.0]), [2, 2], [0])
+    assert np.isnan(nan[0, 0]) and nan[1, 1] == 2.0
+
+
 def test_partial_trace_factorized_input(pauli):
     m = np.kron(pauli["X"], pauli["Z"] + 2 * np.eye(2))
     out = linops.partial_trace(m, [2, 2], keep=[0])

@@ -1,7 +1,8 @@
 """The package's public surface: ``tkd.__all__`` is exactly what ``tkd/__init__.py``
 imports, so a deleted function cannot leave a stale export behind, every
 name the benchmark in ``perfbench/`` calls or traces still exists, no
-module keeps an import it no longer uses, and the README's quick start prints
+module keeps an import it no longer uses, only ``linops`` marks arrays
+read-only or subclasses ``np.ndarray``, and the README's quick start prints
 what its comments say."""
 
 from __future__ import annotations
@@ -90,6 +91,28 @@ def test_modules_use_every_name_they_import():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
               for path in modules if path.name != "__init__.py"}
     assert unused and {name: names for name, names in unused.items() if names} == {}
+
+
+def _ownership_sites(source: str) -> list[str]:
+    """The ``setflags`` calls and ``np.ndarray`` subclasses a module holds, as source lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "setflags":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ClassDef) \
+                and any(ast.unparse(b) in ("np.ndarray", "numpy.ndarray", "ndarray") for b in node.bases):
+            found.append(f"class {node.name}")
+    return found
+
+
+def test_only_linops_decides_who_may_write_an_array():
+    # which array a container may hold without a copy is one rule, kept in one module
+    assert _ownership_sites("class A(np.ndarray): pass\nb.setflags(write=False)\n") \
+        == ["class A", "b.setflags(write=False)"]
+    modules = sorted(Path(tkd.__file__).parent.rglob("*.py"))
+    sites = {path.name: _ownership_sites(path.read_text(encoding="utf-8")) for path in modules}
+    assert sites["linops.py"] and {name: s for name, s in sites.items() if s and name != "linops.py"} == {}
 
 
 def _commented_value(comment: str):
