@@ -207,6 +207,17 @@ def test_held_values_are_a_read_only_copy_of_a_caller_array(kind):
         assert held[first] == v[(0,) * v.ndim] and checked(c) == 1.0, name
 
 
+def test_state_copies_a_caller_array_even_a_read_only_one():
+    state = np.diag([1.0, 0.0]).astype(complex)
+    state.setflags(write=False)
+    for m in (state, state.T, state[:]):
+        y = tkd.TemporalStateOperator("kd_right", (2,), m)
+        assert not np.shares_memory(y.matrix, state) and not y.matrix.flags.writeable
+    state.setflags(write=True)  # an array that owns its memory can be made writeable again
+    state[0, 0] = 7.0
+    assert y.matrix[0, 0] == 1.0 and tkd.born_eval(y, [np.eye(2)]) == 1.0
+
+
 def test_pass_outputs_are_read_only():
     p, _ = _qubit_pair()
     z = tkd.spectral_measurement(np.diag([1.0, -1.0]))
