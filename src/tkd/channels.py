@@ -8,8 +8,9 @@ them products like ρΠ and Π ρ Π'.
 
 A `QuantumChannel` is immutable: it holds read-only copies of the Kraus
 operators it was given, and builds what is derived from them at most once,
-on first use: its row-major superoperator (`superop`, the `kraus_superop`
-of its Kraus list) and its Stinespring dilation (`dilation`). An
+on first use: its trace-preservation `defect`, its row-major superoperator
+(`superop`, the `kraus_superop` of its Kraus list) and its Stinespring
+dilation (`dilation`). An
 `Instrument` likewise holds read-only copies of its branch operators.
 
 `build_channel` is the one place that turns a channel kind and its
@@ -64,6 +65,13 @@ class QuantumChannel:
     @property
     def d_out(self) -> int:
         return self.kraus[0].shape[0]
+
+    @cached_property
+    def defect(self) -> float:
+        """‖Σ K†K − I‖_max, which `validate_cptp` holds to its tolerance; an inf or NaN
+        defect (of an overflowing sum) comes out silently."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max_abs(_effect(self.kraus) - np.eye(self.d_in))
 
     @cached_property
     def superop(self) -> np.ndarray:
@@ -140,10 +148,9 @@ def _effect(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def validate_cptp(c: QuantumChannel, tol: float = 1e-9) -> CptpReport:
-    """defect = ‖Σ K†K − I‖_max; trace preserving iff defect ≤ tol."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
-        defect = max_abs(_effect(c.kraus) - np.eye(c.d_in))
-    return CptpReport(trace_preserving=defect <= tol, defect=defect)
+    """The channel's cached `defect` ‖Σ K†K − I‖_max; trace preserving iff defect ≤ tol
+    (an inf or NaN defect fails)."""
+    return CptpReport(trace_preserving=c.defect <= tol, defect=c.defect)
 
 
 def apply_channel(c: QuantumChannel, x: np.ndarray) -> np.ndarray:
@@ -241,12 +248,12 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
 
     if kind == "kraus":
         return QuantumChannel(need("operators"))
-    if kind == "unitary":
+    if kind == "unitary":  # U†U − I is the defect of the channel of U, which keeps it
         u = as_matrix(need("u"))
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
-            unitary = u.shape[0] == u.shape[1] and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
-        _in_field(("u",), _require, unitary, "build_channel: u is not unitary within tol")
-        return QuantumChannel([u])
+        c = QuantumChannel([u]) if u.shape[0] == u.shape[1] else None
+        _in_field(("u",), _require, c is not None and c.defect <= tol,
+                  "build_channel: u is not unitary within tol")
+        return c
     if kind == "replacement":  # measure-and-prepare with the one effect I on d_in
         omega = _in_field(("omega",), check_density, need("omega"), tol)
         d_in = int(params.get("d_in", omega.shape[0]))

@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import ValidationError, _hand, _kept, as_matrix, check_half_range, dagger, is_hermitian, readonly
-from .measurements import Outcome, ProjectiveMeasurement, spectral_measurement
+from .linops import ValidationError, _hand, _kept, as_matrix, readonly
+from .measurements import Outcome, ProjectiveMeasurement, _spectral
 from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
 CHAR_KINDS = ("right", "left", "doubled")
@@ -55,10 +55,12 @@ class ObservableSchedule:
     def __post_init__(self):
         if self.ket is None and self.bra is None:
             raise ValidationError("observable schedule needs at least one side")
-        for side, ops in (("ket", self.ket), ("bra", self.bra)):
-            if ops is not None:
-                object.__setattr__(self, side, tuple(
-                    _entry_measurement(o, f"{side} observable {k}", self.tol) for k, o in enumerate(ops)))
+        sides = [(side, tuple(ops)) for side, ops in (("ket", self.ket), ("bra", self.bra))
+                 if ops is not None]
+        built = iter(_entry_measurements([(f"{side} observable {k}", o) for side, ops in sides
+                                          for k, o in enumerate(ops)], self.tol))
+        for side, ops in sides:
+            object.__setattr__(self, side, tuple(next(built) for _ in ops))
         if self.ket is not None and self.bra is not None and len(self.ket) != len(self.bra):
             raise ValidationError("ket and bra sides differ in length")
 
@@ -67,16 +69,26 @@ class ObservableSchedule:
         return len(self.ket if self.ket is not None else self.bra)
 
 
-def _entry_measurement(o, where: str, tol: float) -> ProjectiveMeasurement:
-    """The measurement χ inserts for one schedule entry, as `ObservableSchedule` states; a
-    refusal begins with ``where``. The CLI builds each `observable` entry's measurement here."""
-    if isinstance(o, ProjectiveMeasurement):
-        return o
-    o = as_matrix(o)
-    check_half_range(o, where)
-    if not is_hermitian(o, tol):
-        raise ValidationError(f"{where}: not Hermitian within {tol}")
-    return spectral_measurement((o + dagger(o)) / 2)  # o itself, bit for bit, if exactly Hermitian
+def _entry_measurements(entries: Sequence[tuple[str, object]], tol: float) -> list[ProjectiveMeasurement]:
+    """The measurement χ inserts for each (where, entry) pair, as `ObservableSchedule` states:
+    the observables of one shape decomposed as one stack (`measurements._spectral`), Hermitian
+    within ``tol``. A refusal is the first in entry order, and begins with its ``where``.
+    The CLI builds the measurements of a spec's `observable` entries here."""
+    try:
+        out = [o if isinstance(o, ProjectiveMeasurement) else as_matrix(o) for _, o in entries]
+        by_shape: dict[tuple, list[int]] = {}
+        for i, o in enumerate(out):
+            if not isinstance(o, ProjectiveMeasurement):
+                by_shape.setdefault(o.shape, []).append(i)
+        for idx in by_shape.values():
+            built = _spectral(np.stack([out[i] for i in idx]), [entries[i][0] for i in idx], tol)
+            for i, m in zip(idx, built):
+                out[i] = m
+        return out
+    except (ValueError, TypeError):  # ValidationError among them: one entry at a time names the first
+        if len(entries) == 1:
+            raise
+        return [_entry_measurements([e], tol)[0] for e in entries]
 
 
 @dataclass(frozen=True, eq=False)

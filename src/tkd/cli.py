@@ -35,7 +35,7 @@ from .channels import Instrument, QuantumChannel, build_channel, validate_cptp
 from .charfunc import (
     CHAR_KINDS,
     ObservableSchedule,
-    _entry_measurement,
+    _entry_measurements,
     char_fn,
     circuit_sim,
     default_nodes,
@@ -215,6 +215,48 @@ def _array_to(a: np.ndarray, level: int, out: _Sink):
     out.append(ind[:-2] + "]")
 
 
+def _pieces(a: np.ndarray, size: int):
+    """``a`` in C order as slices of at most ``size`` entries, none of them a copy: of a
+    C-contiguous ``a``, runs of its flat view; of any other, its leading-axis slices,
+    split in turn until they are small enough."""
+    if a.flags.c_contiguous:
+        a = a.reshape(-1)
+    if a.size <= size:
+        yield a
+    elif a.ndim == 1:
+        yield from (a[s:s + size] for s in range(0, len(a), size))
+    else:
+        for r in a:
+            yield from _pieces(r, size)
+
+
+class _Flat:
+    """An array that `_write` renders as ``a.reshape(-1)`` is rendered, a piece of at most
+    _BLOCK floats at a time (`_pieces`), so that no flat copy of a non-contiguous array,
+    such as a doubled distribution, is made."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+
+def _flat_to(a: np.ndarray, level: int, out: _Sink):
+    """`_Flat` ``a``, '[' at ``level``."""
+    if not a.size:
+        out.append("[]")
+        return
+    pair = (2,) if a.dtype == np.complex128 else ()
+    per = 2 if pair else 1  # floats per entry
+    ind = "\n" + "  " * (level + 1)
+    sep = "," + ind
+    item, templates = _template(pair, level + 1), {}
+    out.append("[" + ind)
+    for i, c in enumerate(_pieces(a, _BLOCK // per)):
+        if c.size not in templates:
+            templates[c.size] = sep.join([item] * c.size)
+        out.add((sep if i else "") + templates[c.size] % _texts(c))
+    out.append(ind[:-2] + "]")
+
+
 def _write(o, level: int, out: _Sink):
     """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)`` lays it out
     when its first character sits at nesting ``level``; float64 and complex128
@@ -255,6 +297,8 @@ def _write(o, level: int, out: _Sink):
         out.append(ind[:-2] + "]")
     elif isinstance(o, np.ndarray) and o.ndim and o.dtype in _ARRAY_DTYPES:
         _array_to(o, level, out)
+    elif isinstance(o, _Flat):
+        _flat_to(o.a, level, out)
     else:
         base = next((t for t in (str, int, float) if isinstance(o, t)), None)
         if base is None:
@@ -279,7 +323,28 @@ def _parse_complex(obj, where: str) -> complex:
     return complex(_number(obj[0], f"{where}[0]"), _number(obj[1], f"{where}[1]"))
 
 
+_FLOAT_MAX = sys.float_info.max
+_NUMBERS = {int, float}
+
+
 def _parse_matrix(obj, where: str) -> np.ndarray:
+    """A nested array of [re, im] pairs as a complex128 matrix. A well-formed one is one
+    conversion: an (r, c, 2) float64 array, viewed as complex, whose entries are all JSON
+    integers or floats (no booleans or numeric strings) of magnitude below the float maximum.
+    Anything else is walked entry by entry (`_walk_matrix`), which names the first bad one."""
+    try:
+        a = np.array(obj, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return _walk_matrix(obj, where)
+    if a.ndim != 3 or a.shape[2] != 2 or not a.size or not np.abs(a).max() < _FLOAT_MAX:
+        return _walk_matrix(obj, where)
+    if not set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(obj)))) <= _NUMBERS:
+        return _walk_matrix(obj, where)
+    return a.view(np.complex128)[..., 0]
+
+
+def _walk_matrix(obj, where: str) -> np.ndarray:
+    """`_parse_matrix` one entry at a time: the first malformed part raises SpecParseError naming it."""
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{where}: expected a nested array")
     rows = []
@@ -398,8 +463,10 @@ def _parse_channel(obj, where: str, tol: float, dim: int, instruments: dict) -> 
     return build_channel(kind, tol=tol, **fields)
 
 
-def _parse_measurement(obj, name: str, k: int, dim: int, tol: float) -> ProjectiveMeasurement:
-    """Entry ``k`` of schedule ``name``."""
+def _parse_entry(obj, name: str, k: int, dim: int, tol: float):
+    """Entry ``k`` of schedule ``name``, with every malformed field refused: an `observable`
+    as its (where, matrix) pair, for `_measurements` to decompose with the spec's other
+    observables; `projectors` as the call that builds and checks its measurement."""
     where = f"schedules.{name}[{k}]"
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: expected an object")
@@ -407,7 +474,7 @@ def _parse_measurement(obj, name: str, k: int, dim: int, tol: float) -> Projecti
         h = _parse_matrix(obj["observable"], f"{where}.observable")
         if h.shape != (dim, dim):
             raise SpecParseError(f"{where}.observable: shape {h.shape}, expected {(dim, dim)}")
-        return _entry_measurement(h, f"{where}.observable", tol)
+        return f"{where}.observable", h
     if "projectors" in obj:
         entries = obj["projectors"]
         if not isinstance(entries, list) or not entries:
@@ -429,10 +496,27 @@ def _parse_measurement(obj, name: str, k: int, dim: int, tol: float) -> Projecti
                 raise SpecParseError(f"{lwhere}: {label!r} repeats projectors[{seen[label]}]")
             seen[label] = i
             outs.append(Outcome(value=value, projector=mat, label=label))
-        m = _in_field(("schedules", name, k, "projectors"), ProjectiveMeasurement, dim, outs, tol=tol)
-        check_half_range(m.observable(), f"{where}.projectors")  # Σ value·P held to an observable's range
-        return m
+        return functools.partial(_projective, outs, name, k, dim, tol)
     raise SpecParseError(f"{where}: needs 'observable' or 'projectors'")
+
+
+def _projective(outs: list[Outcome], name: str, k: int, dim: int, tol: float) -> ProjectiveMeasurement:
+    """The measurement of the `projectors` entry ``k`` of schedule ``name``, checked."""
+    m = _in_field(("schedules", name, k, "projectors"), ProjectiveMeasurement, dim, outs, tol=tol)
+    # Σ value·P is held to an observable's range
+    check_half_range(m.observable(), f"schedules.{name}[{k}].projectors")
+    return m
+
+
+def _measurements(entries: list, tol: float) -> list[ProjectiveMeasurement]:
+    """The measurement of each parsed schedule entry (`_parse_entry`), every observable of the
+    spec through one `_entry_measurements` call. On a refusal the entries are built again one
+    at a time, in spec order, so that the one refused is the first."""
+    try:
+        built = iter(_entry_measurements([e for e in entries if isinstance(e, tuple)], tol))
+        return [next(built) if isinstance(e, tuple) else e() for e in entries]
+    except ValidationError:
+        return [_entry_measurements([e], tol)[0] if isinstance(e, tuple) else e() for e in entries]
 
 
 def _tolerance(options: dict) -> float:
@@ -492,13 +576,20 @@ def _build_bundle(data, label: str, sha: str) -> SpecBundle:
     raw_scheds = data.get("schedules", {})
     if not isinstance(raw_scheds, dict):
         raise SpecParseError("schedules: expected an object of named schedules")
-    schedules: dict[str, list[ProjectiveMeasurement]] = {}
-    for name, entries in raw_scheds.items():
-        if not isinstance(entries, list) or len(entries) != process.n_times:
-            raise SpecParseError(
-                f"schedules.{name}: expected {process.n_times} entries")
-        schedules[name] = [_parse_measurement(entry, name, k, process.dims[k], tol)
-                           for k, entry in enumerate(entries)]
+    parsed = []  # (schedule name, `_parse_entry` of one entry), in spec order
+    try:
+        for name, entries in raw_scheds.items():
+            if not isinstance(entries, list) or len(entries) != process.n_times:
+                raise SpecParseError(
+                    f"schedules.{name}: expected {process.n_times} entries")
+            for k, entry in enumerate(entries):
+                parsed.append((name, _parse_entry(entry, name, k, process.dims[k], tol)))
+    except SpecParseError:
+        _measurements([e for _, e in parsed], tol)  # a numerical refusal of an earlier entry comes first
+        raise
+    schedules: dict[str, list[ProjectiveMeasurement]] = {name: [] for name in raw_scheds}
+    for (name, _), m in zip(parsed, _measurements([e for _, e in parsed], tol)):
+        schedules[name].append(m)
     return SpecBundle(label=label, sha256=sha, process=process, schedules=schedules,
                       seed=seed, instruments=instruments)
 
@@ -574,7 +665,7 @@ def _dist_json(q: QuasiDistribution) -> dict:
         "shape": list(q.values.shape),
         "ket_axes": q.ket_axes,
         "axes": _axes_json(q),
-        "values": q.values.reshape(-1),
+        "values": _Flat(q.values),
         "ordering": "row-major over ascending-time axes (lexicographic outcome tuples)",
     }
 
@@ -614,12 +705,11 @@ def _write_table(q: QuasiDistribution, path: str):
     tuples = itertools.product(*[[str(o.label) for o in ax] for ax in q.axes])
     cells = map("\t".join, map(operator.itemgetter(*order), tuples)) if len(order) > 1 \
         else itertools.chain.from_iterable(tuples)
-    flat = q.values.reshape(-1)
 
     def fill(sink: _Sink):
         sink.append("\t".join(cols + ["re", "im"]) + "\n")
-        for s in range(0, len(flat), _BLOCK // 2):
-            text = _floats(flat[s:s + _BLOCK // 2])
+        for piece in _pieces(q.values, _BLOCK // 2):
+            text = _floats(piece)
             # the labels come last, so map stops at the block's end without taking a row's labels
             sink.add("".join(map("{2}\t{0}\t{1}\n".format, text[::2], text[1::2], cells)))
         sink.flush()

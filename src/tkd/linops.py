@@ -163,27 +163,36 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     return t.reshape(side, side)
 
 
+def _clusters(vals: np.ndarray, tol: float) -> list[list[tuple[float, int, int]]]:
+    """The eigenvalue groups of each row of ascending eigenvalues, as (value, start, stop):
+    eigenvalues whose consecutive gaps are not past ``tol`` merge into one group, reported
+    at the mean of its members (a single eigenvalue as itself). A gap that overflows is
+    past ``tol``, without a warning."""
+    with np.errstate(over="ignore"):
+        cut = vals[:, 1:] - vals[:, :-1] > tol
+    if cut.all():  # no merge: each eigenvalue is a group of its own
+        return [[(v, i, i + 1) for i, v in enumerate(row)] for row in vals.tolist()]
+    groups = []
+    for row, c in zip(vals, cut):
+        edges = [0, *(np.flatnonzero(c) + 1).tolist(), len(row)]
+        groups.append([(float(row[a]) if b == a + 1 else float(np.mean(row[a:b])), a, b)
+                       for a, b in zip(edges, edges[1:])])
+    return groups
+
+
 def hermitian_eig(h: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
     """Clustered spectral decomposition of a Hermitian matrix.
 
     Returns ``[(eigenvalue, vectors), ...]`` in ascending eigenvalue order,
     where ``vectors`` is a (dim, multiplicity) orthonormal block. Eigenvalues
-    whose consecutive gaps are below ``tol`` are merged into one group (so a
-    numerically split degeneracy comes back as a single eigenspace) and the
-    group is reported at the mean of its members.
+    are grouped by `_clusters` at ``tol`` (so a numerically split degeneracy
+    comes back as a single eigenspace, at the mean of its members).
     """
     h = as_matrix(h)
     if not is_hermitian(h, tol):
         raise ValidationError("hermitian_eig: input is not Hermitian within tol")
     vals, vecs = np.linalg.eigh(h)
-    groups: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            val = vals[start] if i == start + 1 else np.mean(vals[start:i])
-            groups.append((float(val), vecs[:, start:i]))
-            start = i
-    return groups
+    return [(val, vecs[:, a:b]) for val, a, b in _clusters(vals[None], tol)[0]]
 
 
 def embed_operator(op: np.ndarray, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:

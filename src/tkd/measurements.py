@@ -6,12 +6,21 @@ outcomes than the dimension. Outcomes are identified by a hashable `label`
 (the eigenvalue for spectral measurements, a per-site tuple for product
 measurements); labels are what downstream distribution axes index by.
 
-Measurements and bases copy the operators they are given once, into one
-read-only (m, d, d) stack that they check as a stack: a `ProjectiveMeasurement`
-keeps it as `projectors`, its outcomes' projectors being views of its rows, and
-an `HSBasis` as `stack`, its `ops` being those views. Each builds its right,
-left and lvn insertion maps once, on first use, so correlator tomography
-rebuilds none of them per call. `hs_basis(d)` returns one shared basis per d.
+Observables of one dimension are decomposed as one (n, d, d) stack
+(`_spectral`): one pass of checks, one batched ``eigh``, one product for the
+rank-1 projectors of them all and one check of the projector stack, so a
+spec's observables cost about what one of them does. `spectral_measurement`
+is that routine for a stack of one.
+
+A measurement and a basis hold their operators as one read-only (m, d, d)
+stack, checked as a stack: a `ProjectiveMeasurement` keeps it as
+`projectors`, its outcomes' projectors being views of its rows, and an
+`HSBasis` as `stack`, its `ops` being those views. The constructors copy the
+operators they are given into that stack; a stack that `_spectral` or
+`product_measurement` has just built is handed over (`linops._hand`) and held
+without a copy. Each builds its right, left and lvn insertion maps once, on
+first use, so correlator tomography rebuilds none of them per call.
+`hs_basis(d)` returns one shared basis per d.
 """
 
 from __future__ import annotations
@@ -24,11 +33,14 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .linops import (
+    HALF_RANGE,
     ValidationError,
+    _clusters,
+    _hand,
+    _kept,
     as_matrix,
     check_half_range,
     dagger,
-    hermitian_eig,
     insertion_maps,
     is_hermitian,
     max_abs,
@@ -62,34 +74,49 @@ def _slices(stack: np.ndarray):
     return (stack[s:s + step] for s in range(0, len(stack), step))
 
 
-def _defects(stack: np.ndarray, dim: int):
-    """Arrays whose entries hold every defect of a stack of projectors as a measurement:
-    the deviation of their sum from the identity; per slice, their deviations from
-    Hermiticity and idempotence; each projector's products with all later ones, slice by
+def _defects(stack: np.ndarray, sizes: Sequence[int]):
+    """Arrays whose entries hold every defect of a stack of projectors as one measurement per
+    segment, its consecutive runs of ``sizes`` rows: the deviation of each segment's sum
+    from the identity; per slice, the deviations from Hermiticity and idempotence; the
+    product of each projector with the one k rows on in its segment, for each k, slice by
     slice, so no table of all pairs is ever formed."""
-    yield stack.sum(axis=0) - np.eye(dim)
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    yield np.add.reduceat(stack, starts) - np.eye(stack.shape[-1])
     for c in _slices(stack):
-        yield np.concatenate((c - c.conj().transpose(0, 2, 1), c @ c - c))
-    for a in range(len(stack) - 1):
-        for c in _slices(stack[a + 1:]):
-            yield stack[a] @ c
+        yield c - c.conj().transpose(0, 2, 1)
+        yield c @ c - c
+    segment = np.repeat(np.arange(len(sizes)), sizes) if len(sizes) > 1 else None
+    step = max(1, _BLOCK // max(1, stack[0].size))
+    for k in range(1, max(sizes)):
+        same = None if segment is None else segment[k:] == segment[:-k]
+        for s in range(0, len(stack) - k, step):
+            e = min(s + step, len(stack) - k)
+            pair = stack[s:e] @ stack[s + k:e + k]
+            yield pair if same is None else pair[same[s:e]]
 
 
 def _check_in_order(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarray], tol: float):
     """The checks one outcome or pair at a time, raising the first that fails: each outcome's
     shape, then whether it is a Hermitian projector, in outcome order; then the sum; then
     each pair in itertools.combinations order."""
-    for o, p in zip(outcomes, mats):
-        if p.shape != (dim, dim):
-            as_matrix(p)  # refuses a missing projector as not a matrix
-            raise ValidationError("projector shape does not match measurement dim")
-        if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
-            raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
-    if not max_abs(sum(mats) - np.eye(dim)) <= tol:
-        raise ValidationError("projectors do not sum to the identity")
-    for (a, pa), (b, pb) in itertools.combinations(zip(outcomes, mats), 2):
-        if not max_abs(pa @ pb) <= tol:
-            raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        for o, p in zip(outcomes, mats):
+            if p.shape != (dim, dim):
+                as_matrix(p)  # refuses a missing projector as not a matrix
+                raise ValidationError("projector shape does not match measurement dim")
+            if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
+                raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
+        if not max_abs(sum(mats) - np.eye(dim)) <= tol:
+            raise ValidationError("projectors do not sum to the identity")
+        for (a, pa), (b, pb) in itertools.combinations(zip(outcomes, mats), 2):
+            if not max_abs(pa @ pb) <= tol:
+                raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
+
+
+def _passes(stack: np.ndarray, sizes: Sequence[int], tol: float) -> bool:
+    """Whether every segment of ``stack`` (see `_defects`) is a measurement within ``tol``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        return all(max_abs(x) <= tol for x in _defects(stack, sizes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +140,31 @@ class ProjectiveMeasurement:
         mats = [np.asarray(o.projector, dtype=np.complex128) for o in outcomes]
         stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
         # every check at once over the stack; only when one fails are they run in order, to name it
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
-            if stack is None or not all(max_abs(x) <= tol for x in _defects(stack, dim)):
-                _check_in_order(dim, outcomes, mats, tol)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "projectors", readonly(stack))  # first, so that its rows are read-only
-        object.__setattr__(self, "outcomes", tuple(Outcome(o.value, row, o.label)
-                                                   for o, row in zip(outcomes, stack)))
+        if stack is None or not _passes(stack, [len(stack)], tol):
+            _check_in_order(dim, outcomes, mats, tol)
+        self._hold(readonly(stack), [o.value for o in outcomes], labels)
+
+    @classmethod
+    def _of(cls, stack: np.ndarray, values: Sequence[float], labels: Sequence[Hashable],
+            tol: float | None) -> ProjectiveMeasurement:
+        """The measurement whose outcome i has ``values[i]``, ``labels[i]`` (distinct, which
+        the caller ensures) and row i of ``stack`` as its projector. A stack a pass handed
+        over (`linops._hand`) is held without a copy, any other copied (`linops._kept`).
+        It is checked at ``tol`` as the constructor checks, or, for None, not at all: only
+        a caller that has just checked the stack, as `_spectral` does, passes None."""
+        stack = _kept(stack)
+        m = object.__new__(cls)
+        if tol is not None and not _passes(stack, [len(stack)], tol):
+            outcomes = tuple(Outcome(v, None, label) for v, label in zip(values, labels))
+            _check_in_order(stack.shape[-1], outcomes, list(stack), tol)
+        m._hold(stack, values, labels)
+        return m
+
+    def _hold(self, stack: np.ndarray, values, labels):
+        """Hold the read-only ``stack`` as ``projectors``, and the outcomes its rows are."""
+        object.__setattr__(self, "dim", stack.shape[-1])
+        object.__setattr__(self, "projectors", stack)
+        object.__setattr__(self, "outcomes", tuple(map(Outcome, values, stack, labels)))
 
     def observable(self) -> np.ndarray:
         """Σ value·projector."""
@@ -141,17 +186,54 @@ class ProjectiveMeasurement:
         return readonly(insertion_maps("lvn", self.projectors))
 
 
+def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
+              merge: float = 1e-8) -> list[ProjectiveMeasurement]:
+    """The spectral measurement of each observable of the (n, d, d) stack ``h``, all at once.
+
+    Each observable must have no entry past the half range (`check_half_range`) and be
+    Hermitian within ``tol``; else the first that is not, in stack order, is refused in a
+    message that begins with its entry of ``wheres``. Its Hermitian part (h + h†)/2, h itself
+    bit for bit when h is exactly Hermitian, is decomposed by one batched ``eigh``;
+    eigenvalues merge as `linops._clusters` groups them at ``merge``, and each group's value
+    is its outcome's value and label. The rank-1 projectors of the whole stack are one
+    batched product of column by row, and a group of higher rank has its own V·V†: the
+    projectors are those of a decomposition one observable at a time, bit for bit. They are
+    checked as one stack, at the 1e-9 of the `ProjectiveMeasurement` constructor, and each
+    measurement holds its rows of it.
+    """
+    n, d = len(h), h.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
+        # |h_ij| bounds both parts: the whole stack passes at once, or is checked matrix by matrix
+        if not (h.shape[1] == d and max_abs(h) <= HALF_RANGE
+                and max_abs(h - h.conj().transpose(0, 2, 1)) <= tol):
+            for where, o in zip(wheres, h):  # the first refused in stack order, as each is checked alone
+                check_half_range(o, where)
+                if not is_hermitian(o, tol):
+                    raise ValidationError(f"{where}: not Hermitian within {tol}")
+    if not d:
+        raise ValidationError("measurement needs at least one outcome")
+    vals, vecs = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2)
+    groups = _clusters(vals, merge)
+    cols = vecs.transpose(0, 2, 1).reshape(n * d, d)
+    stack = cols[:, :, None] @ cols.conj()[:, None, :]  # the rank-1 projector of every eigenvector
+    if sum(map(len, groups)) < n * d:  # a merged group's V·V† takes the place of its vectors' projectors
+        stack = np.array([stack[i * d + a] if b == a + 1 else vecs[i][:, a:b] @ dagger(vecs[i][:, a:b])
+                          for i, g in enumerate(groups) for _, a, b in g])
+    stack = (stack + stack.conj().transpose(0, 2, 1)) / 2
+    sizes = [len(g) for g in groups]
+    checked = None if _passes(stack, sizes, 1e-9) else 1e-9  # else each is checked, and the first fault named
+    stack, out = _hand(stack), []
+    for s, g in zip(itertools.accumulate([0, *sizes]), groups):
+        values = [v for v, _, _ in g]
+        out.append(ProjectiveMeasurement._of(stack[s:s + len(g)], values, values, checked))
+    return out
+
+
 def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> ProjectiveMeasurement:
-    """Measurement of a Hermitian observable; eigenvalues within tol merge.
-    An entry past the half range is refused, as `check_half_range` states."""
-    observable = as_matrix(observable)
-    check_half_range(observable, "observable")
-    groups = hermitian_eig(observable, tol)
-    outcomes = []
-    for val, vecs in groups:
-        p = vecs @ dagger(vecs)
-        outcomes.append(Outcome(value=val, projector=(p + dagger(p)) / 2, label=val))
-    return ProjectiveMeasurement(observable.shape[0], outcomes)
+    """Measurement of an observable Hermitian within ``tol``, `_spectral` of a stack of one;
+    eigenvalues within ``tol`` merge. An entry past the half range is refused, as
+    `check_half_range` states."""
+    return _spectral(as_matrix(observable)[None], ["observable"], tol, merge=tol)[0]
 
 
 def product_measurement(locals_: Sequence[ProjectiveMeasurement],
@@ -160,7 +242,8 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
 
     Outcome values multiply across sites (so they may collide, e.g. Z⊗Z);
     labels are the per-site label tuples, which stay distinct. Each site is one
-    broadcast product into the projector stack, entry for entry what `np.kron` forms.
+    broadcast product into the projector stack, entry for entry what `np.kron` forms;
+    the measurement holds that stack without a copy.
     """
     if not locals_:
         raise ValidationError("product of zero measurements")
@@ -168,9 +251,10 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
     for m in locals_[1:]:
         n, d = len(stack) * len(m.projectors), stack.shape[1] * m.dim
         stack = (stack[:, None, :, None, :, None] * m.projectors[None, :, None, :, None, :]).reshape(n, d, d)
-    outcomes = [Outcome(float(np.prod([o.value for o in c])), proj, tuple(o.label for o in c))
-                for c, proj in zip(itertools.product(*[m.outcomes for m in locals_]), stack)]
-    return ProjectiveMeasurement(stack.shape[1], outcomes, tol=tol)
+    combos = list(itertools.product(*[m.outcomes for m in locals_]))
+    return ProjectiveMeasurement._of(_hand(stack) if len(locals_) > 1 else stack,
+                                     [float(np.prod([o.value for o in c])) for c in combos],
+                                     [tuple(o.label for o in c) for c in combos], tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +307,7 @@ class HSBasis:
         """Value-weighted collapses x ↦ Σ_a a·Π_a x Π_a over the spectral
         projectors of each σ, one map per basis element (not per outcome, as
         `ProjectiveMeasurement.lvn_maps` has it)."""
-        meas = [spectral_measurement(op) for op in self.ops]
+        meas = _spectral(self.stack, ["observable"] * len(self.stack), 1e-8)
         return readonly(np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1)
                                   for m in meas]))
 

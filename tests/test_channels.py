@@ -50,6 +50,18 @@ def test_validate_cptp_defect():
     assert not rep.trace_preserving and rep.defect == np.inf
 
 
+def test_channel_defect_is_computed_once(monkeypatch):
+    # Σ K†K − I does not depend on the tolerance: building a unitary channel, a process
+    # over it and validating it at two tolerances form it once
+    sums = []
+    effect = tkd.channels._effect
+    monkeypatch.setattr(tkd.channels, "_effect", lambda kraus: sums.append(kraus) or effect(kraus))
+    c = tkd.build_channel("unitary", u=tkd.quasiprob.haar_unitary(2, seed=3))
+    tkd.MultiTimeProcess(np.eye(2) / 2, [c, c])
+    assert tkd.validate_cptp(c, 1e-9).trace_preserving and tkd.validate_cptp(c, 1e-30).defect == c.defect
+    assert len(sums) == 1 and c.defect < 1e-15
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_adjoint_duality(seed):
     rng = np.random.default_rng(seed)

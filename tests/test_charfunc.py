@@ -96,6 +96,25 @@ def test_schedule_validation():
         tkd.char_fn(rect, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(3))), [(0.0, 0.0)])
 
 
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("sides, refusal", [
+    ({"ket": (np.eye(2), np.triu(np.ones((3, 3)))), "bra": (SHEAR, np.eye(2))},
+     "ket observable 1: not Hermitian within 1e-09"),
+    ({"bra": (SHEAR, np.zeros(3))}, "bra observable 0: not Hermitian within 1e-09"),
+    ({"bra": (np.eye(2), np.zeros(3))}, "expected a matrix, got ndim=1"),
+    ({"ket": (np.eye(2), np.eye(2)), "bra": (np.eye(3), SHEAR)},
+     "bra observable 1: not Hermitian within 1e-09"),
+], ids=["an earlier refusal in another dimension", "a refusal before a non-matrix", "a non-matrix",
+        "the bra side after the ket side"])
+def test_schedule_names_its_first_refusal_in_entry_order(sides, refusal):
+    # the observables of one dimension are decomposed together; the refusal is the first
+    # in entry order (ket side first) all the same
+    with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
+        tkd.ObservableSchedule(**sides)
+
+
 @pytest.mark.parametrize("side", ["ket", "bra"])
 @pytest.mark.parametrize("entries", [
     [[1e308, 0.0], [0.0, -1.0]],

@@ -472,6 +472,21 @@ MALFORMED_FIELDS = [
     ({"initial_state": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "initial_state[0][0][0]"),
     ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]},
      "initial_state[1][1][0]"),
+    # each entry a single conversion of the matrix would accept, or refuse unnamed
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, True]]]},
+     "initial_state[1][1][1]: expected a finite number"),
+    ({"schedules": {"default": [{"observable": X},
+                                {"observable": [[[0, 0], [0, -1]], [[0, 1], [False, 0]]]}]}},
+     "schedules.default[1].observable[1][1][0]: expected a finite number, got False"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]},
+     "initial_state[1][1][0]: expected a finite"),
+    ({"initial_state": [[[1, 0], [int(sys.float_info.max) + 1, 0]], [[0, 0], [0, 0]]]},
+     "initial_state[0][1][0]: expected a finite number"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], ["0", 0]]]},
+     "initial_state[1][1][0]: expected a finite number, got '0'"),
+    ({"initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0, 0]]]},
+     "initial_state[1][1]: expected a [re, im] pair, got [0, 0, 0]"),
+    ({"initial_state": [[[1, 0], [0, 0]], {"a": 1}]}, "spec error: initial_state[1]: expected a row array"),
     ({"channels": [{"kind": "unitary", "u": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]},
      "channels[0].u[0][0][0]"),
     ({"initial_state": [[[1, 0], [0, 0]]]}, "initial_state: shape (1, 2)"),
@@ -547,6 +562,33 @@ def test_malformed_field_exits_3(tmp_path, capsys, extra, field):
     path.write_text(json.dumps(probe_spec(**extra) if isinstance(extra, dict) else extra))
     assert run_command(["validate", str(path)]) == 3
     assert field in capsys.readouterr().err
+
+
+SHEARED_OBSERVABLE = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+MALFORMED_OBSERVABLE = [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]
+
+
+@pytest.mark.parametrize("entries, code, message", [
+    ([{"observable": SHEARED_OBSERVABLE}, {"observable": MALFORMED_OBSERVABLE}], 4,
+     "tkd: validation error: schedules.default[0].observable: not Hermitian within 1e-09\n"),
+    ([{"observable": MALFORMED_OBSERVABLE}, {"observable": SHEARED_OBSERVABLE}], 3,
+     "tkd: spec error: schedules.default[0].observable[1][1][0]: expected a finite number, got True\n"),
+    ([{"projectors": [{"matrix": ZERO_STATE}]}, {"observable": MALFORMED_OBSERVABLE}], 4,
+     "tkd: validation error: schedules.default[0].projectors: projectors do not sum to the identity\n"),
+    ([{"projectors": [{"matrix": ZERO_STATE}]}, {"observable": SHEARED_OBSERVABLE}], 4,
+     "tkd: validation error: schedules.default[0].projectors: projectors do not sum to the identity\n"),
+    ([{"observable": X}, {"observable": SHEARED_OBSERVABLE}], 4,
+     "tkd: validation error: schedules.default[1].observable: not Hermitian within 1e-09\n"),
+], ids=["non-Hermitian then malformed", "malformed then non-Hermitian",
+        "incomplete projectors then malformed", "incomplete projectors then non-Hermitian",
+        "second observable non-Hermitian"])
+def test_first_refusal_in_spec_order_is_named(tmp_path, capsys, entries, code, message):
+    # the observables are decomposed together once the whole spec is parsed; the refusal
+    # named is still the first in spec order, numerical or structural
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(probe_spec(schedules={"default": entries})))
+    assert run_command(["validate", str(path)]) == code
+    assert capsys.readouterr().err == message
 
 
 def test_exit_code_validation(tmp_path, capsys):
@@ -674,11 +716,12 @@ def test_each_spec_check_runs_once(tmp_path, monkeypatch, refused):
 ], ids=["charfn", "charfn doubled", "circuit-sim", "circuit-sim doubled"])
 def test_chi_requests_decompose_only_while_the_spec_is_parsed(capsys, monkeypatch, argv):
     path = str(Path(__file__).parent / "data" / "qubit_two_times.json")
-    spectral = _recorded(monkeypatch, "spectral_measurement", (tkd.cli, tkd.charfunc, tkd.measurements))
+    # each call of the one decomposition entry takes a stack of observables: count the observables
+    stacks = _recorded(monkeypatch, "_spectral", (tkd.cli, tkd.charfunc, tkd.measurements))
     tkd.cli.load_spec(path)
-    assert len(spectral) == 3  # one per observable entry of the spec's two schedules
+    assert sum(map(len, stacks)) == 3  # one per observable entry of the spec's two schedules
     run_json(capsys, [argv[0], path] + argv[1:])
-    assert len(spectral) == 6  # the request's own parse, and nothing more
+    assert sum(map(len, stacks)) == 6  # the request's own parse, and nothing more
 
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
@@ -850,6 +893,30 @@ def test_emit_streams_arrays_in_blocks_as_the_stdlib_lays_them_out(capsys, tmp_p
     path = tmp_path / "doc.json"
     assert _emit(doc, str(path)) == 0
     _assert_same_text(path.read_text(), want)
+
+
+def test_flat_values_render_as_their_reshape_without_a_copy(monkeypatch):
+    # a doubled distribution's values are a transposed view: its flat text is rendered from
+    # C-order pieces of the view, never from a flat copy of it (0.94 MB here)
+    rng = np.random.default_rng(7)
+    cube = rng.normal(size=(3,) * 10) + 1j * rng.normal(size=(3,) * 10)
+    doubled = cube.transpose(*range(5, 10), *range(5))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, t: writes.append(t)})())
+    for a in (doubled, cube, cube.real.T, doubled[:2, 0, :2], cube[(0,) * 9 + (slice(1),)], np.zeros((2, 0))):
+        writes.clear()
+        assert _emit({"values": tkd.cli._Flat(a)}, None) == 0
+        want = json.dumps({"values": _as_pairs(a.reshape(-1))}, indent=2, sort_keys=True) + "\n"
+        _assert_same_text("".join(writes), want)
+    writes.clear()
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, t: None})())
+    tracemalloc.start()
+    try:
+        _emit({"values": tkd.cli._Flat(doubled)}, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < doubled.nbytes / 2, peak / doubled.nbytes  # the text of a block or two, no copy
 
 
 def test_emit_rejects_unknown_leaves(capsys):

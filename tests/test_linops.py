@@ -111,6 +111,16 @@ def test_hermitian_eig_clusters_degeneracy():
     assert linops.max_abs(total - np.eye(3)) < 1e-12
 
 
+def test_hermitian_eig_splits_an_overflowing_gap_without_a_warning():
+    # the eigenvalues ±1e308 pass the Hermitian check; their gap overflows to inf, past tol
+    h = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        groups = linops.hermitian_eig(h)
+    assert [v for v, _ in groups] == pytest.approx([-1e308, 1e308], rel=1e-15)
+    assert [v.shape for _, v in groups] == [(2, 1), (2, 1)]
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         linops.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

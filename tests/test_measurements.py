@@ -132,6 +132,44 @@ def test_product_measurement_checks_its_stack_in_bounded_memory():
     assert peak <= 3 * stack, peak / stack
 
 
+def test_product_measurement_holds_its_fresh_stack_without_a_copy():
+    # the stack it builds is handed to the measurement: its peak is that stack and the
+    # checks' slices of _BLOCK entries, not a second stack
+    locals_ = [tkd.spectral_measurement(tkd.quasiprob.random_hermitian(4, seed=s)) for s in range(3)]
+    stack = 64 * 64 * 64 * 16
+    tracemalloc.start()
+    try:
+        m = tkd.product_measurement(locals_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m.outcomes) == 64
+    assert peak <= 1.3 * stack, peak / stack
+
+
+def _batch_observables(rng, d: int) -> list[np.ndarray]:
+    """Random, degenerate and diagonal observables (with and without repeats) of dimension d."""
+    u = tkd.quasiprob.haar_unitary(d, seed=rng)
+    repeated = np.repeat(rng.normal(size=2), [d - 1, 1])
+    obs = [tkd.quasiprob.random_hermitian(d, seed=rng), u @ np.diag(repeated) @ np.conj(u.T),
+           np.diag(repeated), np.diag(rng.permutation(np.arange(d) - 1.0)), np.diag(np.full(d, 0.5))]
+    return [(h + np.conj(h.T)) / 2 for h in rng.permutation(np.array(obs, dtype=np.complex128))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_batch_decomposes_each_observable_as_a_batch_of_one(seed):
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        obs = _batch_observables(rng, d)
+        batch = tkd.measurements._spectral(np.stack(obs), ["x"] * len(obs), 1e-9)
+        for h, m in zip(obs, batch):
+            for one in (tkd.measurements._spectral(h[None], ["x"], 1e-9)[0], tkd.spectral_measurement(h)):
+                assert [(o.value, o.label) for o in m.outcomes] == [(o.value, o.label) for o in one.outcomes]
+                assert m.projectors.tobytes() == one.projectors.tobytes()
+            assert all(np.shares_memory(o.projector, m.projectors) for o in m.outcomes)
+        assert {len(m.outcomes) for m in batch} == ({1, 2} if d == 2 else {1, 2, d})
+
+
 def test_product_measurement_holds_its_stack_once():
     # the outcomes' projectors are views of the stack, so the measurement holds about one stack
     locals_ = [tkd.spectral_measurement(tkd.quasiprob.random_hermitian(4, seed=s)) for s in range(3)]
