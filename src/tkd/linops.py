@@ -9,7 +9,9 @@ there is no hidden global epsilon.
 
 from __future__ import annotations
 
+import math
 import sys
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +40,36 @@ def _require(ok: bool, message: str):
         raise ValidationError(message)
 
 
+def _unreadable(a):
+    """The first str or bytes entry of ``a`` (nested lists, tuples or arrays) that numpy
+    cannot read as a complex number, or None."""
+    if isinstance(a, (str, bytes)):
+        try:
+            np.array(a, dtype=np.complex128)
+        except ValueError:
+            return a
+    elif isinstance(a, (list, tuple)) or (isinstance(a, np.ndarray) and a.dtype.kind in "OSU"):
+        for x in (a.ravel() if isinstance(a, np.ndarray) else a):
+            bad = _unreadable(x)
+            if bad is not None:
+                return bad
+    return None
+
+
+def _complex128(convert, a) -> np.ndarray:
+    """``convert(a, dtype=complex128)``, np.asarray or np.array; an entry numpy cannot read as
+    a number raises TypeError, not numpy's bare ValueError."""
+    try:
+        return convert(a, dtype=np.complex128)
+    except ValueError:
+        bad = _unreadable(a)
+        if bad is None:
+            raise
+    raise TypeError(f"expected a numeric entry, got {bad!r}")
+
+
 def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    m = _complex128(np.asarray, a)
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
     return m
@@ -77,7 +107,7 @@ def _kept(a) -> np.ndarray:
     write to it, or make it writeable again, after the container's checks passed."""
     if type(a) is _Handed:
         return a.view(np.ndarray)
-    return readonly(np.array(a, dtype=np.complex128))
+    return readonly(_complex128(np.array, a))
 
 
 def insertion_maps(side: str, a: np.ndarray) -> np.ndarray:
@@ -90,6 +120,18 @@ def insertion_maps(side: str, a: np.ndarray) -> np.ndarray:
     a, b = {"right": (eye, a), "left": (a, eye), "lvn": (a, a)}[side]
     d2 = a.shape[-1] ** 2
     return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, d2, d2)
+
+
+@cache
+def _vec_identity(d2: int) -> np.ndarray:
+    """vec(I) of the identity on a space of dimension √d2, real, read-only."""
+    return readonly(np.eye(math.isqrt(d2)).reshape(-1))
+
+
+def _trace_rows(maps: np.ndarray) -> np.ndarray:
+    """Rows w_i with w_i · vec(x) = Tr[a_i x b_i] of an insertion map stack: the final trace
+    of a sweep folded into its last maps."""
+    return _vec_identity(maps.shape[1]) @ maps
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -175,9 +217,19 @@ def _clusters(vals: np.ndarray, tol: float) -> list[list[tuple[float, int, int]]
     groups = []
     for row, c in zip(vals, cut):
         edges = [0, *(np.flatnonzero(c) + 1).tolist(), len(row)]
-        groups.append([(float(row[a]) if b == a + 1 else float(np.mean(row[a:b])), a, b)
+        groups.append([(float(row[a]) if b == a + 1 else _mean(row[a:b]), a, b)
                        for a, b in zip(edges, edges[1:])])
     return groups
+
+
+def _mean(group: np.ndarray) -> float:
+    """``np.mean`` of a group of finite eigenvalues; where their sum overflows, the mean of
+    their offsets from the first member, added to it, without a warning."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(group))
+    if math.isfinite(mean):
+        return mean
+    return float(group[0] + np.mean(group - group[0]))
 
 
 def hermitian_eig(h: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndarray]]:

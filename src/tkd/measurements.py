@@ -19,7 +19,8 @@ stack, checked as a stack: a `ProjectiveMeasurement` keeps it as
 operators they are given into that stack; a stack that `_spectral` or
 `product_measurement` has just built is handed over (`linops._hand`) and held
 without a copy. Each builds its right, left and lvn insertion maps once, on
-first use, so correlator tomography rebuilds none of them per call.
+first use, and the trace rows of each (`_right_rows`, ...), so neither a
+distribution pass nor correlator tomography rebuilds any of them per call.
 `hs_basis(d)` returns one shared basis per d.
 """
 
@@ -36,8 +37,10 @@ from .linops import (
     HALF_RANGE,
     ValidationError,
     _clusters,
+    _complex128,
     _hand,
     _kept,
+    _trace_rows,
     as_matrix,
     check_half_range,
     dagger,
@@ -119,8 +122,26 @@ def _passes(stack: np.ndarray, sizes: Sequence[int], tol: float) -> bool:
         return all(max_abs(x) <= tol for x in _defects(stack, sizes))
 
 
+class _TraceRows:
+    """The trace rows (`linops._trace_rows`) of an owner's right, left and lvn insertion maps,
+    each built once, on first use, read-only: a sweep whose last maps they are folds its
+    final trace into them."""
+
+    @cached_property
+    def _right_rows(self) -> np.ndarray:
+        return readonly(_trace_rows(self.right_maps))
+
+    @cached_property
+    def _left_rows(self) -> np.ndarray:
+        return readonly(_trace_rows(self.left_maps))
+
+    @cached_property
+    def _lvn_rows(self) -> np.ndarray:
+        return readonly(_trace_rows(self.lvn_maps))
+
+
 @dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement:
+class ProjectiveMeasurement(_TraceRows):
     """Outcomes whose projectors are Hermitian, idempotent, mutually orthogonal
     and sum to the identity, each within ``tol``; ``projectors`` is their
     read-only (m, d, d) stack in outcome order, a copy of the projectors given,
@@ -137,7 +158,7 @@ class ProjectiveMeasurement:
         labels = [o.label for o in outcomes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"outcome labels are not distinct: {labels}")
-        mats = [np.asarray(o.projector, dtype=np.complex128) for o in outcomes]
+        mats = [_complex128(np.asarray, o.projector) for o in outcomes]
         stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
         # every check at once over the stack; only when one fails are they run in order, to name it
         if stack is None or not _passes(stack, [len(stack)], tol):
@@ -258,7 +279,7 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
 
 
 @dataclass(frozen=True, eq=False)
-class HSBasis:
+class HSBasis(_TraceRows):
     """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν, each within
     ``tol``; ``stack`` is a read-only (d², d, d) copy of the ops given, and ``ops`` its row views."""
 

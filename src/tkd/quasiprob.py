@@ -43,17 +43,19 @@ matrices C†C, so no step dispatches per d×d matrix.
 
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
-`ProjectiveMeasurement` its projector stack and its right, left and lvn maps
-(`projectors`, `right_maps`, ...), each `MultiTimeProcess` its `dims`. Those
-objects hold read-only copies of the arrays they were given, so a cached
-operator cannot go stale. Nor does a pass rebuild a value that depends on
-shapes alone: vec(I) of each dimension, the identity insertion at t_0 and the
-witness's layout for each tuple of outcome counts (the time of each
-single-time operator, and the pairs in visiting order) are built once per
-process, read-only, when first needed, and a one-sided kernel result is only
-reshaped. Only the paired
-maps of two-sided kinds, which join two measurements, are built per call,
-inside the kernel, once per distinct pair. `joint_ops` hands back the
+`ProjectiveMeasurement` its projector stack, its right, left and lvn maps
+(`projectors`, `right_maps`, ...) and the trace rows of each (`_right_rows`,
+...), which a one-sided pass whose last maps they are reads its final trace
+off, each `MultiTimeProcess` its `dims`. Those objects hold read-only copies
+of the arrays they were given, so a cached operator cannot go stale. Nor does
+a pass rebuild a value that depends on shapes alone: vec(I) of each
+dimension, the identity insertion at t_0 and the witness's layout for each
+tuple of outcome counts (the time of each single-time operator, and the pairs
+in visiting order) are built once per process, read-only, when first needed,
+and a one-sided kernel result is only reshaped. Only the paired maps of
+two-sided kinds, which join two measurements, and their trace rows are built
+per call, inside the kernel, once per distinct pair; so are χ's phase-weighted
+maps. `joint_ops` hands back the
 backward pass's one array behind a Mapping (`OperatorTable`), with no object
 per outcome tuple.
 
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
@@ -84,8 +87,8 @@ from .channels import (
     tensor_channels,
     validate_cptp,
 )
-from .linops import (ValidationError, _hand, _in_field, _kept, _require, as_matrix, dagger, frozen_matrix,
-                     max_abs, readonly)
+from .linops import (ValidationError, _complex128, _hand, _in_field, _kept, _require, _trace_rows,
+                     _vec_identity, as_matrix, dagger, frozen_matrix, max_abs, readonly)
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
@@ -191,9 +194,13 @@ class QuasiDistribution:
     possibly 0 for a doubled kind whose block structure was reduced away).
     ``tol`` bounds the normalization defect and the lvn range; the imaginary
     residue of the real kinds is held to tol/100. Every check fails on NaN, so
-    a non-finite entry anywhere is refused. Producers pass the tolerance of the
-    process they evaluate. ``values`` is read-only: the array a pass built is
-    held as it is, a caller's array (read-only or not) as a copy (`_kept`).
+    a non-finite entry anywhere is refused, and none warns. Producers pass the
+    tolerance of the process they evaluate. ``values`` is read-only: the array
+    a pass built is held as it is, a caller's array (read-only or not) as a
+    copy (`_kept`). ``axes`` is a tuple of tuples: axes a pass built as one are
+    held as they are, any others converted. The checks cost their arithmetic:
+    one shape comparison and the ufunc reductions that ``ndarray.sum``, ``max``
+    and ``min`` wrap, called directly, so they read the bits those methods do.
     """
 
     kind: str
@@ -205,24 +212,28 @@ class QuasiDistribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
-        object.__setattr__(self, "axes", tuple(tuple(ax) for ax in self.axes))
-        object.__setattr__(self, "values", _kept(self.values))
-        if self.values.shape != tuple(len(ax) for ax in self.axes):
+        axes = self.axes
+        if type(axes) is not tuple or not all(type(ax) is tuple for ax in axes):
+            axes = tuple(map(tuple, axes))
+            object.__setattr__(self, "axes", axes)
+        values = _kept(self.values)
+        object.__setattr__(self, "values", values)
+        if values.shape != tuple(map(len, axes)):
             raise ValidationError("values shape does not match axes")
-        if not 0 <= self.ket_axes <= len(self.axes):
+        if not 0 <= self.ket_axes <= len(axes):
             raise ValidationError("ket_axes out of range")
         if self.kind not in DOUBLED_KINDS and self.ket_axes:
             raise ValidationError(f"{self.kind} carries no ket block")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused, silently
-            total = self.values.sum()  # NaN or inf anywhere leaves it non-finite
-            if not abs(total - 1.0) <= self.tol:
-                raise ValidationError(f"distribution sums to {complex(total)}, not 1")
+        total, defect = _normalization(values)
+        if not defect <= self.tol:
+            raise ValidationError(f"distribution sums to {complex(total)}, not 1")
         if self.kind in ("mh", "mh_doubled", "lvn"):
-            if not float(np.max(np.abs(self.values.imag))) <= self.tol / 100:
+            if not float(np.maximum.reduce(np.abs(values.imag), None)) <= self.tol / 100:
                 raise ValidationError(f"{self.kind} entries must be real")
         if self.kind == "lvn":
-            re = self.values.real
-            if not (re.min() >= -self.tol and re.max() <= 1.0 + self.tol):
+            re = values.real
+            if not (np.minimum.reduce(re, None) >= -self.tol
+                    and np.maximum.reduce(re, None) <= 1.0 + self.tol):
                 raise ValidationError("lvn entries must lie in [0, 1]")
 
     def axis_labels(self, i: int) -> tuple[Hashable, ...]:
@@ -233,6 +244,14 @@ class QuasiDistribution:
 
     def total(self) -> complex:
         return complex(self.values.sum())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum is refused, silently
+def _normalization(values: np.ndarray):
+    """Σ values, the reduction ``values.sum()`` wraps, and its distance from 1: NaN or inf
+    anywhere leaves both non-finite."""
+    total = np.add.reduce(values, None)
+    return total, abs(total - 1.0)
 
 
 def _check_schedule(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], name: str = "schedule"):
@@ -248,17 +267,6 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (len a·d, len b·d) matrix with entry [(x, r), (y, s)] = (a_x·b_y)[r, s]."""
     d = a.shape[-1]
     return a.reshape(-1, d) @ b.transpose(1, 0, 2).reshape(d, -1)
-
-
-@cache
-def _vec_identity(d2: int) -> np.ndarray:
-    """vec(I) of the identity on a space of dimension √d2, real, read-only."""
-    return readonly(np.eye(math.isqrt(d2)).reshape(-1))
-
-
-def _trace_rows(maps: np.ndarray) -> np.ndarray:
-    """Rows w_i with w_i · vec(x) = Tr[a_i x b_i]: the final trace folded into the maps."""
-    return _vec_identity(maps.shape[1]) @ maps
 
 
 def _paired(stacks) -> list[np.ndarray]:
@@ -284,28 +292,41 @@ def _blocks(flat: np.ndarray, stacks) -> np.ndarray:
     return a.transpose([nb * k + b for b in range(nb) for k in range(nt)] + list(range(nb * nt, a.ndim)))
 
 
-def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
+def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray],
+           rows: np.ndarray | None = None) -> np.ndarray:
     """Forward kernel: the trace of every outcome tuple, one axis per time.
-    ``stacks`` is one map stack per time, or two (ket side, then bra side)."""
+    ``stacks`` is one map stack per time, or two (ket side, then bra side);
+    ``rows`` are the trace rows of the last maps where their owner built them
+    once (`_last_rows`), else None, and they are built here."""
     maps = _paired(stacks)
     x = p.rho0.reshape(1, -1)
     for c, m_k in zip(p.channels, maps):
         f = c.superop @ m_k
         m, d_out2, d_in2 = f.shape
         x = (x @ f.transpose(2, 0, 1).reshape(d_in2, m * d_out2)).reshape(-1, d_out2)
-    return _blocks((x @ _trace_rows(maps[-1]).T).reshape(-1), stacks)
+    rows = _trace_rows(maps[-1]) if rows is None else rows
+    return _blocks((x @ rows.T).reshape(-1), stacks)
 
 
-def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray]) -> np.ndarray:
+def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray],
+              rows: np.ndarray | None = None) -> np.ndarray:
     """Backward kernel: joint operators M at t_0 with Tr[M ρ] equal to the
-    forward trace, with the axes of `_sweep` followed by (d_0, d_0)."""
+    forward trace, with the axes of `_sweep` followed by (d_0, d_0); ``rows``
+    as `_sweep` takes them."""
     maps = _paired(stacks)
-    r = _trace_rows(maps[-1])
+    r = _trace_rows(maps[-1]) if rows is None else rows
     for c, m_k in reversed(list(zip(p.channels, maps))):
         f = c.superop @ m_k
         r = (r[None] @ f).reshape(-1, f.shape[2])
     d = math.isqrt(r.shape[1])
     return _blocks(r.reshape(-1, d, d).transpose(0, 2, 1), stacks)
+
+
+# a one-sided kind's maps and their trace rows, each read off a measurement by a fixed attribute
+_SIDE = {"kd_right": "right", "kd_left": "left", "lvn": "lvn"}
+_MAPS = {kind: operator.attrgetter(f"{side}_maps") for kind, side in _SIDE.items()}
+_ROWS = {kind: operator.attrgetter(f"_{side}_rows") for kind, side in _SIDE.items()}
+_DIM, _OUTCOMES = operator.attrgetter("dim"), operator.attrgetter("outcomes")
 
 
 def _insertions(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
@@ -315,20 +336,29 @@ def _insertions(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasuremen
     if kind == "kd_doubled":
         if bra is None:
             raise ValidationError("kd_doubled needs a bra schedule")
-        sides = ((s, "left", "ket schedule"), (bra, "right", "bra schedule"))
+        sides = ((s, _MAPS["kd_left"], "ket schedule"), (bra, _MAPS["kd_right"], "bra schedule"))
     else:
-        sides = ((s, kind.removeprefix("kd_"), "schedule"),)
-    for sched, _, name in sides:
-        _check_schedule(p, sched, name)
-    stacks = [[getattr(m, f"{side}_maps") for m in sched] for sched, side, _ in sides]
-    axes = tuple(tuple(m.outcomes) for sched, _, _ in sides for m in sched)
-    return stacks, axes, p.n_times if len(sides) == 2 else 0
+        sides = ((s, _MAPS[kind], "schedule"),)
+    stacks, axes = [], []
+    for sched, maps, name in sides:
+        if tuple(map(_DIM, sched)) != p.dims:  # one comparison; `_check_schedule` names the fault
+            _check_schedule(p, sched, name)
+        stacks.append(list(map(maps, sched)))
+        axes += map(_OUTCOMES, sched)
+    return stacks, tuple(axes), p.n_times if len(sides) == 2 else 0
+
+
+def _last_rows(kind: str, s: Sequence[ProjectiveMeasurement]) -> np.ndarray | None:
+    """The trace rows of a one-sided kind's last maps, which its last measurement built
+    once; None for kd_doubled, whose maps, and so their rows, the kernel pairs per call."""
+    return None if kind == "kd_doubled" else _ROWS[kind](s[-1])
 
 
 def _distribution(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
                   bra: Sequence[ProjectiveMeasurement] | None = None) -> QuasiDistribution:
     stacks, axes, ket_axes = _insertions(p, kind, s, bra)
-    return QuasiDistribution(kind, axes, _hand(_sweep(p, *stacks)), ket_axes=ket_axes, tol=p.tol)
+    values = _sweep(p, *stacks, rows=_last_rows(kind, s))
+    return QuasiDistribution(kind, axes, _hand(values), ket_axes=ket_axes, tol=p.tol)
 
 
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
@@ -362,7 +392,8 @@ def mh_from_kd(q: QuasiDistribution) -> QuasiDistribution:
     if q.kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"mh_from_kd expects a kd kind, got {q.kind!r}")
     kind = "mh_doubled" if q.kind == "kd_doubled" else "mh"
-    return QuasiDistribution(kind, q.axes, q.values.real, ket_axes=q.ket_axes, tol=q.tol)
+    return QuasiDistribution(kind, q.axes, _hand(np.array(q.values.real, dtype=np.complex128)),
+                             ket_axes=q.ket_axes, tol=q.tol)
 
 
 def marginalize(q: QuasiDistribution, keep: Sequence[int]) -> QuasiDistribution:
@@ -473,7 +504,7 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
     stacks, axes, ket_axes = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
-    ops = _backward(p, *stacks)
+    ops = _backward(p, *stacks, rows=_last_rows(kind, s))
     if max_abs(ops.sum(axis=tuple(range(ops.ndim - 2))) - _vec_identity(d0 * d0).reshape(d0, d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
     return JointMeasurementOperators(kind, axes, OperatorTable(ops), ket_axes=ket_axes)
@@ -548,7 +579,7 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     (maps,), axes, _ = _insertions(p, "kd_right", s)
     n, d = p.n_steps, p.dims[0]
     sizes = [len(ax) for ax in axes]
-    later = _backward(p, [_identity_map(d)] + maps[1:])
+    later = _backward(p, [_identity_map(d)] + maps[1:], rows=_last_rows("kd_right", s) if n else None)
     later = later.reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
@@ -627,8 +658,8 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
 def weak_value(a: np.ndarray, pre_state: np.ndarray, post_state: np.ndarray) -> complex:
     """⟨post|A|pre⟩ / ⟨post|pre⟩; refused for orthogonal selections, a non-finite entry or result."""
     a = as_matrix(a)
-    pre = np.asarray(pre_state, dtype=np.complex128).reshape(-1)
-    post = np.asarray(post_state, dtype=np.complex128).reshape(-1)
+    pre = _complex128(np.asarray, pre_state).reshape(-1)
+    post = _complex128(np.asarray, post_state).reshape(-1)
     if a.shape != (pre.size, pre.size) or post.size != pre.size:
         raise ValidationError(f"weak value: operator {a.shape}, pre-selection of {pre.size} and "
                               f"post-selection of {post.size} amplitudes disagree in dimension")

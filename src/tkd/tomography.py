@@ -13,7 +13,8 @@ the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
 
 No call rebuilds an operator that depends on a basis or a dimension alone:
 each `HSBasis` holds its op stack and its insertion maps, and the matrix-unit
-maps of each dimension are built once per process (``_unit_maps``).
+maps of each dimension and their trace rows are built once per process
+(``_unit_maps``, ``_unit_rows``).
 
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
@@ -30,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _hand, _kept, as_matrix, dagger, insertion_maps, is_hermitian,
-                     partial_trace, readonly)
+from .linops import (ValidationError, _hand, _kept, _trace_rows, as_matrix, dagger, insertion_maps,
+                     is_hermitian, partial_trace, readonly)
 from .measurements import HSBasis, hs_basis
 from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
 
@@ -165,7 +166,7 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     _check_schedule(p, bases, "bases")
     sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
     stacks = [[getattr(b, f"{side}_maps") for b in bases] for side in sides]
-    values = _sweep(p, *stacks)
+    values = _sweep(p, *stacks, rows=getattr(bases[-1], f"_{sides[0]}_rows") if len(sides) == 1 else None)
     values = values.real if kind == "mh" else _hand(values)
     return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
                             tol=p.tol)
@@ -221,15 +222,23 @@ def _unit_maps(d: int, side: str) -> np.ndarray:
     return readonly(insertion_maps(side, units))
 
 
+@cache
+def _unit_rows(d: int, side: str) -> np.ndarray:
+    """The trace rows (`linops._trace_rows`) of `_unit_maps`, read-only."""
+    return readonly(_trace_rows(_unit_maps(d, side)))
+
+
 def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
     """Read a state off the forward sweep with matrix units E_cr = |c⟩⟨r|
     inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE'
     (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[r…, c…], so unit (r, c)
     of each time gives that time's (row, column) leg pair. The maps of each
-    (dimension, side) come from `_unit_maps`, built once per process."""
+    (dimension, side) come from `_unit_maps`, and those of one side's last time
+    their trace rows from `_unit_rows`, each built once per process."""
     sides = ["left", "right"] if side == "doubled" else [side]
     stacks = [[_unit_maps(d, s) for d in p.dims] for s in sides]
-    return _matrix(_sweep(p, *stacks), p.dims, len(sides))
+    rows = None if side == "doubled" else _unit_rows(p.dims[-1], side)
+    return _matrix(_sweep(p, *stacks, rows=rows), p.dims, len(sides))
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:

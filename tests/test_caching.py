@@ -90,14 +90,16 @@ def test_held_arrays_are_read_only():
     raw = _raw()
     p, ket, bra, obs = _build(raw)
     c, m, b = p.channels[0], ket[0], tkd.hs_basis(2)
-    units = [tkd.tomography._unit_maps(2, side) for side in ("right", "left", "jordan")]
+    units = [f(2, side) for side in ("right", "left", "jordan")
+             for f in (tkd.tomography._unit_maps, tkd.tomography._unit_rows)]
+    rows = [getattr(x, f"_{side}_rows") for x in (m, b) for side in ("right", "left", "lvn")]
     sizes = tuple(len(x.outcomes) for x in ket)
     layout = [a for unitary in (False, True) for a in tkd.quasiprob._witness_layout(sizes, unitary)]
     joint = [tkd.joint_ops(p, ket).ops, tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra).ops]
     for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0].projectors,
                    obs.ket[0].projectors, b.ops[1], p.rho0, c.superop, m.right_maps,
                    m.left_maps, m.lvn_maps, c.dilation[0], b.stack, b.right_maps, b.left_maps,
-                   b.lvn_maps, *units, *layout, tkd.quasiprob._vec_identity(4),
+                   b.lvn_maps, *units, *rows, *layout, tkd.quasiprob._vec_identity(4),
                    tkd.quasiprob._identity_map(2), *(t.array for t in joint),
                    *(v for t in joint for v in t.values())):
         with pytest.raises(ValueError):
@@ -105,6 +107,27 @@ def test_held_arrays_are_read_only():
     inst = tkd.Instrument([("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, 1.0])])])
     with pytest.raises(ValueError):
         inst.branches[0][1][0][0, 0] = 7.0
+
+
+KERNELS = [(tkd.quasiprob, "_sweep"), (tkd.quasiprob, "_backward"), (tkd.tomography, "_sweep")]
+
+
+@pytest.mark.parametrize("name", ["kd_right", "kd_left", "lvn", "mh", "joint_ops right", "joint_ops left",
+                                  "classicality_witness", "correlators right", "correlators lvn",
+                                  "state kd_right", "state pdo"])
+def test_cached_trace_rows_give_the_bits_of_rows_built_per_call(name, monkeypatch):
+    # one-sided passes fold the final trace into the trace rows their measurement, basis
+    # or dimension built once; a second evaluation on the same objects reads them from
+    # that cache, and both give the bits of kernels that build the rows per call
+    raw = _raw()
+    objs = _build(raw)
+    fn = ENTRY_POINTS[name]
+    first, second = fn(*objs), fn(*objs)
+    for module, kernel in KERNELS:
+        monkeypatch.setattr(module, kernel, lambda p, *stacks, rows=None, f=getattr(module, kernel):
+                            f(p, *stacks))
+    per_call = fn(*_build(raw))
+    assert _same_bits(first, per_call) and _same_bits(second, per_call)
 
 
 def test_hs_basis_is_one_shared_instance():

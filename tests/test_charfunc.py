@@ -278,6 +278,78 @@ def test_container_checks_refuse_without_a_warning(build, message):
         build(axes)
 
 
+HOSTILE = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1e308j]
+_Z = tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes
+
+
+def _distribution_case(kind, at, h):
+    """A 2×2 distribution of 0.25s with ``h`` at ``at``, and the refusal of its total."""
+    values = np.full((2, 2), 0.25, dtype=complex)
+    values[at] = h
+    doubled = kind in tkd.quasiprob.DOUBLED_KINDS
+    build = lambda v: tkd.QuasiDistribution(kind, (_Z, _Z), v, ket_axes=int(doubled))
+    return build, values, f"distribution sums to {complex(0.75 + h)}, not 1"
+
+
+def _correlator_case(kind, at, h):
+    """A two-basis qubit tensor, 1 at the identity entry (0, 0) and 0 elsewhere, with ``h`` at ``at``."""
+    values = np.zeros((4, 4), dtype=complex)
+    values[0, 0] = 1.0
+    values[at] = h
+    build = lambda v: tkd.CorrelatorTensor(kind, (tkd.hs_basis(2),) * 2, v, ket_axes=int(kind == "doubled"))
+    if not np.isfinite(h):
+        return build, values, "correlator values must be finite"
+    if at == (0, 0):
+        return build, values, f"identity correlator is {complex(h)}, not 1"
+    return build, values, f"{kind} correlators must be real" if kind in ("mh", "lvn") and h.imag else None
+
+
+def _state_case(kind, at, h):
+    """The maximally mixed state of one qubit time (two, ket and bra, when doubled) with ``h`` at ``at``."""
+    d = 4 if kind == "kd_doubled" else 2
+    values = np.eye(d, dtype=complex) / d
+    values[at] = h
+    build = lambda v: tkd.TemporalStateOperator(kind, (2,), v)
+    if not np.isfinite(h):
+        return build, values, "state matrix must be finite"
+    if at == (0, 0):
+        return build, values, f"state trace is {complex(h + (d - 1) / d)}, not 1"
+    return build, values, f"{kind} state must be Hermitian" if kind in ("mh", "pdo") else None
+
+
+def _char_case(kind, at, h):
+    """χ on the points 0 and 0.5 with ``h`` at the zero point (at (0, 0)) or at the other (at (0, 1))."""
+    values = np.array([1.0, 0.5], dtype=complex)
+    values[at[1]] = h
+    build = lambda v: tkd.CharSamples(kind, [(0.0,), (0.5,)], v)
+    if not np.isfinite(h):
+        return build, values, "χ values must be finite"
+    return build, values, f"value at the zero point is {np.complex128(h)}, not 1" if at == (0, 0) else None
+
+
+HOSTILE_CONTAINERS = [(case, kind) for case, kinds in [
+    (_distribution_case, tkd.quasiprob.KINDS), (_correlator_case, tkd.tomography.CORRELATOR_KINDS),
+    (_state_case, tkd.tomography.STATE_KINDS), (_char_case, tkd.charfunc.CHAR_KINDS)] for kind in kinds]
+
+
+@pytest.mark.parametrize("case, kind", HOSTILE_CONTAINERS,
+                         ids=[f"{case.__name__[1:-5]} {kind}" for case, kind in HOSTILE_CONTAINERS])
+def test_containers_refuse_hostile_entries_with_their_message_and_no_warning(case, kind):
+    # NaN, ±inf, ±1e308 or 1e308j at a diagonal and an off-diagonal entry, in a caller's
+    # array and in one a pass handed over: each build returns, or names the check it failed
+    for h in HOSTILE:
+        for at in ((0, 0), (0, 1)):
+            build, values, message = case(kind, at, h)
+            for given in (values, tkd.linops._hand(values.copy())):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if message is None:
+                        build(given)
+                    else:
+                        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                            build(given)
+
+
 def test_outcomes_compare_and_hash_by_value_and_label():
     a, b = (tkd.spectral_measurement(np.diag([1.0, -1.0])) for _ in range(2))
     assert a.outcomes == b.outcomes and a.outcomes[0] != a.outcomes[1]

@@ -18,6 +18,40 @@ def test_as_matrix_rejects_non_matrix():
         linops.as_matrix(np.zeros((2, 2, 2)))
 
 
+_Z = tkd.spectral_measurement(np.diag([1.0, -1.0])).outcomes
+# every array entry point meets a caller's entries in as_matrix, _kept or their one conversion first
+ARRAY_ENTRY_POINTS = {
+    "as_matrix": linops.as_matrix,
+    "_kept": linops._kept,
+    "QuantumChannel": lambda m: tkd.QuantumChannel([m]),
+    "MultiTimeProcess": lambda m: tkd.MultiTimeProcess(m),
+    "partial_trace": lambda m: tkd.partial_trace(m, (2,), [0]),
+    "spectral_measurement": tkd.spectral_measurement,
+    "ProjectiveMeasurement": lambda m: tkd.ProjectiveMeasurement(
+        2, [tkd.Outcome(1.0, m, "a"), tkd.Outcome(0.0, np.eye(2), "b")]),
+    "weak_value": lambda m: tkd.weak_value(np.eye(2), m[0], [1, 0]),
+    "QuasiDistribution": lambda m: tkd.QuasiDistribution("kd_right", (_Z, _Z), m),
+    "CorrelatorTensor": lambda m: tkd.CorrelatorTensor("right", (tkd.hs_basis(2),), m[0] + m[1]),
+    "CharSamples": lambda m: tkd.CharSamples("right", [(0.0,), (0.5,), (1.0,), (1.5,)], m[0] + m[1]),
+    "TemporalStateOperator": lambda m: tkd.TemporalStateOperator("kd_right", (2,), m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["x", b"x", np.str_("1+")], ids=["str", "bytes", "numpy str"])
+def test_a_non_numeric_entry_is_a_type_error(entry, bad):
+    # numpy's own refusal is a bare ValueError ("complex() arg is a malformed string")
+    with pytest.raises(TypeError, match=f"^{re.escape(f'expected a numeric entry, got {bad!r}')}$"):
+        ARRAY_ENTRY_POINTS[entry]([[1, bad], [0, 0]])
+
+
+def test_a_ragged_input_keeps_numpy_s_value_error():
+    # a shape fault, not an entry's
+    for convert in (linops.as_matrix, linops._kept):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            convert([[1, 0], [0]])
+
+
 def test_dagger_and_hermitian(pauli):
     assert linops.is_hermitian(pauli["Y"], 0.0)
     a = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])

@@ -41,6 +41,27 @@ def test_spectral_measurement_refuses_an_entry_past_the_half_range():
             tkd.spectral_measurement(h)
     edge = tkd.spectral_measurement(np.diag([HALF_RANGE, 0.5]))
     assert [o.value for o in edge.outcomes] == [0.5, pytest.approx(HALF_RANGE, rel=1e-15)]
+    # a merged group at the edge, whose eigenvalue sum overflows for three members, is
+    # reported at the value of its members (eigh's, as for two, whose sum does not overflow)
+    two, three = (tkd.spectral_measurement(np.diag([HALF_RANGE] * k)) for k in (2, 3))
+    assert [o.value for o in three.outcomes] == [o.value for o in two.outcomes] \
+        == [pytest.approx(HALF_RANGE, rel=1e-15)]
+    assert [v for v, _ in tkd.hermitian_eig(np.diag([-HALF_RANGE] * 3))] \
+        == [-three.outcomes[0].value]
+
+
+def test_a_merged_group_is_reported_at_np_mean_of_its_eigenvalues():
+    # the reference: one eigh per observable, np.mean of each run of equal eigenvalues
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        d = 2 + i % 3
+        u = tkd.haar_unitary(d, rng)
+        h = u @ np.diag(rng.integers(-1, 2, size=d) * rng.choice([1.0, 1e-3, 1e150])) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        vals = np.linalg.eigh(h)[0]
+        edges = [0, *(np.flatnonzero(np.diff(vals) > 1e-8 * max(1.0, abs(vals).max())) + 1), d]
+        m = tkd.spectral_measurement(h, tol=1e-8 * max(1.0, abs(vals).max()))
+        assert [o.value for o in m.outcomes] == [float(np.mean(vals[a:b])) for a, b in zip(edges, edges[1:])]
 
 
 def test_spectral_measurement_merges_degeneracy():
