@@ -154,23 +154,28 @@ def validate_cptp(c: QuantumChannel, tol: float = 1e-9) -> CptpReport:
 
 
 def apply_channel(c: QuantumChannel, x: np.ndarray) -> np.ndarray:
+    """Σ K x K†. A non-finite entry of x, or a product that overflows, passes its inf or NaN
+    through silently."""
     x = as_matrix(x)
     if x.shape != (c.d_in, c.d_in):
         raise ValidationError(f"channel input is {x.shape}, expected {(c.d_in, c.d_in)}")
     out = np.zeros((c.d_out, c.d_out), dtype=np.complex128)
-    for k in c.kraus:
-        out += k @ x @ dagger(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in c.kraus:
+            out += k @ x @ dagger(k)
     return out
 
 
 def adjoint_apply(c: QuantumChannel, x: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint Σ K† x K; unital whenever c is trace preserving."""
+    """Hilbert-Schmidt adjoint Σ K† x K; unital whenever c is trace preserving. A non-finite
+    entry of x, or a product that overflows, passes its inf or NaN through silently."""
     x = as_matrix(x)
     if x.shape != (c.d_out, c.d_out):
         raise ValidationError(f"adjoint input is {x.shape}, expected {(c.d_out, c.d_out)}")
     out = np.zeros((c.d_in, c.d_in), dtype=np.complex128)
-    for k in c.kraus:
-        out += dagger(k) @ x @ k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in c.kraus:
+            out += dagger(k) @ x @ k
     return out
 
 

@@ -4,10 +4,11 @@ Reads JSON process specifications, dispatches the library computations, and
 emits deterministic JSON result documents (complex scalars as [re, im]
 pairs, matrices as row-major nested arrays). Documents are written by
 ``_write``, which gives the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)``: it renders float and complex arrays a block of rows at a
-time into a sink that writes pieces of about 64 kB to stdout or to the ``-o``
-file, so no whole-document string is ever built. Every result is computed
-before the first byte.
+sort_keys=True)``: dicts and lists share one loop, and one list writer
+(``_list_to``) renders every float and complex array, or its flat view, a
+block of about 2,048 floats at a time into a sink that writes pieces of about
+64 kB to stdout or to the ``-o`` file, so no whole-document string is ever
+built. Every result is computed before the first byte.
 Exit codes: 2 for bad usage or an output file that cannot be written, 3 for
 a spec file that does not parse or a ``state``, ``dist``, ``nonclassicality``,
 ``witness`` or ``charfn`` request too large for the machine's physical
@@ -187,31 +188,39 @@ def _texts(a: np.ndarray) -> tuple:
     return text
 
 
+def _list_to(chunks, item_shape: tuple, per: int, level: int, out: _Sink):
+    """The list, '[' at ``level``, of the items along the leading axis of each array of
+    ``chunks`` in turn, each an array of ``item_shape`` as nested lists, with ``per`` floats
+    per entry (2: complex entries as [re, im] pairs); a chunk is rendered at once."""
+    ind = "\n" + "  " * (level + 1)
+    sep = "," + ind
+    item, templates = _template(item_shape + (2,) * (per - 1), level + 1), {}
+    head = "[" + ind
+    for c in chunks:
+        n = len(c)
+        if n:
+            if n not in templates:
+                templates[n] = sep.join([item] * n)
+            out.add(head + templates[n] % _texts(c))
+            head = sep
+    out.append(ind[:-2] + "]" if head == sep else "[]")
+
+
 def _array_to(a: np.ndarray, level: int, out: _Sink):
     """A float64 or complex128 array as nested lists (complex entries as [re, im] pairs),
     '[' at ``level``, rendered a block of about _BLOCK floats at a time."""
-    pair = (2,) if a.dtype == np.complex128 else ()
-    per = 2 if pair else 1  # floats per entry
-    if a.size * per <= _BLOCK:
-        out.add(_template(a.shape + pair, level) % _texts(a))
+    per = 2 if a.dtype == np.complex128 else 1  # floats per entry
+    row = math.prod(a.shape[1:]) * per
+    if row <= _BLOCK:
+        step = _BLOCK // max(row, 1)
+        _list_to((a[s:s + step] for s in range(0, len(a), step)), a.shape[1:], per, level, out)
         return
-    ind = "\n" + "  " * (level + 1)
-    sep = "," + ind
+    ind = "\n" + "  " * (level + 1)  # rows too large for one block: each is an array of its own
     out.append("[" + ind)
-    row = a[0].size * per
-    if row > _BLOCK:  # rows too large for one block: each is an array of its own
-        for i, r in enumerate(a):
-            if i:
-                out.append(sep)
-            _array_to(r, level + 1, out)
-    else:
-        step = _BLOCK // row
-        item = [_template(a.shape[1:] + pair, level + 1)]
-        full = sep.join(item * step)
-        for s in range(0, len(a), step):
-            c = a[s:s + step]
-            block = full if len(c) == step else sep.join(item * len(c))
-            out.add((sep if s else "") + block % _texts(c))
+    for i, r in enumerate(a):
+        if i:
+            out.append("," + ind)
+        _array_to(r, level + 1, out)
     out.append(ind[:-2] + "]")
 
 
@@ -239,24 +248,6 @@ class _Flat:
         self.a = a
 
 
-def _flat_to(a: np.ndarray, level: int, out: _Sink):
-    """`_Flat` ``a``, '[' at ``level``."""
-    if not a.size:
-        out.append("[]")
-        return
-    pair = (2,) if a.dtype == np.complex128 else ()
-    per = 2 if pair else 1  # floats per entry
-    ind = "\n" + "  " * (level + 1)
-    sep = "," + ind
-    item, templates = _template(pair, level + 1), {}
-    out.append("[" + ind)
-    for i, c in enumerate(_pieces(a, _BLOCK // per)):
-        if c.size not in templates:
-            templates[c.size] = sep.join([item] * c.size)
-        out.add((sep if i else "") + templates[c.size] % _texts(c))
-    out.append(ind[:-2] + "]")
-
-
 def _write(o, level: int, out: _Sink):
     """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)`` lays it out
     when its first character sits at nesting ``level``; float64 and complex128
@@ -265,40 +256,29 @@ def _write(o, level: int, out: _Sink):
     text = _SCALARS.get(type(o))
     if text:
         out.append(text(o))
-    elif isinstance(o, dict):
+    elif isinstance(o, (dict, list, tuple)):
+        keyed = isinstance(o, dict)
+        brackets = "{}" if keyed else "[]"
         if not o:
-            out.append("{}")
+            out.append(brackets)
             return
         ind = "\n" + "  " * (level + 1)
-        sep = "{" + ind
-        for k, x in sorted(o.items()):
-            head, text = sep + _json_str(k) + ": ", _SCALARS.get(type(x))
+        sep = brackets[0] + ind
+        for k, x in sorted(o.items()) if keyed else enumerate(o):
+            head = sep + _json_str(k) + ": " if keyed else sep
+            text = _SCALARS.get(type(x))
             if text:
                 out.append(head + text(x))
             else:
                 out.append(head)
                 _write(x, level + 1, out)
             sep = "," + ind
-        out.append(ind[:-2] + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        ind = "\n" + "  " * (level + 1)
-        sep = "[" + ind
-        for x in o:
-            text = _SCALARS.get(type(x))
-            if text:
-                out.append(sep + text(x))
-            else:
-                out.append(sep)
-                _write(x, level + 1, out)
-            sep = "," + ind
-        out.append(ind[:-2] + "]")
+        out.append(ind[:-2] + brackets[1])
     elif isinstance(o, np.ndarray) and o.ndim and o.dtype in _ARRAY_DTYPES:
         _array_to(o, level, out)
     elif isinstance(o, _Flat):
-        _flat_to(o.a, level, out)
+        per = 2 if o.a.dtype == np.complex128 else 1
+        _list_to((c.reshape(-1) for c in _pieces(o.a, _BLOCK // per)), (), per, level, out)
     else:
         base = next((t for t in (str, int, float) if isinstance(o, t)), None)
         if base is None:

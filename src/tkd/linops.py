@@ -40,32 +40,32 @@ def _require(ok: bool, message: str):
         raise ValidationError(message)
 
 
-def _unreadable(a):
-    """The first str or bytes entry of ``a`` (nested lists, tuples or arrays) that numpy
-    cannot read as a complex number, or None."""
+def _text_entry(a):
+    """The first str or bytes entry of ``a`` (nested lists, tuples or arrays), or None."""
     if isinstance(a, (str, bytes)):
-        try:
-            np.array(a, dtype=np.complex128)
-        except ValueError:
-            return a
-    elif isinstance(a, (list, tuple)) or (isinstance(a, np.ndarray) and a.dtype.kind in "OSU"):
+        return a
+    if isinstance(a, (list, tuple)) or (isinstance(a, np.ndarray) and a.dtype.kind in "OSU"):
         for x in (a.ravel() if isinstance(a, np.ndarray) else a):
-            bad = _unreadable(x)
+            bad = _text_entry(x)
             if bad is not None:
                 return bad
     return None
 
 
 def _complex128(convert, a) -> np.ndarray:
-    """``convert(a, dtype=complex128)``, np.asarray or np.array; an entry numpy cannot read as
-    a number raises TypeError, not numpy's bare ValueError."""
+    """``convert(a, dtype=complex128)``, np.asarray or np.array. A str or bytes entry raises
+    TypeError, even one that spells a number, such as "1", which numpy would read as one; a
+    numeric ndarray is converted as it is, with no probe and no extra copy."""
     try:
-        return convert(a, dtype=np.complex128)
-    except ValueError:
-        bad = _unreadable(a)
-        if bad is None:
-            raise
-    raise TypeError(f"expected a numeric entry, got {bad!r}")
+        b = a if isinstance(a, np.ndarray) else np.asarray(a)
+    except ValueError:  # a ragged nesting: numpy's own error, unless a text entry comes first
+        b = None
+    if b is None or b.dtype.kind in "OSU":
+        bad = _text_entry(a)
+        if bad is not None:
+            raise TypeError(f"expected a numeric entry, got {bad!r}")
+        b = a
+    return convert(b, dtype=np.complex128)
 
 
 def as_matrix(a) -> np.ndarray:

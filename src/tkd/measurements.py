@@ -18,9 +18,11 @@ stack, checked as a stack: a `ProjectiveMeasurement` keeps it as
 `HSBasis` as `stack`, its `ops` being those views. The constructors copy the
 operators they are given into that stack; a stack that `_spectral` or
 `product_measurement` has just built is handed over (`linops._hand`) and held
-without a copy. Each builds its right, left and lvn insertion maps once, on
-first use, and the trace rows of each (`_right_rows`, ...), so neither a
-distribution pass nor correlator tomography rebuilds any of them per call.
+without a copy. A measurement checks its stack in one place (`_hold`), whichever
+way it is built. One mixin (`_Insertions`) builds the right, left and lvn
+insertion maps of either stack once, on first use, and the trace rows of each
+(`_right_rows`, ...), so neither a distribution pass nor correlator tomography
+rebuilds any of them per call; a basis overrides only its lvn maps.
 `hs_basis(d)` returns one shared basis per d.
 """
 
@@ -98,22 +100,22 @@ def _defects(stack: np.ndarray, sizes: Sequence[int]):
             yield pair if same is None else pair[same[s:e]]
 
 
-def _check_in_order(dim: int, outcomes: tuple[Outcome, ...], mats: list[np.ndarray], tol: float):
+def _check_in_order(dim: int, labels: Sequence[Hashable], mats: Sequence[np.ndarray], tol: float):
     """The checks one outcome or pair at a time, raising the first that fails: each outcome's
     shape, then whether it is a Hermitian projector, in outcome order; then the sum; then
     each pair in itertools.combinations order."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
-        for o, p in zip(outcomes, mats):
+        for label, p in zip(labels, mats):
             if p.shape != (dim, dim):
                 as_matrix(p)  # refuses a missing projector as not a matrix
                 raise ValidationError("projector shape does not match measurement dim")
             if not (is_hermitian(p, tol) and max_abs(p @ p - p) <= tol):
-                raise ValidationError(f"outcome {o.label!r}: not a Hermitian projector")
+                raise ValidationError(f"outcome {label!r}: not a Hermitian projector")
         if not max_abs(sum(mats) - np.eye(dim)) <= tol:
             raise ValidationError("projectors do not sum to the identity")
-        for (a, pa), (b, pb) in itertools.combinations(zip(outcomes, mats), 2):
+        for (a, pa), (b, pb) in itertools.combinations(zip(labels, mats), 2):
             if not max_abs(pa @ pb) <= tol:
-                raise ValidationError(f"projectors {a.label!r} and {b.label!r} overlap")
+                raise ValidationError(f"projectors {a!r} and {b!r} overlap")
 
 
 def _passes(stack: np.ndarray, sizes: Sequence[int], tol: float) -> bool:
@@ -122,10 +124,28 @@ def _passes(stack: np.ndarray, sizes: Sequence[int], tol: float) -> bool:
         return all(max_abs(x) <= tol for x in _defects(stack, sizes))
 
 
-class _TraceRows:
-    """The trace rows (`linops._trace_rows`) of an owner's right, left and lvn insertion maps,
-    each built once, on first use, read-only: a sweep whose last maps they are folds its
-    final trace into them."""
+class _Insertions:
+    """The right, left and lvn insertion maps of an owner's read-only (m, d, d) stack of
+    operators a_i, the field ``_stack_field`` names (a measurement's `projectors`, a basis's
+    `stack`), and the trace rows (`linops._trace_rows`) of each: each built once, on first
+    use, read-only. A sweep whose last maps they are folds its final trace into the rows."""
+
+    _stack_field: str
+
+    @cached_property
+    def right_maps(self) -> np.ndarray:
+        """Bra-side insertions x ↦ x·a_i as an (m, d², d²) stack (see `insertion_maps`)."""
+        return readonly(insertion_maps("right", getattr(self, self._stack_field)))
+
+    @cached_property
+    def left_maps(self) -> np.ndarray:
+        """Ket-side insertions x ↦ a_i·x."""
+        return readonly(insertion_maps("left", getattr(self, self._stack_field)))
+
+    @cached_property
+    def lvn_maps(self) -> np.ndarray:
+        """Collapse insertions x ↦ a_i·x·a_i."""
+        return readonly(insertion_maps("lvn", getattr(self, self._stack_field)))
 
     @cached_property
     def _right_rows(self) -> np.ndarray:
@@ -141,7 +161,7 @@ class _TraceRows:
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement(_TraceRows):
+class ProjectiveMeasurement(_Insertions):
     """Outcomes whose projectors are Hermitian, idempotent, mutually orthogonal
     and sum to the identity, each within ``tol``; ``projectors`` is their
     read-only (m, d, d) stack in outcome order, a copy of the projectors given,
@@ -150,6 +170,7 @@ class ProjectiveMeasurement(_TraceRows):
     dim: int
     outcomes: tuple[Outcome, ...]
     projectors: np.ndarray = field(repr=False)
+    _stack_field = "projectors"
 
     def __init__(self, dim: int, outcomes: Sequence[Outcome], tol: float = 1e-9):
         outcomes = tuple(outcomes)
@@ -159,30 +180,28 @@ class ProjectiveMeasurement(_TraceRows):
         if len(set(labels)) != len(labels):
             raise ValidationError(f"outcome labels are not distinct: {labels}")
         mats = [_complex128(np.asarray, o.projector) for o in outcomes]
-        stack = np.array(mats) if all(p.shape == (dim, dim) for p in mats) else None
-        # every check at once over the stack; only when one fails are they run in order, to name it
-        if stack is None or not _passes(stack, [len(stack)], tol):
-            _check_in_order(dim, outcomes, mats, tol)
-        self._hold(readonly(stack), [o.value for o in outcomes], labels)
+        if any(p.shape != (dim, dim) for p in mats):  # no stack: the first fault in outcome order
+            _check_in_order(dim, labels, mats, tol)
+        self._hold(_hand(np.array(mats)), [o.value for o in outcomes], labels, tol)
 
     @classmethod
     def _of(cls, stack: np.ndarray, values: Sequence[float], labels: Sequence[Hashable],
             tol: float | None) -> ProjectiveMeasurement:
         """The measurement whose outcome i has ``values[i]``, ``labels[i]`` (distinct, which
-        the caller ensures) and row i of ``stack`` as its projector. A stack a pass handed
-        over (`linops._hand`) is held without a copy, any other copied (`linops._kept`).
-        It is checked at ``tol`` as the constructor checks, or, for None, not at all: only
-        a caller that has just checked the stack, as `_spectral` does, passes None."""
-        stack = _kept(stack)
+        the caller ensures) and row i of ``stack`` as its projector (see `_hold`)."""
         m = object.__new__(cls)
-        if tol is not None and not _passes(stack, [len(stack)], tol):
-            outcomes = tuple(Outcome(v, None, label) for v, label in zip(values, labels))
-            _check_in_order(stack.shape[-1], outcomes, list(stack), tol)
-        m._hold(stack, values, labels)
+        m._hold(stack, values, labels, tol)
         return m
 
-    def _hold(self, stack: np.ndarray, values, labels):
-        """Hold the read-only ``stack`` as ``projectors``, and the outcomes its rows are."""
+    def _hold(self, stack: np.ndarray, values, labels, tol: float | None):
+        """Check ``stack`` at ``tol`` and hold it as ``projectors``, and the outcomes its rows
+        are. A stack a pass handed over (`linops._hand`) is held without a copy, any other
+        copied (`linops._kept`). Every check runs at once over the stack; only when one
+        fails are they run in order, to name it. For ``tol`` None nothing is checked: only
+        a caller that has just checked the stack, as `_spectral` does, passes None."""
+        stack = _kept(stack)
+        if tol is not None and not _passes(stack, [len(stack)], tol):
+            _check_in_order(stack.shape[-1], labels, stack, tol)
         object.__setattr__(self, "dim", stack.shape[-1])
         object.__setattr__(self, "projectors", stack)
         object.__setattr__(self, "outcomes", tuple(map(Outcome, values, stack, labels)))
@@ -190,21 +209,6 @@ class ProjectiveMeasurement(_TraceRows):
     def observable(self) -> np.ndarray:
         """Σ value·projector."""
         return sum(o.value * o.projector for o in self.outcomes)
-
-    @cached_property
-    def right_maps(self) -> np.ndarray:
-        """Bra-side insertions x ↦ xΠ_b as an (m, d², d²) stack (see `insertion_maps`)."""
-        return readonly(insertion_maps("right", self.projectors))
-
-    @cached_property
-    def left_maps(self) -> np.ndarray:
-        """Ket-side insertions x ↦ Π_b x."""
-        return readonly(insertion_maps("left", self.projectors))
-
-    @cached_property
-    def lvn_maps(self) -> np.ndarray:
-        """Collapse insertions x ↦ Π_b x Π_b."""
-        return readonly(insertion_maps("lvn", self.projectors))
 
 
 def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
@@ -279,13 +283,14 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
 
 
 @dataclass(frozen=True, eq=False)
-class HSBasis(_TraceRows):
+class HSBasis(_Insertions):
     """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν, each within
     ``tol``; ``stack`` is a read-only (d², d, d) copy of the ops given, and ``ops`` its row views."""
 
     dim: int
     ops: tuple[np.ndarray, ...]
     stack: np.ndarray = field(repr=False)
+    _stack_field = "stack"
 
     def __init__(self, dim: int, ops: Sequence[np.ndarray], tol: float = 1e-9):
         mats = [as_matrix(o) for o in ops]
@@ -312,16 +317,6 @@ class HSBasis(_TraceRows):
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "ops", tuple(stack))
         object.__setattr__(self, "stack", stack)
-
-    @cached_property
-    def right_maps(self) -> np.ndarray:
-        """Bra-side insertions x ↦ xσ as a (d², d², d²) stack (see `insertion_maps`)."""
-        return readonly(insertion_maps("right", self.stack))
-
-    @cached_property
-    def left_maps(self) -> np.ndarray:
-        """Ket-side insertions x ↦ σx."""
-        return readonly(insertion_maps("left", self.stack))
 
     @cached_property
     def lvn_maps(self) -> np.ndarray:

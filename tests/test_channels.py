@@ -86,6 +86,23 @@ def test_apply_shape_errors():
         tkd.adjoint_apply(c, np.eye(3))
 
 
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("u", [np.eye(2), HADAMARD], ids=["identity", "hadamard"])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+def test_apply_passes_non_finite_input_through_without_a_warning(u, at, entry):
+    # RuntimeWarnings are errors in tier-1: a warning fails the call
+    c = tkd.QuantumChannel([u])
+    x = np.eye(2, dtype=np.complex128)
+    x[at] = entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = {tkd.apply_channel: u @ x @ u.T, tkd.adjoint_apply: u.T @ x @ u}
+    for apply, out in want.items():
+        np.testing.assert_array_equal(apply(c, x), out)
+
+
 def test_compose_matches_sequential():
     a = rect_channel(2, 3, seed=1)
     b = rect_channel(3, 2, seed=2)

@@ -591,6 +591,28 @@ def test_first_refusal_in_spec_order_is_named(tmp_path, capsys, entries, code, m
     assert capsys.readouterr().err == message
 
 
+QUTRIT_ZERO = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+SHEARED_QUTRIT = [[[1, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("middle, message", [
+    ({"projectors": [{"matrix": QUTRIT_ZERO}]},
+     "tkd: validation error: schedules.default[1].projectors: projectors do not sum to the identity\n"),
+    ({"observable": SHEARED_QUTRIT},
+     "tkd: validation error: schedules.default[1].observable: not Hermitian within 1e-09\n"),
+], ids=["incomplete qutrit projectors", "non-Hermitian qutrit observable"])
+def test_first_refusal_in_spec_order_is_named_across_dimensions(tmp_path, capsys, middle, message):
+    # a 2 -> 3 -> 2 chain: the qutrit entry at t1 is refused before the sheared qubit one at t2,
+    # though the observables of each dimension are decomposed as a stack of their own
+    spec = probe_spec(dims=[2, 3, 2], channels=[{"kind": "replacement", "omega": QUTRIT_ZERO, "d_in": 2},
+                                                {"kind": "replacement", "omega": ZERO_STATE, "d_in": 3}],
+                      schedules={"default": [{"observable": Z}, middle, {"observable": SHEARED_OBSERVABLE}]})
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec))
+    assert run_command(["validate", str(path)]) == 4
+    assert capsys.readouterr().err == message
+
+
 def test_exit_code_validation(tmp_path, capsys):
     spec = probe_spec(channels=[{"kind": "kraus",
                                  "operators": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}])
@@ -903,7 +925,8 @@ def test_flat_values_render_as_their_reshape_without_a_copy(monkeypatch):
     doubled = cube.transpose(*range(5, 10), *range(5))
     writes = []
     monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, t: writes.append(t)})())
-    for a in (doubled, cube, cube.real.T, doubled[:2, 0, :2], cube[(0,) * 9 + (slice(1),)], np.zeros((2, 0))):
+    edges = (rng.normal(size=tkd.cli._BLOCK + 1), cube.reshape(-1)[:tkd.cli._BLOCK // 2])  # where a second chunk starts
+    for a in (doubled, cube, cube.real.T, doubled[:2, 0, :2], cube[(0,) * 9 + (slice(1),)], np.zeros((2, 0)), *edges):
         writes.clear()
         assert _emit({"values": tkd.cli._Flat(a)}, None) == 0
         want = json.dumps({"values": _as_pairs(a.reshape(-1))}, indent=2, sort_keys=True) + "\n"

@@ -38,11 +38,20 @@ ARRAY_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
-@pytest.mark.parametrize("bad", ["x", b"x", np.str_("1+")], ids=["str", "bytes", "numpy str"])
+@pytest.mark.parametrize("bad", ["x", b"x", np.str_("1+"), "1", b"1", np.str_("1")],
+                         ids=["str", "bytes", "numpy str", "numeric str", "numeric bytes", "numeric numpy str"])
 def test_a_non_numeric_entry_is_a_type_error(entry, bad):
-    # numpy's own refusal is a bare ValueError ("complex() arg is a malformed string")
+    # numpy's own refusal is a bare ValueError ("complex() arg is a malformed string"),
+    # and a string that spells a number, such as "1", numpy reads as that number
     with pytest.raises(TypeError, match=f"^{re.escape(f'expected a numeric entry, got {bad!r}')}$"):
         ARRAY_ENTRY_POINTS[entry]([[1, bad], [0, 0]])
+
+
+def test_a_numeric_array_converts_as_it_is():
+    c = np.eye(2, dtype=np.complex128)
+    assert linops.as_matrix(c) is c  # held as it is, not copied
+    for a in (np.eye(2), np.eye(2, dtype=int), np.array([[1, 0], [0, 1]], dtype=object), [[1, 0j], [0, 1.0]]):
+        assert np.array_equal(linops.as_matrix(a), c)
 
 
 def test_a_ragged_input_keeps_numpy_s_value_error():
