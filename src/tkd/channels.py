@@ -264,34 +264,34 @@ def build_channel(kind: str, tol: float = 1e-9, **params) -> QuantumChannel:
         d_in = int(params.get("d_in", omega.shape[0]))
         if d_in < 1:
             raise ValidationError(f"build_channel: d_in {d_in} is not positive")
-        return QuantumChannel(_measure_prepare(np.eye(d_in), omega))
+        return QuantumChannel(_measure_prepare(np.eye(d_in), omega, tol))
     if kind == "measure_replace":
         instrument: Instrument = need("instrument")
         outputs = [_in_field(("outputs", k), check_density, w, tol) for k, w in enumerate(need("outputs"))]
         if len(outputs) != len(instrument.branches):
             raise ValidationError("one output state per instrument branch is required")
         return QuantumChannel([k for idx, omega in enumerate(outputs)
-                               for k in _measure_prepare(instrument.effect(idx), omega)])
+                               for k in _measure_prepare(instrument.effect(idx), omega, instrument.tol)])
     if kind == "depolarizing":
         p = float(need("p"))
         d = int(need("d"))
         _in_field(("p",), _require, 0.0 <= p <= 1.0, f"depolarizing strength {p} outside [0, 1]")
         if d < 1:
             raise ValidationError(f"build_channel: d {d} is not positive")
-        replacement = QuantumChannel(_measure_prepare(np.eye(d), np.eye(d) / d))
+        replacement = QuantumChannel(_measure_prepare(np.eye(d), np.eye(d) / d, tol))
         return mix_channels(identity_channel(d), replacement, 1.0 - p)
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
-def _measure_prepare(effect: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
+def _measure_prepare(effect: np.ndarray, omega: np.ndarray, tol: float) -> list[np.ndarray]:
     """Kraus operators √(f·λ)|w⟩⟨v| of x ↦ Tr(F x)·ω over the spectra (f, v)
-    of the effect F and (λ, w) of the output ω, effect eigenvectors first;
-    zero weights drop out. Each eigenvector has its own operator, so a
-    degenerate spectrum needs no clustering."""
+    of the effect F, positive within ``tol``, and (λ, w) of the output ω, effect
+    eigenvectors first; zero weights drop out. Each eigenvector has its own
+    operator, so a degenerate spectrum needs no clustering."""
     lams, wvecs = np.linalg.eigh(omega)
     prepared = [(lam, w) for lam, w in zip(lams, wvecs.T) if lam > 1e-14]
     fs, vvecs = np.linalg.eigh(effect)
-    if fs[0] < -1e-9:
+    if fs[0] < -tol:
         raise ValidationError("instrument effect has a negative eigenvalue")
     ops = []
     for f, v in zip(fs, vvecs.T):
@@ -300,6 +300,7 @@ def _measure_prepare(effect: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
     return ops
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trace or spectrum that overflows is refused, silently
 def check_density(omega, tol: float = 1e-9) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity (all within tol)."""
     omega = as_matrix(omega)

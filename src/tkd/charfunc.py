@@ -43,9 +43,9 @@ CHAR_KINDS = ("right", "left", "doubled")
 class ObservableSchedule:
     """The projective measurements χ inserts per time, built once here: bra
     side (B_k, right-hand phases), ket side (A_k, left-hand phases), or both
-    for the doubled kind. An observable Hermitian within ``tol`` becomes the
-    spectral measurement of its Hermitian part (one past half the float range
-    is refused). A `ProjectiveMeasurement` is kept as given, whatever the order
+    for the doubled kind. An observable Hermitian within ``tol`` becomes its
+    `spectral_measurement` at ``tol`` (one past half the float range is
+    refused). A `ProjectiveMeasurement` is kept as given, whatever the order
     of its values and whether any repeat: the phase gates sum its projectors."""
 
     ket: tuple[ProjectiveMeasurement, ...] | None = None

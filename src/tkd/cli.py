@@ -248,10 +248,22 @@ class _Flat:
         self.a = a
 
 
+def _key_text(k) -> str:
+    """A dict key as `json.dumps` writes it: a str as itself, an int, float, bool or None key
+    as the JSON string of its scalar's text, such as "1" or "true"."""
+    if isinstance(k, str):
+        return _json_str(k)
+    base = type(k) if type(k) in _SCALARS else next((t for t in (int, float) if isinstance(k, t)), None)
+    if base is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return f'"{_SCALARS[base](k)}"'
+
+
 def _write(o, level: int, out: _Sink):
     """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)`` lays it out
     when its first character sits at nesting ``level``; float64 and complex128
-    ``np.ndarray`` leaves (ndim ≥ 1) are nested lists, complex entries [re, im] pairs.
+    ``np.ndarray`` leaves (ndim ≥ 1) are nested lists, complex entries [re, im] pairs, and
+    dict keys are written as `_key_text` states.
     A scalar inside a list or dict goes out in line, without a call of its own."""
     text = _SCALARS.get(type(o))
     if text:
@@ -265,7 +277,7 @@ def _write(o, level: int, out: _Sink):
         ind = "\n" + "  " * (level + 1)
         sep = brackets[0] + ind
         for k, x in sorted(o.items()) if keyed else enumerate(o):
-            head = sep + _json_str(k) + ": " if keyed else sep
+            head = sep + _key_text(k) + ": " if keyed else sep
             text = _SCALARS.get(type(x))
             if text:
                 out.append(head + text(x))

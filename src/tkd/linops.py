@@ -157,12 +157,16 @@ def check_half_range(h: np.ndarray, where: str) -> None:
                               "or imaginary part, so (h + h†)/2 overflows")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a ⊗ b; an inf or NaN entry, or a product that overflows, passes through silently."""
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """⊗ of factors left to right; the single-factor chain is a copy."""
+    """⊗ of factors left to right, passing inf or NaN through as `kron` does; the
+    single-factor chain is a copy."""
     if not len(factors):
         raise ValidationError("empty kron chain")
     out = as_matrix(factors[0]).copy()
@@ -247,8 +251,10 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndar
     return [(val, vecs[:, a:b]) for val, a, b in _clusters(vals[None], tol)[0]]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def embed_operator(op: np.ndarray, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Pad ``op`` with identities so it acts on the factors listed in ``sites``.
+    """Pad ``op`` with identities so it acts on the factors listed in ``sites``; an inf or NaN
+    entry of ``op`` passes through silently, as in `kron`.
 
     ``op`` must be factored as ⊗_{s in sites} H_s in the given site order;
     the sites need not be adjacent. Realized as op ⊗ I followed by a

@@ -211,20 +211,18 @@ class ProjectiveMeasurement(_Insertions):
         return sum(o.value * o.projector for o in self.outcomes)
 
 
-def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
-              merge: float = 1e-8) -> list[ProjectiveMeasurement]:
-    """The spectral measurement of each observable of the (n, d, d) stack ``h``, all at once.
+def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float) -> list[ProjectiveMeasurement]:
+    """The spectral measurement of each observable of the (n, d, d) stack ``h``, all at once,
+    with its Hermiticity and projector checks and its merge at ``tol``.
 
-    Each observable must have no entry past the half range (`check_half_range`) and be
-    Hermitian within ``tol``; else the first that is not, in stack order, is refused in a
-    message that begins with its entry of ``wheres``. Its Hermitian part (h + h†)/2, h itself
-    bit for bit when h is exactly Hermitian, is decomposed by one batched ``eigh``;
-    eigenvalues merge as `linops._clusters` groups them at ``merge``, and each group's value
-    is its outcome's value and label. The rank-1 projectors of the whole stack are one
-    batched product of column by row, and a group of higher rank has its own V·V†: the
-    projectors are those of a decomposition one observable at a time, bit for bit. They are
-    checked as one stack, at the 1e-9 of the `ProjectiveMeasurement` constructor, and each
-    measurement holds its rows of it.
+    An observable with an entry past the half range (`check_half_range`), or not Hermitian,
+    is refused, the first in stack order, in a message that begins with its entry of
+    ``wheres``. The Hermitian parts (h + h†)/2, h itself bit for bit when exactly Hermitian,
+    are decomposed by one batched ``eigh``; eigenvalues merge as `linops._clusters` groups
+    them, each group's value being its outcome's value and label. The rank-1 projectors are
+    one batched product of column by row and a merged group has its own V·V†, so they are
+    the projectors of one decomposition at a time, bit for bit. They are checked as one
+    stack, and each measurement holds its rows of it.
     """
     n, d = len(h), h.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
@@ -238,7 +236,7 @@ def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
     if not d:
         raise ValidationError("measurement needs at least one outcome")
     vals, vecs = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2)
-    groups = _clusters(vals, merge)
+    groups = _clusters(vals, tol)
     cols = vecs.transpose(0, 2, 1).reshape(n * d, d)
     stack = cols[:, :, None] @ cols.conj()[:, None, :]  # the rank-1 projector of every eigenvector
     if sum(map(len, groups)) < n * d:  # a merged group's V·V† takes the place of its vectors' projectors
@@ -246,7 +244,7 @@ def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
                           for i, g in enumerate(groups) for _, a, b in g])
     stack = (stack + stack.conj().transpose(0, 2, 1)) / 2
     sizes = [len(g) for g in groups]
-    checked = None if _passes(stack, sizes, 1e-9) else 1e-9  # else each is checked, and the first fault named
+    checked = None if _passes(stack, sizes, tol) else tol  # else each is checked, and the first fault named
     stack, out = _hand(stack), []
     for s, g in zip(itertools.accumulate([0, *sizes]), groups):
         values = [v for v, _, _ in g]
@@ -255,10 +253,10 @@ def _spectral(h: np.ndarray, wheres: Sequence[str], tol: float,
 
 
 def spectral_measurement(observable: np.ndarray, tol: float = 1e-8) -> ProjectiveMeasurement:
-    """Measurement of an observable Hermitian within ``tol``, `_spectral` of a stack of one;
-    eigenvalues within ``tol`` merge. An entry past the half range is refused, as
-    `check_half_range` states."""
-    return _spectral(as_matrix(observable)[None], ["observable"], tol, merge=tol)[0]
+    """Measurement of an observable Hermitian within ``tol``, `_spectral` of a stack of one:
+    eigenvalues within ``tol`` merge, and its projectors are checked at ``tol``. An entry past
+    the half range is refused, as `check_half_range` states."""
+    return _spectral(as_matrix(observable)[None], ["observable"], tol)[0]
 
 
 def product_measurement(locals_: Sequence[ProjectiveMeasurement],
@@ -285,11 +283,13 @@ def product_measurement(locals_: Sequence[ProjectiveMeasurement],
 @dataclass(frozen=True, eq=False)
 class HSBasis(_Insertions):
     """Hermitian operator basis: ops[0] = I, the rest traceless, Tr(σμσν) = d·δμν, each within
-    ``tol``; ``stack`` is a read-only (d², d, d) copy of the ops given, and ``ops`` its row views."""
+    ``tol``, which it keeps for its `lvn_maps` and `rotate_basis`; ``stack`` is a read-only
+    (d², d, d) copy of the ops given, and ``ops`` its row views."""
 
     dim: int
     ops: tuple[np.ndarray, ...]
     stack: np.ndarray = field(repr=False)
+    tol: float
     _stack_field = "stack"
 
     def __init__(self, dim: int, ops: Sequence[np.ndarray], tol: float = 1e-9):
@@ -317,13 +317,13 @@ class HSBasis(_Insertions):
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "ops", tuple(stack))
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "tol", tol)
 
     @cached_property
     def lvn_maps(self) -> np.ndarray:
-        """Value-weighted collapses x ↦ Σ_a a·Π_a x Π_a over the spectral
-        projectors of each σ, one map per basis element (not per outcome, as
-        `ProjectiveMeasurement.lvn_maps` has it)."""
-        meas = _spectral(self.stack, ["observable"] * len(self.stack), 1e-8)
+        """Value-weighted collapses x ↦ Σ_a a·Π_a x Π_a over the spectral projectors of each σ
+        at ``tol``, one map per basis element (not per outcome, as `ProjectiveMeasurement` has)."""
+        meas = _spectral(self.stack, ["observable"] * len(self.stack), self.tol)
         return readonly(np.stack([np.tensordot([o.value for o in m.outcomes], m.lvn_maps, 1)
                                   for m in meas]))
 
@@ -362,12 +362,12 @@ def hs_basis(d: int) -> HSBasis:
 
 
 def rotate_basis(basis: HSBasis, u: np.ndarray) -> HSBasis:
-    """Conjugate every basis element by a unitary; orthogonality is preserved."""
+    """Conjugate every element by u, unitary within the basis's ``tol``, into a basis at that tol."""
     u = as_matrix(u)
     if u.shape != (basis.dim, basis.dim):
         raise ValidationError(f"rotate_basis: u has shape {u.shape}, expected {(basis.dim, basis.dim)}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails, silently
-        unitary = max_abs(dagger(u) @ u - np.eye(basis.dim)) <= 1e-9
+        unitary = max_abs(dagger(u) @ u - np.eye(basis.dim)) <= basis.tol
     if not unitary:
         raise ValidationError("rotate_basis needs a unitary")
-    return HSBasis(basis.dim, [u @ o @ dagger(u) for o in basis.ops])
+    return HSBasis(basis.dim, [u @ o @ dagger(u) for o in basis.ops], basis.tol)

@@ -288,6 +288,29 @@ def test_every_command_evaluates_at_the_spec_tolerance(tmp_path, capsys, argv, s
         assert doc["characteristic"]["inversion_round_trip_defect"] <= 1e-12
 
 
+SPLIT = np.diag([1.0, 1.0 + 5e-7])  # two eigenvalues 5e-7 apart: one outcome at 1e-6, two at 1e-9
+
+
+def _validated_outcomes(tmp_path, capsys, tol) -> int:
+    entry = {"observable": [[[float(x), 0.0] for x in row] for row in SPLIT.real]}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(probe_spec(schedules={"split": [entry] * 2}, options={"tolerance": tol})))
+    counts = {t["outcomes"] for t in run_json(capsys, ["validate", str(path)])["schedules"]["split"]}
+    assert len(counts) == 1
+    return counts.pop()
+
+
+@pytest.mark.parametrize("tol, outcomes", [(1e-6, 1), (1e-9, 2)])
+@pytest.mark.parametrize("entry", ["spectral_measurement", "ObservableSchedule", "tkd validate"])
+def test_entry_points_merge_eigenvalues_at_the_one_tolerance(tmp_path, capsys, entry, tol, outcomes):
+    count = {
+        "spectral_measurement": lambda: len(tkd.spectral_measurement(SPLIT, tol).outcomes),
+        "ObservableSchedule": lambda: len(tkd.ObservableSchedule(bra=(SPLIT,), tol=tol).bra[0].outcomes),
+        "tkd validate": lambda: _validated_outcomes(tmp_path, capsys, tol),
+    }[entry]()
+    assert count == outcomes
+
+
 @pytest.mark.parametrize("kind, point", [("right", "0.7,1.3"), ("left", "0.7,1.3"),
                                          ("doubled", "0.7,1.3,0.2,0.9")])
 def test_circuit_sim_inserts_the_projectors_as_given(tmp_path, capsys, kind, point):
@@ -355,6 +378,33 @@ def test_entry_that_overflows_a_check_is_refused_without_a_warning(tmp_path, cap
         warnings.simplefilter("error")
         assert run_command(["validate", str(path)]) == 4
     assert capsys.readouterr().err == f"tkd: validation error: {message}\n"
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("entry", [FLOAT_MAX, -FLOAT_MAX, int(FLOAT_MAX)], ids=["float", "negative", "int"])
+@pytest.mark.parametrize("field, message", [
+    ("initial_state", "initial_state: state trace differs from 1"),
+    ("u", "channels[0].u: build_channel: u is not unitary within tol"),
+])
+def test_an_entry_at_the_float_maximum_is_read_then_refused_by_its_check(tmp_path, capsys, monkeypatch,
+                                                                        entry, field, message):
+    # the one conversion takes entries below the float maximum only: one of exactly ±max is
+    # read by the walk, entry by entry, and the numerical check of its field refuses it
+    walked = []
+    walk = tkd.cli._walk_matrix
+    monkeypatch.setattr(tkd.cli, "_walk_matrix", lambda obj, where: walked.append(walk(obj, where)) or walked[-1])
+    matrix = [[[entry, 0], [0, 0]], [[0, 0], [0, 0]]]
+    extra = {"initial_state": matrix} if field == "initial_state" else \
+        {"channels": [{"kind": "unitary", "u": matrix}]}
+    path = tmp_path / "max.json"
+    path.write_text(json.dumps(probe_spec(**extra)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(["validate", str(path)]) == 4
+    assert capsys.readouterr().err == f"tkd: validation error: {message}\n"
+    assert [w[0, 0] for w in walked] == [float(entry)]
 
 
 def test_observable_at_half_the_float_range_is_accepted(tmp_path, capsys):
@@ -876,10 +926,18 @@ def test_emit_matches_stdlib_indent_encoder(capsys):
         "scalars": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308,
                     np.float64(0.1), 10 ** 20, -3, 0],
         "none": None,
+        # keys that are not strings: json.dumps writes the text of each as a string
+        "int keys": {1: 2, -3: [4], 10 ** 20: None, 0: {}},
+        "float keys": {0.5: 1, float("inf"): 2, -float("inf"): 3, -0.0: 4, 1e308: 5, np.float64(0.1): 6},
+        "bool keys": {True: "t", False: "f"},
+        "none key": {None: 0},
+        "mixed numeric keys": {2: "a", 1.5: "b", False: "c"},
     }
     assert _emit(doc, None) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(_as_pairs(doc), indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None, not tuple$"):
+        _emit({(1, 2): 0}, None)
 
 
 def _assert_same_text(got: str, want: str):

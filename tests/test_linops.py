@@ -61,6 +61,60 @@ def test_a_ragged_input_keeps_numpy_s_value_error():
             convert([[1, 0], [0]])
 
 
+# the public constructors and functions that take a matrix, each fed one hostile 2×2 input
+MATRIX_ENTRY_POINTS = {
+    "QuantumChannel": lambda m: tkd.QuantumChannel([m]),
+    "apply_channel": lambda m: tkd.apply_channel(tkd.identity_channel(2), m),
+    "adjoint_apply": lambda m: tkd.adjoint_apply(tkd.identity_channel(2), m),
+    "build_channel": lambda m: tkd.build_channel("unitary", u=m),
+    "Instrument": lambda m: tkd.Instrument([("a", [m])]),
+    "check_density": tkd.check_density,
+    "MultiTimeProcess": tkd.MultiTimeProcess,
+    "partial_trace": lambda m: tkd.partial_trace(m, (2,), [0]),
+    "kron": lambda m: tkd.kron(m, np.eye(2)),
+    "embed_operator": lambda m: tkd.embed_operator(m, [1], (2, 2)),
+    "hermitian_eig": tkd.hermitian_eig,
+    "spectral_measurement": tkd.spectral_measurement,
+    "ProjectiveMeasurement": lambda m: tkd.ProjectiveMeasurement(
+        2, [tkd.Outcome(1.0, m, "a"), tkd.Outcome(0.0, np.eye(2), "b")]),
+    "HSBasis": lambda m: tkd.HSBasis(2, [m, *tkd.hs_basis(2).ops[1:]]),
+    "rotate_basis": lambda m: tkd.rotate_basis(tkd.hs_basis(2), m),
+    "weak_value": lambda m: tkd.weak_value(m, [1, 0], [0.6, 0.8]),
+}
+HOSTILE_VALUES = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1e308j, "x", None]
+
+
+def _hostile_inputs():
+    """(id, matrix) of the hostile inputs: each value at both diagonal and at both off-diagonal
+    entries of a seeded random state, then four malformed shapes."""
+    base = tkd.random_density(2, seed=8).astype(object)
+    for v in HOSTILE_VALUES:
+        for where, idx in (("diagonal", ([0, 1], [0, 1])), ("off-diagonal", ([0, 1], [1, 0]))):
+            m = base.copy()
+            m[idx] = v
+            yield f"{v!r} {where}", m if isinstance(v, str) or v is None else m.astype(complex)
+    yield from [("vector", np.ones(2)), ("3-d", np.ones((2, 2, 2))), ("2x3", np.ones((2, 3))),
+                ("empty", np.zeros((0, 0)))]
+
+
+HOSTILE_INPUTS = dict(_hostile_inputs())
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_hostile_matrices_are_refused_or_returned_without_a_warning(entry, name):
+    # warnings as errors: an overflow or invalid-value warning escapes as a RuntimeWarning
+    m = HOSTILE_INPUTS[name]
+    # a str entry is a TypeError; numpy reads a None entry as NaN, which the checks refuse
+    refusal = TypeError if "x" in m.ravel().tolist() else ValidationError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            MATRIX_ENTRY_POINTS[entry](m)
+        except refusal:
+            pass
+
+
 def test_dagger_and_hermitian(pauli):
     assert linops.is_hermitian(pauli["Y"], 0.0)
     a = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
@@ -77,6 +131,8 @@ def test_kron_chain_matches_pairwise(pauli):
     assert np.allclose(chain, np.kron(pauli["X"], np.kron(pauli["Y"], pauli["Z"])))
     with pytest.raises(ValidationError):
         linops.kron_chain([])
+    inf = linops.kron_chain([np.diag([np.inf, 1.0]), np.eye(2), np.eye(2)])  # inf·0 is NaN, silently
+    assert not np.isfinite(inf[0, 0]) and np.isnan(inf[0, 1]) and inf[7, 7] == 1.0
 
 
 def test_kron_chain_single_factor_is_copy():

@@ -346,3 +346,29 @@ def test_hs_basis_checks_tracelessness_at_its_tol():
     assert tkd.HSBasis(2, [i, x, y, z + 2.5e-10 * i], tol=1e-9).stack.shape == (4, 2, 2)
     with pytest.raises(ValidationError, match="^basis op 3 is not traceless$"):
         tkd.HSBasis(2, [i, x, y, z + 2.5e-11 * i], tol=1e-11)
+
+
+def test_rotate_basis_checks_and_builds_at_the_basis_tol():
+    # u is unitary only to 2e-6: inside a basis kept at 1e-3, past the default 1e-9
+    loose = tkd.HSBasis(2, tkd.hs_basis(2).ops, tol=1e-3)
+    assert loose.tol == 1e-3 and tkd.hs_basis(2).tol == 1e-9
+    u = np.sqrt(1 + 2e-6) * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    assert 1.9e-6 < max_abs(u.conj().T @ u - np.eye(2)) < 2.1e-6
+    rot = tkd.rotate_basis(loose, u)
+    assert rot.tol == 1e-3
+    assert max_abs(rot.stack[1] - u @ loose.ops[1] @ u.conj().T) == 0.0
+    assert rot.lvn_maps.shape == (4, 4, 4)
+    with pytest.raises(ValidationError, match="^rotate_basis needs a unitary$"):
+        tkd.rotate_basis(tkd.hs_basis(2), u)
+
+
+def test_hs_basis_builds_its_lvn_maps_at_its_tol():
+    # each traceless op 1e-6 off Hermitian (+5e-7·iZ, anti-Hermitian and traceless): a basis at
+    # 1e-5 decomposes the Hermitian parts, which are the Paulis to 5e-7
+    i, x, y, z = tkd.hs_basis(2).ops
+    skew = [i, *(o + 5e-7j * z for o in (x, y, z))]
+    assert max_abs(skew[1] - skew[1].conj().T) == pytest.approx(1e-6)
+    loose = tkd.HSBasis(2, skew, tol=1e-5)
+    assert max_abs(loose.lvn_maps - tkd.hs_basis(2).lvn_maps) < 1e-6
+    with pytest.raises(ValidationError, match="^basis op 1 is not Hermitian$"):
+        tkd.HSBasis(2, skew)

@@ -348,6 +348,37 @@ def test_joint_ops_reproduce_distributions(case):
         assert table_dev(joint_traces(p, tkd.joint_ops(p, s, kind=kind)), fn(p, s).values) < 1e-12
 
 
+@pytest.mark.parametrize("d, times, doubled", [(4, 8, False), (2, 8, True), (3, 9, False)],
+                         ids=["d4 8 times", "d2 8 times doubled", "d3 9 times"])
+def test_edge_invariants(d, times, doubled):
+    # the regime edge: 65,536, 65,536 and 19,683 entries; the doubled table (d^(2·times)
+    # entries) only where it stays that small. The χ round trip waits for a conditioned grid.
+    p = tkd.random_process(d, times - 1, seed=60 + d, channel_kind="mixed")
+    s = tkd.random_schedule(p.dims, seed=70 + d)
+    right, left = tkd.kd_right(p, s), tkd.kd_left(p, s)
+    assert table_dev(left.values, right.values.conj()) <= 1e-12
+    assert table_dev(tkd.mh_from_kd(right).values, right.values.real) <= 1e-12
+    assert table_dev(joint_traces(p, tkd.joint_ops(p, s)), right.values) <= 1e-12
+    if doubled:
+        q = tkd.kd_doubled(p, s, s).values
+        assert table_dev(q.sum(axis=tuple(range(times))), right.values) <= 1e-12
+        assert table_dev(q.sum(axis=tuple(range(times, 2 * times))), left.values) <= 1e-12
+        diagonal = q.reshape(right.values.size, -1).diagonal().reshape(right.values.shape)
+        assert table_dev(tkd.lvn(p, s).values, diagonal) <= 1e-12
+
+
+def test_joint_ops_refuses_operators_that_do_not_sum_to_the_identity():
+    # each step √(1 + 8e-4)·U is trace preserving within 1e-3, their composition only to 2.4e-3
+    u = np.sqrt(1 + 8e-4) * tkd.haar_unitary(2, seed=4)
+    s = tkd.random_schedule((2,) * 4, seed=4)
+    p = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.QuantumChannel([u])] * 3, tol=1e-3)
+    assert all(c.defect == pytest.approx(8e-4, rel=1e-6) for c in p.channels)
+    with pytest.raises(ValidationError, match="^joint operators do not sum to the identity$"):
+        tkd.joint_ops(p, s)
+    one = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.QuantumChannel([u])], tol=1e-3)
+    assert len(tkd.joint_ops(one, s[:2]).ops.array) == 2
+
+
 def test_joint_ops_doubled():
     p, ket = corpus(1, start=1)[0]
     bra = tkd.random_schedule(p.dims, seed=55)
