@@ -34,7 +34,7 @@ import numpy as np
 
 from .linops import ValidationError, _hand, _kept, as_matrix, readonly
 from .measurements import Outcome, ProjectiveMeasurement, _spectral
-from .quasiprob import MultiTimeProcess, QuasiDistribution, _insertions, _sweep
+from .quasiprob import _KIND_SIDES, MultiTimeProcess, QuasiDistribution, _insertions, _sweep
 
 CHAR_KINDS = ("right", "left", "doubled")
 
@@ -175,21 +175,21 @@ def _axis_signs(kind: str, ket_axes: int, n_axes: int) -> list[int]:
 
 
 def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
-    """One (measurements, maps, sign) group per side, ket side first, as `_insertions`
-    hands over the maps and schedule checks of the kind's KD distribution, with the
-    sign of the side's Fourier phases (+1 ket, −1 bra); and the grid as a (P, w)
-    array at the kind's width."""
+    """One (measurements, maps, sign) group per side of the kind's KD distribution, ket side
+    first, with the maps and schedule checks `_insertions` gives that distribution and the
+    sign of the side's Fourier phases; and the grid as a (P, w) array at the kind's width."""
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("characteristic functions need square step dims")
-    sides = [side for side, bare in (("ket", "right"), ("bra", "left")) if kind != bare]
-    meas = [getattr(obs, side) for side in sides]
+    # the ket side (left maps, x ↦ a·x) takes A's phases e^{+iav}, the bra side (right maps) B's e^{−ibu}
+    sides = [("ket", +1) if side == "left_maps" else ("bra", -1) for side in _KIND_SIDES["kd_" + kind]]
+    meas = [getattr(obs, side) for side, _ in sides]
     if None in meas:
-        raise ValidationError(f"{kind} characteristic needs {sides[meas.index(None)]} observables")
-    stacks, axes, _ = _insertions(p, "kd_" + kind, *meas)
-    groups = [(ms, st, +1 if side == "ket" else -1) for side, ms, st in zip(sides, meas, stacks)]
-    return groups, _grid_array(grid, len(axes), f"{kind} point needs {len(axes)} phases, got {{}}")
+        raise ValidationError(f"{kind} characteristic needs {sides[meas.index(None)][0]} observables")
+    stacks, _, owners = _insertions(p, "kd_" + kind, *meas)
+    groups = [(ms, st, sign) for ms, st, (_, sign) in zip(meas, stacks, sides)]
+    return groups, _grid_array(grid, len(owners), f"{kind} point needs {len(owners)} phases, got {{}}")
 
 
 def _phases(meas: ProjectiveMeasurement, sign: int, ts, stack: np.ndarray) -> np.ndarray:

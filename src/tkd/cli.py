@@ -593,8 +593,7 @@ def load_spec_bytes(raw: bytes, label: str) -> SpecBundle:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SpecParseError(f"{label}: {e}") from None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a check that overflows refuses inf or NaN
-            return _build_bundle(data, label, sha)
+        return _build_bundle(data, label, sha)
     except ValidationError as e:
         if not e.field:  # the parser's own numerical refusals name their field in the message
             raise

@@ -40,30 +40,32 @@ def _require(ok: bool, message: str):
         raise ValidationError(message)
 
 
-def _text_entry(a):
-    """The first str or bytes entry of ``a`` (nested lists, tuples or arrays), or None."""
+def _non_numeric(a) -> tuple:
+    """The first str, bytes or None entry of ``a`` (nested lists, tuples or arrays) as a
+    one-tuple, or (); a bare None is no entry, as a missing matrix is not one."""
     if isinstance(a, (str, bytes)):
-        return a
+        return (a,)
     if isinstance(a, (list, tuple)) or (isinstance(a, np.ndarray) and a.dtype.kind in "OSU"):
         for x in (a.ravel() if isinstance(a, np.ndarray) else a):
-            bad = _text_entry(x)
-            if bad is not None:
+            bad = (x,) if x is None else _non_numeric(x)
+            if bad:
                 return bad
-    return None
+    return ()
 
 
 def _complex128(convert, a) -> np.ndarray:
-    """``convert(a, dtype=complex128)``, np.asarray or np.array. A str or bytes entry raises
-    TypeError, even one that spells a number, such as "1", which numpy would read as one; a
-    numeric ndarray is converted as it is, with no probe and no extra copy."""
+    """``convert(a, dtype=complex128)``, np.asarray or np.array. A str, bytes or None entry
+    raises TypeError, even a str that spells a number, such as "1", or None, which numpy would
+    read as one or as NaN; a numeric ndarray is converted as it is, with no probe and no extra
+    copy."""
     try:
         b = a if isinstance(a, np.ndarray) else np.asarray(a)
-    except ValueError:  # a ragged nesting: numpy's own error, unless a text entry comes first
+    except ValueError:  # a ragged nesting: numpy's own error, unless a non-numeric entry comes first
         b = None
     if b is None or b.dtype.kind in "OSU":
-        bad = _text_entry(a)
-        if bad is not None:
-            raise TypeError(f"expected a numeric entry, got {bad!r}")
+        bad = _non_numeric(a)
+        if bad:
+            raise TypeError(f"expected a numeric entry, got {bad[0]!r}")
         b = a
     return convert(b, dtype=np.complex128)
 

@@ -19,10 +19,11 @@ stack, checked as a stack: a `ProjectiveMeasurement` keeps it as
 operators they are given into that stack; a stack that `_spectral` or
 `product_measurement` has just built is handed over (`linops._hand`) and held
 without a copy. A measurement checks its stack in one place (`_hold`), whichever
-way it is built. One mixin (`_Insertions`) builds the right, left and lvn
-insertion maps of either stack once, on first use, and the trace rows of each
-(`_right_rows`, ...), so neither a distribution pass nor correlator tomography
-rebuilds any of them per call; a basis overrides only its lvn maps.
+way it is built. One mixin (`_Insertions`) builds the right, left, lvn and
+Jordan insertion maps of any owner's stack once, on first use, and the trace
+rows of each (`_rows`), so no pass rebuilds any of them per call; a
+basis overrides only its lvn maps. The owners are the measurements, the bases,
+and the matrix units and the identity of each dimension (`_Operators`).
 `hs_basis(d)` returns one shared basis per d.
 """
 
@@ -125,10 +126,11 @@ def _passes(stack: np.ndarray, sizes: Sequence[int], tol: float) -> bool:
 
 
 class _Insertions:
-    """The right, left and lvn insertion maps of an owner's read-only (m, d, d) stack of
+    """The right, left, lvn and Jordan insertion maps of an owner's read-only (m, d, d) stack of
     operators a_i, the field ``_stack_field`` names (a measurement's `projectors`, a basis's
-    `stack`), and the trace rows (`linops._trace_rows`) of each: each built once, on first
-    use, read-only. A sweep whose last maps they are folds its final trace into the rows."""
+    or an `_Operators`'s `stack`), and the trace rows (`linops._trace_rows`) of each: each
+    built once, on first use, read-only. A sweep whose last maps they are folds its final
+    trace into the rows."""
 
     _stack_field: str
 
@@ -148,16 +150,38 @@ class _Insertions:
         return readonly(insertion_maps("lvn", getattr(self, self._stack_field)))
 
     @cached_property
-    def _right_rows(self) -> np.ndarray:
-        return readonly(_trace_rows(self.right_maps))
+    def _jordan_maps(self) -> np.ndarray:
+        """Jordan insertions x ↦ (a_i·x + x·a_i)/2, the mean of the right and left maps."""
+        return readonly((self.right_maps + self.left_maps) / 2)
 
-    @cached_property
-    def _left_rows(self) -> np.ndarray:
-        return readonly(_trace_rows(self.left_maps))
+    def _rows(self, maps: str) -> np.ndarray:
+        """The trace rows of the map stack the attribute ``maps`` holds, built once for each."""
+        built = self.__dict__.setdefault("_built_rows", {})
+        if maps not in built:
+            built[maps] = readonly(_trace_rows(getattr(self, maps)))
+        return built[maps]
 
-    @cached_property
-    def _lvn_rows(self) -> np.ndarray:
-        return readonly(_trace_rows(self.lvn_maps))
+
+class _Operators(_Insertions):
+    """An unchecked read-only (m, d, d) ``stack`` that depends on its ``dim`` alone, as the owner
+    of its maps and rows: the matrix units a temporal state inserts (`_matrix_units`) and the
+    witness's identity at t_0 (`_identity`), one shared owner of each per dimension."""
+
+    _stack_field = "stack"
+
+    def __init__(self, stack: np.ndarray):
+        self.stack, self.dim = readonly(stack), stack.shape[-1]
+
+
+@cache
+def _matrix_units(d: int) -> _Operators:
+    """The d² units E_cr = |c⟩⟨r|: each of their map stacks holds 16·d⁶ bytes, 65 kB at d = 4."""
+    return _Operators(np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d).transpose(0, 2, 1))
+
+
+@cache
+def _identity(d: int) -> _Operators:
+    return _Operators(np.eye(d, dtype=np.complex128)[None])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,9 +24,11 @@ per outcome, or per phase node of the characteristic function χ:
     χ doubled     e^{+iA v}   e^{−iB u}   two: v nodes, then u nodes
 
 (correlator tomography reuses the sweep with Hilbert-Schmidt basis elements
-in place of projectors; `charfunc` sums a measurement's projector maps with
-weights e^{∓itb} into the phase-gate rows). The kernel pairs two stacks into
-the m_ket·m_bra maps x ↦ AxB, ket index major. The live batch holds one row
+in place of projectors, and the temporal states with matrix units, the pdo
+inserting x ↦ (Ex + xE)/2; `charfunc` sums a measurement's projector maps with
+weights e^{∓itb} into the phase-gate rows). `_KIND_SIDES` is this table, and
+`_insertions` the one resolver of every pass's insertions. The kernel pairs two
+stacks into the m_ket·m_bra maps x ↦ AxB, ket index major. The live batch holds one row
 vec(x) per outcome prefix and advances by one GEMM per step against
 S_k·maps_k. The final trace is folded into the last maps (w = vec(I)ᵀ·map),
 so the largest live array has (entries / m_n)·d² complex values: 6.4 MB at
@@ -43,21 +45,18 @@ matrices C†C, so no step dispatches per d×d matrix.
 
 No pass rebuilds an operator that depends on one input object alone: each
 `QuantumChannel` builds its superoperator once (`superop`), each
-`ProjectiveMeasurement` its projector stack, its right, left and lvn maps
-(`projectors`, `right_maps`, ...) and the trace rows of each (`_right_rows`,
-...), which a one-sided pass whose last maps they are reads its final trace
-off, each `MultiTimeProcess` its `dims`. Those objects hold read-only copies
-of the arrays they were given, so a cached operator cannot go stale. Nor does
-a pass rebuild a value that depends on shapes alone: vec(I) of each
-dimension, the identity insertion at t_0 and the witness's layout for each
-tuple of outcome counts (the time of each single-time operator, and the pairs
-in visiting order) are built once per process, read-only, when first needed,
-and a one-sided kernel result is only reshaped. Only the paired maps of
-two-sided kinds, which join two measurements, and their trace rows are built
-per call, inside the kernel, once per distinct pair; so are χ's phase-weighted
-maps. `joint_ops` hands back the
-backward pass's one array behind a Mapping (`OperatorTable`), with no object
-per outcome tuple.
+`MultiTimeProcess` its `dims`, and each owner of an insertion stack, of the one
+type `measurements._Insertions`, its maps and their trace rows, which a
+one-sided pass whose last maps they are reads its final trace off. The owners
+are the measurements, the bases, and the matrix units and the identity of each
+dimension, one shared owner each. The objects hold read-only copies of the
+arrays they were given, so a cached operator cannot go stale. vec(I) of each
+dimension and the witness's layout for each tuple of outcome counts are built
+once per process, and a one-sided kernel result is only reshaped. Only the
+paired maps of two-sided kinds and their trace rows are built per call, inside
+the kernel, once per distinct pair; so are χ's phase-weighted maps.
+`joint_ops` hands back the backward pass's one array behind a Mapping
+(`OperatorTable`), with no object per outcome tuple.
 
 Axis convention: both kernels give axis i to time t_i (ascending order);
 two-sided kinds carry the full ket block first, then the bra block. Printed,
@@ -92,6 +91,7 @@ from .linops import (ValidationError, _complex128, _hand, _in_field, _kept, _req
 from .measurements import (
     Outcome,
     ProjectiveMeasurement,
+    _identity,
     product_measurement,
     spectral_measurement,
 )
@@ -254,7 +254,13 @@ def _normalization(values: np.ndarray):
     return total, abs(total - 1.0)
 
 
+_DIM, _OUTCOMES = operator.attrgetter("dim"), operator.attrgetter("outcomes")
+
+
 def _check_schedule(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], name: str = "schedule"):
+    """Refuse a schedule that misfits the process's dims, naming its first fault."""
+    if tuple(map(_DIM, s)) == p.dims:
+        return
     if len(s) != p.n_times:
         raise ValidationError(f"{name} has {len(s)} entries for {p.n_times} times")
     for k, (m, d) in enumerate(zip(s, p.dims)):
@@ -297,7 +303,7 @@ def _sweep(p: MultiTimeProcess, *stacks: Sequence[np.ndarray],
     """Forward kernel: the trace of every outcome tuple, one axis per time.
     ``stacks`` is one map stack per time, or two (ket side, then bra side);
     ``rows`` are the trace rows of the last maps where their owner built them
-    once (`_last_rows`), else None, and they are built here."""
+    once (`_insertions`), else None, and they are built here."""
     maps = _paired(stacks)
     x = p.rho0.reshape(1, -1)
     for c, m_k in zip(p.channels, maps):
@@ -322,43 +328,38 @@ def _backward(p: MultiTimeProcess, *stacks: Sequence[np.ndarray],
     return _blocks(r.reshape(-1, d, d).transpose(0, 2, 1), stacks)
 
 
-# a one-sided kind's maps and their trace rows, each read off a measurement by a fixed attribute
-_SIDE = {"kd_right": "right", "kd_left": "left", "lvn": "lvn"}
-_MAPS = {kind: operator.attrgetter(f"{side}_maps") for kind, side in _SIDE.items()}
-_ROWS = {kind: operator.attrgetter(f"_{side}_rows") for kind, side in _SIDE.items()}
-_DIM, _OUTCOMES = operator.attrgetter("dim"), operator.attrgetter("outcomes")
+# the table above, as code, and the pdo's Jordan side: each kind's sides, ket side first, by the
+# attribute of their maps on the owner of an insertion stack (`measurements._Insertions`)
+_KIND_SIDES = {"kd_right": ("right_maps",), "kd_left": ("left_maps",), "lvn": ("lvn_maps",),
+               "kd_doubled": ("left_maps", "right_maps"), "pdo": ("_jordan_maps",)}
+_GET = {side: operator.attrgetter(side) for sides in _KIND_SIDES.values() for side in sides}
 
 
-def _insertions(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
-                bra: Sequence[ProjectiveMeasurement] | None = None):
-    """The checked insertion stacks of a distribution kind (kd_doubled: ``s``
-    on the ket side, ``bra`` on the bra side), its axes and its ket_axes."""
-    if kind == "kd_doubled":
-        if bra is None:
-            raise ValidationError("kd_doubled needs a bra schedule")
-        sides = ((s, _MAPS["kd_left"], "ket schedule"), (bra, _MAPS["kd_right"], "bra schedule"))
-    else:
-        sides = ((s, _MAPS[kind], "schedule"),)
-    stacks, axes = [], []
-    for sched, maps, name in sides:
-        if tuple(map(_DIM, sched)) != p.dims:  # one comparison; `_check_schedule` names the fault
-            _check_schedule(p, sched, name)
-        stacks.append(list(map(maps, sched)))
-        axes += map(_OUTCOMES, sched)
-    return stacks, tuple(axes), p.n_times if len(sides) == 2 else 0
-
-
-def _last_rows(kind: str, s: Sequence[ProjectiveMeasurement]) -> np.ndarray | None:
-    """The trace rows of a one-sided kind's last maps, which its last measurement built
-    once; None for kd_doubled, whose maps, and so their rows, the kernel pairs per call."""
-    return None if kind == "kd_doubled" else _ROWS[kind](s[-1])
+def _insertions(p: MultiTimeProcess, kind: str, s: Sequence, bra: Sequence | None = None,
+                name: str | None = None):
+    """The kernel's inputs for a kind that inserts the stacks of the owners ``s`` (two-sided:
+    ``s`` ket side, ``bra`` bra side) at every time: one map stack per side; the trace rows
+    of the last maps, which their owner built once, for one side, and None for two; and the
+    owners, ket block first, that give the axes. A schedule that misfits the process is
+    refused under ``name``, else "schedule" (two-sided: "ket schedule", "bra schedule")."""
+    sides = _KIND_SIDES[kind]
+    if len(sides) == 2 and bra is None:
+        raise ValidationError(f"{kind} needs a bra schedule")
+    names = (name, name) if name else ("schedule",) if len(sides) == 1 else ("ket schedule", "bra schedule")
+    stacks, owners = [], ()
+    for sched, side, label in zip((s, bra), sides, names):
+        _check_schedule(p, sched, label)
+        stacks.append(list(map(_GET[side], sched)))
+        owners += tuple(sched)
+    return stacks, s[-1]._rows(sides[0]) if len(sides) == 1 else None, owners
 
 
 def _distribution(p: MultiTimeProcess, kind: str, s: Sequence[ProjectiveMeasurement],
                   bra: Sequence[ProjectiveMeasurement] | None = None) -> QuasiDistribution:
-    stacks, axes, ket_axes = _insertions(p, kind, s, bra)
-    values = _sweep(p, *stacks, rows=_last_rows(kind, s))
-    return QuasiDistribution(kind, axes, _hand(values), ket_axes=ket_axes, tol=p.tol)
+    stacks, rows, owners = _insertions(p, kind, s, bra)
+    values = _sweep(p, *stacks, rows=rows)
+    return QuasiDistribution(kind, tuple(map(_OUTCOMES, owners)), _hand(values),
+                             ket_axes=len(owners) - p.n_times, tol=p.tol)
 
 
 def kd_right(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]) -> QuasiDistribution:
@@ -502,18 +503,13 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
         raise ValidationError("joint_ops needs square channels")
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
-    stacks, axes, ket_axes = _insertions(p, kind, s, bra)
+    stacks, rows, owners = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
-    ops = _backward(p, *stacks, rows=_last_rows(kind, s))
+    ops = _backward(p, *stacks, rows=rows)
     if max_abs(ops.sum(axis=tuple(range(ops.ndim - 2))) - _vec_identity(d0 * d0).reshape(d0, d0)) > p.tol:
         raise ValidationError("joint operators do not sum to the identity")
-    return JointMeasurementOperators(kind, axes, OperatorTable(ops), ket_axes=ket_axes)
-
-
-@cache
-def _identity_map(d: int) -> np.ndarray:
-    """The one-map stack of the identity insertion on a d-dimensional space, read-only."""
-    return readonly(np.eye(d * d, dtype=np.complex128)[None])
+    return JointMeasurementOperators(kind, tuple(map(_OUTCOMES, owners)), OperatorTable(ops),
+                                     ket_axes=len(owners) - p.n_times)
 
 
 @cache
@@ -576,11 +572,11 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     """
     if any(c.d_in != c.d_out for c in p.channels):
         raise ValidationError("classicality_witness needs square channels")
-    (maps,), axes, _ = _insertions(p, "kd_right", s)
-    n, d = p.n_steps, p.dims[0]
+    _check_schedule(p, s)  # the resolver below sees the identity in place of s[0]
+    n, d, axes = p.n_steps, p.dims[0], tuple(map(_OUTCOMES, s))
     sizes = [len(ax) for ax in axes]
-    later = _backward(p, [_identity_map(d)] + maps[1:], rows=_last_rows("kd_right", s) if n else None)
-    later = later.reshape(-1, d, d)
+    stacks, rows, _ = _insertions(p, "kd_right", [_identity(d), *s[1:]])
+    later = _backward(p, *stacks, rows=rows).reshape(-1, d, d)
     q = (p.rho0 @ s[0].projectors).reshape(sizes[0], -1) \
         @ later.transpose(0, 2, 1).reshape(len(later), -1).T
     value = nonclassicality(QuasiDistribution("kd_right", axes, _hand(q).reshape(sizes), tol=p.tol))

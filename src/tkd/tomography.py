@@ -11,10 +11,9 @@ reproduce the corresponding distribution or correlator.
 Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check;
 the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
 
-No call rebuilds an operator that depends on a basis or a dimension alone:
-each `HSBasis` holds its op stack and its insertion maps, and the matrix-unit
-maps of each dimension and their trace rows are built once per process
-(``_unit_maps``, ``_unit_rows``).
+Both take their insertions from the resolver of ``tkd.quasiprob``, whose owners
+build each map and trace row once: each `HSBasis`, and the matrix units of each
+dimension (one shared owner per dimension, `measurements._matrix_units`).
 
 Factor ordering inside a state matrix is latest time first; doubled states
 carry the full ket block of factors first, then the bra block. Time indices
@@ -26,17 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linops import (ValidationError, _hand, _kept, _trace_rows, as_matrix, dagger, insertion_maps,
-                     is_hermitian, partial_trace, readonly)
-from .measurements import HSBasis, hs_basis
-from .quasiprob import MultiTimeProcess, _check_schedule, _sweep
+from .linops import ValidationError, _hand, _kept, as_matrix, dagger, is_hermitian, partial_trace, readonly
+from .measurements import HSBasis, _matrix_units, hs_basis
+from .quasiprob import MultiTimeProcess, _insertions, _sweep
 
 CORRELATOR_KINDS = ("right", "left", "doubled", "mh", "lvn")
+_CORRELATOR_PASS = dict(zip(CORRELATOR_KINDS, ("kd_right", "kd_left", "kd_doubled", "kd_right", "lvn")))
 STATE_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh", "pdo")
 HERMITIAN_STATE_KINDS = ("mh", "pdo")
 
@@ -163,13 +162,10 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     if kind not in CORRELATOR_KINDS:
         raise ValidationError(f"unknown correlator kind {kind!r}")
     bases = tuple(hs_basis(d) for d in p.dims) if bases is None else tuple(bases)
-    _check_schedule(p, bases, "bases")
-    sides = {"mh": ["right"], "doubled": ["left", "right"]}.get(kind, [kind])
-    stacks = [[getattr(b, f"{side}_maps") for b in bases] for side in sides]
-    values = _sweep(p, *stacks, rows=getattr(bases[-1], f"_{sides[0]}_rows") if len(sides) == 1 else None)
+    stacks, rows, owners = _insertions(p, _CORRELATOR_PASS[kind], bases, bases, name="bases")
+    values = _sweep(p, *stacks, rows=rows)
     values = values.real if kind == "mh" else _hand(values)
-    return CorrelatorTensor(kind, bases * len(stacks), values, ket_axes=p.n_times * (len(stacks) - 1),
-                            tol=p.tol)
+    return CorrelatorTensor(kind, owners, values, ket_axes=len(owners) - p.n_times, tol=p.tol)
 
 
 def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
@@ -211,46 +207,27 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
     return TemporalStateOperator(kind, t.time_dims, _hand(mat), tol=t.tol)
 
 
-@cache
-def _unit_maps(d: int, side: str) -> np.ndarray:
-    """The insertion maps of the d² matrix units E_cr = |c⟩⟨r| on one side
-    (right, left, or jordan: their mean), read-only. Each entry holds d⁶
-    complex values, 16·d⁶ bytes: 1 kB at d = 2, 65 kB at d = 4."""
-    if side == "jordan":
-        return readonly((_unit_maps(d, "right") + _unit_maps(d, "left")) / 2)
-    units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d).transpose(0, 2, 1)
-    return readonly(insertion_maps(side, units))
-
-
-@cache
-def _unit_rows(d: int, side: str) -> np.ndarray:
-    """The trace rows (`linops._trace_rows`) of `_unit_maps`, read-only."""
-    return readonly(_trace_rows(_unit_maps(d, side)))
-
-
-def _state(p: MultiTimeProcess, side: str) -> np.ndarray:
-    """Read a state off the forward sweep with matrix units E_cr = |c⟩⟨r|
-    inserted at every time: x ↦ xE (right), (Ex + xE)/2 (jordan), or ExE'
-    (doubled: E ket side, E' bra side). Tr[Υ·⊗E] = Υ[r…, c…], so unit (r, c)
-    of each time gives that time's (row, column) leg pair. The maps of each
-    (dimension, side) come from `_unit_maps`, and those of one side's last time
-    their trace rows from `_unit_rows`, each built once per process."""
-    sides = ["left", "right"] if side == "doubled" else [side]
-    stacks = [[_unit_maps(d, s) for d in p.dims] for s in sides]
-    rows = None if side == "doubled" else _unit_rows(p.dims[-1], side)
-    return _matrix(_sweep(p, *stacks, rows=rows), p.dims, len(sides))
+def _state(p: MultiTimeProcess, kind: str) -> np.ndarray:
+    """Read a state off the forward sweep with matrix units E_cr = |c⟩⟨r| inserted at every
+    time on the sides of ``kind``: x ↦ xE (kd_right), (Ex + xE)/2 (pdo), or ExE' (kd_doubled:
+    E ket side, E' bra side). Tr[Υ·⊗E] = Υ[r…, c…], so unit (r, c) of each time gives that
+    time's (row, column) leg pair. The units of each dimension are one shared owner
+    (`measurements._matrix_units`) of their maps and trace rows, each built once per process."""
+    units = [_matrix_units(d) for d in p.dims]
+    stacks, rows, _ = _insertions(p, kind, units, units)
+    return _matrix(_sweep(p, *stacks, rows=rows), p.dims, len(stacks))
 
 
 def kd_state_recursive(p: MultiTimeProcess, kind: str = "kd_right") -> TemporalStateOperator:
     """The right read-off of the sweep (x ↦ xE), kd_left its dagger, kd_doubled x ↦ ExE'."""
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"kd_state_recursive builds kd_right/kd_left/kd_doubled, not {kind!r}")
-    y = _state(p, "doubled" if kind == "kd_doubled" else "right")
+    y = _state(p, "kd_doubled" if kind == "kd_doubled" else "kd_right")
     return TemporalStateOperator(kind, p.dims, _hand(dagger(y) if kind == "kd_left" else y), tol=p.tol)
 
 
 def mh_state(p: MultiTimeProcess) -> TemporalStateOperator:
-    y = _state(p, "right")
+    y = _state(p, "kd_right")
     return TemporalStateOperator("mh", p.dims, _hand((y + dagger(y)) / 2), tol=p.tol)
 
 
@@ -260,7 +237,7 @@ def pdo(p: MultiTimeProcess) -> TemporalStateOperator:
     Coincides with the Margenau-Hill state at two times; from three times on
     the nesting order matters and the two drift apart.
     """
-    return TemporalStateOperator("pdo", p.dims, _hand(_state(p, "jordan")), tol=p.tol)
+    return TemporalStateOperator("pdo", p.dims, _hand(_state(p, "pdo")), tol=p.tol)
 
 
 def _factors_for(y: TemporalStateOperator, ops: Sequence[np.ndarray], side: str) -> list[np.ndarray]:

@@ -5,6 +5,7 @@ hands its fresh result array to its container without a copy."""
 from __future__ import annotations
 
 import copy
+import sys
 from unittest import mock
 
 import numpy as np
@@ -86,21 +87,39 @@ def test_cached_evaluation_is_bit_identical_to_a_fresh_one(name):
     assert _same_bits(first, fresh)
 
 
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_repeated_pass_builds_no_insertion_map(name, monkeypatch):
+    # no pass rebuilds an operator that depends on one input object alone: the maps of a
+    # measurement, a basis, the matrix units and the identity are built once, by their owner
+    objs = _build(_raw())
+    calls = []
+    for module in [m for n, m in sys.modules.items() if n == "tkd" or n.startswith("tkd.")]:
+        if hasattr(module, "insertion_maps"):
+            monkeypatch.setattr(module, "insertion_maps",
+                                lambda *a, f=module.insertion_maps: calls.append(a[0]) or f(*a))
+    ENTRY_POINTS[name](*objs)
+    if not name.startswith(("state", "correlators", "reconstruct_state")):  # fresh measurements
+        assert calls, "the first call on new measurements builds their maps"
+    del calls[:]
+    ENTRY_POINTS[name](*objs)
+    assert calls == []
+
+
 def test_held_arrays_are_read_only():
     raw = _raw()
     p, ket, bra, obs = _build(raw)
     c, m, b = p.channels[0], ket[0], tkd.hs_basis(2)
-    units = [f(2, side) for side in ("right", "left", "jordan")
-             for f in (tkd.tomography._unit_maps, tkd.tomography._unit_rows)]
-    rows = [getattr(x, f"_{side}_rows") for x in (m, b) for side in ("right", "left", "lvn")]
+    # the matrix units and the identity own their stack, maps and rows as a measurement and a basis do
+    owners = (m, b, tkd.measurements._matrix_units(2), tkd.measurements._identity(2))
+    sides = ("right_maps", "left_maps", "lvn_maps", "_jordan_maps")
+    derived = [x.stack for x in owners[1:]] + [getattr(x, side) for x in owners for side in sides] \
+        + [x._rows(side) for x in owners for side in sides]
     sizes = tuple(len(x.outcomes) for x in ket)
     layout = [a for unitary in (False, True) for a in tkd.quasiprob._witness_layout(sizes, unitary)]
     joint = [tkd.joint_ops(p, ket).ops, tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra).ops]
     for target in (c.kraus[0], m.outcomes[0].projector, m.projectors, obs.bra[0].projectors,
-                   obs.ket[0].projectors, b.ops[1], p.rho0, c.superop, m.right_maps,
-                   m.left_maps, m.lvn_maps, c.dilation[0], b.stack, b.right_maps, b.left_maps,
-                   b.lvn_maps, *units, *rows, *layout, tkd.quasiprob._vec_identity(4),
-                   tkd.quasiprob._identity_map(2), *(t.array for t in joint),
+                   obs.ket[0].projectors, b.ops[1], p.rho0, c.superop, c.dilation[0], *derived,
+                   *layout, tkd.quasiprob._vec_identity(4), *(t.array for t in joint),
                    *(v for t in joint for v in t.values())):
         with pytest.raises(ValueError):
             target[(0,) * target.ndim] = 7.0

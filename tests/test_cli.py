@@ -936,6 +936,11 @@ def test_emit_matches_stdlib_indent_encoder(capsys):
     assert _emit(doc, None) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(_as_pairs(doc), indent=2, sort_keys=True) + "\n"
+    # a document that is one scalar, written without a container around it
+    for scalar in (float("nan"), -float("inf"), -0.0, 5e-324, 1e308, np.float64(0.1), 10 ** 20, -3,
+                   True, False, None, "\u00e9t\u00e9 \"q\"", ""):
+        assert _emit(scalar, None) == 0
+        assert capsys.readouterr().out == json.dumps(scalar, indent=2, sort_keys=True) + "\n"
     with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None, not tuple$"):
         _emit({(1, 2): 0}, None)
 

@@ -105,13 +105,18 @@ HOSTILE_INPUTS = dict(_hostile_inputs())
 def test_hostile_matrices_are_refused_or_returned_without_a_warning(entry, name):
     # warnings as errors: an overflow or invalid-value warning escapes as a RuntimeWarning
     m = HOSTILE_INPUTS[name]
-    # a str entry is a TypeError; numpy reads a None entry as NaN, which the checks refuse
-    refusal = TypeError if "x" in m.ravel().tolist() else ValidationError
+    # a str or None entry is not numeric: every entry point refuses it with a TypeError (numpy
+    # would read None as NaN). Any other input is refused by the checks, or returned
+    bad = [v for v in m.ravel().tolist() if v is None or isinstance(v, str)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if bad:
+            with pytest.raises(TypeError, match=f"^expected a numeric entry, got {re.escape(repr(bad[0]))}$"):
+                MATRIX_ENTRY_POINTS[entry](m)
+            return
         try:
             MATRIX_ENTRY_POINTS[entry](m)
-        except refusal:
+        except ValidationError:
             pass
 
 

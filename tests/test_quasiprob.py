@@ -224,6 +224,23 @@ def test_marginalize_doubled_ket_axes():
         tkd.marginalize(qd, keep=[0, 2 * nt])
 
 
+def test_keeping_every_axis_returns_the_distribution_itself():
+    p, ket = corpus(1)[0]
+    qd = tkd.kd_doubled(p, ket, tkd.random_schedule(p.dims, seed=44))
+    assert tkd.marginalize(qd, keep=reversed(range(2 * p.n_times))) is qd
+    assert tkd.marginalize(qd, keep=[0] + list(range(2 * p.n_times))) is qd
+
+
+def test_list_axes_are_held_as_a_tuple_of_tuples():
+    p, s = corpus(1)[0]
+    q = tkd.kd_right(p, s)
+    listed = tkd.QuasiDistribution(q.kind, [list(ax) for ax in q.axes], q.values, tol=q.tol)
+    assert type(listed.axes) is tuple and all(type(ax) is tuple for ax in listed.axes)
+    assert listed.axes == q.axes and listed.values.tobytes() == q.values.tobytes()
+    with pytest.raises(ValidationError, match="^values shape does not match axes$"):
+        tkd.QuasiDistribution(q.kind, [list(ax) for ax in q.axes[1:]], q.values, tol=q.tol)
+
+
 def test_coarse_grain():
     p, s = corpus(1, start=2)[0]
     q = tkd.kd_right(p, s)

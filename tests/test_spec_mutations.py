@@ -16,6 +16,7 @@ import copy
 import json
 import random
 import re
+import sys
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -113,3 +114,40 @@ def test_every_mutated_spec_exits_0_3_or_4_naming_its_field(tmp_path, capsys, mo
                 continue
             m = LINE.match(err)
             assert m and _names_a_field(spec, m.group(1)), (case, command, err)
+
+
+EXTREMES = [sys.float_info.max, -1e308, int(sys.float_info.max), 5e-324]
+
+
+def _numeric_leaves(o, path=()):
+    """The path of every int or float node under ``o`` (a bool is not numeric here)."""
+    if type(o) in (int, float):
+        yield path
+    elif isinstance(o, (dict, list)):
+        for k, v in (o.items() if isinstance(o, dict) else enumerate(o)):
+            yield from _numeric_leaves(v, path + (k,))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_extreme_numbers_in_every_numeric_leaf_exit_0_3_or_4_without_a_warning(tmp_path, capsys,
+                                                                              monkeypatch, name):
+    # the spec parse runs under no errstate: a check that overflows on the largest or the
+    # smallest numbers, in any numeric field, would escape here as a RuntimeWarning
+    monkeypatch.delenv(TOLERANCE_ENV, raising=False)
+    path = tmp_path / "extreme.json"
+    for leaf in _numeric_leaves(SPECS[name]):
+        for value in EXTREMES:
+            spec = copy.deepcopy(SPECS[name])
+            parent = spec
+            for step in leaf[:-1]:
+                parent = parent[step]
+            parent[leaf[-1]] = value
+            path.write_text(json.dumps(spec))
+            for command in (["validate"], ["dist", "--kind", "doubled"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = run_command([command[0], str(path)] + command[1:])
+                err = capsys.readouterr().err
+                case = (leaf, value, command, code, err)
+                assert code in (0, 3, 4), case
+                assert err == "" if code == 0 else err.count("\n") == 1 and err.startswith("tkd: "), case
