@@ -180,8 +180,6 @@ def _kind_inputs(p: MultiTimeProcess, obs: ObservableSchedule, kind: str, grid):
     sign of the side's Fourier phases; and the grid as a (P, w) array at the kind's width."""
     if kind not in CHAR_KINDS:
         raise ValidationError(f"unknown characteristic kind {kind!r}")
-    if any(c.d_in != c.d_out for c in p.channels):
-        raise ValidationError("characteristic functions need square step dims")
     # the ket side (left maps, x ↦ a·x) takes A's phases e^{+iav}, the bra side (right maps) B's e^{−ibu}
     sides = [("ket", +1) if side == "left_maps" else ("bra", -1) for side in _KIND_SIDES["kd_" + kind]]
     meas = [getattr(obs, side) for side, _ in sides]

@@ -41,8 +41,6 @@ def oracle_kd(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement],
     """Entrywise evaluation through explicit joint operators at t_0."""
     if kind not in _KD_KINDS:
         raise ValidationError(f"oracle_kd kind must be one of {_KD_KINDS}, got {kind!r}")
-    if any(c.d_in != c.d_out for c in p.channels):
-        raise ValidationError("oracle_kd needs square channels")
     if len(s) != p.n_times:
         raise ValidationError(f"schedule has {len(s)} entries for {p.n_times} times")
     n = p.n_steps

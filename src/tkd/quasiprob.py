@@ -497,10 +497,7 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     right: M = Π_{b0}·E_1†(Π_{b1}·E_2†(...E_n†(Π_{bn})));
     left:  the daggered products (ket-side insertions);
     doubled: two-sided, Π_{bk}·(...)·Π_{ak} at every step (pass ``bra``).
-    Requires a square chain so all operators live on one space.
     """
-    if any(c.d_in != c.d_out for c in p.channels):
-        raise ValidationError("joint_ops needs square channels")
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
     stacks, rows, owners = _insertions(p, kind, s, bra)
@@ -570,8 +567,6 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     every pair ties, so the first one is the worst and only the largest norm
     is solved for; when every commutator is zero, none is, and the norm is 0.
     """
-    if any(c.d_in != c.d_out for c in p.channels):
-        raise ValidationError("classicality_witness needs square channels")
     _check_schedule(p, s)  # the resolver below sees the identity in place of s[0]
     n, d, axes = p.n_steps, p.dims[0], tuple(map(_OUTCOMES, s))
     sizes = [len(ax) for ax in axes]

@@ -11,6 +11,7 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
+from tkd.oracle import oracle_kd
 from conftest import corpus
 
 
@@ -92,8 +93,13 @@ def test_schedule_validation():
         tkd.char_fn(p, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(2))), [(0.0,)])
     rect = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.build_channel("replacement", omega=np.eye(3) / 3,
                                                                   d_in=2)])
-    with pytest.raises(ValidationError, match="^characteristic functions need square step dims$"):
-        tkd.char_fn(rect, tkd.ObservableSchedule(bra=(np.eye(2), np.eye(3))), [(0.0, 0.0)])
+    ket, bra = tkd.random_schedule(rect.dims, seed=1), tkd.random_schedule(rect.dims, seed=2)
+    obs = tkd.ObservableSchedule(ket=schedule_observables(ket), bra=schedule_observables(bra))
+    for kind, q in (("right", oracle_kd(rect, bra)), ("left", oracle_kd(rect, ket, "kd_left")),
+                    ("doubled", oracle_kd(rect, ket, "kd_doubled", bra=bra))):
+        pts = random_points(len(q.axes), 4, seed=3)
+        want = tkd.char_from_distribution(q, pts).values
+        assert max_abs(tkd.char_fn(rect, obs, pts, kind=kind).values - want) <= 1e-12
 
 
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -92,5 +92,6 @@ def test_oracle_validation():
         oracle_correlators(p, kind="bogus")
     rect = tkd.MultiTimeProcess(np.eye(2) / 2, [tkd.build_channel("replacement", omega=np.eye(3) / 3,
                                                                   d_in=2)])
-    with pytest.raises(ValidationError, match="^oracle_kd needs square channels$"):
-        oracle_kd(rect, tkd.random_schedule(rect.dims, seed=1))
+    s = tkd.random_schedule(rect.dims, seed=1)
+    for kind, fn in (("kd_right", tkd.kd_right), ("kd_left", tkd.kd_left)):
+        assert max_abs(oracle_kd(rect, s, kind=kind).values - fn(rect, s).values) <= 1e-12

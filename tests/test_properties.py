@@ -65,7 +65,7 @@ def _observables(sched) -> tuple[np.ndarray, ...]:
 @SETTINGS
 @given(st.data())
 def test_passes_match_oracle(data):
-    p = data.draw(processes())
+    p = data.draw(st.one_of(processes(), rect_processes()))
     ket = data.draw(schedules(p.dims))
     bra = data.draw(schedules(p.dims))
 
@@ -114,7 +114,7 @@ def test_correlators_match_direct_oracle(data):
 @SETTINGS
 @given(st.data())
 def test_char_fn_and_circuit_match_oracle(data):
-    p = data.draw(processes())
+    p = data.draw(st.one_of(processes(), rect_processes()))
     ket = data.draw(schedules(p.dims))
     bra = data.draw(schedules(p.dims))
     cases = (
@@ -131,8 +131,12 @@ def test_char_fn_and_circuit_match_oracle(data):
         for grid in (points, default):
             want = tkd.char_from_distribution(q, grid).values
             assert max_abs(tkd.char_fn(p, obs, grid, kind=kind).values - want) <= TOL
-        want = tkd.char_from_distribution(q, points[-1:]).values[0]
-        assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
+        if all(c.d_in == c.d_out for c in p.channels):
+            want = tkd.char_from_distribution(q, points[-1:]).values[0]
+            assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
+        else:  # the interferometer dilates each step into a unitary on its own space
+            with pytest.raises(tkd.ValidationError, match="^stinespring needs a square channel$"):
+                tkd.circuit_sim(p, obs, points[-1], kind=kind)
 
 
 def _jordan_expansion(p) -> np.ndarray:
@@ -286,7 +290,7 @@ def _witness_reference(p, s) -> tuple[float, tuple]:
             c = later @ o.projector - o.projector @ later
             found.append((np.linalg.norm(c, ord=2),
                           ((tuple(range(1, n + 1)), labels), ((0,), (o.label,)))))
-    if all(len(c.kraus) == 1 for c in p.channels):  # one TP Kraus operator is a unitary
+    if all(len(c.kraus) == 1 for c in p.channels):  # one TP Kraus operator is an isometry
 
         def back(op, k):
             for c in reversed(p.channels[:k]):
@@ -361,9 +365,9 @@ def structured_instances(draw):
 @settings(SETTINGS, max_examples=120)
 @given(st.data())
 def test_witness_matches_reference_loop(data):
-    kind = data.draw(st.sampled_from(["random", "commuting", "structured"]))
-    if kind == "random":
-        p = data.draw(processes())
+    kind = data.draw(st.sampled_from(["random", "rectangular", "commuting", "structured"]))
+    if kind in ("random", "rectangular"):
+        p = data.draw(processes() if kind == "random" else rect_processes())
         s = data.draw(schedules(p.dims))
     else:
         p, s = data.draw(commuting_instances() if kind == "commuting" else structured_instances())

@@ -11,7 +11,9 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
+from tkd.oracle import oracle_kd
 from conftest import corpus, joint_traces, table_dev
+from test_properties import _witness_reference
 
 SQRT2 = np.sqrt(2.0)
 
@@ -149,10 +151,18 @@ def test_rectangular_chain():
     assert max_abs(diag - q_lvn.values.reshape(-1)) < 1e-12
     for q in (qr, ql, qd, qsame, q_lvn):
         assert abs(q.total() - 1.0) < 1e-12
-    with pytest.raises(ValidationError, match="^joint_ops needs square channels$"):
-        tkd.joint_ops(p, bra)
-    with pytest.raises(ValidationError, match="^classicality_witness needs square channels$"):
-        tkd.classicality_witness(p, bra)
+
+    # the oracle, the backward pass and the witness take the same chain
+    for kind, q in (("kd_right", qr), ("kd_left", ql)):
+        want = oracle_kd(p, bra if kind == "kd_right" else ket, kind).values
+        assert max_abs(q.values - want) < 1e-12
+    assert max_abs(qd.values - oracle_kd(p, ket, "kd_doubled", bra=bra).values) < 1e-12
+    assert table_dev(joint_traces(p, tkd.joint_ops(p, bra)), qr.values) < 1e-12
+    assert table_dev(joint_traces(p, tkd.joint_ops(p, ket, kind="kd_doubled", bra=bra)), qd.values) < 1e-12
+    rep = tkd.classicality_witness(p, bra)
+    assert abs(rep.nonclassicality - tkd.nonclassicality(qr)) < 1e-12
+    best, pair = _witness_reference(p, bra)
+    assert abs(rep.max_commutator_norm - best) < 1e-12 and rep.worst_pair == pair
 
 
 def test_lvn_is_a_probability_distribution():
