@@ -5,10 +5,10 @@ three demos; dist, charfn, state and witness on `qubit_two_times.json` (a
 two-time qubit process with one random Kraus step); and witness on
 `qubit_three_times_unitary.json` (a three-time qubit process with two
 seeded Haar-unitary steps, where the witness also compares the projectors of
-every time back-evolved to t_0); validate and dist on
+every time back-evolved to t_0); validate, dist, charfn and witness on
 `five_channel_kinds.json` (a qubit-qutrit-qubit chain of one step of each
 spec channel kind: kraus, unitary, replacement with d_in, depolarizing and
-measure_replace); and the ancilla interferometer with 3000 seeded shots,
+measure_replace, so two of its steps are rectangular); and the ancilla interferometer with 3000 seeded shots,
 circuit-sim right on `qubit_three_times_unitary.json` and circuit-sim
 doubled on `qubit_two_times.json`; and charfn on explicit points of
 `qubit_two_times.json`, one phase a signed zero. Each file in TABLES holds the
@@ -41,6 +41,8 @@ GOLDEN = {
     "witness_unitary.json": ["witness", "qubit_three_times_unitary.json"],
     "validate_five_channel_kinds.json": ["validate", "five_channel_kinds.json"],
     "dist_right_five_channel_kinds.json": ["dist", "five_channel_kinds.json"],
+    "charfn_five_channel_kinds.json": ["charfn", "five_channel_kinds.json"],
+    "witness_five_channel_kinds.json": ["witness", "five_channel_kinds.json"],
     "circuit_sim_right.json": ["circuit-sim", "qubit_three_times_unitary.json",
                                "--point", "0.3,-0.7,1.1", "--shots", "3000", "--seed", "5"],
     "circuit_sim_doubled.json": ["circuit-sim", SPEC, "--kind", "doubled", "--bra-schedule", "alt",
