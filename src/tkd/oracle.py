@@ -38,9 +38,12 @@ def _fwd(c, x: np.ndarray) -> np.ndarray:
 def oracle_kd(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement],
               kind: str = "kd_right",
               bra: Sequence[ProjectiveMeasurement] | None = None) -> QuasiDistribution:
-    """Entrywise evaluation through explicit joint operators at t_0."""
+    """Entrywise evaluation through explicit joint operators at t_0; only
+    kd_doubled takes a ``bra`` schedule."""
     if kind not in _KD_KINDS:
         raise ValidationError(f"oracle_kd kind must be one of {_KD_KINDS}, got {kind!r}")
+    if bra is not None and kind != "kd_doubled":
+        raise ValidationError(f"{kind} takes no bra schedule")
     if len(s) != p.n_times:
         raise ValidationError(f"schedule has {len(s)} entries for {p.n_times} times")
     n = p.n_steps

@@ -496,10 +496,13 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
 
     right: M = Π_{b0}·E_1†(Π_{b1}·E_2†(...E_n†(Π_{bn})));
     left:  the daggered products (ket-side insertions);
-    doubled: two-sided, Π_{bk}·(...)·Π_{ak} at every step (pass ``bra``).
+    doubled: two-sided, Π_{bk}·(...)·Π_{ak} at every step (pass ``bra``);
+    the one-sided kinds refuse a ``bra`` schedule.
     """
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
+    if bra is not None and kind != "kd_doubled":
+        raise ValidationError(f"{kind} takes no bra schedule")
     stacks, rows, owners = _insertions(p, kind, s, bra)
     d0 = p.dims[0]
     ops = _backward(p, *stacks, rows=rows)

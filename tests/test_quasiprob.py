@@ -419,6 +419,19 @@ def test_joint_ops_doubled():
         tkd.joint_ops(p, ket, kind="lvn")
 
 
+@pytest.mark.parametrize("kind", ["kd_right", "kd_left", "mh"])
+def test_one_sided_kinds_refuse_a_bra_schedule(kind):
+    # a bra schedule that misfits every time of the process: it was once dropped without a word
+    p, s = tkd.random_process(2, 2, seed=3), tkd.random_schedule((2, 2, 2), seed=2)
+    bra = tkd.random_schedule((3, 3, 3), seed=3)
+    fns = [oracle_kd] + ([tkd.joint_ops] if kind != "mh" else [])
+    for fn in fns:
+        with pytest.raises(ValidationError, match=f"^{kind} takes no bra schedule$"):
+            fn(p, s, kind=kind, bra=bra)
+        with pytest.raises(ValidationError, match=f"^{kind} takes no bra schedule$"):
+            fn(p, s, kind=kind, bra=s)
+
+
 @pytest.mark.parametrize("kind", ["kd_right", "kd_left", "kd_doubled"])
 @pytest.mark.parametrize("seed", [3, 8])
 def test_joint_ops_is_a_read_only_mapping_over_one_array(kind, seed):
