@@ -36,6 +36,16 @@ def corpus(count, channel_kind="mixed", start=0):
     return out
 
 
+def isometry_process(dims, rng) -> tkd.MultiTimeProcess:
+    """A chain over the per-time ``dims`` whose step d_in → d_out is a random
+    isometry split into d_in Kraus operators, from a random initial state."""
+    chain = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        g = rng.normal(size=(d_in * d_out, d_in)) + 1j * rng.normal(size=(d_in * d_out, d_in))
+        chain.append(tkd.QuantumChannel(list(np.linalg.qr(g)[0].reshape(d_in, d_out, d_in))))
+    return tkd.MultiTimeProcess(tkd.random_density(dims[0], rng), chain)
+
+
 def table_dev(got, want) -> float:
     """max|got − want| over two tables of one shape: a shape mismatch fails, never broadcasts."""
     assert np.shape(got) == np.shape(want), (np.shape(got), np.shape(want))

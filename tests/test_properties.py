@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import tkd
 from tkd.linops import max_abs
 from tkd.oracle import _direct_correlator, _direct_correlator_doubled
-from conftest import born_diagonal, joint_traces, table_dev
+from conftest import born_diagonal, isometry_process, joint_traces, table_dev
 from test_tomography import _born_kron
 
 TOL = 1e-12
@@ -249,12 +249,7 @@ def rect_processes(draw, dims=(1, 2, 3)) -> tkd.MultiTimeProcess:
     """Two or three times with per-time dims drawn from ``dims``; each step is
     a random isometry d_in → d_out split into d_in Kraus operators."""
     dims = draw(st.lists(st.sampled_from(dims), min_size=2, max_size=3))
-    rng = np.random.default_rng(draw(SEEDS))
-    chain = []
-    for d_in, d_out in zip(dims, dims[1:]):
-        g = rng.normal(size=(d_in * d_out, d_in)) + 1j * rng.normal(size=(d_in * d_out, d_in))
-        chain.append(tkd.QuantumChannel(list(np.linalg.qr(g)[0].reshape(d_in, d_out, d_in))))
-    return tkd.MultiTimeProcess(tkd.random_density(dims[0], rng), chain)
+    return isometry_process(dims, np.random.default_rng(draw(SEEDS)))
 
 
 @STATE_SETTINGS

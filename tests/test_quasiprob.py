@@ -12,7 +12,7 @@ import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
 from tkd.oracle import oracle_kd
-from conftest import corpus, joint_traces, table_dev
+from conftest import corpus, isometry_process, joint_traces, table_dev
 from test_properties import _witness_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -375,12 +375,17 @@ def test_joint_ops_reproduce_distributions(case):
         assert table_dev(joint_traces(p, tkd.joint_ops(p, s, kind=kind)), fn(p, s).values) < 1e-12
 
 
-@pytest.mark.parametrize("d, times, doubled", [(4, 8, False), (2, 8, True), (3, 9, False)],
-                         ids=["d4 8 times", "d2 8 times doubled", "d3 9 times"])
-def test_edge_invariants(d, times, doubled):
-    # the regime edge: 65,536, 65,536 and 19,683 entries; the doubled table (d^(2·times)
-    # entries) only where it stays that small. The χ round trip waits for a conditioned grid.
-    p = tkd.random_process(d, times - 1, seed=60 + d, channel_kind="mixed")
+@pytest.mark.parametrize("dims, doubled", [((4,) * 8, False), ((2,) * 8, True), ((3,) * 9, False),
+                                           ((4, 3) * 4, False)],
+                         ids=["d4 8 times", "d2 8 times doubled", "d3 9 times", "d4-3 8 times rectangular"])
+def test_edge_invariants(dims, doubled):
+    # the regime edge: 65,536, 65,536, 19,683 and 20,736 entries, the last on isometry steps
+    # 4 → 3 → 4 …; the doubled table (d^(2·times) entries) only where it stays that small.
+    # The χ round trip waits for a conditioned grid.
+    d, times = dims[0], len(dims)
+    p = (tkd.random_process(d, times - 1, seed=60 + d, channel_kind="mixed") if len(set(dims)) == 1
+         else isometry_process(dims, np.random.default_rng(67)))
+    assert p.dims == dims
     s = tkd.random_schedule(p.dims, seed=70 + d)
     right, left = tkd.kd_right(p, s), tkd.kd_left(p, s)
     assert table_dev(left.values, right.values.conj()) <= 1e-12
