@@ -11,8 +11,11 @@ its per-axis nodes, in any order, takes one sweep over their product, and
 any other grid one sweep per point. χ inverts back to the distribution on a
 suitable product grid, one axis solve at a time; the node analysis of the grid
 is made once per `CharSamples`, and `char_fn` hands over the one it already
-made. An ancilla that coherently switches between two gate sequences measures
-χ as ⟨X⟩, ⟨Y⟩.
+made. χ runs on every chain a process accepts, steps with d_in ≠ d_out
+included. An ancilla that coherently switches between two gate sequences measures
+χ as ⟨X⟩, ⟨Y⟩. That interferometer needs each step's Stinespring dilation to be
+a unitary on system ⊗ environment, so `circuit_sim` refuses a step with
+d_in ≠ d_out ("stinespring needs a square channel", from `QuantumChannel.dilation`).
 
 The interferometer keeps ancilla ⊗ system live: each step's environment is
 attached just before its dilation unitary and traced out right after it, so

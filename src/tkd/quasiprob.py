@@ -497,7 +497,9 @@ def joint_ops(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement], kind: str
     right: M = Π_{b0}·E_1†(Π_{b1}·E_2†(...E_n†(Π_{bn})));
     left:  the daggered products (ket-side insertions);
     doubled: two-sided, Π_{bk}·(...)·Π_{ak} at every step (pass ``bra``);
-    the one-sided kinds refuse a ``bra`` schedule.
+    the one-sided kinds refuse a ``bra`` schedule. Each E_k† takes operators
+    on H_{t_k} to H_{t_{k-1}}, so on a chain whose dimension changes from
+    step to step every operator still lands on H_{t_0}, d_0 × d_0.
     """
     if kind not in ("kd_right", "kd_left", "kd_doubled"):
         raise ValidationError(f"joint_ops kind must be kd_right/kd_left/kd_doubled, got {kind!r}")
@@ -541,7 +543,9 @@ def classicality_witness(p: MultiTimeProcess, s: Sequence[ProjectiveMeasurement]
     Checks [M_{b_n..b_1}, Π_{b0}] over all outcome tuples; when every step is
     unitary, also all pairs of single-time back-evolved projectors. A step is
     unitary when it has one Kraus operator K, since the process holds
-    max|K†K − I| to ``p.tol``. A strictly positive nonclassicality implies
+    max|K†K − I| to ``p.tol``; on a step with d_in ≠ d_out that operator is
+    an isometry, whose adjoint is still unital, so the rule and the
+    marginals below hold on every chain. A strictly positive nonclassicality implies
     some pair fails to commute; the converse does not hold for a fixed
     initial state.
 

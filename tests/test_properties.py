@@ -1,7 +1,8 @@
 """Property tests: the batched passes, χ and the temporal states against the
 brute-force oracle.
 
-Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps) and
+Processes mix unitary and CPTP steps (d in {2, 3}, up to three steps), or
+change dimension at each step through isometries (d in {1, 2, 3}), and
 schedules draw spectra from a small value set, so degenerate observables and
 single-outcome measurements come up; the witness is also checked on seeded
 unitary, mixed and CPTP chains of up to eight steps. Examples are derandomized, so every run
