@@ -232,6 +232,14 @@ def test_circuit_sim_document(spec_file, capsys):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out2
 
 
+def test_circuit_sim_refuses_a_rectangular_chain(capsys):
+    # every other command runs on five_channel_kinds (see its golden documents); the
+    # interferometer dilates each step into a unitary on system ⊗ environment, which needs d_in = d_out
+    spec = str(Path(__file__).parent / "data" / "five_channel_kinds.json")
+    assert run_command(["circuit-sim", spec, "--point", "0,0,0,0,0,0"]) == 4
+    assert capsys.readouterr() == ("", "tkd: validation error: stinespring needs a square channel\n")
+
+
 def test_circuit_sim_at_the_spec_tolerance(tmp_path, capsys):
     # a step trace preserving only to 1e-7, accepted at options.tolerance 1e-6
     k = np.sqrt(1 - 1e-7)
