@@ -8,8 +8,8 @@ seeded Haar-unitary steps, where the witness also compares the projectors of
 every time back-evolved to t_0); validate, dist, charfn and witness on
 `five_channel_kinds.json` (a qubit-qutrit-qubit chain of one step of each
 spec channel kind: kraus, unitary, replacement with d_in, depolarizing and
-measure_replace, so two of its steps are rectangular); and the ancilla interferometer with 3000 seeded shots,
-circuit-sim right on `qubit_three_times_unitary.json` and circuit-sim
+measure_replace, so two of its steps change the dimension); and the ancilla
+interferometer with 3000 seeded shots, circuit-sim right on `qubit_three_times_unitary.json` and circuit-sim
 doubled on `qubit_two_times.json`; and charfn on explicit points of
 `qubit_two_times.json`, one phase a signed zero. Each file in TABLES holds the
 exact ``--table`` export of one command. Each document is also written

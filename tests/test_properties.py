@@ -135,7 +135,7 @@ def test_char_fn_and_circuit_match_oracle(data):
         if all(c.d_in == c.d_out for c in p.channels):
             want = tkd.char_from_distribution(q, points[-1:]).values[0]
             assert abs(tkd.circuit_sim(p, obs, points[-1], kind=kind).exact - want) <= TOL
-        else:  # the interferometer dilates each step into a unitary on its own space
+        else:  # the interferometer dilates each step into a unitary, which needs d_in = d_out
             with pytest.raises(tkd.ValidationError, match="^stinespring needs a square channel$"):
                 tkd.circuit_sim(p, obs, points[-1], kind=kind)
 
