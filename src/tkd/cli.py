@@ -2,13 +2,14 @@
 
 Reads JSON process specifications, dispatches the library computations, and
 emits deterministic JSON result documents (complex scalars as [re, im]
-pairs, matrices as row-major nested arrays). Documents are written by
-``_write``, which gives the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)``: dicts and lists share one loop, and one list writer
-(``_list_to``) renders every float and complex array, or its flat view, a
-block of about 2,048 floats at a time into a sink that writes pieces of about
-64 kB to stdout or to the ``-o`` file, so no whole-document string is ever
-built. Every result is computed before the first byte.
+pairs, matrices as row-major nested arrays). A document holds str keys,
+str, int, float and None scalars, and finite float64 and complex128 arrays;
+``_write`` gives its bytes as ``json.dumps(doc, indent=2, sort_keys=True)``
+would. Dicts and lists share one loop, and one list writer (``_list_to``)
+renders every array, or its flat view, a block of about 2,048 floats at a
+time into a sink that writes pieces of about 64 kB to stdout or to the ``-o``
+file, so no whole-document string is ever built. Every result is computed
+before the first byte.
 Exit codes: 2 for bad usage or an output file that cannot be written, 3 for
 a spec file that does not parse or a ``state``, ``dist``, ``nonclassicality``,
 ``witness`` or ``charfn`` request too large for the machine's physical
@@ -127,7 +128,6 @@ def _c2(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BLOCK = 2048  # floats of an array rendered per step: its text stays a few tens of kB
 _PIECE = 1 << 16  # characters of array text the sink gathers before it writes
 
@@ -153,15 +153,9 @@ class _Sink(list):
         self.size = 0
 
 
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
 _json_str = json.encoder.encode_basestring_ascii
-# the text of each plain JSON scalar type, by exact type (subclasses are looked up by isinstance)
-_SCALARS = {str: _json_str, int: int.__repr__, float: _float_text,
-            bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+# the text of each scalar type a document holds, by exact type
+_SCALARS = {str: _json_str, int: int.__repr__, float: float.__repr__, type(None): lambda o: "null"}
 _ARRAY_DTYPES = (np.float64, np.complex128)
 
 
@@ -180,14 +174,6 @@ def _floats(a: np.ndarray) -> tuple:
     return tuple(map(float.__repr__, np.ravel(a).view(np.float64).tolist()))
 
 
-def _texts(a: np.ndarray) -> tuple:
-    """`_floats` of ``a`` in JSON's spelling."""
-    text = _floats(a)
-    if not np.isfinite(a).all():
-        text = tuple(_NONFINITE.get(x, x) for x in text)
-    return text
-
-
 def _list_to(chunks, item_shape: tuple, per: int, level: int, out: _Sink):
     """The list, '[' at ``level``, of the items along the leading axis of each array of
     ``chunks`` in turn, each an array of ``item_shape`` as nested lists, with ``per`` floats
@@ -201,7 +187,7 @@ def _list_to(chunks, item_shape: tuple, per: int, level: int, out: _Sink):
         if n:
             if n not in templates:
                 templates[n] = sep.join([item] * n)
-            out.add(head + templates[n] % _texts(c))
+            out.add(head + templates[n] % _floats(c))
             head = sep
     out.append(ind[:-2] + "]" if head == sep else "[]")
 
@@ -248,22 +234,13 @@ class _Flat:
         self.a = a
 
 
-def _key_text(k) -> str:
-    """A dict key as `json.dumps` writes it: a str as itself, an int, float, bool or None key
-    as the JSON string of its scalar's text, such as "1" or "true"."""
-    if isinstance(k, str):
-        return _json_str(k)
-    base = type(k) if type(k) in _SCALARS else next((t for t in (int, float) if isinstance(k, t)), None)
-    if base is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return f'"{_SCALARS[base](k)}"'
-
-
 def _write(o, level: int, out: _Sink):
-    """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)`` lays it out
-    when its first character sits at nesting ``level``; float64 and complex128
-    ``np.ndarray`` leaves (ndim ≥ 1) are nested lists, complex entries [re, im] pairs, and
-    dict keys are written as `_key_text` states.
+    """Append the document ``o`` to ``out`` as ``json.dumps(o, indent=2, sort_keys=True)``
+    lays it out when its first character sits at nesting ``level``. A document is a dict,
+    list or tuple with str keys; a str, int, float or None scalar, by exact type; a finite
+    float64 or complex128 ``np.ndarray`` (ndim ≥ 1), written as nested lists with complex
+    entries as [re, im] pairs; or a `_Flat` array. Anything else, a bool or an
+    ``np.float64`` among them, raises TypeError, as a non-str key does.
     A scalar inside a list or dict goes out in line, without a call of its own."""
     text = _SCALARS.get(type(o))
     if text:
@@ -277,7 +254,7 @@ def _write(o, level: int, out: _Sink):
         ind = "\n" + "  " * (level + 1)
         sep = brackets[0] + ind
         for k, x in sorted(o.items()) if keyed else enumerate(o):
-            head = sep + _key_text(k) + ": " if keyed else sep
+            head = sep + _json_str(k) + ": " if keyed else sep
             text = _SCALARS.get(type(x))
             if text:
                 out.append(head + text(x))
@@ -292,10 +269,7 @@ def _write(o, level: int, out: _Sink):
         per = 2 if o.a.dtype == np.complex128 else 1
         _list_to((c.reshape(-1) for c in _pieces(o.a, _BLOCK // per)), (), per, level, out)
     else:
-        base = next((t for t in (str, int, float) if isinstance(o, t)), None)
-        if base is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        out.append(_SCALARS[base](o))
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _number(obj, where: str, integer: bool = False):
