@@ -360,10 +360,11 @@ def hs_basis(d: int) -> HSBasis:
 
     Canonical order: I; symmetric pairs (j,k), j<k lexicographic; antisymmetric
     pairs in the same order; diagonal ladder l = 1..d−1. For d = 2 this is
-    exactly {I, X, Y, Z}.
+    exactly {I, X, Y, Z}; for d = 1 it is {I₁}, so Bloch tomography runs on
+    chains with a one-dimensional time.
     """
-    if d < 2:
-        raise ValidationError("hs_basis needs d >= 2")
+    if d < 1:
+        raise ValidationError("hs_basis needs d >= 1")
     s = np.sqrt(d / 2.0)  # rescales Tr(λ²) = 2 to = d
     ops: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
     for j in range(d):

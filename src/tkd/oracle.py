@@ -19,7 +19,7 @@ import numpy as np
 from .linops import ValidationError, dagger
 from .measurements import ProjectiveMeasurement, hs_basis, spectral_measurement
 from .quasiprob import MultiTimeProcess, QuasiDistribution
-from .tomography import CORRELATOR_KINDS, CorrelatorTensor, TemporalStateOperator
+from .tomography import CORRELATOR_KINDS, CorrelatorTensor, TemporalStateOperator, _lvn_rule
 
 _KD_KINDS = ("kd_right", "kd_left", "kd_doubled", "mh")
 _STATE_KINDS = ("right", "left", "doubled", "mh", "lvn")
@@ -162,10 +162,14 @@ def oracle_state(p: MultiTimeProcess, kind: str = "right") -> TemporalStateOpera
     """Temporal state by exhaustive Bloch summation of direct correlators.
 
     ``kind`` uses the correlator vocabulary right/left/doubled/mh/lvn; the
-    lvn reconstruction carries the pdo label (they coincide for qubit chains).
+    lvn reconstruction carries the pdo label, so it applies the rule of
+    ``reconstruct_state``: a chain with a time of dim above 2, where the two
+    differ, is refused with its message. Times of dim 1 take the basis {I₁}.
     """
     if kind not in _STATE_KINDS:
         raise ValidationError(f"oracle_state kind must be one of {_STATE_KINDS}, got {kind!r}")
+    if kind == "lvn":
+        _lvn_rule(p.dims)
     bases = [hs_basis(d) for d in p.dims]
     nt = p.n_times
 

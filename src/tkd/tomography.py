@@ -8,8 +8,9 @@ state, x ↦ (Ex + xE)/2 the pseudo-density operator, and x ↦ ExE' the doubled
 KD state. All are unit-trace; their traces against products of time-local
 operators (``born_eval``: one outcome tuple, or a whole table from stacks)
 reproduce the corresponding distribution or correlator.
-Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check;
-the lvn tensor rebuilds the pdo only on qubits and is refused at any other dim.
+Correlator tomography (``reconstruct_state``) rebuilds them as a cross-check,
+on every chain, times of dimension one included; the lvn tensor rebuilds the
+pdo only where every time has dim 1 or 2 (`_lvn_rule`), and is refused elsewhere.
 
 Both take their insertions from the resolver of ``tkd.quasiprob``, whose owners
 build each map and trace row once: each `HSBasis`, and the matrix units of each
@@ -168,6 +169,16 @@ def correlators(p: MultiTimeProcess, bases: Sequence[HSBasis] | None = None,
     return CorrelatorTensor(kind, owners, values, ket_axes=len(owners) - p.n_times, tol=p.tol)
 
 
+def _lvn_rule(dims: Sequence[int]):
+    """Refuse an lvn resynthesis on ``dims`` unless every time has dim 1 or 2: only there does
+    each basis element have a spectrum in ±1, so that its value-weighted collapse Σ_a a·Π_a x Π_a
+    is the Jordan product (σx + xσ)/2 and the resynthesis the pdo."""
+    for k, d in enumerate(dims):
+        if d > 2:
+            raise ValidationError(f"the lvn resynthesis is the pdo only on dims 1 and 2; "
+                                  f"time {k} has dim {d}")
+
+
 def _matrix(t: np.ndarray, dims: Sequence[int], blocks: int) -> np.ndarray:
     """The D×D matrix of a tensor with one (row, column) leg pair per (block,
     time), ascending. Rows and columns each run over the ket block, then the
@@ -189,15 +200,11 @@ def reconstruct_state(t: CorrelatorTensor) -> TemporalStateOperator:
 
     The prefactor carries one power of d per tensor axis, which is what makes
     traces against basis products return the stored correlators. The lvn
-    tensor resynthesizes to the pdo only when every time is a qubit (only a
-    ±1 spectrum makes the value-weighted collapse a Jordan product), so a
-    tensor with any other dim is refused.
+    tensor resynthesizes to the pdo only when every time has dim 1 or 2, so a
+    tensor with a larger dim is refused (`_lvn_rule`).
     """
     if t.kind == "lvn":
-        for k, d in enumerate(t.time_dims):
-            if d != 2:
-                raise ValidationError(f"the lvn resynthesis is the pdo only on qubits; "
-                                      f"time {k} has dim {d}")
+        _lvn_rule(t.time_dims)
     z = t.values
     for b, m in zip(t.bases, t.values.shape):
         z = z.reshape(m, -1).T @ b.stack.reshape(m, -1)

@@ -297,9 +297,12 @@ def test_hs_basis_expansion():
     assert max_abs(back - x) < 1e-12
 
 
-def test_hs_basis_rejects_d1():
-    with pytest.raises(ValidationError):
-        tkd.hs_basis(1)
+def test_hs_basis_of_dimension_one_is_the_identity():
+    basis = tkd.hs_basis(1)
+    assert len(basis.ops) == 1 and basis.ops[0].shape == (1, 1) and basis.ops[0][0, 0] == 1.0
+    for d in (0, -1):
+        with pytest.raises(ValidationError, match="^hs_basis needs d >= 1$"):
+            tkd.hs_basis(d)
 
 
 def test_rotate_basis():

@@ -6,7 +6,7 @@ import pytest  # type: ignore
 import tkd
 from tkd import ValidationError
 from tkd.linops import max_abs
-from conftest import born_diagonal, corpus, table_dev
+from conftest import born_diagonal, corpus, isometry_process, table_dev
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -320,13 +320,33 @@ def test_lvn_reconstruction_equals_pdo_for_qubits():
 
 
 def test_lvn_resynthesis_refuses_non_qubit_times():
-    # beyond ±1 spectra the value-weighted collapse is not the Jordan product
+    # beyond ±1 spectra the value-weighted collapse is not the Jordan product: the
+    # resynthesis and the oracle's lvn state refuse the chain with one message
     cases = ((tkd.random_process(3, 1, seed=3, channel_kind="mixed"), 0),
-             (_rect_process(518, dims=(2, 3))[0], 1))
+             (_rect_process(518, dims=(2, 3))[0], 1), (isometry_process((1, 2, 3), np.random.default_rng(519)), 2))
     for p, k in cases:
-        with pytest.raises(ValidationError, match=rf"^the lvn resynthesis is the pdo only on qubits; "
-                                                  rf"time {k} has dim 3$"):
+        message = rf"^the lvn resynthesis is the pdo only on dims 1 and 2; time {k} has dim 3$"
+        with pytest.raises(ValidationError, match=message):
             tkd.reconstruct_state(tkd.correlators(p, kind="lvn"))
+        with pytest.raises(ValidationError, match=message):
+            tkd.oracle_state(p, "lvn")
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1, 2), (1, 1), (3, 1), (1, 3)])
+def test_tomography_on_chains_with_a_one_dimensional_time(dims):
+    # hs_basis(1) is {I₁}: each kind's correlators, their resynthesis and the oracle's state
+    # agree with the read-off; lvn gives the pdo where no time has dim 3
+    p = isometry_process(dims, np.random.default_rng(520))
+    read_off = {"right": tkd.kd_state_recursive(p), "left": tkd.kd_state_recursive(p, kind="kd_left"),
+                "doubled": tkd.kd_state_recursive(p, kind="kd_doubled"), "mh": tkd.mh_state(p)}
+    if max(dims) <= 2:
+        read_off["lvn"] = tkd.pdo(p)
+    for kind, y in read_off.items():
+        t = tkd.correlators(p, kind=kind)
+        assert max_abs(t.values - tkd.oracle_correlators(p, kind).values) < 1e-12
+        for got in (tkd.reconstruct_state(t), tkd.oracle_state(p, kind)):
+            assert got.kind == y.kind and got.dims == dims
+            assert max_abs(got.matrix - y.matrix) < 1e-10
 
 
 def test_eigenvalues_and_state_validation():
