@@ -116,8 +116,6 @@ class CharSamples:
             raise ValidationError("one value per grid point required")
         if not np.isfinite(self.values).all():
             raise ValidationError("χ values must be finite")
-        if not np.isfinite(x).all():
-            raise ValidationError("grid phases must be finite")
         bad = ~x.any(axis=1) & (np.abs(self.values - 1.0) > self.tol)
         if bad.any():
             raise ValidationError(f"value at the zero point is {self.values[bad.argmax()]}, not 1")
@@ -135,7 +133,8 @@ def _grid_array(grid, width: int | None = None,
     numeric matrix converts at once; any other goes phase by phase through
     float(), so None and nested phases raise TypeError. Complex phases raise
     TypeError either way. The first point whose arity is not ``width``
-    (default: the first point's) raises ``message``, formatted with it."""
+    (default: the first point's) raises ``message``, formatted with it, and
+    a NaN or ±inf phase is refused, before any sweep or gate uses it."""
     try:
         a = np.asarray(grid)
     except ValueError:  # ragged
@@ -152,7 +151,10 @@ def _grid_array(grid, width: int | None = None,
     for w in widths:
         if w != width:
             raise ValidationError(message.format(w))
-    return np.asarray(grid, dtype=np.float64).reshape(len(grid), width)
+    grid = np.asarray(grid, dtype=np.float64).reshape(len(grid), width)
+    if not np.isfinite(grid).all():
+        raise ValidationError("grid phases must be finite")
+    return grid
 
 
 def _grid_nodes(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -246,10 +248,12 @@ def char_from_distribution(q: QuasiDistribution, grid: Sequence[Sequence[float]]
 
 
 def default_nodes(spectrum: Sequence[float]) -> np.ndarray:
-    """m equispaced phase nodes u_j = j·π/(1 + max|b−b'|) for m distinct outcomes."""
+    """m equispaced phase nodes u_j = j·π/(1 + max|b−b'|) for m distinct outcomes, each finite."""
     vals = sorted(set(float(b) for b in spectrum))
     if not vals:
         raise ValidationError("default_nodes: the spectrum is empty")
+    if not np.isfinite(vals).all():
+        raise ValidationError("default_nodes: the spectrum holds a non-finite outcome value")
     return np.pi / (1.0 + (vals[-1] - vals[0])) * np.arange(len(vals))  # [0.] for one outcome
 
 

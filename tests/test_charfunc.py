@@ -376,6 +376,32 @@ def test_non_finite_or_empty_inversion_input_is_refused(grid, values, spectra, m
         tkd.invert_char(tkd.CharSamples("right", grid, values), spectra)
 
 
+_P = tkd.random_process(2, 1, seed=1)
+_OBS = tkd.ObservableSchedule(bra=(tkd.random_hermitian(2, 3), tkd.random_hermitian(2, 4)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tkd.circuit_sim(_P, _OBS, [np.nan, 0.0]), "grid phases must be finite"),
+    (lambda: tkd.circuit_sim(_P, _OBS, [np.inf, 0.0]), "grid phases must be finite"),
+    (lambda: tkd.char_fn(_P, _OBS, [[np.inf, 0.0], [0.1, 0.2]]), "grid phases must be finite"),
+    (lambda: tkd.char_fn(_P, _OBS, [[0.0, 0.0], [0.1, -np.inf]]), "grid phases must be finite"),
+    (lambda: tkd.char_from_distribution(tkd.kd_right(_P, _OBS.bra), [[np.inf, 0.0]]),
+     "grid phases must be finite"),
+    (lambda: tkd.default_nodes([0.0, np.inf]), "default_nodes: the spectrum holds a non-finite outcome value"),
+    (lambda: tkd.default_nodes([np.nan, 1.0]), "default_nodes: the spectrum holds a non-finite outcome value"),
+], ids=["circuit nan", "circuit inf", "char_fn inf", "char_fn -inf", "from distribution inf",
+        "nodes inf", "nodes nan"])
+def test_non_finite_phases_are_refused_before_any_sweep_without_a_warning(call, message, monkeypatch):
+    # a NaN phase once gave χ = nan+nanj and an infinite one an overflow warning from the
+    # phase gates; default_nodes once spaced [0, inf] as [0, 0]
+    for name in ("_sweep", "_ancilla_xy"):
+        monkeypatch.setattr(tkd.charfunc, name, lambda *a, **k: pytest.fail("a sweep or gate ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def _qubit_pair():
     """A two-time qubit process with Z on both sides: two phases per point, four doubled."""
     z = np.diag([1.0, -1.0])
