@@ -42,9 +42,9 @@ from .linops import (
 class QuantumChannel:
     """Kraus representation of a completely positive map d_in → d_out.
 
-    Construction only enforces shape consistency; whether the map is trace
-    preserving is a property (`validate_cptp`), so non-TP Kraus sets can be
-    represented and diagnosed.
+    Construction only enforces shape consistency and finite entries; whether
+    the map is trace preserving is a property (`validate_cptp`), so non-TP
+    Kraus sets can be represented and diagnosed.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -56,6 +56,7 @@ class QuantumChannel:
         if len({k.shape for k in ops}) != 1:
             raise ValidationError("Kraus operators disagree in shape")
         _require(0 not in ops[0].shape, f"Kraus operators have a zero dimension, shape {ops[0].shape}")
+        _require(np.isfinite(ops).all(), "Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)
 
     @property

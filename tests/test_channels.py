@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest  # type: ignore
 
@@ -34,6 +36,22 @@ def test_channel_shape_validation():
 def test_kraus_operators_with_a_zero_dimension_are_refused(build):
     with pytest.raises(ValidationError, match=r"^Kraus operators have a zero dimension, shape \(0, "):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tkd.QuantumChannel([[[np.nan, 0], [0, 1]]]), "Kraus operators must be finite"),
+    (lambda: tkd.QuantumChannel([np.eye(2) / 2, np.diag([np.inf, 0.5])]), "Kraus operators must be finite"),
+    (lambda: tkd.build_channel("kraus", operators=[np.diag([1.0, -np.inf])]), "Kraus operators must be finite"),
+    (lambda: tkd.Instrument([("a", [np.diag([1.0, 0.0])]), ("b", [np.diag([0.0, np.nan])])]),
+     "Kraus operators must be finite"),
+], ids=["nan", "inf in the second", "build_channel -inf", "instrument nan"])
+def test_kraus_operators_with_a_non_finite_entry_are_refused(build, message):
+    # a NaN Kraus entry was once accepted, with CPTP defect nan; an instrument's total channel
+    # refuses it in its place ("instrument branches sum to a non-TP map, defect nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
 
 
 HUGE = np.diag([1e308, 1.0])  # K†K overflows to inf
@@ -215,6 +233,8 @@ def test_build_unitary_channel(pauli):
     with pytest.raises(ValidationError):
         tkd.build_channel("unitary", u=np.ones((2, 2)))
     with pytest.raises(ValidationError, match="^build_channel: u is not unitary within tol$"):
+        tkd.build_channel("unitary", u=np.diag([1e308, 1.0]))
+    with pytest.raises(ValidationError, match="^Kraus operators must be finite$"):  # its channel refuses a NaN
         tkd.build_channel("unitary", u=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         tkd.build_channel("bogus")
